@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md §3): the 1/p unbiased rescaling of received boundary
+// Ablation (paper §4.3): the 1/p unbiased rescaling of received boundary
 // features (Algorithm 1's "replace H with H/p"). The estimator trade-off:
 // scaling keeps E[ẑ] = z but multiplies each surviving boundary feature by
 // 1/p, so its variance grows as boundary survivors get scarce. On this

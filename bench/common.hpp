@@ -1,8 +1,7 @@
 #pragma once
 
 // Shared helpers for the experiment benches. Each bench binary regenerates
-// one table or figure of the paper (see DESIGN.md §4 for the index and
-// EXPERIMENTS.md for paper-vs-measured numbers).
+// one table or figure of the paper (see docs/BENCHMARKS.md for the index).
 //
 // Every bench runs through the unified entry point bnsgcn::api::run and
 // takes --scale / --epochs / --json (api::parse_bench_args); per-dataset
@@ -33,7 +32,9 @@ namespace bnsgcn::bench {
 inline void print_banner(const char* artifact, const char* description) {
   std::printf("\n================================================================\n");
   std::printf("%s — %s\n", artifact, description);
-  std::printf("(synthetic datasets + simulated interconnect; see DESIGN.md)\n");
+  std::printf(
+      "(synthetic datasets + simulated interconnect; see "
+      "docs/ARCHITECTURE.md)\n");
   std::printf("================================================================\n");
 }
 

@@ -3,6 +3,8 @@
 # which do not exist. Scans README.md and docs/*.md, ignoring fenced code
 # blocks (``` ... ```) and inline code spans. External links
 # (http/https/mailto) are out of scope — CI must not depend on the network.
+# Then fail on any `*.md` name cited in the code trees (comments, printed
+# banners) that exists neither at the repo root nor in docs/.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -31,6 +33,19 @@ for md in README.md docs/*.md; do
     fi
   done <<< "$targets"
 done
+
+code_dirs=(src bench tests tools examples)
+cited=$(grep -rhoE '[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b' "${code_dirs[@]}" |
+        sort -u || true)
+while IFS= read -r name; do
+  [ -z "$name" ] && continue
+  base="$(basename "$name")"
+  if [ ! -e "$base" ] && [ ! -e "docs/$base" ]; then
+    where=$(grep -rlF "$name" "${code_dirs[@]}" | tr '\n' ' ')
+    echo "dead doc citation: $name (in: $where)" >&2
+    fail=1
+  fi
+done <<< "$cited"
 
 if [ "$fail" -ne 0 ]; then
   echo "docs link check FAILED" >&2

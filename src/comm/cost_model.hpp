@@ -10,7 +10,7 @@ namespace bnsgcn::comm {
 /// time is a memcpy; the paper's experiments, however, are bottlenecked by
 /// PCIe/Ethernet. Byte counts are measured exactly by the fabric and this
 /// model converts them into simulated seconds for the throughput/breakdown
-/// benches (Figs. 4–5, Table 6). See DESIGN.md §1.
+/// benches (Figs. 4–5, Table 6). See docs/ARCHITECTURE.md §1.
 struct CostModel {
   double latency_s = 10e-6;        // per message
   double bytes_per_s = 12.0e9;     // PCIe3 x16 effective ~12 GB/s
@@ -39,7 +39,8 @@ struct CostModel {
   /// face-value bandwidth would make compute look dominant and destroy the
   /// paper's compute:communication ratios. These presets divide bandwidth
   /// by the same factor, preserving every ratio-based result (breakdown
-  /// percentages, relative throughputs, crossovers). See DESIGN.md §1.
+  /// percentages, relative throughputs, crossovers). See
+  /// docs/ARCHITECTURE.md §1.
   static CostModel scaled_pcie3();
   static CostModel scaled_multi_machine();
 };

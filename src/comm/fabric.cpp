@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <thread>
 
 #include "comm/mailbox_transport.hpp"
@@ -19,6 +20,17 @@ std::int64_t RankStats::total_rx_bytes() const {
   std::int64_t sum = 0;
   for (const auto b : rx_bytes) sum += b;
   return sum;
+}
+
+RankStats RankStats::operator-(const RankStats& before) const {
+  RankStats d;
+  for (std::size_t c = 0; c < tx_bytes.size(); ++c) {
+    d.tx_bytes[c] = tx_bytes[c] - before.tx_bytes[c];
+    d.rx_bytes[c] = rx_bytes[c] - before.rx_bytes[c];
+    d.tx_msgs[c] = tx_msgs[c] - before.tx_msgs[c];
+    d.rx_msgs[c] = rx_msgs[c] - before.rx_msgs[c];
+  }
+  return d;
 }
 
 double RankStats::sim_seconds(TrafficClass cls, const CostModel& cost) const {
@@ -99,6 +111,38 @@ Wire Request::take_payload() {
   wait();
   BNSGCN_CHECK(state_ != nullptr);
   return std::move(state_->payload);
+}
+
+void run_ranks(Fabric& fabric, const std::function<void(PartId)>& rank_fn) {
+  const auto m = static_cast<std::size_t>(fabric.nranks());
+  std::vector<std::exception_ptr> errors(m);
+  // lint: allow(raw-thread) — the rank runtime: one OS thread per
+  // in-process rank; kernel parallelism inside a rank goes through the pool.
+  std::vector<std::thread> threads;
+  threads.reserve(m);
+  for (PartId r = 0; r < fabric.nranks(); ++r) {
+    threads.emplace_back([&, r] {
+      try {
+        rank_fn(r);
+      } catch (...) {
+        errors[static_cast<std::size_t>(r)] = std::current_exception();
+        fabric.shutdown(r);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  // A ShutdownError is collateral of some other rank's failure; anything
+  // else propagates straight out of the try as the root cause.
+  std::exception_ptr collateral;
+  for (const auto& e : errors) {
+    if (!e) continue;
+    try {
+      std::rethrow_exception(e);
+    } catch (const ShutdownError&) {
+      if (!collateral) collateral = e;
+    }
+  }
+  if (collateral) std::rethrow_exception(collateral);
 }
 
 void wait_all(std::span<Request> requests) {

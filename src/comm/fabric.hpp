@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -34,6 +35,10 @@ struct RankStats {
 
   [[nodiscard]] std::int64_t total_tx_bytes() const;
   [[nodiscard]] std::int64_t total_rx_bytes() const;
+
+  /// Traffic between two snapshots of the same counters: `*this` minus
+  /// the earlier snapshot `before`, per class and direction.
+  [[nodiscard]] RankStats operator-(const RankStats& before) const;
 
   /// Simulated seconds to move this traffic under `cost`, assuming full
   /// duplex (send/recv overlap → max of the two directions).
@@ -145,8 +150,9 @@ class Endpoint {
 
 /// Communication fabric over `nranks` logical ranks: per-rank Endpoints
 /// (stats + accounting) in front of a pluggable Transport backend. The
-/// default backend is the in-process mailbox (one thread per rank); the
-/// socket backends carry one rank per OS process. See DESIGN.md §1.
+/// default backend is the in-process mailbox (one thread per rank, see
+/// run_ranks); the socket backends carry one rank per OS process. See
+/// docs/ARCHITECTURE.md §3.
 class Fabric {
  public:
   /// In-process mailbox fabric (the deterministic test double).
@@ -230,6 +236,15 @@ class Request {
   explicit Request(std::unique_ptr<State> state) : state_(std::move(state)) {}
   std::unique_ptr<State> state_;
 };
+
+/// The in-process rank runtime: run `rank_fn(r)` for every rank of
+/// `fabric` on a thread of its own and join them all. A rank that throws
+/// shuts the fabric down from its side, so peers blocked on it unwind with
+/// ShutdownError instead of hanging. Afterwards the root cause — the first
+/// failure, in rank order, that is not a ShutdownError — is rethrown; if
+/// every failure is a ShutdownError, the first of those. The forked
+/// runtime (api::run_ranks_piped) is the one-process-per-rank counterpart.
+void run_ranks(Fabric& fabric, const std::function<void(PartId)>& rank_fn);
 
 /// Complete every request in the span (MPI_Waitall). Payloads stay stored
 /// in the requests for take_floats()/take_ids().

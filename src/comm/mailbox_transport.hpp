@@ -16,7 +16,7 @@ namespace bnsgcn::comm {
 /// each): the deterministic test double. Sends are eager deposits into an
 /// unbounded per-pair queue (like an eager-protocol MPI send); collectives
 /// run over shared contribution slots and a two-phase barrier. Substitutes
-/// for Gloo/NCCL; see DESIGN.md §1.
+/// for Gloo/NCCL; see docs/ARCHITECTURE.md §3.
 class MailboxTransport final : public Transport {
  public:
   explicit MailboxTransport(PartId nranks);

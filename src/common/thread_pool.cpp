@@ -17,6 +17,7 @@ namespace bnsgcn::common {
 namespace {
 
 thread_local bool t_on_worker = false;
+thread_local bool t_caller_lane = false; // caller running its job's blocks
 thread_local int t_ops_threads = 1;
 
 } // namespace
@@ -153,7 +154,7 @@ void ThreadPool::parallel_for(
     const std::function<void(std::int64_t, std::int64_t)>& body) {
   BNSGCN_CHECK(n >= 0 && block >= 1);
   if (n == 0) return;
-  if (threads <= 1 || n <= block || t_on_worker) {
+  if (threads <= 1 || n <= block || t_on_worker || t_caller_lane) {
     for (std::int64_t i0 = 0; i0 < n; i0 += block)
       body(i0, i0 + block < n ? i0 + block : n);
     return;
@@ -170,8 +171,14 @@ void ThreadPool::parallel_for(
     impl_->wake.notify_all();
   }
   // The caller is one of the lanes: it races the workers for blocks, so a
-  // parallel_for never blocks waiting for a worker to become free.
+  // parallel_for never blocks waiting for a worker to become free. Like a
+  // worker lane, it runs a nested parallel_for inline — dispatching it
+  // would replace the in-flight job and hand the nested blocks to idle
+  // workers, racing a body that assumes it runs serially on this lane.
+  // (run_blocks never throws: block errors are captured in the job.)
+  t_caller_lane = true;
   job.run_blocks();
+  t_caller_lane = false;
   {
     std::unique_lock<std::mutex> lock(impl_->mu);
     impl_->job = nullptr; // late workers see job==nullptr and keep waiting

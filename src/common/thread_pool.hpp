@@ -44,8 +44,9 @@ class ThreadPool {
   /// Run body(begin, end) for every block [i*block, min((i+1)*block, n))
   /// of [0, n), using the calling thread plus up to threads-1 pool
   /// workers. The caller participates (threads == 1, n <= block, or a
-  /// nested call from inside a pool worker all degrade to a plain serial
-  /// loop in ascending block order). Blocks are claimed from an atomic
+  /// nested call from inside any lane — a pool worker, or the caller while
+  /// it runs blocks — all degrade to a plain serial loop in ascending
+  /// block order). Blocks are claimed from an atomic
   /// cursor; see the class comment for why that preserves bit-exactness.
   /// The first exception thrown by any block is rethrown on the calling
   /// thread after every block has finished (no block is abandoned

@@ -59,11 +59,11 @@ double HaloExchanger::duplex_sim_s(std::int64_t tx_bytes, std::int64_t tx_msgs,
 
 PendingExchange HaloExchanger::post_forward(const Matrix& h_inner,
                                             const EpochPlan& plan, int tag,
-                                            int layer) {
+                                            int channel) {
   const std::int64_t d = h_inner.cols();
   PendingExchange px;
-  px.layer = layer;
-  px.cached = cache_enabled(layer);
+  px.layer = channel;
+  px.cached = cache_enabled(channel);
   std::int64_t tx_bytes = 0, rx_bytes = 0, tx_msgs = 0, rx_msgs = 0;
   for (PartId j = 0; j < ep_.nranks(); ++j) {
     const auto& rows = plan.send_rows[static_cast<std::size_t>(j)];
@@ -87,11 +87,11 @@ PendingExchange HaloExchanger::post_forward(const Matrix& h_inner,
     // Cached channel: step the sender-side directory with the same
     // structural positions the receiver steps its own with, then ship
     // only the rows it classified as misses (index list + delta rows).
-    auto& pc = cache_[static_cast<std::size_t>(layer)]
+    auto& pc = cache_[static_cast<std::size_t>(channel)]
                      [static_cast<std::size_t>(j)];
     const CacheStep cs = pc.send_dir.step(
         plan.send_pos[static_cast<std::size_t>(j)], epoch_,
-        cache_max_age(layer));
+        cache_max_age(channel));
     std::vector<NodeId> present;
     present.reserve(static_cast<std::size_t>(cs.misses));
     for (std::size_t t = 0; t < rows.size(); ++t)
@@ -121,11 +121,11 @@ PendingExchange HaloExchanger::post_forward(const Matrix& h_inner,
     if (px.cached) {
       // Step the recv-side directory NOW (post time): the classification
       // must not depend on when the peer's frame lands.
-      auto& pc = cache_[static_cast<std::size_t>(layer)]
+      auto& pc = cache_[static_cast<std::size_t>(channel)]
                        [static_cast<std::size_t>(j)];
       CacheStep cs = pc.recv_dir.step(
           plan.recv_pos[static_cast<std::size_t>(j)], epoch_,
-          cache_max_age(layer));
+          cache_max_age(channel));
       peer_bytes =
           cs.misses * d * static_cast<std::int64_t>(sizeof(float)) +
           cs.misses * static_cast<std::int64_t>(sizeof(NodeId));
@@ -190,30 +190,63 @@ std::span<float> HaloExchanger::slab_rows(PendingExchange& px,
   return fold_scratch_;
 }
 
-void HaloExchanger::fold_forward(PendingExchange& px, const EpochPlan& plan,
-                                 float scale, Matrix& dst, NodeId halo_row0) {
-  const std::int64_t d = dst.cols();
-  for (std::size_t k = 0; k < px.recvs.size(); ++k) {
-    const auto& slots =
-        plan.recv_slots[static_cast<std::size_t>(px.peers[k])];
-    comm::Wire msg = px.recvs.at(k).take_payload();
-    const auto rows = slab_rows(px, plan, k, msg, d);
-    for (std::size_t t = 0; t < slots.size(); ++t) {
-      float* out = dst.data() +
-                   (static_cast<std::int64_t>(halo_row0) +
-                    static_cast<std::int64_t>(slots[t])) * d;
-      const float* src = rows.data() + t * static_cast<std::size_t>(d);
-      for (std::int64_t c = 0; c < d; ++c) out[c] = scale * src[c];
-    }
-    ep_.release_floats(std::move(msg.floats));
+ExchangeRecord HaloExchanger::forward_layer(const ForwardPass& pass,
+                                            nn::Layer& layer,
+                                            const Matrix& h_in, int tag,
+                                            int channel, Matrix& out) {
+  const EpochPlan& plan = pass.plan;
+  const std::int64_t d = h_in.cols();
+  PendingExchange px = post_forward(h_in, plan, tag, channel);
+  FoldDriver fold(px, opt_.overlap);
+  // The in-flight window is accumulated phase by phase (not wall time
+  // across the loop) so interleaved fold work is not counted twice — the
+  // driver tracks the fold share separately.
+  Accumulator window_acc;
+  {
+    ScopedTimer t(pass.compute_acc);
+    ScopedTimer w(window_acc);
+    layer.forward_inner_begin(plan.adj, h_in, pass.training);
+    if (pass.inc.offsets.empty()) pass.inc.build(plan.adj, plan.adj.n_dst);
+    layer.forward_halo_begin(plan.adj, pass.inc);
   }
+  // Forward fold: resolve the slab (cache-aware), scale it, and hand it to
+  // the layer's incremental protocol. Scaling happens on the assembled slab
+  // in the same element order as the uncached in-place scale, so the fp
+  // stream is unchanged by the cache.
+  const float scale = plan.halo_scale;
+  const auto apply = [&](std::size_t k, comm::Wire msg) {
+    const auto rows = slab_rows(px, plan, k, msg, d);
+    if (scale != 1.0f)
+      for (float& v : rows) v *= scale;
+    layer.forward_halo_fold(
+        plan.adj, plan.recv_slots[static_cast<std::size_t>(px.peers[k])],
+        rows);
+    ep_.release_floats(std::move(msg.floats));
+  };
+  const NodeId n_dst = plan.adj.n_dst;
+  const NodeId step =
+      opt_.inner_chunk_rows > 0 ? opt_.inner_chunk_rows : n_dst;
+  for (NodeId r0 = 0; r0 < n_dst; r0 += step) {
+    {
+      ScopedTimer t(pass.compute_acc);
+      ScopedTimer w(window_acc);
+      layer.forward_inner_chunk(plan.adj, r0,
+                                std::min<NodeId>(r0 + step, n_dst));
+    }
+    fold.poll(apply, pass.compute_acc);
+  }
+  fold.drain(apply, pass.compute_acc);
+  {
+    ScopedTimer t(pass.compute_acc);
+    out = layer.forward_halo_finish(plan.adj, pass.inv_deg);
+  }
+  return fold.record(window_acc.seconds());
 }
 
-PendingExchange HaloExchanger::post_backward(const Matrix& dsrc,
-                                             NodeId halo_row0,
+PendingExchange HaloExchanger::post_backward(const Matrix& dhalo,
                                              const EpochPlan& plan,
                                              float scale, int tag) {
-  const std::int64_t d = dsrc.cols();
+  const std::int64_t d = dhalo.cols();
   PendingExchange px;
   std::int64_t tx_bytes = 0, rx_bytes = 0, tx_msgs = 0, rx_msgs = 0;
   for (PartId j = 0; j < ep_.nranks(); ++j) {
@@ -222,9 +255,8 @@ PendingExchange HaloExchanger::post_backward(const Matrix& dsrc,
     auto payload =
         ep_.acquire_floats(slots.size() * static_cast<std::size_t>(d));
     for (std::size_t t = 0; t < slots.size(); ++t) {
-      const float* src = dsrc.data() +
-                         (static_cast<std::int64_t>(halo_row0) +
-                          static_cast<std::int64_t>(slots[t])) * d;
+      const float* src =
+          dhalo.data() + static_cast<std::int64_t>(slots[t]) * d;
       float* dst = payload.data() + t * static_cast<std::size_t>(d);
       for (std::int64_t c = 0; c < d; ++c) dst[c] = scale * src[c];
     }
@@ -248,47 +280,6 @@ PendingExchange HaloExchanger::post_backward(const Matrix& dsrc,
   }
   px.sim_s = duplex_sim_s(tx_bytes, tx_msgs, rx_bytes, rx_msgs);
   return px;
-}
-
-void HaloExchanger::fold_backward(PendingExchange& px, const EpochPlan& plan,
-                                  Matrix& dinner) {
-  const std::int64_t d = dinner.cols();
-  for (std::size_t k = 0; k < px.recvs.size(); ++k) {
-    const auto& rows = plan.send_rows[static_cast<std::size_t>(px.peers[k])];
-    comm::Wire msg = px.recvs.at(k).take_payload();
-    BNSGCN_CHECK(msg.floats.size() ==
-                 rows.size() * static_cast<std::size_t>(d));
-    for (std::size_t t = 0; t < rows.size(); ++t) {
-      float* dst = dinner.data() + static_cast<std::int64_t>(rows[t]) * d;
-      const float* src = msg.floats.data() + t * static_cast<std::size_t>(d);
-      for (std::int64_t c = 0; c < d; ++c) dst[c] += src[c];
-    }
-    ep_.release_floats(std::move(msg.floats));
-  }
-}
-
-Matrix HaloExchanger::exchange_forward(const Matrix& h_inner, NodeId n_inner,
-                                       const EpochPlan& plan, float scale,
-                                       int tag, int layer) {
-  const std::int64_t d = h_inner.cols();
-  Matrix feats(n_inner + plan.n_kept_halo, d);
-  std::copy(h_inner.data(), h_inner.data() + h_inner.size(), feats.data());
-  PendingExchange px = post_forward(h_inner, plan, tag, layer);
-  fold_forward(px, plan, scale, feats, /*halo_row0=*/n_inner);
-  return feats;
-}
-
-Matrix HaloExchanger::exchange_backward(const Matrix& dfeats, NodeId n_inner,
-                                        const EpochPlan& plan, float scale,
-                                        int tag) {
-  const std::int64_t d = dfeats.cols();
-  PendingExchange px =
-      post_backward(dfeats, /*halo_row0=*/n_inner, plan, scale, tag);
-  Matrix dh(n_inner, d);
-  std::copy(dfeats.data(),
-            dfeats.data() + static_cast<std::int64_t>(n_inner) * d, dh.data());
-  fold_backward(px, plan, dh);
-  return dh;
 }
 
 } // namespace bnsgcn::core

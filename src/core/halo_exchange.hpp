@@ -12,6 +12,20 @@
 
 namespace bnsgcn::core {
 
+/// How the boundary exchanges are scheduled against compute
+/// (docs/ARCHITECTURE.md §4). All three modes execute the identical fp
+/// schedule — per-peer folds applied in fixed peer order — so results are
+/// bit-exact across modes; the knob only moves where the rank waits:
+///  - kBlocking: wait for every peer right after posting (no overlap).
+///  - kBulk: one wait_all after the halo-independent compute phase; the
+///    exchange hides behind that single phase.
+///  - kStream: poll the completion set (comm::RequestSet) and fold each
+///    peer's slab the moment it — and every earlier peer — has landed, so
+///    the fold of peer k also hides the transfer of peers k+1..; this is
+///    what shaves the slow-peer tail at large partition counts.
+/// Ordered by how much wire time each can hide.
+enum class OverlapMode : int { kBlocking = 0, kBulk = 1, kStream = 2 };
+
 // ---- Pipelined (split-phase) exchange -------------------------------------
 // One in-flight boundary exchange: sends are posted eagerly, receives into a
 // completion set; the caller computes the halo-independent phase and folds
@@ -22,10 +36,11 @@ namespace bnsgcn::core {
 // sits at the same point of the schedule with the same order in every mode,
 // so all three execute the identical fp instruction stream.
 //
-// This machinery is shared verbatim by the trainer (core/trainer.cpp) and
-// the forward-only serving engine (core/inference.cpp): the serving path
-// reuses the exact post/fold/cache code, which is what makes served logits
-// bit-identical to the training-forward oracle (docs/ARCHITECTURE.md §10).
+// Every forward pass — a training epoch, an evaluation, a serve request
+// batch — runs its layers through one routine, HaloExchanger::forward_layer;
+// sharing it is what makes served logits bit-identical to a training-path
+// forward of the same weights (docs/ARCHITECTURE.md §10). The backward half
+// is training-only.
 
 struct PendingExchange {
   std::vector<comm::Request> sends;  // complete on posting (eager)
@@ -42,11 +57,22 @@ struct PendingExchange {
   std::vector<CacheStep> cache_steps;
   // Measured-timing capture (socket fabrics; also tracked on the mailbox
   // where it is simply unused). The Stopwatch starts when the exchange is
-  // posted; span is frozen at the last receive completion — right after
-  // the wait in blocking mode, inside the fold driver otherwise.
+  // posted; the FoldDriver freezes the span at the last receive completion.
   Stopwatch clock;
   double meas_span_s = 0.0;  // post -> last receive completion
   double wait_s = 0.0;       // portion of the span spent blocked in waits
+};
+
+/// Accounting record of one completed exchange — what the trainer folds
+/// into EpochBreakdown (docs/ARCHITECTURE.md §4 "Accounting"). The
+/// simulated view reads sim_s/tail_s/window_s, the measured view (socket
+/// fabrics) span_s/wait_s.
+struct ExchangeRecord {
+  double sim_s = 0.0;    // simulated wire time of the whole exchange
+  double tail_s = 0.0;   // slowest single recv-peer message (simulated)
+  double window_s = 0.0; // measured compute run while it was in flight
+  double span_s = 0.0;   // measured post -> last receive completion
+  double wait_s = 0.0;   // share of span_s spent blocked in waits
 };
 
 // ---- Streaming fold engine ------------------------------------------------
@@ -57,30 +83,34 @@ struct PendingExchange {
 // completed in their Request slot (the wire buffer — see comm::Request)
 // until their turn, so the numeric fold order is identical to a bulk
 // wait_all, while the fold *work* of early peers overlaps the transfers
-// still in flight. poll() is the nonblocking pass the trainer runs
-// between F1 chunks (folds interleave mid-F1); drain() completes the
-// remainder with wait_any progress.
+// still in flight. poll() is the nonblocking pass run between F1 chunks
+// (folds interleave mid-F1); drain() completes the remainder with
+// wait_any progress. In blocking mode the constructor waits for every
+// peer, so it must be built right after posting.
 //
 // Accounting follows the schedule, not the in-process mailboxes (whose
 // eager delivery reflects thread-scheduling skew, not wire time — the
 // same convention PR 2 used for the bulk window): under the simulated
 // wire, the fold of peer k runs while the transfers of peers k+1.. are
 // still on the wire, so every fold except the last peer's widens the
-// overlap window. window_s() reports that measured extra window —
-// always 0 for bulk/blocking, whose wait_all precedes the first apply.
+// overlap window. record() adds that fold window to the caller's
+// halo-independent compute — and reports no window at all in blocking
+// mode, where nothing is in flight while the rank computes.
 
 class FoldDriver {
  public:
-  FoldDriver(PendingExchange& px, bool stream)
-      : px_(px), stream_(stream),
-        arrived_(px.recvs.size(), stream ? 0 : 1) {}
+  FoldDriver(PendingExchange& px, OverlapMode mode)
+      : px_(px), mode_(mode),
+        arrived_(px.recvs.size(), mode == OverlapMode::kStream ? 0 : 1) {
+    if (mode_ == OverlapMode::kBlocking) wait_all();
+  }
 
   /// Nonblocking progress pass: mark what landed, apply every ready
   /// in-order peer through `apply(k, payload)`. No-op outside stream
   /// mode (bulk/blocking apply only at drain time).
   template <typename ApplyFn>
   void poll(ApplyFn&& apply, Accumulator& compute_acc) {
-    if (!stream_ || next_ >= arrived_.size()) return;
+    if (mode_ != OverlapMode::kStream || next_ >= arrived_.size()) return;
     ready_.clear();
     (void)px_.recvs.poll(ready_);
     for (const std::size_t i : ready_) arrived_[i] = 1;
@@ -91,12 +121,7 @@ class FoldDriver {
   /// Block until every peer has been applied.
   template <typename ApplyFn>
   void drain(ApplyFn&& apply, Accumulator& compute_acc) {
-    if (!stream_) {
-      Stopwatch w;
-      px_.recvs.wait_all();
-      px_.wait_s += w.elapsed_s();
-      freeze_span();
-    }
+    if (mode_ != OverlapMode::kStream) wait_all();
     apply_ready(apply, compute_acc);
     while (next_ < arrived_.size()) {
       ready_.clear();
@@ -110,11 +135,26 @@ class FoldDriver {
     freeze_span();
   }
 
-  /// Stream window: fold seconds of every peer but the last (the folds
-  /// that ran while at least one later transfer was still in flight).
-  [[nodiscard]] double window_s() const { return window_s_; }
+  /// The drained exchange's record; `compute_window_s` is the caller's
+  /// halo-independent compute run between posting and draining.
+  [[nodiscard]] ExchangeRecord record(double compute_window_s) const {
+    return {.sim_s = px_.sim_s,
+            .tail_s = px_.tail_s,
+            .window_s = mode_ == OverlapMode::kBlocking
+                            ? 0.0
+                            : compute_window_s + fold_window_s_,
+            .span_s = px_.meas_span_s,
+            .wait_s = px_.wait_s};
+  }
 
  private:
+  void wait_all() {
+    Stopwatch w;
+    px_.recvs.wait_all();
+    px_.wait_s += w.elapsed_s();
+    freeze_span();
+  }
+
   /// Measured span ends at the last receive completion; record it the
   /// first time the set drains empty (later passes are no-ops).
   void freeze_span() {
@@ -132,30 +172,49 @@ class FoldDriver {
         ScopedTimer t(compute_acc);
         apply(next_, std::move(msg));
       }
-      if (stream_ && next_ + 1 < n) window_s_ += sw.elapsed_s();
+      // Stream window: fold seconds of every peer but the last (the folds
+      // that ran while at least one later transfer was still in flight).
+      if (mode_ == OverlapMode::kStream && next_ + 1 < n)
+        fold_window_s_ += sw.elapsed_s();
       ++next_;
     }
   }
 
   PendingExchange& px_;
-  bool stream_;
+  OverlapMode mode_;
   std::vector<char> arrived_; // landed, possibly not yet applied
   std::vector<std::size_t> ready_;
   std::size_t next_ = 0;      // first peer not yet applied
-  double window_s_ = 0.0;
+  double fold_window_s_ = 0.0;
+};
+
+/// What every layer of one forward pass — a training epoch, an evaluation
+/// or a serve request batch — shares. References are borrowed for the
+/// pass.
+struct ForwardPass {
+  const EpochPlan& plan;
+  std::span<const float> inv_deg; // 1/full-degree mean normalizer
+  /// Slot→dst reverse incidence of plan.adj. Pass it empty and the first
+  /// layer builds it inside its in-flight window; every later layer (and,
+  /// for a fixed plan, every later pass) reuses it.
+  nn::HaloIncidence& inc;
+  bool training;
+  Accumulator& compute_acc;       // local math, folds included
 };
 
 /// One rank's boundary-exchange engine: owns the post/fold pair of the
-/// split-phase protocol, the blocking assembled forms built on it, and the
-/// per-(layer, peer) halo-cache state (docs/ARCHITECTURE.md §9). Extracted
-/// from the trainer's RankWorker so the forward half is shared — verbatim,
-/// same fp instruction stream — with the serving engine; the backward half
-/// is training-only but lives here because it is the mirror of the same
-/// payload layout.
+/// split-phase protocol, the one phased layer-forward routine built on it,
+/// and the per-(layer, peer) halo-cache state (docs/ARCHITECTURE.md §9).
+/// The backward half is training-only but lives here because it is the
+/// mirror of the same payload layout.
 class HaloExchanger {
  public:
   struct Options {
     comm::CostModel cost;
+    /// Exchange schedule and F1 chunk size (TrainerConfig::overlap and
+    /// ::inner_chunk_rows; 0 = one chunk). Neither changes any value.
+    OverlapMode overlap = OverlapMode::kBlocking;
+    NodeId inner_chunk_rows = 0;
     /// Halo cache (TrainerConfig::cache_mb semantics): per (peer, layer,
     /// direction) row budget in MiB; 0 disables. Layer 0 always caches
     /// when enabled, deeper layers only under a positive staleness bound.
@@ -184,69 +243,24 @@ class HaloExchanger {
            !cache_[static_cast<std::size_t>(layer)].empty();
   }
 
-  /// Post the forward exchange: isend this layer's sampled rows of
-  /// h_inner (misses only on a cached channel), irecv the halo rows each
-  /// owner will push to us. Per-peer byte totals are accumulated while
-  /// posting — with the cache on, the message count is unchanged (every
-  /// peer still gets one frame, possibly empty) but miss-only payloads
-  /// shrink both the simulated exchange time and the straggler tail.
-  /// `layer` is the halo-cache channel (-1 bypasses the cache —
-  /// evaluation must not step the per-epoch directories).
-  PendingExchange post_forward(const Matrix& h_inner, const EpochPlan& plan,
-                               int tag, int layer);
+  /// One layer of Algorithm 1's forward (lines 8-11): post the exchange of
+  /// h_in's sampled rows; in blocking mode wait; run F1 setup and F2a
+  /// (building pass.inc inside the window when it is empty); run F1 in
+  /// inner_chunk_rows chunks with a completion poll after each; drain the
+  /// remaining peers in order through the FoldDriver (each slab resolved
+  /// through the cache and 1/p-scaled); finish into `out`, which may alias
+  /// h_in. `channel` is the halo-cache channel — the layer index, or -1 to
+  /// bypass the cache (evaluation must not step the per-epoch
+  /// directories). Returns the exchange's accounting record.
+  ExchangeRecord forward_layer(const ForwardPass& pass, nn::Layer& layer,
+                               const Matrix& h_in, int tag, int channel,
+                               Matrix& out);
 
   /// Post the backward exchange: send each owner its halo-gradient rows
-  /// (scaled; slot s lives at row halo_row0 + s of `dsrc`), irecv the
-  /// contributions peers computed for our inner rows.
-  PendingExchange post_backward(const Matrix& dsrc, NodeId halo_row0,
-                                const EpochPlan& plan, float scale, int tag);
-
-  /// Complete the forward exchange: place each peer's rows into its
-  /// compact halo slots of `dst` starting at row `halo_row0` (0 for a
-  /// bare halo block, n_inner for an assembled [inner; halo] matrix),
-  /// applying the 1/p scale. The fold buffer is distinct from the wire
-  /// buffers — see comm::Request.
-  void fold_forward(PendingExchange& px, const EpochPlan& plan, float scale,
-                    Matrix& dst, NodeId halo_row0);
-
-  /// Complete the backward exchange: scatter-add remote contributions into
-  /// the inner-gradient block (same per-peer order as every other path).
-  void fold_backward(PendingExchange& px, const EpochPlan& plan,
-                     Matrix& dinner);
-
-  /// Gather + send this layer's rows, receive the (scaled) halo block and
-  /// return the assembled source-feature matrix [inner; halo]. Blocking
-  /// form of the exchange, expressed through the same post/fold pair as
-  /// the pipeline so the payload layout exists exactly once.
-  Matrix exchange_forward(const Matrix& h_inner, NodeId n_inner,
-                          const EpochPlan& plan, float scale, int tag,
-                          int layer);
-
-  /// Send halo-feature gradients back to their owners; returns the inner
-  /// gradient block with remote contributions scatter-added. Blocking form
-  /// of the backward exchange, same post/fold pair as the pipeline.
-  Matrix exchange_backward(const Matrix& dfeats, NodeId n_inner,
-                           const EpochPlan& plan, float scale, int tag);
-
-  /// Forward fold: resolve the slab (cache-aware), scale it, and hand it
-  /// to the layer's incremental protocol. Fold work is billed to the
-  /// compute accumulator by the driver (it is compute the rank performs in
-  /// every mode). Scaling happens on the assembled slab in the same
-  /// element order as the uncached in-place scale, so the fp stream is
-  /// unchanged by the cache.
-  auto make_forward_fold(PendingExchange& px, const EpochPlan& plan,
-                         nn::Layer& layer, float scale, std::int64_t d) {
-    return [this, &px, &plan, &layer, scale, d](std::size_t k,
-                                                comm::Wire msg) {
-      const auto& slots =
-          plan.recv_slots[static_cast<std::size_t>(px.peers[k])];
-      const auto rows = slab_rows(px, plan, k, msg, d);
-      if (scale != 1.0f)
-        for (float& v : rows) v *= scale;
-      layer.forward_halo_fold(plan.adj, slots, rows);
-      ep_.release_floats(std::move(msg.floats));
-    };
-  }
+  /// (scaled; slot s lives at row s of `dhalo`), irecv the contributions
+  /// peers computed for our inner rows.
+  PendingExchange post_backward(const Matrix& dhalo, const EpochPlan& plan,
+                                float scale, int tag);
 
   /// Backward fold: scatter-add the peer's gradient slab into the inner
   /// block, in fixed peer order (the accumulation order every mode shares
@@ -270,6 +284,15 @@ class HaloExchanger {
   }
 
  private:
+  /// Post the forward exchange: isend this layer's sampled rows of
+  /// h_inner (misses only on a cached channel), irecv the halo rows each
+  /// owner will push to us. Per-peer byte totals are accumulated while
+  /// posting — with the cache on, the message count is unchanged (every
+  /// peer still gets one frame, possibly empty) but miss-only payloads
+  /// shrink both the simulated exchange time and the straggler tail.
+  PendingExchange post_forward(const Matrix& h_inner, const EpochPlan& plan,
+                               int tag, int channel);
+
   /// Simulated transfer time of one peer message of `bytes` payload bytes
   /// (one message: latency + bytes/bandwidth).
   [[nodiscard]] double msg_sim_s(std::int64_t bytes) const;

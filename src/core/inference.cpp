@@ -1,16 +1,13 @@
 #include "core/inference.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "core/boundary_sampler.hpp"
-#include "core/halo_exchange.hpp"
 
 namespace bnsgcn::core {
 
@@ -54,9 +51,6 @@ class ServeWorker {
     // Inference mode: maskless activations (identical values), backward
     // caches and gradient buffers freed.
     for (auto& l : layers_) l->set_inference(true);
-    use_phased_ = std::all_of(
-        layers_.begin(), layers_.end(),
-        [](const auto& l) { return l->supports_phased(); });
 
     // Serving always exchanges the full boundary set (the unsampled plan —
     // queries are answered over the exact graph).
@@ -70,6 +64,9 @@ class ServeWorker {
     // served bits unconditionally identical to the cache-off forward —
     // layer-0 rows, the batch-invariant bulk, still cache and hit.
     hx_.emplace(ep_, HaloExchanger::Options{.cost = cfg_.cost,
+                                            .overlap = cfg_.overlap,
+                                            .inner_chunk_rows =
+                                                cfg_.inner_chunk_rows,
                                             .cache_mb = cfg_.cache_mb,
                                             .cache_staleness = 0,
                                             .num_layers = cfg_.num_layers,
@@ -113,42 +110,39 @@ class ServeWorker {
       const comm::RankStats before = ep_.stats();
       Stopwatch latency;
 
-      const Matrix logits = forward_full_graph();
+      double span_s = 0.0;
+      const Matrix logits = forward_full_graph(span_s);
       gather_batch(queries, logits, result);
       ServeBatchStats stats;
       if (ep_.rank() == 0) stats.latency_s = latency.elapsed_s();
 
-      // Byte/cache accounting rides an allgather after the latency clock
-      // stopped, so the bookkeeping never pollutes the measurement. The
-      // collective also keeps ranks batch-synchronous, so the per-batch
-      // traffic deltas are unambiguous.
-      const comm::RankStats delta = diff(ep_.stats(), before);
-      const std::vector<double> local = {
-          delta.sim_seconds(TrafficClass::kFeature, cfg_.cost),
-          static_cast<double>(
-              delta.rx_bytes[static_cast<int>(TrafficClass::kFeature)]),
-          static_cast<double>(
-              delta.rx_bytes[static_cast<int>(TrafficClass::kControl)]),
-          static_cast<double>(hx_->cache_hits()),
-          static_cast<double>(hx_->cache_misses()),
-          static_cast<double>(hx_->bytes_saved())};
-      const auto slots = ep_.allgather_doubles(local);
+      // Byte/cache accounting rides the breakdown reduction after the
+      // latency clock stopped, so the bookkeeping never pollutes the
+      // measurement. The collective also keeps ranks batch-synchronous, so
+      // the per-batch traffic deltas are unambiguous. comm_s follows the
+      // training rule: measured exchange spans on socket fabrics, the cost
+      // model on the mailbox.
+      const comm::RankStats delta = ep_.stats() - before;
+      EpochBreakdown local;
+      local.timing = ep_.timing();
+      local.comm_s = local.timing == comm::TimingSource::kMeasured
+                         ? span_s
+                         : delta.sim_seconds(TrafficClass::kFeature, cfg_.cost);
+      local.feature_bytes =
+          delta.rx_bytes[static_cast<int>(TrafficClass::kFeature)];
+      local.control_bytes =
+          delta.rx_bytes[static_cast<int>(TrafficClass::kControl)];
+      local.cache_hit_rows = hx_->cache_hits();
+      local.cache_miss_rows = hx_->cache_misses();
+      local.bytes_saved = hx_->bytes_saved();
+      const EpochBreakdown all = reduce_breakdown(ep_, local);
       if (ep_.rank() == 0) {
-        double feature_rx = 0.0, control_rx = 0.0;
-        double hits = 0.0, misses = 0.0, saved = 0.0;
-        for (const auto& s : slots) {
-          stats.comm_s = std::max(stats.comm_s, s[0]);
-          feature_rx += s[1];
-          control_rx += s[2];
-          hits += s[3];
-          misses += s[4];
-          saved += s[5];
-        }
-        stats.feature_bytes = static_cast<std::int64_t>(feature_rx);
-        stats.control_bytes = static_cast<std::int64_t>(control_rx);
-        stats.cache_hit_rows = static_cast<std::int64_t>(hits);
-        stats.cache_miss_rows = static_cast<std::int64_t>(misses);
-        stats.bytes_saved = static_cast<std::int64_t>(saved);
+        stats.comm_s = all.comm_s;
+        stats.feature_bytes = all.feature_bytes;
+        stats.control_bytes = all.control_bytes;
+        stats.cache_hit_rows = all.cache_hit_rows;
+        stats.cache_miss_rows = all.cache_miss_rows;
+        stats.bytes_saved = all.bytes_saved;
         result.batches.push_back(stats);
       }
     }
@@ -159,62 +153,22 @@ class ServeWorker {
  private:
   int next_tag() { return tag_seq_++; }
 
-  static comm::RankStats diff(const comm::RankStats& now,
-                              const comm::RankStats& before) {
-    comm::RankStats d;
-    for (int c = 0; c < static_cast<int>(TrafficClass::kCount); ++c) {
-      d.tx_bytes[c] = now.tx_bytes[c] - before.tx_bytes[c];
-      d.rx_bytes[c] = now.rx_bytes[c] - before.rx_bytes[c];
-      d.tx_msgs[c] = now.tx_msgs[c] - before.tx_msgs[c];
-      d.rx_msgs[c] = now.rx_msgs[c] - before.rx_msgs[c];
-    }
-    return d;
-  }
-
-  /// One full-graph forward over the inner block — the trainer's phased
-  /// schedule verbatim (post → halo-independent chunks with interleaved
-  /// polls → in-order drain → finish), minus the breakdown plumbing. The
-  /// shared HaloExchanger/FoldDriver path is what makes the output
-  /// bit-identical to a training-path forward of the same weights.
-  [[nodiscard]] Matrix forward_full_graph() {
-    const EpochPlan& plan = full_plan_;
-    const OverlapMode mode = cfg_.overlap;
-    const bool stream = mode == OverlapMode::kStream;
-    const int L = cfg_.num_layers;
-    Accumulator compute_acc; // FoldDriver bookkeeping; unused further
+  /// One full-graph forward over the inner block through the training
+  /// forward's own routine (HaloExchanger::forward_layer) — which is what
+  /// makes the output bit-identical to a training-path forward of the same
+  /// weights. `span_s` receives the summed measured exchange spans.
+  [[nodiscard]] Matrix forward_full_graph(double& span_s) {
+    Accumulator untimed;
+    const ForwardPass pass{.plan = full_plan_,
+                           .inv_deg = lg_.inv_full_degree,
+                           .inc = halo_inc_,
+                           .training = false,
+                           .compute_acc = untimed};
     Matrix h = x_local_;
-    for (int l = 0; l < L; ++l) {
-      const int tag = next_tag();
-      auto& layer = *layers_[static_cast<std::size_t>(l)];
-      if (use_phased_) {
-        PendingExchange px = hx_->post_forward(h, plan, tag, l);
-        if (mode == OverlapMode::kBlocking) px.recvs.wait_all();
-        layer.forward_inner_begin(plan.adj, h, /*training=*/false);
-        if (!inc_built_) {
-          halo_inc_.build(plan.adj, plan.adj.n_dst);
-          inc_built_ = true;
-        }
-        layer.forward_halo_begin(plan.adj, halo_inc_);
-        FoldDriver fold(px, stream);
-        auto apply =
-            hx_->make_forward_fold(px, plan, layer, /*scale=*/1.0f, h.cols());
-        const NodeId n_dst = plan.adj.n_dst;
-        const NodeId step =
-            cfg_.inner_chunk_rows > 0 ? cfg_.inner_chunk_rows : n_dst;
-        for (NodeId r0 = 0; r0 < n_dst; r0 += step) {
-          const NodeId r1 = std::min<NodeId>(r0 + step, n_dst);
-          layer.forward_inner_chunk(plan.adj, r0, r1);
-          fold.poll(apply, compute_acc);
-        }
-        fold.drain(apply, compute_acc);
-        h = layer.forward_halo_finish(plan.adj, lg_.inv_full_degree);
-      } else {
-        Matrix feats = hx_->exchange_forward(h, lg_.n_inner(), plan,
-                                             /*scale=*/1.0f, tag, l);
-        h = layer.forward(plan.adj, feats, lg_.inv_full_degree,
-                          /*training=*/false);
-      }
-    }
+    for (int l = 0; l < cfg_.num_layers; ++l)
+      span_s += hx_->forward_layer(pass, *layers_[static_cast<std::size_t>(l)],
+                                   h, next_tag(), l, h)
+                    .span_s;
     return h;
   }
 
@@ -296,9 +250,7 @@ class ServeWorker {
   std::optional<BoundarySampler> sampler_;
   EpochPlan full_plan_;
   std::optional<HaloExchanger> hx_;
-  nn::HaloIncidence halo_inc_;
-  bool inc_built_ = false;
-  bool use_phased_ = false;
+  nn::HaloIncidence halo_inc_; // full plan's, built in the first forward
   bool record_logits_ = false;
   int tag_seq_ = 0;
 };
@@ -327,48 +279,13 @@ ServeResult InferenceEngine::serve_rank(comm::Fabric& fabric, PartId rank,
 }
 
 ServeResult InferenceEngine::serve(const ServeOptions& opts) {
-  const PartId m = part_.nparts;
-  comm::Fabric fabric(m, cfg_.cost);
+  comm::Fabric fabric(part_.nparts, cfg_.cost);
   ServeResult result;
-
   Stopwatch wall;
-  // lint: allow(raw-thread) — rank runtime, one OS thread per simulated
-  // rank, mirroring BnsTrainer::train(); kernel-level parallelism inside
-  // each rank still goes through the pool.
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(m));
-  threads.reserve(static_cast<std::size_t>(m));
-  for (PartId r = 0; r < m; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        ServeResult local = serve_rank(fabric, r, opts);
-        if (r == 0) result = std::move(local);
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        // Tear the fabric down so peers blocked on this rank unwind with
-        // ShutdownError instead of hanging mid-request-stream.
-        fabric.shutdown(r);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  // Rethrow the root cause: a ShutdownError is collateral of some other
-  // rank's failure, so prefer any non-shutdown exception.
-  std::exception_ptr first, root;
-  for (const auto& e : errors) {
-    if (!e) continue;
-    if (!first) first = e;
-    if (!root) {
-      try {
-        std::rethrow_exception(e);
-      } catch (const comm::ShutdownError&) {
-      } catch (...) {
-        root = e;
-      }
-    }
-  }
-  if (root) std::rethrow_exception(root);
-  if (first) std::rethrow_exception(first);
+  comm::run_ranks(fabric, [&](PartId r) {
+    ServeResult local = serve_rank(fabric, r, opts);
+    if (r == 0) result = std::move(local);
+  });
   result.wall_time_s = wall.elapsed_s();
   return result;
 }

@@ -31,10 +31,13 @@ struct ServeOptions {
 };
 
 /// Per-request-batch accounting. latency_s is measured wall time on rank 0
-/// from the batch's entry barrier to the assembled predictions; comm_s is
-/// the exchange wire time under the cost model (max over ranks), and the
-/// byte/cache counters sum over ranks — same conventions as
-/// EpochBreakdown, so serve and train artifacts compare directly.
+/// from the batch's entry barrier to the assembled predictions. comm_s is
+/// the batch's exchange time by the training rule — summed measured
+/// post→last-receive spans on socket fabrics, the cost model on the
+/// mailbox (ServeResult::timing says which) — max over ranks; the
+/// byte/cache counters sum over ranks. Both go through the training
+/// epoch's reduction (reduce_breakdown), so serve and train artifacts
+/// compare directly.
 struct ServeBatchStats {
   double latency_s = 0.0;
   double comm_s = 0.0;
@@ -61,10 +64,9 @@ struct ServeResult {
 /// Forward-only serving over the partitioned graph (docs/ARCHITECTURE.md
 /// §10): load a WeightSnapshot captured by training, put every layer in
 /// inference mode (backward buffers freed), and answer query batches with
-/// the exact split-phase forward the trainer runs — same HaloExchanger,
-/// same FoldDriver, same fold order — so served logits are bit-identical
-/// to a training-path forward of the same weights, across transports,
-/// overlap modes and batch sizes.
+/// the trainer's own phased layer forward (HaloExchanger::forward_layer)
+/// — so served logits are bit-identical to a training-path forward of the
+/// same weights, across transports, overlap modes and batch sizes.
 ///
 /// Reuses TrainerConfig for the model/comm knobs (num_layers, hidden,
 /// model, overlap, inner_chunk_rows, threads, cache_mb, cache_staleness,
@@ -79,8 +81,9 @@ class InferenceEngine {
   InferenceEngine(const Dataset& ds, const Partitioning& part,
                   TrainerConfig cfg, const WeightSnapshot& weights);
 
-  /// In-process serve: mailbox fabric, one thread per partition, same
-  /// deadlock-free failure handling as BnsTrainer::train().
+  /// In-process serve: mailbox fabric, one thread per partition
+  /// (comm::run_ranks, the same runtime and failure handling as
+  /// BnsTrainer::train()).
   [[nodiscard]] ServeResult serve(const ServeOptions& opts);
 
   /// One rank of the serve loop against an externally constructed fabric —

@@ -6,7 +6,8 @@ namespace bnsgcn::core {
 
 /// Throughput-shape proxies for the Fig. 4 baselines. Both run real
 /// compute and move real bytes through the fabric; only wall-clock →
-/// simulated-time conversion comes from the CostModel (DESIGN.md §1).
+/// simulated-time conversion comes from the CostModel
+/// (docs/ARCHITECTURE.md §1).
 
 /// ROC-style training (Fig. 1b): vanilla partition parallelism whose layer
 /// activations are additionally staged through a host "PCIe" swap channel.

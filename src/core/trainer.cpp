@@ -1,15 +1,12 @@
 #include "core/trainer.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
-#include "core/halo_exchange.hpp"
 #include "nn/adam.hpp"
 #include "nn/gat_layer.hpp"
 #include "nn/loss.hpp"
@@ -73,18 +70,23 @@ std::vector<std::unique_ptr<nn::Layer>> build_model(const TrainerConfig& cfg,
 
 namespace {
 
-/// Delta of two traffic snapshots.
-comm::RankStats diff_stats(const comm::RankStats& now,
-                           const comm::RankStats& before) {
-  comm::RankStats d;
-  for (int c = 0; c < static_cast<int>(TrafficClass::kCount); ++c) {
-    d.tx_bytes[c] = now.tx_bytes[c] - before.tx_bytes[c];
-    d.rx_bytes[c] = now.rx_bytes[c] - before.rx_bytes[c];
-    d.tx_msgs[c] = now.tx_msgs[c] - before.tx_msgs[c];
-    d.rx_msgs[c] = now.rx_msgs[c] - before.rx_msgs[c];
+/// An epoch's exchange records, summed into the simulated and the
+/// measured view of the breakdown. Hidden time is taken per exchange: the
+/// wire time its in-flight window covers (simulated), the part of its span
+/// the rank did not spend blocked (measured).
+struct ExchangeTotals {
+  double sim_hidden_s = 0.0;
+  double sim_tail_s = 0.0;
+  double span_s = 0.0;
+  double meas_hidden_s = 0.0;
+
+  void add(const ExchangeRecord& r) {
+    sim_hidden_s += std::min(r.sim_s, r.window_s);
+    sim_tail_s += r.tail_s;
+    span_s += r.span_s;
+    meas_hidden_s += std::clamp(r.span_s - r.wait_s, 0.0, r.span_s);
   }
-  return d;
-}
+};
 
 /// Per-rank training state and logic. One instance per rank — a thread on
 /// the mailbox fabric, a whole OS process on a socket fabric. Cross-rank
@@ -119,14 +121,6 @@ class RankWorker {
     test_rows_ = local_rows_of(lg_, ds.test_nodes);
 
     layers_ = build_model(cfg_, ds.feat_dim(), ds.num_classes, ep_.rank());
-    // The split-phase schedule is the only training path when every layer
-    // supports it — SAGE and GAT both do (GAT's attention waits for the
-    // finish call, but its per-head linear transforms phase-split); a
-    // custom layer without split support falls back to the assembled
-    // exchange.
-    use_phased_ = std::all_of(
-        layers_.begin(), layers_.end(),
-        [](const auto& l) { return l->supports_phased(); });
     std::vector<Matrix*> params, grads;
     for (auto& l : layers_) {
       for (Matrix* p : l->params()) params.push_back(p);
@@ -147,10 +141,13 @@ class RankWorker {
     sampler_.emplace(lg_, so);
     full_plan_ = sampler_->full_plan();
 
-    // The boundary-exchange engine (post/fold pair, fold driver, halo
-    // cache) is shared verbatim with the serving path — see
+    // The boundary-exchange engine (the phased layer forward, fold driver,
+    // halo cache) is shared verbatim with the serving path — see
     // core/halo_exchange.hpp.
     hx_.emplace(ep_, HaloExchanger::Options{.cost = cfg_.cost,
+                                            .overlap = cfg_.overlap,
+                                            .inner_chunk_rows =
+                                                cfg_.inner_chunk_rows,
                                             .cache_mb = cfg_.cache_mb,
                                             .cache_staleness =
                                                 cfg_.cache_staleness,
@@ -184,8 +181,9 @@ class RankWorker {
         evaluated = true;
         const auto [val, test] = evaluate();
         // Exclude evaluation traffic from the next epoch's breakdown. All
-        // of this rank's eval receives completed inside evaluate() (its
-        // exchanges are blocking), so a bare re-snapshot suffices.
+        // of this rank's eval receives completed inside evaluate() (every
+        // exchange drains before its layer finishes), so a bare
+        // re-snapshot suffices.
         snap_ = ep_.stats();
         if (ep_.rank() == 0) {
           result_.curve.push_back(
@@ -277,92 +275,32 @@ class RankWorker {
                                std::to_string(ep_.rank()));
 
     // ---- Forward (Algorithm 1 lines 8-11) -----------------------------
-    // Phased path (SAGE and GAT): post the exchange, run the
+    // Every layer runs the one phased routine: post the exchange, run the
     // halo-independent phase in row chunks while rows are in flight —
     // polling the completion set between chunks, so in stream mode peer
     // folds interleave mid-F1 — then drain the remaining peers through
     // the fold driver. Blocking waits right after posting, bulk waits at
     // drain time, stream polls. Identical instruction stream in all
     // three; only the waits (and therefore the overlap window) move.
-    const OverlapMode mode = cfg_.overlap;
-    const bool stream = mode == OverlapMode::kStream;
     const int L = cfg_.num_layers;
-    double overlap_acc = 0.0;
-    double tail_acc = 0.0;
-    // Measured counterparts (socket fabrics): per-exchange wall-clock span
-    // and the blocked share of it, folded into the breakdown instead of
-    // the cost-model projections when ep_.timing() is kMeasured.
-    double meas_comm = 0.0, meas_overlap = 0.0, meas_tail = 0.0;
+    ExchangeTotals totals;
     // Every layer of the epoch folds through the same compacted adjacency,
     // so the slot→dst reverse incidence is built once — inside layer 0's
     // in-flight window — and handed to each layer's phase F2a.
     nn::HaloIncidence halo_inc;
+    const ForwardPass pass{.plan = plan,
+                           .inv_deg = lg_.inv_full_degree,
+                           .inc = halo_inc,
+                           .training = true,
+                           .compute_acc = compute_acc};
     std::vector<Matrix> h(static_cast<std::size_t>(L) + 1);
     h[0] = x_local_;
     for (int l = 0; l < L; ++l) {
-      const int tag = next_tag();
-      auto& layer = *layers_[static_cast<std::size_t>(l)];
-      if (use_phased_) {
-        Matrix& h_in = h[static_cast<std::size_t>(l)];
-        PendingExchange px = hx_->post_forward(h_in, plan, tag, l);
-        tail_acc += px.tail_s;
-        if (mode == OverlapMode::kBlocking) {
-          Stopwatch w;
-          px.recvs.wait_all();
-          px.wait_s += w.elapsed_s();
-          px.meas_span_s = px.clock.elapsed_s();
-        }
-        if (cfg_.simulate_host_swap) host_swap(h_in);
-        // The in-flight window is accumulated phase by phase (not wall
-        // time across the loop) so interleaved fold work is not counted
-        // twice — the driver tracks the fold share separately.
-        Accumulator window_acc;
-        {
-          ScopedTimer t(compute_acc);
-          ScopedTimer w(window_acc);
-          layer.forward_inner_begin(plan.adj, h_in, /*training=*/true);
-          if (l == 0) halo_inc.build(plan.adj, plan.adj.n_dst);
-          layer.forward_halo_begin(plan.adj, halo_inc);
-        }
-        FoldDriver fold(px, stream);
-        auto apply = hx_->make_forward_fold(px, plan, layer, plan.halo_scale,
-                                            h_in.cols());
-        const NodeId n_dst = plan.adj.n_dst;
-        const NodeId step =
-            cfg_.inner_chunk_rows > 0 ? cfg_.inner_chunk_rows : n_dst;
-        for (NodeId r0 = 0; r0 < n_dst; r0 += step) {
-          const NodeId r1 = std::min<NodeId>(r0 + step, n_dst);
-          {
-            ScopedTimer t(compute_acc);
-            ScopedTimer w(window_acc);
-            layer.forward_inner_chunk(plan.adj, r0, r1);
-          }
-          fold.poll(apply, compute_acc);
-        }
-        fold.drain(apply, compute_acc);
-        if (mode != OverlapMode::kBlocking)
-          overlap_acc +=
-              std::min(px.sim_s, window_acc.seconds() + fold.window_s());
-        meas_comm += px.meas_span_s;
-        meas_tail += px.meas_span_s;
-        meas_overlap +=
-            std::clamp(px.meas_span_s - px.wait_s, 0.0, px.meas_span_s);
-        {
-          ScopedTimer t(compute_acc);
-          h[static_cast<std::size_t>(l) + 1] =
-              layer.forward_halo_finish(plan.adj, lg_.inv_full_degree);
-        }
-      } else {
-        Matrix feats =
-            hx_->exchange_forward(h[static_cast<std::size_t>(l)],
-                                  lg_.n_inner(), plan, plan.halo_scale, tag, l);
-        if (cfg_.simulate_host_swap) host_swap(h[static_cast<std::size_t>(l)]);
-        ScopedTimer t(compute_acc);
-        h[static_cast<std::size_t>(l) + 1] = layer.forward(
-            plan.adj, feats, lg_.inv_full_degree, /*training=*/true);
-      }
-      if (cfg_.simulate_host_swap)
-        host_swap(h[static_cast<std::size_t>(l) + 1]);
+      const auto i = static_cast<std::size_t>(l);
+      if (cfg_.simulate_host_swap) host_swap(h[i]);
+      totals.add(hx_->forward_layer(pass, *layers_[i], h[i], next_tag(), l,
+                                    h[i + 1]));
+      if (cfg_.simulate_host_swap) host_swap(h[i + 1]);
     }
 
     // ---- Loss (line 12) ------------------------------------------------
@@ -406,62 +344,38 @@ class RankWorker {
         }
         break;
       }
-      const int tag = next_tag();
-      if (use_phased_) {
-        // The halo-gradient rows leave for their owners first; the
-        // inner-gradient block — and the layer above's deferred
-        // parameter gradients — are computed while they (and the peers'
-        // contributions to our rows) are on the wire, then each peer's
-        // contribution is scatter-added as it lands (fixed peer order).
-        Matrix dhalo;
-        {
-          ScopedTimer t(compute_acc);
-          dhalo = layer.backward_halo(plan.adj, grad, lg_.inv_full_degree);
-        }
-        PendingExchange px = hx_->post_backward(dhalo, /*halo_row0=*/0, plan,
-                                                plan.halo_scale, tag);
-        tail_acc += px.tail_s;
-        if (mode == OverlapMode::kBlocking) {
-          Stopwatch w;
-          px.recvs.wait_all();
-          px.wait_s += w.elapsed_s();
-          px.meas_span_s = px.clock.elapsed_s();
-        }
-        Accumulator window_acc;
-        Matrix dinner;
-        {
-          ScopedTimer t(compute_acc);
-          ScopedTimer w(window_acc);
-          dinner = layer.backward_inner(plan.adj, lg_.inv_full_degree);
-        }
-        FoldDriver fold(px, stream);
-        auto apply = hx_->make_backward_fold(px, plan, dinner);
-        fold.poll(apply, compute_acc);
-        if (deferred_params >= 0) {
-          ScopedTimer t(compute_acc);
-          ScopedTimer w(window_acc);
-          layers_[static_cast<std::size_t>(deferred_params)]->backward_params(
-              plan.adj);
-        }
-        deferred_params = l;
-        fold.drain(apply, compute_acc);
-        if (mode != OverlapMode::kBlocking)
-          overlap_acc +=
-              std::min(px.sim_s, window_acc.seconds() + fold.window_s());
-        meas_comm += px.meas_span_s;
-        meas_tail += px.meas_span_s;
-        meas_overlap +=
-            std::clamp(px.meas_span_s - px.wait_s, 0.0, px.meas_span_s);
-        grad = std::move(dinner);
-      } else {
-        Matrix dfeats;
-        {
-          ScopedTimer t(compute_acc);
-          dfeats = layer.backward(plan.adj, grad, lg_.inv_full_degree);
-        }
-        grad = hx_->exchange_backward(dfeats, lg_.n_inner(), plan,
-                                      plan.halo_scale, tag);
+      // The halo-gradient rows leave for their owners first; the
+      // inner-gradient block — and the layer above's deferred parameter
+      // gradients — are computed while they (and the peers' contributions
+      // to our rows) are on the wire, then each peer's contribution is
+      // scatter-added as it lands (fixed peer order).
+      Matrix dhalo;
+      {
+        ScopedTimer t(compute_acc);
+        dhalo = layer.backward_halo(plan.adj, grad, lg_.inv_full_degree);
       }
+      PendingExchange px =
+          hx_->post_backward(dhalo, plan, plan.halo_scale, next_tag());
+      FoldDriver fold(px, cfg_.overlap);
+      Accumulator window_acc;
+      Matrix dinner;
+      {
+        ScopedTimer t(compute_acc);
+        ScopedTimer w(window_acc);
+        dinner = layer.backward_inner(plan.adj, lg_.inv_full_degree);
+      }
+      auto apply = hx_->make_backward_fold(px, plan, dinner);
+      fold.poll(apply, compute_acc);
+      if (deferred_params >= 0) {
+        ScopedTimer t(compute_acc);
+        ScopedTimer w(window_acc);
+        layers_[static_cast<std::size_t>(deferred_params)]->backward_params(
+            plan.adj);
+      }
+      deferred_params = l;
+      fold.drain(apply, compute_acc);
+      totals.add(fold.record(window_acc.seconds()));
+      grad = std::move(dinner);
     }
 
     // ---- Gradient allreduce + update (lines 14-15) ----------------------
@@ -481,95 +395,57 @@ class RankWorker {
     // ---- Per-epoch accounting -------------------------------------------
     const comm::RankStats after = ep_.stats();
     snap_ = after;
-    const comm::RankStats delta = diff_stats(after, before);
-    const comm::RankStats delta_reduce = diff_stats(after, before_reduce);
-    double comm_s, overlap_s, tail_s, reduce_s;
+    const comm::RankStats delta = after - before;
+    EpochBreakdown local;
+    local.timing = ep_.timing();
+    local.compute_s = compute_acc.seconds();
+    local.sample_s = sample_acc.seconds();
     if (measured_) {
-      comm_s = meas_comm;
+      local.comm_s = totals.span_s;
       // Clamped so the documented overlap_s <= comm_s invariant holds.
-      overlap_s = std::min(meas_overlap, comm_s);
-      tail_s = meas_tail;
-      reduce_s = reduce_meas_s;
+      local.overlap_s = std::min(totals.meas_hidden_s, local.comm_s);
+      // No per-peer completion times are recorded yet, so the measured
+      // tail is the whole span.
+      local.comm_tail_s = totals.span_s;
+      local.reduce_s = reduce_meas_s;
     } else {
-      comm_s = delta.sim_seconds(TrafficClass::kFeature, cfg_.cost);
+      local.comm_s = delta.sim_seconds(TrafficClass::kFeature, cfg_.cost);
       // Per-exchange hidden time, clamped so the documented overlap_s <=
       // comm_s invariant holds even when the per-exchange max(tx, rx)
       // sums above the epoch-level max.
-      overlap_s = std::min(overlap_acc, comm_s);
-      tail_s = tail_acc;
-      reduce_s = delta_reduce.sim_seconds(TrafficClass::kGradient, cfg_.cost);
+      local.overlap_s = std::min(totals.sim_hidden_s, local.comm_s);
+      local.comm_tail_s = totals.sim_tail_s;
+      local.reduce_s = (after - before_reduce)
+                           .sim_seconds(TrafficClass::kGradient, cfg_.cost);
     }
-    // The breakdown reduction rides an (unaccounted) allgather instead of
-    // shared-memory scratch, so it works across OS processes. Byte counts
-    // travel as doubles: per-epoch volumes are integers far below 2^53,
-    // so the round trip is exact.
-    const std::vector<double> local = {
-        compute_acc.seconds(),
-        sample_acc.seconds(),
-        comm_s,
-        overlap_s,
-        tail_s,
-        reduce_s,
-        delta.sim_seconds(TrafficClass::kSwap, cfg_.cost),
-        static_cast<double>(
-            delta.rx_bytes[static_cast<int>(TrafficClass::kFeature)]),
-        static_cast<double>(
-            delta.rx_bytes[static_cast<int>(TrafficClass::kGradient)]),
-        static_cast<double>(
-            delta.rx_bytes[static_cast<int>(TrafficClass::kControl)]),
-        static_cast<double>(hx_->cache_hits()),
-        static_cast<double>(hx_->cache_misses()),
-        static_cast<double>(hx_->bytes_saved())};
-    const auto slots = ep_.allgather_doubles(local);
-    if (ep_.rank() == 0) {
-      EpochBreakdown eb;
-      eb.timing = measured_ ? comm::TimingSource::kMeasured
-                            : comm::TimingSource::kSimulated;
-      const PartId m = ep_.nranks();
-      // Bulk-synchronous convention: costs take the max over ranks (the
-      // slowest rank gates the epoch); the overlap saving takes the min so
-      // the reported hidden time is one every rank actually achieved.
-      eb.overlap_s = slots[0][3];
-      double feature_rx = 0.0, grad_rx = 0.0, control_rx = 0.0;
-      double cache_hits = 0.0, cache_misses = 0.0, saved = 0.0;
-      for (PartId i = 0; i < m; ++i) {
-        const auto& s = slots[static_cast<std::size_t>(i)];
-        eb.compute_s = std::max(eb.compute_s, s[0]);
-        eb.sample_s = std::max(eb.sample_s, s[1]);
-        eb.comm_s = std::max(eb.comm_s, s[2]);
-        eb.overlap_s = std::min(eb.overlap_s, s[3]);
-        eb.comm_tail_s = std::max(eb.comm_tail_s, s[4]);
-        eb.reduce_s = std::max(eb.reduce_s, s[5]);
-        eb.swap_s = std::max(eb.swap_s, s[6]);
-        feature_rx += s[7];
-        grad_rx += s[8];
-        control_rx += s[9];
-        cache_hits += s[10];
-        cache_misses += s[11];
-        saved += s[12];
-      }
-      eb.feature_bytes = static_cast<std::int64_t>(feature_rx);
-      eb.grad_bytes = static_cast<std::int64_t>(grad_rx);
-      eb.control_bytes = static_cast<std::int64_t>(control_rx);
-      eb.cache_hit_rows = static_cast<std::int64_t>(cache_hits);
-      eb.cache_miss_rows = static_cast<std::int64_t>(cache_misses);
-      eb.bytes_saved = static_cast<std::int64_t>(saved);
-      result_.epochs.push_back(eb);
-    }
+    local.swap_s = delta.sim_seconds(TrafficClass::kSwap, cfg_.cost);
+    local.feature_bytes =
+        delta.rx_bytes[static_cast<int>(TrafficClass::kFeature)];
+    local.grad_bytes =
+        delta.rx_bytes[static_cast<int>(TrafficClass::kGradient)];
+    local.control_bytes =
+        delta.rx_bytes[static_cast<int>(TrafficClass::kControl)];
+    local.cache_hit_rows = hx_->cache_hits();
+    local.cache_miss_rows = hx_->cache_misses();
+    local.bytes_saved = hx_->bytes_saved();
+    const EpochBreakdown eb = reduce_breakdown(ep_, local);
+    if (ep_.rank() == 0) result_.epochs.push_back(eb);
     return loss_total;
   }
 
-  /// Full-exchange, no-dropout forward; distributed metric reduction.
+  /// Full-exchange, no-dropout forward through the training forward's
+  /// routine (full plan, cache bypassed); distributed metric reduction.
   std::pair<double, double> evaluate() {
-    const int L = cfg_.num_layers;
+    Accumulator untimed;
+    const ForwardPass pass{.plan = full_plan_,
+                           .inv_deg = lg_.inv_full_degree,
+                           .inc = full_inc_,
+                           .training = false,
+                           .compute_acc = untimed};
     Matrix h = x_local_;
-    for (int l = 0; l < L; ++l) {
-      const int tag = next_tag();
-      Matrix feats = hx_->exchange_forward(h, lg_.n_inner(), full_plan_, 1.0f,
-                                           tag, /*layer=*/-1);
-      h = layers_[static_cast<std::size_t>(l)]->forward(
-          full_plan_.adj, feats, lg_.inv_full_degree, /*training=*/false);
-    }
+    for (auto& layer : layers_)
+      (void)hx_->forward_layer(pass, *layer, h, next_tag(), /*channel=*/-1,
+                               h);
     if (ds_.multilabel) {
       const auto v = nn::f1_counts(h, targets_local_, val_rows_);
       const auto t = nn::f1_counts(h, targets_local_, test_rows_);
@@ -611,8 +487,8 @@ class RankWorker {
   std::optional<BoundarySampler> sampler_;
   EpochPlan full_plan_;
   std::optional<HaloExchanger> hx_; // shared boundary-exchange engine
+  nn::HaloIncidence full_inc_;      // evaluation's, built on first use
   Matrix swap_staging_;
-  bool use_phased_ = false;
   float inv_total_ = 1.0f;
   int tag_seq_ = 0;
   double kept_halo_accum_ = 0.0;
@@ -627,38 +503,59 @@ class RankWorker {
 
 } // namespace
 
+namespace {
+
+// EpochBreakdown's fields by cross-rank reduction rule (overlap_s, the one
+// min, is named in place). reduce_breakdown and mean_breakdown walk these
+// tables, so a new field joins exactly one list.
+constexpr double EpochBreakdown::*kMaxTimes[] = {
+    &EpochBreakdown::compute_s, &EpochBreakdown::comm_s,
+    &EpochBreakdown::reduce_s,  &EpochBreakdown::sample_s,
+    &EpochBreakdown::swap_s,    &EpochBreakdown::comm_tail_s};
+constexpr std::int64_t EpochBreakdown::*kSummedCounts[] = {
+    &EpochBreakdown::feature_bytes,  &EpochBreakdown::grad_bytes,
+    &EpochBreakdown::control_bytes,  &EpochBreakdown::cache_hit_rows,
+    &EpochBreakdown::cache_miss_rows, &EpochBreakdown::bytes_saved};
+
+} // namespace
+
+EpochBreakdown reduce_breakdown(comm::Endpoint& ep,
+                                const EpochBreakdown& local) {
+  // The reduction rides an (unaccounted) allgather instead of shared-memory
+  // scratch, so it works across OS processes. Counts travel as doubles:
+  // per-epoch volumes are integers far below 2^53, so the round trip is
+  // exact.
+  std::vector<double> mine{local.overlap_s};
+  for (const auto f : kMaxTimes) mine.push_back(local.*f);
+  for (const auto f : kSummedCounts)
+    mine.push_back(static_cast<double>(local.*f));
+  const auto ranks = ep.allgather_doubles(std::move(mine));
+  EpochBreakdown out;
+  out.timing = local.timing;
+  out.overlap_s = ranks.front().front();
+  for (const auto& vals : ranks) {
+    auto v = vals.begin();
+    out.overlap_s = std::min(out.overlap_s, *v++);
+    for (const auto f : kMaxTimes) out.*f = std::max(out.*f, *v++);
+    for (const auto f : kSummedCounts)
+      out.*f += static_cast<std::int64_t>(*v++);
+  }
+  return out;
+}
+
 EpochBreakdown mean_breakdown(std::span<const EpochBreakdown> epochs) {
   EpochBreakdown mean;
   if (epochs.empty()) return mean;
   for (const auto& e : epochs) {
-    mean.compute_s += e.compute_s;
-    mean.comm_s += e.comm_s;
-    mean.reduce_s += e.reduce_s;
-    mean.sample_s += e.sample_s;
-    mean.swap_s += e.swap_s;
     mean.overlap_s += e.overlap_s;
-    mean.comm_tail_s += e.comm_tail_s;
-    mean.feature_bytes += e.feature_bytes;
-    mean.grad_bytes += e.grad_bytes;
-    mean.control_bytes += e.control_bytes;
-    mean.cache_hit_rows += e.cache_hit_rows;
-    mean.cache_miss_rows += e.cache_miss_rows;
-    mean.bytes_saved += e.bytes_saved;
+    for (const auto f : kMaxTimes) mean.*f += e.*f;
+    for (const auto f : kSummedCounts) mean.*f += e.*f;
   }
   const auto n = static_cast<double>(epochs.size());
-  mean.compute_s /= n;
-  mean.comm_s /= n;
-  mean.reduce_s /= n;
-  mean.sample_s /= n;
-  mean.swap_s /= n;
   mean.overlap_s /= n;
-  mean.comm_tail_s /= n;
-  mean.feature_bytes = static_cast<std::int64_t>(mean.feature_bytes / n);
-  mean.grad_bytes = static_cast<std::int64_t>(mean.grad_bytes / n);
-  mean.control_bytes = static_cast<std::int64_t>(mean.control_bytes / n);
-  mean.cache_hit_rows = static_cast<std::int64_t>(mean.cache_hit_rows / n);
-  mean.cache_miss_rows = static_cast<std::int64_t>(mean.cache_miss_rows / n);
-  mean.bytes_saved = static_cast<std::int64_t>(mean.bytes_saved / n);
+  for (const auto f : kMaxTimes) mean.*f /= n;
+  for (const auto f : kSummedCounts)
+    mean.*f = static_cast<std::int64_t>(static_cast<double>(mean.*f) / n);
   return mean;
 }
 
@@ -721,52 +618,15 @@ TrainResult BnsTrainer::train_rank(comm::Fabric& fabric, PartId rank) {
 }
 
 TrainResult BnsTrainer::train() {
-  const PartId m = part_.nparts;
-  comm::Fabric fabric(m, cfg_.cost);
+  comm::Fabric fabric(part_.nparts, cfg_.cost);
   if (cfg_.fabric_shuffle_seed != 0)
     fabric.enable_delivery_shuffle(cfg_.fabric_shuffle_seed);
   TrainResult result;
-
   Stopwatch wall;
-  // lint: allow(raw-thread) — rank runtime, one OS thread per simulated rank;
-  // kernel-level parallelism inside each rank still goes through the pool.
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(m));
-  threads.reserve(static_cast<std::size_t>(m));
-  for (PartId r = 0; r < m; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        RankWorker worker(ds_, cfg_,
-                          local_graphs_[static_cast<std::size_t>(r)],
-                          fabric.endpoint(r), result);
-        worker.run();
-        finalize_rank(fabric.endpoint(r), worker.mean_kept_halo(), result);
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        // Tear the fabric down so peers blocked on this rank unwind with
-        // ShutdownError instead of hanging (deadlock-free failure).
-        fabric.shutdown(r);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  // Rethrow the root cause: a ShutdownError is collateral of some other
-  // rank's failure, so prefer any non-shutdown exception.
-  std::exception_ptr first, root;
-  for (const auto& e : errors) {
-    if (!e) continue;
-    if (!first) first = e;
-    if (!root) {
-      try {
-        std::rethrow_exception(e);
-      } catch (const comm::ShutdownError&) {
-      } catch (...) {
-        root = e;
-      }
-    }
-  }
-  if (root) std::rethrow_exception(root);
-  if (first) std::rethrow_exception(first);
+  comm::run_ranks(fabric, [&](PartId r) {
+    TrainResult local = train_rank(fabric, r);
+    if (r == 0) result = std::move(local);
+  });
   result.wall_time_s = wall.elapsed_s();
   return result;
 }

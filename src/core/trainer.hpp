@@ -7,6 +7,7 @@
 
 #include "comm/fabric.hpp"
 #include "core/boundary_sampler.hpp"
+#include "core/halo_exchange.hpp"
 #include "core/local_graph.hpp"
 #include "core/memory_model.hpp"
 #include "graph/dataset.hpp"
@@ -15,24 +16,11 @@ namespace bnsgcn::core {
 
 enum class ModelKind { kSage, kGat };
 
-/// How the boundary exchanges are scheduled against compute
-/// (docs/ARCHITECTURE.md §4). All three modes execute the identical fp
-/// schedule — per-peer folds applied in fixed peer order — so results are
-/// bit-exact across modes; the knob only moves where the trainer waits:
-///  - kBlocking: wait for every peer right after posting (no overlap).
-///  - kBulk: one wait_all after the halo-independent compute phase; the
-///    exchange hides behind that single phase (the PR 2 pipeline).
-///  - kStream: poll the completion set (comm::RequestSet) and fold each
-///    peer's slab the moment it — and every earlier peer — has landed, so
-///    the fold of peer k also hides the transfer of peers k+1..; this is
-///    what shaves the slow-peer tail at large partition counts.
-/// Ordered by how much wire time each can hide.
-enum class OverlapMode : int { kBlocking = 0, kBulk = 1, kStream = 2 };
-
 /// Per-epoch timing/traffic breakdown (Fig. 5 / Table 6 quantities).
 /// Times are bulk-synchronous: max over ranks per phase. `compute_s` is
-/// measured wall time of the local math; comm/reduce/swap are simulated
-/// from exact byte counts via the CostModel (DESIGN.md §1).
+/// measured wall time of the local math; comm/overlap/tail/reduce are
+/// simulated from exact byte counts via the CostModel on the mailbox and
+/// measured on socket fabrics (`timing`; docs/ARCHITECTURE.md §1).
 struct EpochBreakdown {
   double compute_s = 0.0;
   double comm_s = 0.0;    // boundary feature/gradient exchange
@@ -106,6 +94,14 @@ struct EpochSnapshot {
 /// per epoch, in epoch order. Must not block on other ranks.
 using EpochObserver = std::function<void(const EpochSnapshot&)>;
 
+/// The one cross-rank reduction of a breakdown: every rank of `ep` enters
+/// it (an unaccounted allgather) with its own values, and every rank gets
+/// the result — max over ranks for times (the slowest rank gates the
+/// step), min for overlap_s (claim only what every rank hid), sum for the
+/// byte and cache counters. `timing` is kept from `local`.
+[[nodiscard]] EpochBreakdown reduce_breakdown(comm::Endpoint& ep,
+                                              const EpochBreakdown& local);
+
 /// Derived run metrics, shared by every result type (core::TrainResult and
 /// api::RunReport) so the definitions exist exactly once.
 [[nodiscard]] EpochBreakdown mean_breakdown(
@@ -172,8 +168,8 @@ struct TrainerConfig {
   /// fold starts hiding the transfers still in flight. Training results
   /// are bit-identical for every value (F1 is row-independent and the
   /// fold targets are disjoint from the chunk targets — see nn::Layer);
-  /// the knob only moves the poll points. Ignored outside the phased
-  /// path. RunConfig.comm.inner_chunk_rows is the config-file spelling.
+  /// the knob only moves the poll points. RunConfig.comm.inner_chunk_rows
+  /// is the config-file spelling.
   NodeId inner_chunk_rows = 0;
 
   /// Kernel worker threads per rank (common::ThreadPool lanes inside each
@@ -228,7 +224,9 @@ struct TrainerConfig {
   /// Test-only: the named rank throws just before epoch 0's first forward
   /// exchange, exercising the fabric's deadlock-free shutdown path (peers
   /// must surface comm::ShutdownError instead of hanging in a blocking
-  /// wait on the dead rank's sends). -1 disables. Not serialized.
+  /// wait on the dead rank's sends). The CAGNET proxy honours it at the
+  /// same point, before epoch 0's first broadcast. -1 disables. Not
+  /// serialized.
   int fail_rank = -1;
 
   /// Optional per-epoch callback (see EpochSnapshot).

@@ -38,7 +38,8 @@ struct Dataset {
 /// Parameters of the synthetic dataset generator. The defaults are
 /// overridden by the presets below to mimic each paper dataset's shape
 /// (density, feature width, class count, label regime, split fractions) at
-/// CPU-tractable scale — see DESIGN.md §1 for the substitution rationale.
+/// CPU-tractable scale — see docs/ARCHITECTURE.md §1 for the substitution
+/// rationale.
 struct SyntheticSpec {
   std::string name = "synthetic";
   NodeId n = 10'000;

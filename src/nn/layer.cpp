@@ -245,40 +245,6 @@ void mean_aggregate_backward_inner(const BipartiteCsr& adj, const Matrix& dout,
   });
 }
 
-void Layer::forward_inner_begin(const BipartiteCsr&, const Matrix&, bool) {
-  BNSGCN_CHECK_MSG(false, "layer does not support phased forward");
-}
-
-void Layer::forward_inner_chunk(const BipartiteCsr&, NodeId, NodeId) {
-  BNSGCN_CHECK_MSG(false, "layer does not support phased forward");
-}
-
-void Layer::forward_halo_begin(const BipartiteCsr&, const HaloIncidence&) {
-  BNSGCN_CHECK_MSG(false, "layer does not support phased forward");
-}
-
-void Layer::forward_halo_fold(const BipartiteCsr&, std::span<const NodeId>,
-                              std::span<const float>) {
-  BNSGCN_CHECK_MSG(false, "layer does not support phased forward");
-}
-
-Matrix Layer::forward_halo_finish(const BipartiteCsr&,
-                                  std::span<const float>) {
-  BNSGCN_CHECK_MSG(false, "layer does not support phased forward");
-  return {};
-}
-
-Matrix Layer::backward_halo(const BipartiteCsr&, const Matrix&,
-                            std::span<const float>) {
-  BNSGCN_CHECK_MSG(false, "layer does not support phased backward");
-  return {};
-}
-
-Matrix Layer::backward_inner(const BipartiteCsr&, std::span<const float>) {
-  BNSGCN_CHECK_MSG(false, "layer does not support phased backward");
-  return {};
-}
-
 void Layer::backward_params(const BipartiteCsr&) {
   // Default: nothing deferred — a phased layer that accumulates its
   // parameter gradients inside backward_inner stays correct.

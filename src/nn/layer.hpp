@@ -44,8 +44,9 @@ struct BipartiteCsr {
 /// Mean neighbor aggregation (Eq. 1 with a mean aggregator):
 ///   out[v,:] = inv_deg[v] * sum_{u in adj(v)} src[u,:]
 /// `inv_deg` is supplied by the caller because under boundary-node sampling
-/// the normalizer stays 1/full_degree (unbiasedness; DESIGN.md §3), which
-/// the adjacency alone cannot know.
+/// the normalizer stays 1/full_degree — the kept halo rows carry the 1/p
+/// rescale instead, which keeps the mean unbiased — and the adjacency alone
+/// cannot know the full degree.
 void mean_aggregate(const BipartiteCsr& adj, const Matrix& src,
                     std::span<const float> inv_deg, Matrix& out);
 
@@ -212,6 +213,9 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
+  /// Fused forward over an assembled source block — what the
+  /// single-process baselines, the CAGNET proxy and the kernel benches
+  /// call; the partition-parallel paths run the phase methods below.
   /// feats: (n_src, d_in) — inner rows first, then halo rows.
   /// Returns (n_dst, d_out). Caches whatever backward needs.
   virtual Matrix forward(const BipartiteCsr& adj, const Matrix& feats,
@@ -223,10 +227,12 @@ class Layer {
                           std::span<const float> inv_deg) = 0;
 
   // --- Split-phase protocol (communication–computation overlap) ----------
-  // A layer returning true from supports_phased() implements the phase
-  // methods below. The forward is split into F1 (halo-independent compute,
-  // driven in destination-row chunks) plus an *incremental* halo fold: the
-  // trainer calls forward_inner_begin and forward_halo_begin once, then
+  // Every layer implements the phase methods below; they are the only
+  // forward the partition-parallel paths run (training, evaluation and
+  // serving all go through core::HaloExchanger::forward_layer). The
+  // forward is split into F1 (halo-independent compute, driven in
+  // destination-row chunks) plus an *incremental* halo fold: the
+  // exchanger calls forward_inner_begin and forward_halo_begin once, then
   // alternates forward_inner_chunk with forward_halo_fold — folds in
   // fixed peer order, in every schedule — and forward_halo_finish when
   // every chunk ran and every peer folded. A fold may land before, between
@@ -248,23 +254,21 @@ class Layer {
   // the backward fold (scatter-add of peer contributions) lives in the
   // trainer and follows the same fixed-peer-order rule.
 
-  [[nodiscard]] virtual bool supports_phased() const { return false; }
-
   /// Phase F1 setup: cache the locally-owned source block ((n_dst, d_in) —
   /// inner sources of the trainer layout) and size the partial state. No
   /// per-row work happens here; the chunks do it. `inner_feats` must stay
   /// valid until the last forward_inner_chunk returns (implementations
   /// may keep a reference instead of copying).
   virtual void forward_inner_begin(const BipartiteCsr& adj,
-                                   const Matrix& inner_feats, bool training);
+                                   const Matrix& inner_feats,
+                                   bool training) = 0;
 
   /// Phase F1 chunk: run the halo-independent compute for destination rows
   /// [row0, row1). The trainer covers [0, n_dst) with disjoint ascending
   /// ranges; between chunks it may poll the completion set and fold peers.
   /// Row-independent by contract, so the chunking never changes results.
   virtual void forward_inner_chunk(const BipartiteCsr& adj, NodeId row0,
-                                   NodeId row1);
-
+                                   NodeId row1) = 0;
 
   /// Phase F2a: receive the epoch's halo fold state. `inc` is the
   /// slot→dst reverse incidence of `adj`, built by the caller once per
@@ -273,30 +277,30 @@ class Layer {
   /// forward, after forward_inner and before the first fold; part of the
   /// in-flight compute window.
   virtual void forward_halo_begin(const BipartiteCsr& adj,
-                                  const HaloIncidence& inc);
+                                  const HaloIncidence& inc) = 0;
 
   /// Phase F2b: fold one peer's halo slab — rows.size() == slots.size() *
   /// d_in, row t is halo slot slots[t], already 1/p-scaled by the caller.
   /// Must be called in ascending peer order (deterministic reduction).
   virtual void forward_halo_fold(const BipartiteCsr& adj,
                                  std::span<const NodeId> slots,
-                                 std::span<const float> rows);
+                                 std::span<const float> rows) = 0;
 
   /// Phase F2c: every peer folded — finish the layer ((n_dst, d_out)).
   [[nodiscard]] virtual Matrix forward_halo_finish(
-      const BipartiteCsr& adj, std::span<const float> inv_deg);
+      const BipartiteCsr& adj, std::span<const float> inv_deg) = 0;
 
   /// Phase B1: parameter gradients plus the halo-source input gradients
   /// ((n_src - n_dst, d_in)) — everything the backward exchange sends.
-  [[nodiscard]] virtual Matrix backward_halo(const BipartiteCsr& adj,
-                                             const Matrix& dout,
-                                             std::span<const float> inv_deg);
+  [[nodiscard]] virtual Matrix backward_halo(
+      const BipartiteCsr& adj, const Matrix& dout,
+      std::span<const float> inv_deg) = 0;
 
   /// Phase B2: the inner-source input gradients ((n_dst, d_in)), computed
   /// from state cached by backward_halo. Must not touch the parameter
   /// gradients — those belong to backward_params.
-  [[nodiscard]] virtual Matrix backward_inner(const BipartiteCsr& adj,
-                                              std::span<const float> inv_deg);
+  [[nodiscard]] virtual Matrix backward_inner(
+      const BipartiteCsr& adj, std::span<const float> inv_deg) = 0;
 
   /// Phase B3: accumulate the parameter gradients (dW, db, …) from state
   /// cached by backward_halo/backward_inner. Called exactly once per

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <stdexcept>
+#include <string>
+
 #include "core/proxies.hpp"
 #include "graph/dataset.hpp"
 #include "partition/metis_like.hpp"
@@ -104,6 +109,27 @@ TEST(Proxies, CagnetSupportsMultilabel) {
   const auto part = metis_like(ds.graph, 2);
   const auto result = core::run_cagnet_proxy(ds, part, proxy_config(), 1);
   EXPECT_GT(result.mean_epoch().feature_bytes, 0);
+}
+
+TEST(Proxies, CagnetDeadRankUnwindsPeers) {
+  // One rank throws before the first broadcast; the peers blocked on its
+  // rows must unwind via the fabric shutdown, and the proxy must rethrow
+  // the injected root cause rather than a peer's ShutdownError. The alarm
+  // turns a hang into a loud SIGALRM instead of a silent CI timeout.
+  const Dataset ds = tiny_dataset();
+  const auto part = metis_like(ds.graph, 3);
+  auto cfg = proxy_config();
+  cfg.fail_rank = 1;
+  alarm(180);
+  try {
+    (void)core::run_cagnet_proxy(ds, part, cfg, /*c=*/1);
+    FAIL() << "dead CAGNET rank went unnoticed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("injected failure: rank 1"),
+              std::string::npos)
+        << e.what();
+  }
+  alarm(0);
 }
 
 } // namespace
