@@ -114,7 +114,9 @@ ctest --test-dir build --output-on-failure -R test_serve
 #             and partition boundary audits all verify on real workloads.
 #   tsan    — the kernel thread pool and everything layered on it must be
 #             race-free, not just bit-exact (test_trainer runs 3 ranks × 4
-#             oversubscribed lanes — real interleaving on a one-core runner).
+#             oversubscribed lanes — real interleaving on a one-core runner),
+#             and so must the socket transport, whose rank thread and I/O
+#             thread share the queues and inboxes (test_transport).
 #   asan    — heap misuse and leaks (LeakSanitizer rides along on Linux).
 #   ubsan   — -fno-sanitize-recover=all, so any UB report is the exit code.
 #
@@ -123,7 +125,7 @@ ctest --test-dir build --output-on-failure -R test_serve
 # invocation is the gate.
 INSTRUMENTED_LEGS=(
   "checked|test_ops test_transport test_trainer test_schedule_fuzz bench_overlap|./build-checked/bench/bench_overlap --scale 0.2 --epochs 2 --json build-checked/overlap_smoke.json"
-  "tsan|test_thread_pool test_ops test_trainer test_schedule_fuzz|"
+  "tsan|test_thread_pool test_ops test_transport test_trainer test_schedule_fuzz|"
   "asan|test_ops test_transport test_trainer test_serve test_schedule_fuzz bench_overlap|./build-asan/bench/bench_overlap --scale 0.2 --epochs 2 --json build-asan/overlap_smoke.json"
   "ubsan|test_ops test_transport test_trainer test_schedule_fuzz|"
 )

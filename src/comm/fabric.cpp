@@ -180,12 +180,13 @@ std::size_t RequestSet::wait_any(std::vector<std::size_t>& completed) {
     const std::size_t n = poll(completed);
     if (n > 0) return n;
     // Nothing landed this pass: let sender threads run. A condvar across
-    // several mailboxes would need fabric-level plumbing, so this polls —
-    // but a bare spin-yield would contend with the ranks still computing
-    // (and inflate their measured compute on oversubscribed hosts), so
-    // after a burst of empty passes back off to a real sleep. The socket
-    // backend's try_recv blocks in poll(2) anyway, so the yield is only
-    // ever hit on the mailbox.
+    // several mailboxes (or socket inboxes) would need fabric-level
+    // plumbing, so this polls — but a bare spin-yield would contend with
+    // the ranks still computing (and inflate their measured compute on
+    // oversubscribed hosts), so after a burst of empty passes back off to
+    // a real sleep. Every backend's try_recv is a pure probe, so bytes
+    // keep moving meanwhile: mailbox senders deposit directly, socket
+    // bytes cross on the transport's I/O thread.
     if (empty_passes < 64) {
       std::this_thread::yield();
     } else {

@@ -253,7 +253,7 @@ void wait_all(std::span<Request> requests);
 /// Completion set over a batch of requests: wait_any-style progress built
 /// on Request::test(). The streaming halo pipeline posts one irecv per
 /// peer, then drains the set as messages land instead of blocking on a
-/// single MPI_Waitall barrier — poll() is one nonblocking progress pass,
+/// single MPI_Waitall barrier — poll() is one nonblocking probe pass,
 /// wait_any() blocks until at least one pending request completes.
 ///
 /// Completion indices are reported exactly once, in arrival order within a
@@ -275,7 +275,7 @@ class RequestSet {
   [[nodiscard]] std::size_t pending() const { return pending_; }
   [[nodiscard]] bool all_done() const { return pending_ == 0; }
 
-  /// One nonblocking progress pass: test() every pending request, append
+  /// One nonblocking probe pass: test() every pending request, append
   /// the indices that completed during this pass to `completed` (arrival
   /// scan order). Returns how many completed this pass.
   std::size_t poll(std::vector<std::size_t>& completed);

@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <stdexcept>
 #include <thread>
 
 #include "common/check.hpp"
@@ -96,6 +97,23 @@ ParsedTcp parse_tcp_addr(const std::string& addr) {
   return out;
 }
 
+/// Whether a payload of `nbytes` is well formed for its frame kind.
+bool payload_fits(FrameKind kind, std::uint64_t nbytes) {
+  switch (kind) {
+    case FrameKind::kFloats:
+      return nbytes % sizeof(float) == 0;
+    case FrameKind::kIds:
+      return nbytes % sizeof(NodeId) == 0;
+    case FrameKind::kDoubles:
+      return nbytes % sizeof(double) == 0;
+    case FrameKind::kEmpty:
+      return nbytes == 0;
+    case FrameKind::kHaloDelta:
+      return nbytes >= sizeof(std::uint64_t);
+  }
+  return false;
+}
+
 int dial(const SocketEndpoints& eps, PartId to) {
   const std::string& addr = eps.addrs[static_cast<std::size_t>(to)];
   // The listener is bound before any rank starts, so a refused connect
@@ -162,12 +180,21 @@ bool FrameDecoder::pop(Frame& out) {
   BNSGCN_CHECK_MSG(kind <= static_cast<std::uint32_t>(FrameKind::kHaloDelta),
                    "corrupt frame kind");
   const auto nbytes = get_pod<std::uint64_t>(h + 12);
-  if (buf_.size() - pos_ < kFrameHeaderBytes + nbytes) return false;
+  // Bound the wire-supplied length before any arithmetic on it: an
+  // unchecked header + length sum wraps and passes the test below.
+  BNSGCN_CHECK_MSG(nbytes <= kMaxFramePayloadBytes,
+                   "frame length " + std::to_string(nbytes) +
+                       " exceeds the frame cap");
+  BNSGCN_CHECK_MSG(payload_fits(static_cast<FrameKind>(kind), nbytes),
+                   "frame length " + std::to_string(nbytes) +
+                       " does not fit frame kind " + std::to_string(kind));
+  const std::size_t frame_bytes =
+      kFrameHeaderBytes + static_cast<std::size_t>(nbytes);
+  if (buf_.size() - pos_ < frame_bytes) return false;
   out.kind = static_cast<FrameKind>(kind);
   out.tag = static_cast<int>(get_pod<std::uint32_t>(h + 8));
-  out.payload.assign(h + kFrameHeaderBytes,
-                     h + kFrameHeaderBytes + nbytes);
-  pos_ += kFrameHeaderBytes + static_cast<std::size_t>(nbytes);
+  out.payload.assign(h + kFrameHeaderBytes, h + frame_bytes);
+  pos_ += frame_bytes;
   // Compact once the consumed prefix dominates, keeping feed() amortised.
   if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
     buf_.erase(buf_.begin(),
@@ -226,11 +253,13 @@ Wire frame_to_wire(Frame f) {
     msg.kind = WireKind::kHaloDelta;
     BNSGCN_CHECK(f.payload.size() >= sizeof(std::uint64_t));
     const auto nids = get_pod<std::uint64_t>(f.payload.data());
+    BNSGCN_CHECK(nids <=
+                 (f.payload.size() - sizeof(std::uint64_t)) / sizeof(NodeId));
     const std::size_t id_bytes =
         static_cast<std::size_t>(nids) * sizeof(NodeId);
-    BNSGCN_CHECK(f.payload.size() >= sizeof(std::uint64_t) + id_bytes);
     const std::size_t float_bytes =
         f.payload.size() - sizeof(std::uint64_t) - id_bytes;
+    BNSGCN_CHECK(float_bytes % sizeof(float) == 0);
     msg.ids.resize(static_cast<std::size_t>(nids));
     msg.floats.resize(float_bytes / sizeof(float));
     if (id_bytes > 0)
@@ -258,6 +287,15 @@ SocketTransport::SocketTransport(PartId rank, const SocketEndpoints& eps,
   BNSGCN_CHECK(nranks_ >= 1 && rank_ >= 0 && rank_ < nranks_);
   peers_.resize(static_cast<std::size_t>(nranks_));
   connect_all(listen_fd);
+  int wake[2] = {-1, -1};
+  BNSGCN_CHECK_MSG(::pipe(wake) == 0, "wake pipe failed");
+  wake_rd_ = wake[0];
+  wake_wr_ = wake[1];
+  set_nonblocking(wake_rd_);
+  set_nonblocking(wake_wr_);
+  // Last: from here on the I/O thread owns every peer socket.
+  // lint: allow(raw-thread) — the socket I/O thread (see the member).
+  io_ = std::thread([this] { io_loop(); });
 }
 
 void SocketTransport::connect_all(int listen_fd) {
@@ -291,39 +329,136 @@ void SocketTransport::connect_all(int listen_fd) {
 }
 
 SocketTransport::~SocketTransport() {
-  // Graceful teardown: our final sends may still sit in the user-space
-  // queue (a peer's collective ack, the last halo slab); push them out —
-  // bounded, so a dead peer cannot wedge destruction — then close.
+  // Graceful teardown: our final sends may still sit in the queues (a
+  // peer's collective ack, the last halo slab). Give the I/O thread a
+  // bounded time to push them out — a dead peer cannot wedge destruction
+  // — then stop it and close.
   try {
+    std::unique_lock<std::mutex> lock(mu_);
     // lint: allow(raw-clock) — teardown flush deadline; never observed by
     // numeric state, only bounds how long destruction may block.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    for (;;) {
-      bool dirty = false;
-      for (const auto& p : peers_)
-        if (p.fd >= 0 && !p.eof && !p.sendq.empty()) dirty = true;
-      if (!dirty || stopped_) break;
-      // lint: allow(raw-clock) — same teardown deadline as above.
-      if (std::chrono::steady_clock::now() > deadline) break;
-      progress(50);
-    }
+    (void)cv_.wait_until(lock, deadline, [this] {
+      if (stopped_ || io_error_) return true;
+      return std::none_of(peers_.begin(), peers_.end(), [](const Peer& p) {
+        return p.fd >= 0 && !p.eof && !p.sendq.empty();
+      });
+    });
   } catch (...) {
     // Teardown must not throw; unflushed bytes surface as the peer's
     // ShutdownError, which is the best available signal anyway.
   }
-  for (auto& p : peers_) {
-    if (p.fd >= 0) ::close(p.fd);
-    p.fd = -1;
+  shutdown(rank_);
+  ::close(wake_rd_);
+  ::close(wake_wr_);
+}
+
+void SocketTransport::check_alive_locked() const {
+  if (io_error_) std::rethrow_exception(io_error_);
+  if (stopped_) throw ShutdownError("socket fabric shut down");
+}
+
+ShutdownError SocketTransport::peer_gone(PartId from) const {
+  return ShutdownError("rank " + std::to_string(rank_) + ": peer rank " +
+                       std::to_string(from) +
+                       " disconnected with receives outstanding");
+}
+
+void SocketTransport::wake_io() {
+  const std::uint8_t byte = 1;
+  // EAGAIN means the pipe is full, so a wake is already pending.
+  const ssize_t w = ::write(wake_wr_, &byte, sizeof(byte));
+  (void)w;
+}
+
+void SocketTransport::stop_io() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopped_ = true;
+  }
+  cv_.notify_all();
+  if (io_.joinable()) {
+    wake_io();
+    io_.join();
   }
 }
 
-void SocketTransport::check_alive() const {
-  if (stopped_) throw ShutdownError("socket fabric shut down");
+void SocketTransport::io_loop() {
+  std::vector<pollfd> pfds;
+  std::vector<PartId> who; // peer rank of pfds[k + 1]
+  PartId peer = -1;        // the peer being serviced, for error messages
+  try {
+    for (;;) {
+      pfds.assign(1, pollfd{.fd = wake_rd_, .events = POLLIN, .revents = 0});
+      who.clear();
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (stopped_) return;
+        // A send after this point writes a fresh wake byte, so none is
+        // lost between this snapshot and poll().
+        wake_pending_ = false;
+        for (PartId j = 0; j < nranks_; ++j) {
+          const Peer& p = peers_[static_cast<std::size_t>(j)];
+          if (p.fd < 0 || p.eof) continue;
+          const short events =
+              p.sendq.empty() ? POLLIN : static_cast<short>(POLLIN | POLLOUT);
+          pfds.push_back(pollfd{.fd = p.fd, .events = events, .revents = 0});
+          who.push_back(j);
+        }
+      }
+      const int rc =
+          ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), -1);
+      if (rc < 0) {
+        BNSGCN_CHECK_MSG(errno == EINTR,
+                         std::string("poll failed: ") + std::strerror(errno));
+        continue;
+      }
+      if (pfds[0].revents & POLLIN) {
+        std::uint8_t sink[64];
+        while (::read(wake_rd_, sink, sizeof(sink)) > 0) {
+        }
+      }
+      for (std::size_t k = 0; k < who.size(); ++k) {
+        peer = who[k];
+        Peer& p = peers_[static_cast<std::size_t>(peer)];
+        const short re = pfds[k + 1].revents;
+        if (re & (POLLIN | POLLHUP | POLLERR)) read_peer(p);
+        if (re & POLLOUT) flush_peer(p);
+      }
+      peer = -1;
+    }
+  } catch (...) {
+    fail_io(peer);
+  }
+}
+
+void SocketTransport::fail_io(PartId peer) {
+  // Runs inside the I/O thread's catch handler: rewrap the active
+  // exception so its message names this rank and the peer, keeping
+  // CheckError's type, and park it for the rank thread.
+  std::string where = "rank " + std::to_string(rank_) + ": socket I/O";
+  if (peer >= 0) where += " with peer rank " + std::to_string(peer);
+  std::exception_ptr err;
+  try {
+    throw;
+  } catch (const CheckError& e) {
+    err = std::make_exception_ptr(CheckError(where + ": " + e.what()));
+  } catch (const std::exception& e) {
+    err = std::make_exception_ptr(std::runtime_error(where + ": " + e.what()));
+  } catch (...) {
+    err = std::current_exception();
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    io_error_ = err;
+  }
+  cv_.notify_all();
 }
 
 void SocketTransport::read_peer(Peer& p) {
   std::uint8_t buf[65536];
+  bool closed = false;
   for (;;) {
     const ssize_t n = ::recv(p.fd, buf, sizeof(buf), 0);
     if (n > 0) {
@@ -332,81 +467,84 @@ void SocketTransport::read_peer(Peer& p) {
       continue;
     }
     if (n == 0) { // orderly peer close
-      p.eof = true;
+      closed = true;
       break;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
-    p.eof = true; // hard error: treat as disconnect
+    closed = true; // hard error: treat as disconnect
     break;
   }
+  std::vector<Frame> ready;
   Frame f;
-  while (p.decoder.pop(f)) p.inbox.push_back(std::move(f));
+  while (p.decoder.pop(f)) ready.push_back(std::move(f));
+  if (ready.empty() && !closed) return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (Frame& r : ready) p.inbox.push_back(std::move(r));
+    if (closed) p.eof = true;
+  }
+  cv_.notify_all();
 }
 
 void SocketTransport::flush_peer(Peer& p) {
-  while (!p.sendq.empty()) {
-    const auto& front = p.sendq.front();
-    BNSGCN_REQUIRE(p.send_off < front.size(),
+  for (;;) {
+    const std::vector<std::uint8_t>* front = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (p.sendq.empty()) return;
+      front = &p.sendq.front();
+    }
+    // Only this thread pops the queue and deque::push_back never moves
+    // existing elements, so `front` stays valid outside the lock.
+    BNSGCN_REQUIRE(p.send_off < front->size(),
                    "send cursor at or past the frame end");
-    const ssize_t w = ::send(p.fd, front.data() + p.send_off,
-                             front.size() - p.send_off, MSG_NOSIGNAL);
+    const ssize_t w = ::send(p.fd, front->data() + p.send_off,
+                             front->size() - p.send_off, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR) continue;
-      p.eof = true; // EPIPE etc: peer is gone, nothing more to write
-      p.sendq.clear();
+      // EPIPE etc: the peer is gone, nothing more to write.
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        p.eof = true;
+        p.sendq.clear();
+      }
       p.send_off = 0;
+      cv_.notify_all();
       return;
     }
     p.send_off += static_cast<std::size_t>(w);
-    if (p.send_off == front.size()) {
+    if (p.send_off < front->size()) continue;
+    p.send_off = 0;
+    bool drained = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
       p.sendq.pop_front();
-      p.send_off = 0;
+      drained = p.sendq.empty();
     }
+    if (drained) cv_.notify_all(); // the destructor's flush waits on this
   }
 }
 
-void SocketTransport::progress(int timeout_ms) {
-  std::vector<pollfd> pfds;
-  std::vector<std::size_t> idx;
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    Peer& p = peers_[i];
-    if (p.fd < 0) continue;
-    short events = 0;
-    if (!p.eof) events |= POLLIN;
-    if (!p.sendq.empty()) events |= POLLOUT;
-    if (events == 0) continue;
-    pfds.push_back(pollfd{.fd = p.fd, .events = events, .revents = 0});
-    idx.push_back(i);
-  }
-  if (pfds.empty()) return;
-  const int rc = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()),
-                        timeout_ms);
-  if (rc < 0) {
-    BNSGCN_CHECK(errno == EINTR);
-    return;
-  }
-  if (rc == 0) return;
-  for (std::size_t k = 0; k < pfds.size(); ++k) {
-    Peer& p = peers_[idx[k]];
-    const short re = pfds[k].revents;
-    if (re & (POLLIN | POLLHUP | POLLERR)) read_peer(p);
-    if ((re & POLLOUT) && !p.eof) flush_peer(p);
-  }
-}
-
-void SocketTransport::send_frame(PartId to, Frame f) {
-  check_alive();
+void SocketTransport::send_frame(PartId to, const Frame& f) {
   BNSGCN_CHECK(to >= 0 && to < nranks_ && to != rank_);
   BNSGCN_REQUIRE(f.tag != -1, "tag -1 belongs to no tag space");
+  std::vector<std::uint8_t> bytes = encode_frame(f);
   Peer& p = peers_[static_cast<std::size_t>(to)];
-  if (p.eof || p.fd < 0)
-    throw ShutdownError("rank " + std::to_string(rank_) +
-                        ": peer rank " + std::to_string(to) +
-                        " disconnected");
-  p.sendq.push_back(encode_frame(f));
-  flush_peer(p); // opportunistic; leftovers drain in progress()
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    check_alive_locked();
+    if (p.eof || p.fd < 0)
+      throw ShutdownError("rank " + std::to_string(rank_) +
+                          ": peer rank " + std::to_string(to) +
+                          " disconnected");
+    p.sendq.push_back(std::move(bytes));
+    wake = !wake_pending_;
+    wake_pending_ = true;
+  }
+  if (wake) wake_io();
 }
 
 bool SocketTransport::take_from_inbox(Peer& p, int tag, Frame& out) {
@@ -426,17 +564,12 @@ Frame SocketTransport::recv_frame(PartId from, int tag) {
   BNSGCN_REQUIRE(tag != -1, "tag -1 belongs to no tag space");
   Peer& p = peers_[static_cast<std::size_t>(from)];
   Frame out;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    check_alive();
+    check_alive_locked();
     if (take_from_inbox(p, tag, out)) return out;
-    if (p.eof)
-      throw ShutdownError("rank " + std::to_string(rank_) +
-                          ": peer rank " + std::to_string(from) +
-                          " disconnected with receives outstanding");
-    // Blocks until any peer has events; also flushes our pending writes,
-    // so a blocking receive can never starve the sends a peer needs to
-    // make matching traffic.
-    progress(-1);
+    if (p.eof) throw peer_gone(from);
+    cv_.wait(lock);
   }
 }
 
@@ -446,25 +579,20 @@ void SocketTransport::send(PartId from, PartId to, Wire msg) {
 }
 
 bool SocketTransport::try_recv(PartId rank, PartId from, int tag, Wire& out) {
-  check_alive();
   BNSGCN_CHECK(rank == rank_);
   BNSGCN_CHECK(from >= 0 && from < nranks_ && from != rank_);
   Peer& p = peers_[static_cast<std::size_t>(from)];
   Frame f;
-  if (take_from_inbox(p, tag, f)) {
-    out = frame_to_wire(std::move(f));
-    return true;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    check_alive_locked();
+    if (!take_from_inbox(p, tag, f)) {
+      if (p.eof) throw peer_gone(from);
+      return false;
+    }
   }
-  progress(0);
-  if (take_from_inbox(p, tag, f)) {
-    out = frame_to_wire(std::move(f));
-    return true;
-  }
-  if (p.eof)
-    throw ShutdownError("rank " + std::to_string(rank_) + ": peer rank " +
-                        std::to_string(from) +
-                        " disconnected with receives outstanding");
-  return false;
+  out = frame_to_wire(std::move(f));
+  return true;
 }
 
 Wire SocketTransport::recv(PartId rank, PartId from, int tag) {
@@ -611,7 +739,9 @@ std::vector<std::vector<double>> SocketTransport::allgather_doubles(
 }
 
 void SocketTransport::shutdown(PartId /*rank*/) {
-  stopped_ = true;
+  // Join first: the I/O thread must be gone before any fd closes.
+  stop_io();
+  std::lock_guard<std::mutex> lock(mu_);
   for (auto& p : peers_) {
     if (p.fd >= 0) ::close(p.fd);
     p.fd = -1;

@@ -73,9 +73,11 @@ class Transport {
 
   /// Tagged point-to-point. send never blocks indefinitely (eager
   /// deposit or queued write); recv blocks until a matching message
-  /// arrives; try_recv is one nonblocking progress-and-probe pass.
-  /// Blocking and probing calls throw ShutdownError once the fabric is
-  /// shut down or the peer is gone.
+  /// arrives; try_recv is a nonblocking probe of what has already
+  /// arrived. Bytes move without the caller's help — the mailbox deposits
+  /// on send, the socket backend's I/O thread reads in the background —
+  /// so a probe never has to drive progress. Blocking and probing calls
+  /// throw ShutdownError once the fabric is shut down or the peer is gone.
   virtual void send(PartId from, PartId to, Wire msg) = 0;
   virtual bool try_recv(PartId rank, PartId from, int tag, Wire& out) = 0;
   [[nodiscard]] virtual Wire recv(PartId rank, PartId from, int tag) = 0;

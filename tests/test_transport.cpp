@@ -1,17 +1,27 @@
-// Socket transport unit tests: frame codec round-trips (any byte split),
-// real UDS/TCP rank groups driven from threads (one SocketTransport per
-// rank, exactly the shape of the multi-process runtime minus the fork),
-// out-of-order tag completion through RequestSet, large payloads that
-// force partial writes through the nonblocking send queues, and the
-// deadlock-free shutdown contract (a dead peer surfaces ShutdownError on
-// survivors instead of a hang). Cross-process parity with the mailbox is
-// pinned separately in tests/test_multiprocess.cpp.
+// Socket transport unit tests: frame codec round-trips (any byte split)
+// and header validation (length cap, length-fits-kind), real UDS/TCP rank
+// groups driven from threads (one SocketTransport per rank, exactly the
+// shape of the multi-process runtime minus the fork), out-of-order tag
+// completion through RequestSet, large payloads that force partial writes
+// through the nonblocking send queues, background progress by the per-rank
+// I/O thread while the sender makes no transport call, a corrupt frame on
+// a live socket surfacing on the rank thread, and the deadlock-free
+// shutdown contract (a dead peer surfaces ShutdownError on survivors
+// instead of a hang). Cross-process parity with the mailbox is pinned
+// separately in tests/test_multiprocess.cpp.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <functional>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -118,6 +128,61 @@ TEST(FrameCodec, CorruptMagicThrows) {
   dec.feed(bytes.data(), bytes.size());
   Frame out;
   EXPECT_THROW((void)dec.pop(out), CheckError);
+}
+
+/// A bare frame header as a hostile or broken peer could write it.
+std::vector<std::uint8_t> raw_header(std::uint32_t magic, FrameKind kind,
+                                     std::uint64_t nbytes) {
+  std::vector<std::uint8_t> h(comm::kFrameHeaderBytes);
+  const auto k = static_cast<std::uint32_t>(kind);
+  const std::uint32_t tag = 0;
+  std::memcpy(h.data(), &magic, sizeof(magic));
+  std::memcpy(h.data() + 4, &k, sizeof(k));
+  std::memcpy(h.data() + 8, &tag, sizeof(tag));
+  std::memcpy(h.data() + 12, &nbytes, sizeof(nbytes));
+  return h;
+}
+
+TEST(FrameCodec, OversizedLengthThrowsBeforeArithmetic) {
+  // 2^64-1 would wrap header + length to 19 bytes and look complete; the
+  // length itself must be rejected, with a CheckError.
+  Frame out;
+  for (const std::uint64_t nbytes :
+       {~std::uint64_t{0}, comm::kMaxFramePayloadBytes + 4}) {
+    FrameDecoder dec;
+    const auto h = raw_header(comm::kFrameMagic, FrameKind::kFloats, nbytes);
+    dec.feed(h.data(), h.size());
+    EXPECT_THROW((void)dec.pop(out), CheckError) << nbytes;
+  }
+  // A frame exactly at the cap is legal: the decoder just waits for bytes.
+  FrameDecoder dec;
+  const auto h = raw_header(comm::kFrameMagic, FrameKind::kFloats,
+                            comm::kMaxFramePayloadBytes);
+  dec.feed(h.data(), h.size());
+  EXPECT_FALSE(dec.pop(out));
+}
+
+TEST(FrameCodec, LengthMustFitTheKind) {
+  // Five bytes hold no whole float: rejected, not truncated to one float.
+  const auto floats = comm::encode_frame(make_frame(FrameKind::kFloats, 3, 5));
+  FrameDecoder dec;
+  dec.feed(floats.data(), floats.size());
+  Frame out;
+  EXPECT_THROW((void)dec.pop(out), CheckError);
+  // Every other kind's misfit is caught from the header alone.
+  const std::pair<FrameKind, std::uint64_t> misfits[] = {
+      {FrameKind::kIds, sizeof(NodeId) + 2},
+      {FrameKind::kDoubles, 12},
+      {FrameKind::kEmpty, 1},
+      {FrameKind::kHaloDelta, sizeof(std::uint64_t) - 1},
+  };
+  for (const auto& [kind, nbytes] : misfits) {
+    FrameDecoder d;
+    const auto h = raw_header(comm::kFrameMagic, kind, nbytes);
+    d.feed(h.data(), h.size());
+    EXPECT_THROW((void)d.pop(out), CheckError)
+        << "kind " << static_cast<int>(kind) << ", " << nbytes << " bytes";
+  }
 }
 
 TEST(FrameCodec, WireConversionRoundTrips) {
@@ -256,6 +321,55 @@ TEST(SocketTransport, UdsLargePayloadPartialWrites) {
   });
 }
 
+TEST(SocketTransport, UdsSlabCrossesWhileSenderMakesNoCall) {
+  // Rank 0 posts a frame far beyond the socket buffers, then makes no
+  // transport call at all — a rank busy computing. Rank 1 only probes
+  // Request::test(), which moves no bytes itself, so the whole frame must
+  // cross through the ranks' I/O threads alone, within 5 s of the post.
+  static constexpr std::size_t kFloats = std::size_t{8} << 20; // 32 MiB
+  std::mutex mu;
+  std::condition_variable cv;
+  bool posted = false;
+  bool received = false;
+  const auto signal = [&](bool& flag) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      flag = true;
+    }
+    cv.notify_all();
+  };
+  const auto await = [&](const bool& flag, std::chrono::seconds limit) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, limit, [&] { return flag; });
+  };
+  run_socket_ranks(TransportKind::kUds, 2, [&](comm::Endpoint& ep) {
+    if (ep.rank() == 0) {
+      std::vector<float> big(kFloats);
+      for (std::size_t i = 0; i < big.size(); ++i)
+        big[i] = static_cast<float>(i % 1013);
+      ep.send_floats(1, 0, std::move(big), TrafficClass::kFeature);
+      signal(posted);
+      (void)await(received, std::chrono::seconds(5));
+      return;
+    }
+    comm::Request req = ep.irecv_floats(0, 0, TrafficClass::kFeature);
+    ASSERT_TRUE(await(posted, std::chrono::seconds(60)));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    bool done = req.test();
+    while (!done && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      done = req.test();
+    }
+    signal(received);
+    ASSERT_TRUE(done) << "the frame did not cross while its sender was busy";
+    const auto got = req.take_floats();
+    ASSERT_EQ(got.size(), kFloats);
+    for (std::size_t i = 0; i < got.size(); i += 4099)
+      ASSERT_FLOAT_EQ(got[i], static_cast<float>(i % 1013));
+  });
+}
+
 TEST(SocketTransport, UdsCollectivesMatchMailboxSemantics) {
   constexpr PartId kRanks = 4;
   run_socket_ranks(TransportKind::kUds, kRanks, [](comm::Endpoint& ep) {
@@ -345,6 +459,43 @@ TEST(SocketTransport, PeerDisconnectSurfacesShutdownError) {
   ASSERT_TRUE(survivor_error != nullptr)
       << "survivor returned instead of unwinding";
   EXPECT_THROW(std::rethrow_exception(survivor_error), comm::ShutdownError);
+}
+
+TEST(SocketTransport, CorruptFrameOnLiveSocketNamesThePeer) {
+  // A raw client stands in for rank 1: it sends rank 1's hello, then a
+  // header with a bad magic. Rank 0's I/O thread decodes it; the CheckError
+  // must reach the rank thread's blocking recv naming peer 1 — never
+  // std::terminate — and stay sticky for the rank's next calls.
+  auto group = comm::make_local_group(TransportKind::kUds, 2);
+  ::close(group.listen_fds[1]);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un sa{};
+  sa.sun_family = AF_UNIX;
+  std::strncpy(sa.sun_path, group.endpoints.addrs[0].c_str(),
+               sizeof(sa.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+  const std::uint32_t hello = 1;
+  const auto bad = raw_header(comm::kFrameMagic ^ 0xFFu, FrameKind::kFloats, 4);
+  ASSERT_EQ(::send(fd, &hello, sizeof(hello), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(hello)));
+  ASSERT_EQ(::send(fd, bad.data(), bad.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bad.size()));
+  {
+    comm::SocketTransport rank0(0, group.endpoints, group.listen_fds[0]);
+    try {
+      (void)rank0.recv(0, 1, 0);
+      ADD_FAILURE() << "recv returned from a corrupt stream";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("peer rank 1"), std::string::npos)
+          << e.what();
+    }
+    Wire w;
+    EXPECT_THROW((void)rank0.try_recv(0, 1, 0, w), CheckError);
+    EXPECT_THROW(rank0.send(0, 1, Wire{}), CheckError);
+  }
+  ::close(fd);
+  comm::cleanup_local_group(group, /*fds_taken=*/true);
 }
 
 } // namespace
