@@ -336,10 +336,44 @@ Request Endpoint::irecv_ids(PartId from, int tag, TrafficClass cls) {
   return irecv_floats(from, tag, cls); // same matching; payload kind differs
 }
 
-void Endpoint::barrier() { transport().barrier(rank_); }
+std::vector<Wire> Endpoint::allgather_wire(Wire mine) {
+  const int tag = next_coll_tag();
+  mine.tag = tag;
+  const PartId n = nranks();
+  for (PartId j = 0; j < n; ++j)
+    if (j != rank_) transport().send(rank_, j, mine);
+  std::vector<Wire> out(static_cast<std::size_t>(n));
+  for (PartId j = 0; j < n; ++j)
+    out[static_cast<std::size_t>(j)] =
+        j == rank_ ? std::move(mine) : transport().recv(rank_, j, tag);
+  return out;
+}
+
+void Endpoint::barrier() {
+  const int tag = next_coll_tag();
+  const Wire ping{.tag = tag, .hold = 0, .kind = WireKind::kFloats,
+                  .floats = {}, .ids = {}};
+  if (rank_ == 0) {
+    for (PartId j = 1; j < nranks(); ++j) (void)transport().recv(rank_, j, tag);
+    for (PartId j = 1; j < nranks(); ++j) transport().send(rank_, j, ping);
+  } else {
+    transport().send(rank_, 0, ping);
+    (void)transport().recv(rank_, 0, tag);
+  }
+}
 
 void Endpoint::allreduce_sum(std::span<float> data, TrafficClass cls) {
-  transport().allreduce_sum(rank_, data);
+  const auto all = allgather_wire(Wire{.tag = 0,
+                                       .hold = 0,
+                                       .kind = WireKind::kFloats,
+                                       .floats = {data.begin(), data.end()},
+                                       .ids = {}});
+  for (PartId r = 0; r < nranks(); ++r) {
+    if (r == rank_) continue;
+    const auto& other = all[static_cast<std::size_t>(r)].floats;
+    BNSGCN_CHECK(other.size() == data.size());
+    for (std::size_t i = 0; i < data.size(); ++i) data[i] += other[i];
+  }
   // Ring-allreduce accounting: each rank moves 2*(n-1)/n of the payload.
   const auto n = fabric_.nranks();
   if (n > 1) {
@@ -354,17 +388,29 @@ void Endpoint::allreduce_sum(std::span<float> data, TrafficClass cls) {
 }
 
 double Endpoint::allreduce_sum_scalar(double value) {
-  return transport().allreduce_sum_scalar(rank_, value);
+  double sum = 0.0;
+  for (const auto& v : allgather_doubles({value})) sum += v.at(0);
+  return sum;
 }
 
 double Endpoint::allreduce_max_scalar(double value) {
-  return transport().allreduce_max_scalar(rank_, value);
+  const auto all = allgather_doubles({value});
+  double mx = all[0].at(0);
+  for (const auto& v : all) mx = std::max(mx, v.at(0));
+  return mx;
 }
 
 std::vector<std::vector<NodeId>> Endpoint::allgather_ids(
     std::vector<NodeId> ids, TrafficClass cls) {
   const auto own_bytes = static_cast<std::int64_t>(ids.size() * sizeof(NodeId));
-  auto out = transport().allgather_ids(rank_, std::move(ids));
+  auto all = allgather_wire(Wire{.tag = 0,
+                                 .hold = 0,
+                                 .kind = WireKind::kIds,
+                                 .floats = {},
+                                 .ids = std::move(ids)});
+  std::vector<std::vector<NodeId>> out;
+  out.reserve(all.size());
+  for (auto& w : all) out.push_back(std::move(w.ids));
   std::int64_t rx = 0;
   for (PartId r = 0; r < fabric_.nranks(); ++r)
     if (r != rank_)
@@ -380,7 +426,16 @@ std::vector<std::vector<NodeId>> Endpoint::allgather_ids(
 
 std::vector<std::vector<double>> Endpoint::allgather_doubles(
     std::vector<double> vals) {
-  return transport().allgather_doubles(rank_, vals);
+  auto all = allgather_wire(Wire{.tag = 0,
+                                 .hold = 0,
+                                 .kind = WireKind::kDoubles,
+                                 .floats = {},
+                                 .ids = {},
+                                 .doubles = std::move(vals)});
+  std::vector<std::vector<double>> out;
+  out.reserve(all.size());
+  for (auto& w : all) out.push_back(std::move(w.doubles));
+  return out;
 }
 
 } // namespace bnsgcn::comm

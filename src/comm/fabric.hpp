@@ -51,14 +51,27 @@ class Request;
 
 /// A rank's handle into the fabric. Blocking calls must be made from the
 /// thread owning the rank; the i-prefixed calls return a Request that the
-/// same thread later completes with wait()/test(). Collectives must be
-/// entered by every rank (standard MPI-style contract).
+/// same thread later completes with wait()/test().
 ///
 /// All byte accounting lives here, above the transport: tx is counted when
 /// a send is posted, rx when a receive *completes* on the receiving rank.
 /// Each rank therefore only ever writes its own counters, whatever backend
 /// carries the bytes — and identical schedules account identical traffic
 /// on every backend.
+///
+/// The collectives are built here too, once, on the transport's tagged
+/// send/recv; every rank must enter each in the same order (the standard
+/// MPI-style contract). Each call takes the next tag of a per-endpoint
+/// sequence counting down from -2, a space no point-to-point tag (>= 0)
+/// can collide with. Their fold orders are the determinism contract every
+/// backend inherits:
+///  - allreduce_sum folds peer contributions in ascending rank order,
+///    skipping self (self is the in-place base);
+///  - scalar allreduces fold all contributions, self included, in
+///    ascending rank order;
+///  - allgather results are indexed by rank;
+///  - barrier is a hub on rank 0: it receives from every peer, then
+///    releases every peer.
 class Endpoint {
  public:
   [[nodiscard]] PartId rank() const { return rank_; }
@@ -115,7 +128,7 @@ class Endpoint {
 
   /// Collectives.
   void barrier();
-  /// In-place sum across ranks; every rank ends with the same data.
+  /// In-place sum across ranks.
   void allreduce_sum(std::span<float> data,
                      TrafficClass cls = TrafficClass::kGradient);
   [[nodiscard]] double allreduce_sum_scalar(double value);
@@ -140,9 +153,14 @@ class Endpoint {
 
   Transport& transport();
   void account_rx(TrafficClass cls, const Wire& msg);
+  [[nodiscard]] int next_coll_tag() { return -2 - coll_seq_++; }
+  /// Every rank's `mine`, indexed by rank: sent to each peer under one
+  /// collective tag, then received from each in ascending rank order.
+  [[nodiscard]] std::vector<Wire> allgather_wire(Wire mine);
 
   Fabric& fabric_;
   PartId rank_;
+  int coll_seq_ = 0; // collectives entered so far
   RankStats stats_;
   std::vector<std::vector<float>> float_pool_;  // owner-thread only
   PoolStats pool_stats_;
@@ -164,7 +182,6 @@ class Fabric {
   [[nodiscard]] Endpoint& endpoint(PartId rank);
   [[nodiscard]] const CostModel& cost_model() const { return cost_; }
   [[nodiscard]] TimingSource timing() const { return transport_->timing(); }
-  [[nodiscard]] Transport& transport() { return *transport_; }
 
   /// Sum of a traffic class's rx bytes over all ranks (global volume;
   /// only the ranks this process serves contribute).

@@ -6,13 +6,7 @@
 
 namespace bnsgcn::comm {
 
-MailboxTransport::MailboxTransport(PartId nranks)
-    : nranks_(nranks),
-      barrier_(static_cast<std::size_t>(nranks)),
-      reduce_slots_(static_cast<std::size_t>(nranks)),
-      scalar_slots_(static_cast<std::size_t>(nranks), 0.0),
-      gather_slots_(static_cast<std::size_t>(nranks)),
-      dgather_slots_(static_cast<std::size_t>(nranks)) {
+MailboxTransport::MailboxTransport(PartId nranks) : nranks_(nranks) {
   BNSGCN_CHECK(nranks >= 1);
   mailboxes_.resize(static_cast<std::size_t>(nranks) *
                     static_cast<std::size_t>(nranks));
@@ -97,72 +91,6 @@ Wire MailboxTransport::recv(PartId rank, PartId from, int tag) {
   }
 }
 
-void MailboxTransport::barrier(PartId /*rank*/) {
-  try {
-    barrier_.arrive_and_wait();
-  } catch (const BarrierPoisoned&) {
-    throw ShutdownError("mailbox fabric shut down");
-  }
-}
-
-void MailboxTransport::allreduce_sum(PartId rank, std::span<float> data) {
-  auto& slot = reduce_slots_[static_cast<std::size_t>(rank)];
-  slot.assign(data.begin(), data.end());
-  barrier(rank);
-  // Every rank reads all slots; writes finished before the barrier. The
-  // fold runs in ascending rank order skipping self — the deterministic
-  // reduction order every backend must reproduce.
-  for (PartId r = 0; r < nranks_; ++r) {
-    if (r == rank) continue;
-    const auto& other = reduce_slots_[static_cast<std::size_t>(r)];
-    BNSGCN_CHECK(other.size() == data.size());
-    for (std::size_t i = 0; i < data.size(); ++i) data[i] += other[i];
-  }
-  barrier(rank); // protect slots from the next collective
-}
-
-double MailboxTransport::allreduce_sum_scalar(PartId rank, double value) {
-  scalar_slots_[static_cast<std::size_t>(rank)] = value;
-  barrier(rank);
-  double sum = 0.0;
-  for (const double v : scalar_slots_) sum += v;
-  barrier(rank);
-  return sum;
-}
-
-double MailboxTransport::allreduce_max_scalar(PartId rank, double value) {
-  scalar_slots_[static_cast<std::size_t>(rank)] = value;
-  barrier(rank);
-  double mx = scalar_slots_[0];
-  for (const double v : scalar_slots_) mx = std::max(mx, v);
-  barrier(rank);
-  return mx;
-}
-
-std::vector<std::vector<NodeId>> MailboxTransport::allgather_ids(
-    PartId rank, std::vector<NodeId> ids) {
-  gather_slots_[static_cast<std::size_t>(rank)] = std::move(ids);
-  barrier(rank);
-  std::vector<std::vector<NodeId>> out(static_cast<std::size_t>(nranks_));
-  for (PartId r = 0; r < nranks_; ++r)
-    out[static_cast<std::size_t>(r)] =
-        gather_slots_[static_cast<std::size_t>(r)];
-  barrier(rank);
-  return out;
-}
-
-std::vector<std::vector<double>> MailboxTransport::allgather_doubles(
-    PartId rank, const std::vector<double>& vals) {
-  dgather_slots_[static_cast<std::size_t>(rank)] = vals;
-  barrier(rank);
-  std::vector<std::vector<double>> out(static_cast<std::size_t>(nranks_));
-  for (PartId r = 0; r < nranks_; ++r)
-    out[static_cast<std::size_t>(r)] =
-        dgather_slots_[static_cast<std::size_t>(r)];
-  barrier(rank);
-  return out;
-}
-
 void MailboxTransport::shutdown(PartId /*rank*/) {
   stopped_.store(true, std::memory_order_relaxed);
   for (auto& box : mailboxes_) {
@@ -171,7 +99,6 @@ void MailboxTransport::shutdown(PartId /*rank*/) {
     std::lock_guard<std::mutex> lock(box->mu);
     box->cv.notify_all();
   }
-  barrier_.poison();
 }
 
 } // namespace bnsgcn::comm

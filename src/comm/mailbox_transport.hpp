@@ -8,15 +8,14 @@
 #include <vector>
 
 #include "comm/transport.hpp"
-#include "common/barrier.hpp"
 
 namespace bnsgcn::comm {
 
 /// In-process mailbox transport over `nranks` logical ranks (one thread
 /// each): the deterministic test double. Sends are eager deposits into an
-/// unbounded per-pair queue (like an eager-protocol MPI send); collectives
-/// run over shared contribution slots and a two-phase barrier. Substitutes
-/// for Gloo/NCCL; see docs/ARCHITECTURE.md §3.
+/// unbounded per-pair queue (like an eager-protocol MPI send); a blocking
+/// receive waits on that pair's condition variable, which shutdown() also
+/// wakes. Substitutes for Gloo/NCCL; see docs/ARCHITECTURE.md §3.
 class MailboxTransport final : public Transport {
  public:
   explicit MailboxTransport(PartId nranks);
@@ -32,17 +31,6 @@ class MailboxTransport final : public Transport {
   void send(PartId from, PartId to, Wire msg) override;
   bool try_recv(PartId rank, PartId from, int tag, Wire& out) override;
   [[nodiscard]] Wire recv(PartId rank, PartId from, int tag) override;
-
-  void barrier(PartId rank) override;
-  void allreduce_sum(PartId rank, std::span<float> data) override;
-  [[nodiscard]] double allreduce_sum_scalar(PartId rank,
-                                            double value) override;
-  [[nodiscard]] double allreduce_max_scalar(PartId rank,
-                                            double value) override;
-  [[nodiscard]] std::vector<std::vector<NodeId>> allgather_ids(
-      PartId rank, std::vector<NodeId> ids) override;
-  [[nodiscard]] std::vector<std::vector<double>> allgather_doubles(
-      PartId rank, const std::vector<double>& vals) override;
 
   void shutdown(PartId rank) override;
 
@@ -85,13 +73,6 @@ class MailboxTransport final : public Transport {
   int shuffle_max_hold_ = 0;
   std::atomic<bool> stopped_{false};
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-
-  // Collective scratch: per-rank contribution slots + two-phase barrier.
-  Barrier barrier_;
-  std::vector<std::vector<float>> reduce_slots_;
-  std::vector<double> scalar_slots_;
-  std::vector<std::vector<NodeId>> gather_slots_;
-  std::vector<std::vector<double>> dgather_slots_;
 };
 
 } // namespace bnsgcn::comm

@@ -97,17 +97,16 @@ ParsedTcp parse_tcp_addr(const std::string& addr) {
   return out;
 }
 
-/// Whether a payload of `nbytes` is well formed for its frame kind.
-bool payload_fits(FrameKind kind, std::uint64_t nbytes) {
-  switch (kind) {
+/// Whether a payload of `nbytes` is well formed for frame kind `kind`;
+/// false for every length when `kind` names no frame kind.
+bool payload_fits(std::uint32_t kind, std::uint64_t nbytes) {
+  switch (static_cast<FrameKind>(kind)) {
     case FrameKind::kFloats:
       return nbytes % sizeof(float) == 0;
     case FrameKind::kIds:
       return nbytes % sizeof(NodeId) == 0;
     case FrameKind::kDoubles:
       return nbytes % sizeof(double) == 0;
-    case FrameKind::kEmpty:
-      return nbytes == 0;
     case FrameKind::kHaloDelta:
       return nbytes >= sizeof(std::uint64_t);
   }
@@ -185,7 +184,7 @@ bool FrameDecoder::pop(Frame& out) {
   BNSGCN_CHECK_MSG(nbytes <= kMaxFramePayloadBytes,
                    "frame length " + std::to_string(nbytes) +
                        " exceeds the frame cap");
-  BNSGCN_CHECK_MSG(payload_fits(static_cast<FrameKind>(kind), nbytes),
+  BNSGCN_CHECK_MSG(payload_fits(kind, nbytes),
                    "frame length " + std::to_string(nbytes) +
                        " does not fit frame kind " + std::to_string(kind));
   const std::size_t frame_bytes =
@@ -222,6 +221,14 @@ Frame wire_to_frame(const Wire& msg) {
       if (float_bytes > 0)
         std::memcpy(f.payload.data(), msg.floats.data(), float_bytes);
       break;
+    case WireKind::kDoubles: {
+      const std::size_t double_bytes = msg.doubles.size() * sizeof(double);
+      f.kind = FrameKind::kDoubles;
+      f.payload.resize(double_bytes);
+      if (double_bytes > 0)
+        std::memcpy(f.payload.data(), msg.doubles.data(), double_bytes);
+      break;
+    }
     case WireKind::kHaloDelta:
       // u64 index count, then the index list, then the rows — the only
       // frame carrying two payload vectors, so the count makes the split
@@ -269,6 +276,11 @@ Wire frame_to_wire(Frame f) {
       std::memcpy(msg.floats.data(),
                   f.payload.data() + sizeof(std::uint64_t) + id_bytes,
                   float_bytes);
+  } else if (f.kind == FrameKind::kDoubles) {
+    msg.kind = WireKind::kDoubles;
+    msg.doubles.resize(f.payload.size() / sizeof(double));
+    if (!f.payload.empty())
+      std::memcpy(msg.doubles.data(), f.payload.data(), f.payload.size());
   } else {
     BNSGCN_CHECK(f.kind == FrameKind::kFloats);
     msg.kind = WireKind::kFloats;
@@ -527,10 +539,11 @@ void SocketTransport::flush_peer(Peer& p) {
   }
 }
 
-void SocketTransport::send_frame(PartId to, const Frame& f) {
+void SocketTransport::send(PartId from, PartId to, Wire msg) {
+  BNSGCN_CHECK(from == rank_);
   BNSGCN_CHECK(to >= 0 && to < nranks_ && to != rank_);
-  BNSGCN_REQUIRE(f.tag != -1, "tag -1 belongs to no tag space");
-  std::vector<std::uint8_t> bytes = encode_frame(f);
+  BNSGCN_REQUIRE(msg.tag != -1, "tag -1 belongs to no tag space");
+  std::vector<std::uint8_t> bytes = encode_frame(wire_to_frame(msg));
   Peer& p = peers_[static_cast<std::size_t>(to)];
   bool wake = false;
   {
@@ -557,27 +570,6 @@ bool SocketTransport::take_from_inbox(Peer& p, int tag, Frame& out) {
   return true;
 }
 
-Frame SocketTransport::recv_frame(PartId from, int tag) {
-  BNSGCN_CHECK(from >= 0 && from < nranks_ && from != rank_);
-  // Tag spaces: point-to-point tags are non-negative (trainer sequence),
-  // collective tags are <= -2 (next_coll_tag); -1 matches neither.
-  BNSGCN_REQUIRE(tag != -1, "tag -1 belongs to no tag space");
-  Peer& p = peers_[static_cast<std::size_t>(from)];
-  Frame out;
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    check_alive_locked();
-    if (take_from_inbox(p, tag, out)) return out;
-    if (p.eof) throw peer_gone(from);
-    cv_.wait(lock);
-  }
-}
-
-void SocketTransport::send(PartId from, PartId to, Wire msg) {
-  BNSGCN_CHECK(from == rank_);
-  send_frame(to, wire_to_frame(msg));
-}
-
 bool SocketTransport::try_recv(PartId rank, PartId from, int tag, Wire& out) {
   BNSGCN_CHECK(rank == rank_);
   BNSGCN_CHECK(from >= 0 && from < nranks_ && from != rank_);
@@ -597,145 +589,23 @@ bool SocketTransport::try_recv(PartId rank, PartId from, int tag, Wire& out) {
 
 Wire SocketTransport::recv(PartId rank, PartId from, int tag) {
   BNSGCN_CHECK(rank == rank_);
-  return frame_to_wire(recv_frame(from, tag));
-}
-
-void SocketTransport::barrier(PartId rank) {
-  BNSGCN_CHECK(rank == rank_);
-  const int tag = next_coll_tag();
-  // Hub barrier on rank 0: gather a ping from everyone, then release
-  // everyone. Two hops, no fan-in races, deterministic.
-  if (rank_ == 0) {
-    for (PartId j = 1; j < nranks_; ++j) (void)recv_frame(j, tag);
-    for (PartId j = 1; j < nranks_; ++j)
-      send_frame(j, Frame{.kind = FrameKind::kEmpty, .tag = tag, .payload = {}});
-  } else {
-    send_frame(0, Frame{.kind = FrameKind::kEmpty, .tag = tag, .payload = {}});
-    (void)recv_frame(0, tag);
-  }
-}
-
-void SocketTransport::allreduce_sum(PartId rank, std::span<float> data) {
-  BNSGCN_CHECK(rank == rank_);
-  const int tag = next_coll_tag();
+  BNSGCN_CHECK(from >= 0 && from < nranks_ && from != rank_);
+  // Tag spaces: point-to-point tags are non-negative (the trainer's
+  // sequence), collective tags are <= -2 (Endpoint's collective
+  // sequence); -1 matches neither.
+  BNSGCN_REQUIRE(tag != -1, "tag -1 belongs to no tag space");
+  Peer& p = peers_[static_cast<std::size_t>(from)];
   Frame f;
-  f.kind = FrameKind::kFloats;
-  f.tag = tag;
-  f.payload.resize(data.size() * sizeof(float));
-  if (!f.payload.empty())
-    std::memcpy(f.payload.data(), data.data(), f.payload.size());
-  for (PartId j = 0; j < nranks_; ++j)
-    if (j != rank_) send_frame(j, f);
-  // Fold peers in ascending rank order skipping self — identical
-  // reduction order to the mailbox backend, so sums are bit-equal.
-  for (PartId j = 0; j < nranks_; ++j) {
-    if (j == rank_) continue;
-    const Frame r = recv_frame(j, tag);
-    BNSGCN_CHECK(r.payload.size() == data.size() * sizeof(float));
-    const auto* other = reinterpret_cast<const float*>(r.payload.data());
-    for (std::size_t i = 0; i < data.size(); ++i) data[i] += other[i];
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      check_alive_locked();
+      if (take_from_inbox(p, tag, f)) break;
+      if (p.eof) throw peer_gone(from);
+      cv_.wait(lock);
+    }
   }
-}
-
-double SocketTransport::allreduce_sum_scalar(PartId rank, double value) {
-  BNSGCN_CHECK(rank == rank_);
-  const int tag = next_coll_tag();
-  Frame f;
-  f.kind = FrameKind::kDoubles;
-  f.tag = tag;
-  f.payload.resize(sizeof(double));
-  std::memcpy(f.payload.data(), &value, sizeof(double));
-  for (PartId j = 0; j < nranks_; ++j)
-    if (j != rank_) send_frame(j, f);
-  // Mirror the mailbox slot fold: every contribution lands in a
-  // rank-indexed slot and the sum runs over slots in rank order, self
-  // included — the addition order is identical on every rank.
-  std::vector<double> slots(static_cast<std::size_t>(nranks_), 0.0);
-  slots[static_cast<std::size_t>(rank_)] = value;
-  for (PartId j = 0; j < nranks_; ++j) {
-    if (j == rank_) continue;
-    const Frame r = recv_frame(j, tag);
-    BNSGCN_CHECK(r.payload.size() == sizeof(double));
-    std::memcpy(&slots[static_cast<std::size_t>(j)], r.payload.data(),
-                sizeof(double));
-  }
-  double sum = 0.0;
-  for (const double v : slots) sum += v;
-  return sum;
-}
-
-double SocketTransport::allreduce_max_scalar(PartId rank, double value) {
-  BNSGCN_CHECK(rank == rank_);
-  const int tag = next_coll_tag();
-  Frame f;
-  f.kind = FrameKind::kDoubles;
-  f.tag = tag;
-  f.payload.resize(sizeof(double));
-  std::memcpy(f.payload.data(), &value, sizeof(double));
-  for (PartId j = 0; j < nranks_; ++j)
-    if (j != rank_) send_frame(j, f);
-  std::vector<double> slots(static_cast<std::size_t>(nranks_), 0.0);
-  slots[static_cast<std::size_t>(rank_)] = value;
-  for (PartId j = 0; j < nranks_; ++j) {
-    if (j == rank_) continue;
-    const Frame r = recv_frame(j, tag);
-    BNSGCN_CHECK(r.payload.size() == sizeof(double));
-    std::memcpy(&slots[static_cast<std::size_t>(j)], r.payload.data(),
-                sizeof(double));
-  }
-  double mx = slots[0];
-  for (const double v : slots) mx = std::max(mx, v);
-  return mx;
-}
-
-std::vector<std::vector<NodeId>> SocketTransport::allgather_ids(
-    PartId rank, std::vector<NodeId> ids) {
-  BNSGCN_CHECK(rank == rank_);
-  const int tag = next_coll_tag();
-  Frame f;
-  f.kind = FrameKind::kIds;
-  f.tag = tag;
-  f.payload.resize(ids.size() * sizeof(NodeId));
-  if (!f.payload.empty())
-    std::memcpy(f.payload.data(), ids.data(), f.payload.size());
-  for (PartId j = 0; j < nranks_; ++j)
-    if (j != rank_) send_frame(j, f);
-  std::vector<std::vector<NodeId>> out(static_cast<std::size_t>(nranks_));
-  out[static_cast<std::size_t>(rank_)] = std::move(ids);
-  for (PartId j = 0; j < nranks_; ++j) {
-    if (j == rank_) continue;
-    Frame r = recv_frame(j, tag);
-    auto& slot = out[static_cast<std::size_t>(j)];
-    slot.resize(r.payload.size() / sizeof(NodeId));
-    if (!r.payload.empty())
-      std::memcpy(slot.data(), r.payload.data(), r.payload.size());
-  }
-  return out;
-}
-
-std::vector<std::vector<double>> SocketTransport::allgather_doubles(
-    PartId rank, const std::vector<double>& vals) {
-  BNSGCN_CHECK(rank == rank_);
-  const int tag = next_coll_tag();
-  Frame f;
-  f.kind = FrameKind::kDoubles;
-  f.tag = tag;
-  f.payload.resize(vals.size() * sizeof(double));
-  if (!f.payload.empty())
-    std::memcpy(f.payload.data(), vals.data(), f.payload.size());
-  for (PartId j = 0; j < nranks_; ++j)
-    if (j != rank_) send_frame(j, f);
-  std::vector<std::vector<double>> out(static_cast<std::size_t>(nranks_));
-  out[static_cast<std::size_t>(rank_)] = vals;
-  for (PartId j = 0; j < nranks_; ++j) {
-    if (j == rank_) continue;
-    Frame r = recv_frame(j, tag);
-    auto& slot = out[static_cast<std::size_t>(j)];
-    slot.resize(r.payload.size() / sizeof(double));
-    if (!r.payload.empty())
-      std::memcpy(slot.data(), r.payload.data(), r.payload.size());
-  }
-  return out;
+  return frame_to_wire(std::move(f));
 }
 
 void SocketTransport::shutdown(PartId /*rank*/) {

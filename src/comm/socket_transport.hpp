@@ -22,15 +22,14 @@ struct SocketEndpoints {
   std::vector<std::string> addrs;
 };
 
-/// Payload kind carried by a frame. kEmpty frames are zero-byte control
-/// messages (barrier ping/ack); kDoubles carry collective scalars.
-/// kHaloDelta is the halo cache's miss-only frame: a u64 index count,
-/// the NodeId index list, then the float rows (docs/ARCHITECTURE.md §9).
+/// Payload kind carried by a frame, one per WireKind. kHaloDelta is the
+/// halo cache's miss-only frame: a u64 index count, the NodeId index list,
+/// then the float rows (docs/ARCHITECTURE.md §9). Kind 3 is unassigned: a
+/// header carrying it is corrupt.
 enum class FrameKind : std::uint32_t {
   kFloats = 0,
   kIds = 1,
   kDoubles = 2,
-  kEmpty = 3,
   kHaloDelta = 4,
 };
 
@@ -39,7 +38,7 @@ enum class FrameKind : std::uint32_t {
 /// all host-endian (same host for UDS; homogeneous hosts assumed for
 /// TCP) — followed by the raw payload bytes.
 struct Frame {
-  FrameKind kind = FrameKind::kEmpty;
+  FrameKind kind = FrameKind::kFloats;
   int tag = 0;
   std::vector<std::uint8_t> payload;
 };
@@ -59,7 +58,7 @@ inline constexpr std::uint64_t kMaxFramePayloadBytes = std::uint64_t{1} << 30;
 /// complete frames in order. Throws CheckError on a corrupt header: bad
 /// magic or kind, a length above kMaxFramePayloadBytes, or a length that
 /// does not fit the kind (floats and doubles whole elements, ids whole
-/// NodeIds, empty zero bytes, halo deltas at least their u64 count).
+/// NodeIds, halo deltas at least their u64 count).
 class FrameDecoder {
  public:
   void feed(const std::uint8_t* data, std::size_t n);
@@ -81,9 +80,7 @@ class FrameDecoder {
 /// the wire while the rank computes. The rank thread never touches a peer
 /// fd: send() enqueues an encoded frame and wakes the I/O thread, recv()
 /// waits on a condition variable for its frame, and try_recv() only
-/// probes the inbox. Collectives are lockstep message exchanges on a
-/// reserved negative-tag sequence, folding contributions in the same
-/// deterministic rank order as the mailbox backend.
+/// probes the inbox.
 ///
 /// Bootstrap: every rank's listener is bound (and listening) before any
 /// process starts, so connects cannot race; rank r then dials every rank
@@ -118,17 +115,6 @@ class SocketTransport final : public Transport {
   bool try_recv(PartId rank, PartId from, int tag, Wire& out) override;
   [[nodiscard]] Wire recv(PartId rank, PartId from, int tag) override;
 
-  void barrier(PartId rank) override;
-  void allreduce_sum(PartId rank, std::span<float> data) override;
-  [[nodiscard]] double allreduce_sum_scalar(PartId rank,
-                                            double value) override;
-  [[nodiscard]] double allreduce_max_scalar(PartId rank,
-                                            double value) override;
-  [[nodiscard]] std::vector<std::vector<NodeId>> allgather_ids(
-      PartId rank, std::vector<NodeId> ids) override;
-  [[nodiscard]] std::vector<std::vector<double>> allgather_doubles(
-      PartId rank, const std::vector<double>& vals) override;
-
   /// Stops and joins the I/O thread, then closes every socket.
   void shutdown(PartId rank) override;
 
@@ -155,10 +141,7 @@ class SocketTransport final : public Transport {
   void wake_io();
   /// Set stopped_, wake and join the I/O thread. Idempotent.
   void stop_io();
-  void send_frame(PartId to, const Frame& f);
-  [[nodiscard]] Frame recv_frame(PartId from, int tag);
   bool take_from_inbox(Peer& p, int tag, Frame& out);
-  [[nodiscard]] int next_coll_tag() { return -2 - (coll_seq_++); }
   /// Throw the recorded I/O error or ShutdownError; caller holds mu_.
   void check_alive_locked() const;
   [[nodiscard]] ShutdownError peer_gone(PartId from) const;
@@ -167,7 +150,6 @@ class SocketTransport final : public Transport {
   PartId nranks_;
   SocketEndpoints eps_;
   std::vector<Peer> peers_;
-  int coll_seq_ = 0; // rank thread only
 
   std::mutex mu_; // guards Peer::{eof, sendq, inbox} and the fields below
   std::condition_variable cv_; // inbox arrival, EOF, drained queue, failure

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -30,36 +29,40 @@ class ShutdownError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Payload kind of a Wire message. kFloats/kIds populate exactly one of
-/// the two vectors; kHaloDelta — the halo cache's miss-only frame
-/// (docs/ARCHITECTURE.md §9) — carries both: `ids` lists which positions
-/// of the exchange's row list are actually present, `floats` their rows.
-enum class WireKind : std::uint8_t { kFloats = 0, kIds = 1, kHaloDelta = 2 };
+/// Payload kind of a Wire message. kFloats/kIds/kDoubles populate exactly
+/// one of the payload vectors; kHaloDelta — the halo cache's miss-only
+/// frame (docs/ARCHITECTURE.md §9) — carries two: `ids` lists which
+/// positions of the exchange's row list are actually present, `floats`
+/// their rows.
+enum class WireKind : std::uint8_t {
+  kFloats = 0,
+  kIds = 1,
+  kHaloDelta = 2,
+  kDoubles = 3,
+};
 
 /// One tagged message as the transport moves it. `kind` says which payload
 /// vectors are populated; `hold` is the mailbox delivery-shuffle counter
-/// and is zero everywhere else.
+/// and is zero everywhere else. `doubles` carries the collectives' scalars
+/// and metric vectors.
 struct Wire {
   int tag = 0;
   int hold = 0;
   WireKind kind = WireKind::kFloats;
   std::vector<float> floats;
   std::vector<NodeId> ids;
+  std::vector<double> doubles{};
 };
 
-/// Message backend behind the Fabric/Endpoint API. A transport moves
-/// payloads and synchronises ranks; all byte/time *accounting* stays in
-/// Endpoint so every backend reports identical traffic for identical
-/// schedules. Blocking calls for a rank must be made from the thread (or
-/// process) owning that rank.
+/// Message backend behind the Fabric/Endpoint API: a transport only moves
+/// tagged messages. The collectives and all byte/time *accounting* live in
+/// Endpoint, built on send/recv, so every backend runs the same collective
+/// algorithms and reports identical traffic for identical schedules.
+/// Blocking calls for a rank must be made from the thread (or process)
+/// owning that rank.
 ///
-/// Determinism contract (required for cross-backend bit parity):
-///  - per (from → to) pair, messages arrive in send order;
-///  - allreduce_sum folds peer contributions in ascending rank order,
-///    skipping self (self is the in-place base);
-///  - scalar allreduces fold all contributions, self included, in
-///    ascending rank order;
-///  - allgather results are indexed by rank.
+/// Determinism contract (required for cross-backend bit parity): per
+/// (from → to) pair, messages arrive in send order.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -81,18 +84,6 @@ class Transport {
   virtual void send(PartId from, PartId to, Wire msg) = 0;
   virtual bool try_recv(PartId rank, PartId from, int tag, Wire& out) = 0;
   [[nodiscard]] virtual Wire recv(PartId rank, PartId from, int tag) = 0;
-
-  /// Collectives; every rank must enter each in the same order.
-  virtual void barrier(PartId rank) = 0;
-  virtual void allreduce_sum(PartId rank, std::span<float> data) = 0;
-  [[nodiscard]] virtual double allreduce_sum_scalar(PartId rank,
-                                                    double value) = 0;
-  [[nodiscard]] virtual double allreduce_max_scalar(PartId rank,
-                                                    double value) = 0;
-  [[nodiscard]] virtual std::vector<std::vector<NodeId>> allgather_ids(
-      PartId rank, std::vector<NodeId> ids) = 0;
-  [[nodiscard]] virtual std::vector<std::vector<double>> allgather_doubles(
-      PartId rank, const std::vector<double>& vals) = 0;
 
   /// Tear the fabric down from `rank`'s side: wake every blocked call
   /// with ShutdownError (mailbox) / close the sockets so peers' blocking

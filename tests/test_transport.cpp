@@ -61,7 +61,7 @@ TEST(FrameCodec, RoundTripAllKinds) {
       make_frame(FrameKind::kFloats, 42, 12),
       make_frame(FrameKind::kIds, -3, 8),
       make_frame(FrameKind::kDoubles, 0, 24),
-      make_frame(FrameKind::kEmpty, 7, 0),
+      make_frame(FrameKind::kFloats, 7, 0),
   };
   FrameDecoder dec;
   for (const Frame& f : frames) {
@@ -173,7 +173,6 @@ TEST(FrameCodec, LengthMustFitTheKind) {
   const std::pair<FrameKind, std::uint64_t> misfits[] = {
       {FrameKind::kIds, sizeof(NodeId) + 2},
       {FrameKind::kDoubles, 12},
-      {FrameKind::kEmpty, 1},
       {FrameKind::kHaloDelta, sizeof(std::uint64_t) - 1},
   };
   for (const auto& [kind, nbytes] : misfits) {
@@ -183,6 +182,11 @@ TEST(FrameCodec, LengthMustFitTheKind) {
     EXPECT_THROW((void)d.pop(out), CheckError)
         << "kind " << static_cast<int>(kind) << ", " << nbytes << " bytes";
   }
+  // Kind 3 names no frame kind: no length fits it.
+  FrameDecoder d;
+  const auto h = raw_header(comm::kFrameMagic, static_cast<FrameKind>(3), 0);
+  d.feed(h.data(), h.size());
+  EXPECT_THROW((void)d.pop(out), CheckError);
 }
 
 TEST(FrameCodec, WireConversionRoundTrips) {
