@@ -116,7 +116,9 @@ ctest --test-dir build --output-on-failure -R test_serve
 #             race-free, not just bit-exact (test_trainer runs 3 ranks × 4
 #             oversubscribed lanes — real interleaving on a one-core runner),
 #             and so must the socket transport, whose rank thread and I/O
-#             thread share the queues and inboxes (test_transport).
+#             thread share the queues and inboxes (test_transport), and the
+#             Endpoint collectives, which on the mailbox synchronise rank
+#             threads through the mailbox condition variables (test_fabric).
 #   asan    — heap misuse and leaks (LeakSanitizer rides along on Linux).
 #   ubsan   — -fno-sanitize-recover=all, so any UB report is the exit code.
 #
@@ -125,8 +127,8 @@ ctest --test-dir build --output-on-failure -R test_serve
 # invocation is the gate.
 INSTRUMENTED_LEGS=(
   "checked|test_ops test_transport test_trainer test_schedule_fuzz bench_overlap|./build-checked/bench/bench_overlap --scale 0.2 --epochs 2 --json build-checked/overlap_smoke.json"
-  "tsan|test_thread_pool test_ops test_transport test_trainer test_schedule_fuzz|"
-  "asan|test_ops test_transport test_trainer test_serve test_schedule_fuzz bench_overlap|./build-asan/bench/bench_overlap --scale 0.2 --epochs 2 --json build-asan/overlap_smoke.json"
+  "tsan|test_thread_pool test_ops test_fabric test_transport test_trainer test_schedule_fuzz|"
+  "asan|test_ops test_fabric test_transport test_trainer test_serve test_schedule_fuzz bench_overlap|./build-asan/bench/bench_overlap --scale 0.2 --epochs 2 --json build-asan/overlap_smoke.json"
   "ubsan|test_ops test_transport test_trainer test_schedule_fuzz|"
 )
 for leg in "${INSTRUMENTED_LEGS[@]}"; do

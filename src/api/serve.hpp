@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,7 +49,10 @@ struct ServeReport {
   [[nodiscard]] int total_queries() const {
     return static_cast<int>(queries.size());
   }
-  /// Nearest-rank percentile over the per-batch latencies (p in [0,1]).
+  /// Nearest-rank percentile over the per-batch latencies (p in [0,1]):
+  /// the smallest latency with at least a p share of batches at or below
+  /// it, i.e. the ceil(p*n)-th smallest, clamped to [1, n]. p*n is rounded
+  /// to 9 decimals first, so p = k/n picks the k-th exactly.
   [[nodiscard]] double latency_percentile_s(double p) const {
     if (batches.empty()) return 0.0;
     std::vector<double> lat;
@@ -56,10 +60,8 @@ struct ServeReport {
     for (const auto& b : batches) lat.push_back(b.latency_s);
     std::sort(lat.begin(), lat.end());
     const auto n = static_cast<double>(lat.size());
-    auto idx = static_cast<std::size_t>(p * n);
-    if (idx > 0) --idx;
-    if (idx >= lat.size()) idx = lat.size() - 1;
-    return lat[idx];
+    const double rank = std::ceil(std::round(p * n * 1e9) / 1e9);
+    return lat[static_cast<std::size_t>(std::clamp(rank, 1.0, n)) - 1];
   }
   [[nodiscard]] double p50_latency_s() const {
     return latency_percentile_s(0.50);

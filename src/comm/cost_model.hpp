@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 namespace bnsgcn::comm {
@@ -17,6 +18,18 @@ struct CostModel {
 
   [[nodiscard]] double message_time(std::int64_t bytes) const {
     return latency_s + static_cast<double>(bytes) / bytes_per_s;
+  }
+
+  /// Wire time of a traffic volume in both directions at once: full
+  /// duplex, so the slower direction sets the time.
+  [[nodiscard]] double duplex_time(std::int64_t tx_bytes, std::int64_t tx_msgs,
+                                   std::int64_t rx_bytes,
+                                   std::int64_t rx_msgs) const {
+    const double tx = static_cast<double>(tx_msgs) * latency_s +
+                      static_cast<double>(tx_bytes) / bytes_per_s;
+    const double rx = static_cast<double>(rx_msgs) * latency_s +
+                      static_cast<double>(rx_bytes) / bytes_per_s;
+    return std::max(tx, rx);
   }
 
   /// Ring allreduce on `bytes` across `nranks`: 2*(n-1)/n of the payload

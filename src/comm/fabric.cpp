@@ -35,11 +35,7 @@ RankStats RankStats::operator-(const RankStats& before) const {
 
 double RankStats::sim_seconds(TrafficClass cls, const CostModel& cost) const {
   const auto i = static_cast<int>(cls);
-  const double tx = static_cast<double>(tx_msgs[i]) * cost.latency_s +
-                    static_cast<double>(tx_bytes[i]) / cost.bytes_per_s;
-  const double rx = static_cast<double>(rx_msgs[i]) * cost.latency_s +
-                    static_cast<double>(rx_bytes[i]) / cost.bytes_per_s;
-  return std::max(tx, rx);
+  return cost.duplex_time(tx_bytes[i], tx_msgs[i], rx_bytes[i], rx_msgs[i]);
 }
 
 Fabric::Fabric(PartId nranks, CostModel cost)
@@ -210,27 +206,41 @@ TimingSource Endpoint::timing() const { return fabric_.timing(); }
 
 Transport& Endpoint::transport() { return *fabric_.transport_; }
 
+namespace {
+
+/// Accounted payload bytes of a message: its floats plus its ids.
+std::int64_t wire_bytes(const Wire& msg) {
+  return static_cast<std::int64_t>(msg.floats.size() * sizeof(float)) +
+         static_cast<std::int64_t>(msg.ids.size() * sizeof(NodeId));
+}
+
+} // namespace
+
+void Endpoint::account_tx(TrafficClass cls, const Wire& msg) {
+  stats_.tx_bytes[static_cast<int>(cls)] += wire_bytes(msg);
+  ++stats_.tx_msgs[static_cast<int>(cls)];
+}
+
 void Endpoint::account_rx(TrafficClass cls, const Wire& msg) {
-  const auto bytes =
-      static_cast<std::int64_t>(msg.floats.size() * sizeof(float)) +
-      static_cast<std::int64_t>(msg.ids.size() * sizeof(NodeId));
-  stats_.rx_bytes[static_cast<int>(cls)] += bytes;
+  stats_.rx_bytes[static_cast<int>(cls)] += wire_bytes(msg);
   ++stats_.rx_msgs[static_cast<int>(cls)];
+}
+
+void Endpoint::post(PartId to, Wire msg, TrafficClass cls) {
+  BNSGCN_CHECK(to >= 0 && to < nranks() && to != rank_);
+  account_tx(cls, msg);
+  transport().send(rank_, to, std::move(msg));
 }
 
 void Endpoint::send_floats(PartId to, int tag, std::vector<float> payload,
                            TrafficClass cls) {
-  BNSGCN_CHECK(to >= 0 && to < fabric_.nranks() && to != rank_);
-  const auto bytes =
-      static_cast<std::int64_t>(payload.size() * sizeof(float));
-  stats_.tx_bytes[static_cast<int>(cls)] += bytes;
-  ++stats_.tx_msgs[static_cast<int>(cls)];
-  transport().send(rank_, to,
-                   Wire{.tag = tag,
-                        .hold = 0,
-                        .kind = WireKind::kFloats,
-                        .floats = std::move(payload),
-                        .ids = {}});
+  post(to,
+       Wire{.tag = tag,
+            .hold = 0,
+            .kind = WireKind::kFloats,
+            .floats = std::move(payload),
+            .ids = {}},
+       cls);
 }
 
 std::vector<float> Endpoint::recv_floats(PartId from, int tag,
@@ -243,17 +253,13 @@ std::vector<float> Endpoint::recv_floats(PartId from, int tag,
 
 void Endpoint::send_ids(PartId to, int tag, std::vector<NodeId> payload,
                         TrafficClass cls) {
-  BNSGCN_CHECK(to >= 0 && to < fabric_.nranks() && to != rank_);
-  const auto bytes =
-      static_cast<std::int64_t>(payload.size() * sizeof(NodeId));
-  stats_.tx_bytes[static_cast<int>(cls)] += bytes;
-  ++stats_.tx_msgs[static_cast<int>(cls)];
-  transport().send(rank_, to,
-                   Wire{.tag = tag,
-                        .hold = 0,
-                        .kind = WireKind::kIds,
-                        .floats = {},
-                        .ids = std::move(payload)});
+  post(to,
+       Wire{.tag = tag,
+            .hold = 0,
+            .kind = WireKind::kIds,
+            .floats = {},
+            .ids = std::move(payload)},
+       cls);
 }
 
 std::vector<NodeId> Endpoint::recv_ids(PartId from, int tag,
@@ -266,40 +272,26 @@ std::vector<NodeId> Endpoint::recv_ids(PartId from, int tag,
 
 Request Endpoint::isend_floats(PartId to, int tag, std::vector<float> payload,
                                TrafficClass cls) {
-  // The backend deposit/queue never blocks indefinitely, so an
-  // "immediate" send completes on posting; the Request exists for a
-  // uniform wait_all over mixed batches.
   send_floats(to, tag, std::move(payload), cls);
-  auto state = std::make_unique<Request::State>();
-  state->done = true;
-  return Request(std::move(state));
+  return {};
 }
 
 Request Endpoint::isend_ids(PartId to, int tag, std::vector<NodeId> payload,
                             TrafficClass cls) {
   send_ids(to, tag, std::move(payload), cls);
-  auto state = std::make_unique<Request::State>();
-  state->done = true;
-  return Request(std::move(state));
+  return {};
 }
 
 Request Endpoint::isend_halo(PartId to, int tag, std::vector<NodeId> present,
                              std::vector<float> rows, TrafficClass cls) {
-  BNSGCN_CHECK(to >= 0 && to < fabric_.nranks() && to != rank_);
-  const auto bytes =
-      static_cast<std::int64_t>(rows.size() * sizeof(float)) +
-      static_cast<std::int64_t>(present.size() * sizeof(NodeId));
-  stats_.tx_bytes[static_cast<int>(cls)] += bytes;
-  ++stats_.tx_msgs[static_cast<int>(cls)];
-  transport().send(rank_, to,
-                   Wire{.tag = tag,
-                        .hold = 0,
-                        .kind = WireKind::kHaloDelta,
-                        .floats = std::move(rows),
-                        .ids = std::move(present)});
-  auto state = std::make_unique<Request::State>();
-  state->done = true;
-  return Request(std::move(state));
+  post(to,
+       Wire{.tag = tag,
+            .hold = 0,
+            .kind = WireKind::kHaloDelta,
+            .floats = std::move(rows),
+            .ids = std::move(present)},
+       cls);
+  return {};
 }
 
 std::vector<float> Endpoint::acquire_floats(std::size_t n) {
@@ -363,19 +355,28 @@ void Endpoint::barrier() {
 }
 
 void Endpoint::allreduce_sum(std::span<float> data, TrafficClass cls) {
-  const auto all = allgather_wire(Wire{.tag = 0,
-                                       .hold = 0,
-                                       .kind = WireKind::kFloats,
-                                       .floats = {data.begin(), data.end()},
-                                       .ids = {}});
-  for (PartId r = 0; r < nranks(); ++r) {
-    if (r == rank_) continue;
-    const auto& other = all[static_cast<std::size_t>(r)].floats;
-    BNSGCN_CHECK(other.size() == data.size());
-    for (std::size_t i = 0; i < data.size(); ++i) data[i] += other[i];
+  const int tag = next_coll_tag();
+  if (rank_ == 0) {
+    for (PartId j = 1; j < nranks(); ++j) {
+      const Wire c = transport().recv(rank_, j, tag);
+      BNSGCN_CHECK(c.floats.size() == data.size());
+      for (std::size_t i = 0; i < data.size(); ++i) data[i] += c.floats[i];
+    }
+    const Wire sum{.tag = tag, .hold = 0, .kind = WireKind::kFloats,
+                   .floats = {data.begin(), data.end()}, .ids = {}};
+    for (PartId j = 1; j < nranks(); ++j) transport().send(rank_, j, sum);
+  } else {
+    transport().send(rank_, 0,
+                     Wire{.tag = tag, .hold = 0, .kind = WireKind::kFloats,
+                          .floats = {data.begin(), data.end()}, .ids = {}});
+    const Wire sum = transport().recv(rank_, 0, tag);
+    BNSGCN_CHECK(sum.floats.size() == data.size());
+    std::copy(sum.floats.begin(), sum.floats.end(), data.begin());
   }
-  // Ring-allreduce accounting: each rank moves 2*(n-1)/n of the payload.
-  const auto n = fabric_.nranks();
+  // Accounted as a ring allreduce, the law CostModel::allreduce_time
+  // prices, whatever algorithm moved the bytes: each rank moves
+  // 2*(n-1)/n of the payload.
+  const PartId n = nranks();
   if (n > 1) {
     const auto payload = static_cast<std::int64_t>(
         2.0 * static_cast<double>(n - 1) / static_cast<double>(n) *
@@ -402,6 +403,7 @@ double Endpoint::allreduce_max_scalar(double value) {
 
 std::vector<std::vector<NodeId>> Endpoint::allgather_ids(
     std::vector<NodeId> ids, TrafficClass cls) {
+  const PartId n = nranks();
   const auto own_bytes = static_cast<std::int64_t>(ids.size() * sizeof(NodeId));
   auto all = allgather_wire(Wire{.tag = 0,
                                  .hold = 0,
@@ -410,13 +412,13 @@ std::vector<std::vector<NodeId>> Endpoint::allgather_ids(
                                  .ids = std::move(ids)});
   std::vector<std::vector<NodeId>> out;
   out.reserve(all.size());
-  for (auto& w : all) out.push_back(std::move(w.ids));
   std::int64_t rx = 0;
-  for (PartId r = 0; r < fabric_.nranks(); ++r)
+  for (PartId r = 0; r < n; ++r) {
+    auto& got = all[static_cast<std::size_t>(r)].ids;
     if (r != rank_)
-      rx += static_cast<std::int64_t>(out[static_cast<std::size_t>(r)].size() *
-                                      sizeof(NodeId));
-  const auto n = fabric_.nranks();
+      rx += static_cast<std::int64_t>(got.size() * sizeof(NodeId));
+    out.push_back(std::move(got));
+  }
   stats_.tx_bytes[static_cast<int>(cls)] += own_bytes * (n - 1);
   stats_.rx_bytes[static_cast<int>(cls)] += rx;
   stats_.tx_msgs[static_cast<int>(cls)] += n - 1;

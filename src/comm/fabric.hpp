@@ -65,10 +65,11 @@ class Request;
 /// sequence counting down from -2, a space no point-to-point tag (>= 0)
 /// can collide with. Their fold orders are the determinism contract every
 /// backend inherits:
-///  - allreduce_sum folds peer contributions in ascending rank order,
-///    skipping self (self is the in-place base);
+///  - allreduce_sum reduces at the root: rank 0 receives every
+///    contribution, sums c_0 + c_1 + ... in rank order and sends that one
+///    sum to every rank, so every rank ends with bit-identical data;
 ///  - scalar allreduces fold all contributions, self included, in
-///    ascending rank order;
+///    ascending rank order on every rank;
 ///  - allgather results are indexed by rank;
 ///  - barrier is a hub on rank 0: it receives from every peer, then
 ///    releases every peer.
@@ -91,9 +92,10 @@ class Endpoint {
                                              TrafficClass cls);
 
   /// Nonblocking point-to-point. isend hands the payload to the backend
-  /// and completes immediately (mailboxes are unbounded and socket sends
-  /// queue locally, like an eager-protocol MPI send); irecv posts a
-  /// receive that completes when a matching message is delivered.
+  /// and returns an already complete Request (mailboxes are unbounded and
+  /// socket sends queue locally, like an eager-protocol MPI send; the
+  /// Request exists for a uniform wait_all over mixed batches); irecv
+  /// posts a receive that completes when a matching message is delivered.
   /// Complete with Request::wait()/test() or comm::wait_all.
   [[nodiscard]] Request isend_floats(PartId to, int tag,
                                      std::vector<float> payload,
@@ -128,7 +130,8 @@ class Endpoint {
 
   /// Collectives.
   void barrier();
-  /// In-place sum across ranks.
+  /// In-place sum across ranks; every rank ends with the same bits
+  /// (reduce-at-root: 2(n-1) messages).
   void allreduce_sum(std::span<float> data,
                      TrafficClass cls = TrafficClass::kGradient);
   [[nodiscard]] double allreduce_sum_scalar(double value);
@@ -152,7 +155,11 @@ class Endpoint {
   Endpoint(Fabric& fabric, PartId rank) : fabric_(fabric), rank_(rank) {}
 
   Transport& transport();
+  void account_tx(TrafficClass cls, const Wire& msg);
   void account_rx(TrafficClass cls, const Wire& msg);
+  /// Every point-to-point send: validate the peer, account tx, hand the
+  /// message to the transport.
+  void post(PartId to, Wire msg, TrafficClass cls);
   [[nodiscard]] int next_coll_tag() { return -2 - coll_seq_++; }
   /// Every rank's `mine`, indexed by rank: sent to each peer under one
   /// collective tag, then received from each in ascending rank order.
@@ -243,7 +250,7 @@ class Request {
  private:
   friend class Endpoint;
   struct State {
-    Endpoint* owner = nullptr;  // null for completed sends
+    Endpoint* owner = nullptr;
     PartId from = 0;
     int tag = 0;
     TrafficClass cls = TrafficClass::kFeature;

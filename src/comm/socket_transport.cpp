@@ -97,10 +97,10 @@ ParsedTcp parse_tcp_addr(const std::string& addr) {
   return out;
 }
 
-/// Whether a payload of `nbytes` is well formed for frame kind `kind`;
-/// false for every length when `kind` names no frame kind.
-bool payload_fits(std::uint32_t kind, std::uint64_t nbytes) {
-  switch (static_cast<FrameKind>(kind)) {
+/// Whether a payload of `nbytes` is well formed for its frame kind; false
+/// for every length when `kind` is unassigned.
+bool payload_fits(FrameKind kind, std::uint64_t nbytes) {
+  switch (kind) {
     case FrameKind::kFloats:
       return nbytes % sizeof(float) == 0;
     case FrameKind::kIds:
@@ -184,7 +184,7 @@ bool FrameDecoder::pop(Frame& out) {
   BNSGCN_CHECK_MSG(nbytes <= kMaxFramePayloadBytes,
                    "frame length " + std::to_string(nbytes) +
                        " exceeds the frame cap");
-  BNSGCN_CHECK_MSG(payload_fits(kind, nbytes),
+  BNSGCN_CHECK_MSG(payload_fits(static_cast<FrameKind>(kind), nbytes),
                    "frame length " + std::to_string(nbytes) +
                        " does not fit frame kind " + std::to_string(kind));
   const std::size_t frame_bytes =
@@ -208,6 +208,7 @@ Frame wire_to_frame(const Wire& msg) {
   f.tag = msg.tag;
   const std::size_t id_bytes = msg.ids.size() * sizeof(NodeId);
   const std::size_t float_bytes = msg.floats.size() * sizeof(float);
+  const std::size_t double_bytes = msg.doubles.size() * sizeof(double);
   switch (msg.kind) {
     case WireKind::kIds:
       f.kind = FrameKind::kIds;
@@ -221,14 +222,12 @@ Frame wire_to_frame(const Wire& msg) {
       if (float_bytes > 0)
         std::memcpy(f.payload.data(), msg.floats.data(), float_bytes);
       break;
-    case WireKind::kDoubles: {
-      const std::size_t double_bytes = msg.doubles.size() * sizeof(double);
+    case WireKind::kDoubles:
       f.kind = FrameKind::kDoubles;
       f.payload.resize(double_bytes);
       if (double_bytes > 0)
         std::memcpy(f.payload.data(), msg.doubles.data(), double_bytes);
       break;
-    }
     case WireKind::kHaloDelta:
       // u64 index count, then the index list, then the rows — the only
       // frame carrying two payload vectors, so the count makes the split

@@ -41,22 +41,6 @@ void HaloExchanger::begin_epoch(int epoch) {
   ep_bytes_saved_ = 0;
 }
 
-double HaloExchanger::msg_sim_s(std::int64_t bytes) const {
-  return opt_.cost.latency_s +
-         static_cast<double>(bytes) / opt_.cost.bytes_per_s;
-}
-
-double HaloExchanger::duplex_sim_s(std::int64_t tx_bytes, std::int64_t tx_msgs,
-                                   std::int64_t rx_bytes,
-                                   std::int64_t rx_msgs) const {
-  const auto& cost = opt_.cost;
-  const double tx = static_cast<double>(tx_msgs) * cost.latency_s +
-                    static_cast<double>(tx_bytes) / cost.bytes_per_s;
-  const double rx = static_cast<double>(rx_msgs) * cost.latency_s +
-                    static_cast<double>(rx_bytes) / cost.bytes_per_s;
-  return std::max(tx, rx);
-}
-
 PendingExchange HaloExchanger::post_forward(const Matrix& h_inner,
                                             const EpochPlan& plan, int tag,
                                             int channel) {
@@ -136,9 +120,9 @@ PendingExchange HaloExchanger::post_forward(const Matrix& h_inner,
       px.cache_steps.push_back(std::move(cs));
     }
     rx_bytes += peer_bytes;
-    px.tail_s = std::max(px.tail_s, msg_sim_s(peer_bytes));
+    px.tail_s = std::max(px.tail_s, opt_.cost.message_time(peer_bytes));
   }
-  px.sim_s = duplex_sim_s(tx_bytes, tx_msgs, rx_bytes, rx_msgs);
+  px.sim_s = opt_.cost.duplex_time(tx_bytes, tx_msgs, rx_bytes, rx_msgs);
   return px;
 }
 
@@ -276,9 +260,9 @@ PendingExchange HaloExchanger::post_backward(const Matrix& dhalo,
                                     static_cast<std::int64_t>(sizeof(float));
     rx_bytes += peer_bytes;
     ++rx_msgs;
-    px.tail_s = std::max(px.tail_s, msg_sim_s(peer_bytes));
+    px.tail_s = std::max(px.tail_s, opt_.cost.message_time(peer_bytes));
   }
-  px.sim_s = duplex_sim_s(tx_bytes, tx_msgs, rx_bytes, rx_msgs);
+  px.sim_s = opt_.cost.duplex_time(tx_bytes, tx_msgs, rx_bytes, rx_msgs);
   return px;
 }
 

@@ -293,18 +293,6 @@ class HaloExchanger {
   PendingExchange post_forward(const Matrix& h_inner, const EpochPlan& plan,
                                int tag, int channel);
 
-  /// Simulated transfer time of one peer message of `bytes` payload bytes
-  /// (one message: latency + bytes/bandwidth).
-  [[nodiscard]] double msg_sim_s(std::int64_t bytes) const;
-
-  /// max(tx, rx) wire occupancy of one exchange from its accumulated byte
-  /// and message totals (same latency+bandwidth law as
-  /// RankStats::sim_seconds; full duplex, so the directions overlap).
-  [[nodiscard]] double duplex_sim_s(std::int64_t tx_bytes,
-                                    std::int64_t tx_msgs,
-                                    std::int64_t rx_bytes,
-                                    std::int64_t rx_msgs) const;
-
   /// Staleness argument for a cached layer's directories: layer 0 never
   /// goes stale; deeper layers refresh after cache_staleness epochs.
   [[nodiscard]] int cache_max_age(int layer) const {

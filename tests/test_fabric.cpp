@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -80,6 +82,30 @@ TEST(Fabric, AllreduceSum) {
     EXPECT_FLOAT_EQ(data[0], 0 + 1 + 2 + 3 + 4);
     EXPECT_FLOAT_EQ(data[1], 10 * (0 + 1 + 2 + 3 + 4));
   });
+}
+
+TEST(Fabric, AllreduceSumIsBitIdenticalOnEveryRank) {
+  // Float addition is not associative: folding each rank's own value
+  // first gives different sums on different ranks (replicas drift). Every
+  // rank must end with the one sum c_0 + c_1 + ... taken in rank order.
+  for (const std::vector<float>& c :
+       {std::vector<float>{1e8f, 1.0f, -1e8f},
+        std::vector<float>{1e8f, 1.0f, -1e8f, 3.0f}}) {
+    float expect = c[0];
+    for (std::size_t r = 1; r < c.size(); ++r) expect += c[r];
+    Fabric fabric(static_cast<PartId>(c.size()));
+    std::vector<float> got(c.size());
+    run_ranks(fabric, [&](comm::Endpoint& ep) {
+      const auto r = static_cast<std::size_t>(ep.rank());
+      std::vector<float> data{c[r]};
+      ep.allreduce_sum(data);
+      got[r] = data[0];
+    });
+    for (std::size_t r = 0; r < c.size(); ++r)
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got[r]),
+                std::bit_cast<std::uint32_t>(expect))
+          << c.size() << " ranks, rank " << r << " got " << got[r];
+  }
 }
 
 TEST(Fabric, AllreduceRepeatedRounds) {

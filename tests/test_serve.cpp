@@ -229,6 +229,28 @@ TEST(Serve, ReportJsonRoundTrip) {
   EXPECT_EQ(scfg_back.record_logits, scfg.record_logits);
 }
 
+TEST(Serve, LatencyPercentilesUseNearestRank) {
+  // Nearest rank: the ceil(p*n)-th smallest latency. p50 of 7 batches is
+  // the 4th, p99 of 7 or 8 is the maximum.
+  const auto report_of = [](int n) {
+    api::ServeReport r;
+    for (int i = n; i >= 1; --i) { // unsorted on purpose
+      core::ServeBatchStats b;
+      b.latency_s = i;
+      r.batches.push_back(b);
+    }
+    return r;
+  };
+  const auto seven = report_of(7);
+  EXPECT_DOUBLE_EQ(seven.p50_latency_s(), 4.0);
+  EXPECT_DOUBLE_EQ(seven.p99_latency_s(), 7.0);
+  const auto eight = report_of(8);
+  EXPECT_DOUBLE_EQ(eight.p50_latency_s(), 4.0);
+  EXPECT_DOUBLE_EQ(eight.p99_latency_s(), 8.0);
+  EXPECT_DOUBLE_EQ(eight.latency_percentile_s(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(eight.latency_percentile_s(1.0), 8.0);
+}
+
 TEST(Serve, MailboxDeadRankUnwindsMidStream) {
   // One rank dies before batch 0; sibling rank threads blocked in the
   // serve exchange must unwind via the fabric shutdown, and serve() must

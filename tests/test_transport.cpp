@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -413,6 +414,25 @@ TEST(SocketTransport, UdsCollectivesMatchMailboxSemantics) {
       ep.barrier();
     }
   });
+}
+
+TEST(SocketTransport, UdsAllreduceSumIsBitIdenticalOnEveryRank) {
+  // The same contributions as Fabric.AllreduceSumIsBitIdenticalOnEveryRank,
+  // over real sockets: every rank must end with c_0 + c_1 + c_2 in rank
+  // order, bit for bit.
+  const std::vector<float> c{1e8f, 1.0f, -1e8f};
+  const float expect = (c[0] + c[1]) + c[2];
+  std::vector<float> got(c.size());
+  run_socket_ranks(TransportKind::kUds, 3, [&](comm::Endpoint& ep) {
+    const auto r = static_cast<std::size_t>(ep.rank());
+    std::vector<float> data{c[r]};
+    ep.allreduce_sum(data);
+    got[r] = data[0];
+  });
+  for (std::size_t r = 0; r < c.size(); ++r)
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got[r]),
+              std::bit_cast<std::uint32_t>(expect))
+        << "rank " << r << " got " << got[r];
 }
 
 TEST(SocketTransport, TcpLoopbackDelivers) {
