@@ -47,11 +47,11 @@ api::RunReport train_full_graph(const Dataset& ds,
 
     for (auto& l : layers) l->zero_grads();
     Matrix grad = std::move(dlogits);
-    for (std::size_t l = layers.size(); l-- > 0;) {
-      Matrix dfeats = layers[l]->backward(ctx.adj, grad, ctx.inv_deg);
-      if (l == 0) break;
-      grad = std::move(dfeats);
-    }
+    for (std::size_t l = layers.size() - 1; l > 0; --l)
+      grad = layers[l]->backward(ctx.adj, grad, ctx.inv_deg);
+    // Layer 0's input gradients feed nothing: B0 and B3 only.
+    layers[0]->backward_begin(ctx.adj, grad);
+    layers[0]->backward_params(ctx.adj);
     adam.step();
 
     core::EpochBreakdown eb;

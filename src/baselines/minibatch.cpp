@@ -99,12 +99,11 @@ api::RunReport run_minibatch_training(
 
       for (auto& l : layers) l->zero_grads();
       Matrix grad = std::move(dlogits);
-      for (std::size_t l = layers.size(); l-- > 0;) {
-        Matrix dfeats =
-            layers[l]->backward(batch.adjs[l], grad, batch.inv_deg[l]);
-        if (l == 0) break;
-        grad = std::move(dfeats);
-      }
+      for (std::size_t l = layers.size() - 1; l > 0; --l)
+        grad = layers[l]->backward(batch.adjs[l], grad, batch.inv_deg[l]);
+      // Layer 0's input gradients feed nothing: B0 and B3 only.
+      layers[0]->backward_begin(batch.adjs[0], grad);
+      layers[0]->backward_params(batch.adjs[0]);
       adam.step();
     }
     result.train_loss.push_back(counted > 0 ? epoch_loss / counted : 0.0);

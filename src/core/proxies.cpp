@@ -6,7 +6,6 @@
 #include "common/stopwatch.hpp"
 #include "nn/adam.hpp"
 #include "nn/loss.hpp"
-#include "nn/sage_layer.hpp"
 #include "tensor/ops.hpp"
 
 namespace bnsgcn::core {
@@ -27,7 +26,8 @@ using comm::TrafficClass;
 /// Per-rank state for the broadcast trainer.
 struct BcastRank {
   std::vector<NodeId> inner; // global ids (sorted)
-  nn::BipartiteCsr adj;      // rows = inner nodes, sources = all global nodes
+  nn::BipartiteCsr adj;      // rows = inner nodes, sources = every node,
+                             // inner nodes first (src_row order)
   std::vector<float> inv_deg;
   Matrix x_local;
   std::vector<int> labels;          // full global labels (shared copy)
@@ -39,6 +39,9 @@ struct BcastRank {
 TrainResult run_cagnet_proxy(const Dataset& ds, const Partitioning& part,
                              TrainerConfig cfg, int c) {
   BNSGCN_CHECK(c >= 1);
+  // The proxy trains the SAGE model without dropout, whatever cfg asks.
+  cfg.model = ModelKind::kSage;
+  cfg.dropout = 0.0f;
   const PartId m = part.nparts;
   comm::Fabric fabric(m, cfg.cost);
   const auto members = part.members();
@@ -60,7 +63,17 @@ TrainResult run_cagnet_proxy(const Dataset& ds, const Partitioning& part,
     st.inner = members[static_cast<std::size_t>(r)];
     const NodeId n_in = static_cast<NodeId>(st.inner.size());
 
-    // Global-source adjacency rows for this rank's inner nodes.
+    // Sources are every node, numbered inner-first — the layer contract
+    // takes each destination's own row from the first n_dst sources — then
+    // the rest in global order. src_row maps a global id to its source row.
+    std::vector<NodeId> src_row(static_cast<std::size_t>(ds.num_nodes()), -1);
+    for (NodeId i = 0; i < n_in; ++i)
+      src_row[static_cast<std::size_t>(st.inner[static_cast<std::size_t>(i)])] =
+          i;
+    NodeId next_row = n_in;
+    for (NodeId& row : src_row)
+      if (row < 0) row = next_row++;
+
     st.adj.n_dst = n_in;
     st.adj.n_src = ds.num_nodes();
     st.adj.offsets.assign(static_cast<std::size_t>(n_in) + 1, 0);
@@ -78,7 +91,7 @@ TrainResult run_cagnet_proxy(const Dataset& ds, const Partitioning& part,
     st.adj.nbrs.reserve(static_cast<std::size_t>(st.adj.offsets.back()));
     for (const NodeId v : st.inner)
       for (const NodeId u : ds.graph.neighbors(v))
-        st.adj.nbrs.push_back(u);
+        st.adj.nbrs.push_back(src_row[static_cast<std::size_t>(u)]);
 
     st.x_local = slice_rows(ds.features, st.inner);
     std::vector<NodeId> train_rows;
@@ -99,18 +112,7 @@ TrainResult run_cagnet_proxy(const Dataset& ds, const Partitioning& part,
     }
 
     // Identical model replicas (same seed).
-    Rng rng(cfg.seed);
-    std::vector<std::unique_ptr<nn::Layer>> layers;
-    for (int l = 0; l < cfg.num_layers; ++l) {
-      const std::int64_t d_in = (l == 0) ? ds.feat_dim() : cfg.hidden;
-      const std::int64_t d_out =
-          (l == cfg.num_layers - 1) ? ds.num_classes : cfg.hidden;
-      layers.push_back(std::make_unique<nn::SageLayer>(
-          d_in, d_out,
-          nn::SageLayer::Options{.relu = l != cfg.num_layers - 1,
-                                 .dropout = 0.0f},
-          rng));
-    }
+    auto layers = build_model(cfg, ds.feat_dim(), ds.num_classes, r);
     std::vector<Matrix*> params, grads;
     for (auto& l : layers) {
       for (Matrix* p : l->params()) params.push_back(p);
@@ -136,14 +138,7 @@ TrainResult run_cagnet_proxy(const Dataset& ds, const Partitioning& part,
         ep.send_floats(j, tag, std::move(payload),
                        TrafficClass::kBroadcast);
       }
-      // own rows
-      for (NodeId i = 0; i < n_in; ++i) {
-        const float* s = local.data() + static_cast<std::int64_t>(i) * d;
-        std::copy(s, s + d,
-                  full.data() +
-                      static_cast<std::int64_t>(
-                          st.inner[static_cast<std::size_t>(i)]) * d);
-      }
+      std::copy(local.data(), local.data() + local.size(), full.data());
       for (PartId j = 0; j < m; ++j) {
         if (j == ep.rank()) continue;
         const auto payload =
@@ -155,7 +150,8 @@ TrainResult run_cagnet_proxy(const Dataset& ds, const Partitioning& part,
           std::copy(payload.data() + t * static_cast<std::size_t>(d),
                     payload.data() + (t + 1) * static_cast<std::size_t>(d),
                     full.data() +
-                        static_cast<std::int64_t>(rows[t]) * d);
+                        static_cast<std::int64_t>(
+                            src_row[static_cast<std::size_t>(rows[t])]) * d);
         }
       }
       ++tag;
@@ -173,7 +169,9 @@ TrainResult run_cagnet_proxy(const Dataset& ds, const Partitioning& part,
                                    static_cast<std::size_t>(d));
         for (std::size_t t = 0; t < rows.size(); ++t) {
           const float* s =
-              dfull.data() + static_cast<std::int64_t>(rows[t]) * d;
+              dfull.data() +
+              static_cast<std::int64_t>(
+                  src_row[static_cast<std::size_t>(rows[t])]) * d;
           std::copy(s, s + d,
                     payload.data() + t * static_cast<std::size_t>(d));
         }
@@ -181,14 +179,7 @@ TrainResult run_cagnet_proxy(const Dataset& ds, const Partitioning& part,
                        TrafficClass::kBroadcast);
       }
       Matrix dlocal(n_in, d);
-      for (NodeId i = 0; i < n_in; ++i) {
-        const float* s =
-            dfull.data() +
-            static_cast<std::int64_t>(
-                st.inner[static_cast<std::size_t>(i)]) * d;
-        std::copy(s, s + d,
-                  dlocal.data() + static_cast<std::int64_t>(i) * d);
-      }
+      std::copy(dfull.data(), dfull.data() + dlocal.size(), dlocal.data());
       for (PartId j = 0; j < m; ++j) {
         if (j == ep.rank()) continue;
         const auto payload =
@@ -240,15 +231,20 @@ TrainResult run_cagnet_proxy(const Dataset& ds, const Partitioning& part,
       }
       for (auto& l : layers) l->zero_grads();
       Matrix grad = std::move(dlogits);
-      for (int l = cfg.num_layers - 1; l >= 0; --l) {
+      for (int l = cfg.num_layers - 1; l > 0; --l) {
         Matrix dfull;
         {
           ScopedTimer t(comp_acc);
           dfull = layers[static_cast<std::size_t>(l)]->backward(
               st.adj, grad, st.inv_deg);
         }
-        if (l == 0) break;
         grad = reduce_scatter(dfull);
+      }
+      {
+        // Layer 0's input gradients feed nothing: B0 and B3 only.
+        ScopedTimer t(comp_acc);
+        layers[0]->backward_begin(st.adj, grad);
+        layers[0]->backward_params(st.adj);
       }
       auto flat = nn::flatten_grads(layers);
       ep.allreduce_sum(flat, TrafficClass::kGradient);

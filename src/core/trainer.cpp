@@ -332,11 +332,13 @@ class RankWorker {
     for (int l = L - 1; l >= 0; --l) {
       auto& layer = *layers_[static_cast<std::size_t>(l)];
       if (l == 0) {
-        // Input-feature gradients are not needed; run the plain backward
-        // for the parameter gradients only, then settle the last deferred
-        // B3 (no exchange is left to hide it behind).
+        // Input-feature gradients are not needed (line 13 stops at the
+        // input features): run only B0 and B3 for the parameter gradients,
+        // then settle the last deferred B3 (no exchange is left to hide it
+        // behind).
         ScopedTimer t(compute_acc);
-        (void)layer.backward(plan.adj, grad, lg_.inv_full_degree);
+        layer.backward_begin(plan.adj, grad);
+        layer.backward_params(plan.adj);
         if (deferred_params >= 0) {
           layers_[static_cast<std::size_t>(deferred_params)]->backward_params(
               plan.adj);

@@ -66,24 +66,6 @@ void GatLayer::score_dst_rows(Head& h, NodeId row0, NodeId count) {
   }
 }
 
-Matrix GatLayer::forward(const BipartiteCsr& adj, const Matrix& feats,
-                         std::span<const float> inv_deg, bool training) {
-  (void)inv_deg; // attention renormalizes; see class comment
-  BNSGCN_CHECK(feats.cols() == d_in_ && feats.rows() == adj.n_src);
-  cached_training_ = training;
-  feats_cache_ = feats;
-
-  for (auto& h : heads_) {
-    h.wh.resize(adj.n_src, d_head_);
-    ops::gemm_nn(feats, h.w, h.wh);
-    h.s_src.assign(static_cast<std::size_t>(adj.n_src), 0.0f);
-    score_src_rows(h, 0, adj.n_src);
-    h.s_dst.assign(static_cast<std::size_t>(adj.n_dst), 0.0f);
-    score_dst_rows(h, 0, adj.n_dst);
-  }
-  return attention_forward(adj, training);
-}
-
 Matrix GatLayer::attention_forward(const BipartiteCsr& adj, bool training) {
   const std::size_t n_entries =
       static_cast<std::size_t>(adj.num_edges()) +
@@ -158,11 +140,10 @@ void GatLayer::forward_inner_begin(const BipartiteCsr& adj,
   BNSGCN_CHECK(inner_feats.rows() == adj.n_dst);
   cached_training_ = training;
   // Assemble the feats cache incrementally: inner block now, one peer slab
-  // per fold. Backward then runs the fused dW GEMM over the identical
-  // matrix the fused forward would have cached. The per-row transform and
-  // score work runs in the chunks; inner chunks (rows < n_dst) and halo
-  // folds (rows >= n_dst) touch disjoint rows of wh/s_src, so folds may
-  // land at any point of the chunk loop.
+  // per fold; backward_params runs one dW GEMM over the assembled matrix.
+  // The per-row transform and score work runs in the chunks; inner chunks
+  // (rows < n_dst) and halo folds (rows >= n_dst) touch disjoint rows of
+  // wh/s_src, so folds may land at any point of the chunk loop.
   feats_cache_.resize(adj.n_src, d_in_);
   std::copy(inner_feats.data(), inner_feats.data() + inner_feats.size(),
             feats_cache_.data());
@@ -180,8 +161,8 @@ void GatLayer::forward_inner_chunk(const BipartiteCsr& adj, NodeId row0,
   const NodeId cnt = row1 - row0;
   if (cnt == 0) return;
   // Row-range transform straight into each head's wh rows — no staging
-  // copy per chunk, and bit-identical to the fused transform for every
-  // chunking (gemm_nn_rows keeps the fixed per-row k-loop order).
+  // copy per chunk, and bit-identical to one whole-block transform for
+  // every chunking (gemm_nn_rows keeps the fixed per-row k-loop order).
   for (auto& h : heads_) {
     ops::gemm_nn_rows(feats_cache_, h.w, h.wh, row0, row1);
     score_src_rows(h, row0, cnt);
@@ -207,8 +188,8 @@ void GatLayer::forward_halo_fold(const BipartiteCsr& adj,
   // still in flight — and scatter rows to their halo positions.
   Matrix slab(static_cast<NodeId>(slots.size()), d_in_);
   std::copy(rows.begin(), rows.end(), slab.data());
-  // The halo rows of feats_cache_ exist only for backward_params' fused
-  // dW GEMM; the forward reads wh/s_src instead, so inference skips the
+  // The halo rows of feats_cache_ exist only for backward_params' dW
+  // GEMM; the forward reads wh/s_src instead, so inference skips the
   // scatter (the forward output is untouched).
   if (!inference_) {
     for (std::size_t t = 0; t < slots.size(); ++t) {
@@ -250,28 +231,6 @@ void GatLayer::release_training_state() {
   }
   relu_mask_.resize(0, 0);
   dropout_mask_.resize(0, 0);
-}
-
-Matrix GatLayer::backward(const BipartiteCsr& adj, const Matrix& dout,
-                          std::span<const float> inv_deg) {
-  (void)inv_deg;
-  BNSGCN_CHECK(dout.rows() == adj.n_dst && dout.cols() == d_out_);
-  Matrix g = dout;
-  if (cached_training_ && !dropout_mask_.empty())
-    ops::dropout_backward(g, dropout_mask_);
-  if (opts_.relu) ops::relu_backward(g, relu_mask_);
-
-  Matrix dfeats(adj.n_src, d_in_);
-
-  for (std::size_t hi = 0; hi < heads_.size(); ++hi) {
-    Head& h = heads_[hi];
-    Matrix dwh(adj.n_src, d_head_);
-    attention_backward_head(adj, g, hi, dwh);
-    // Wh = feats·W → dW += featsᵀ·dWh; dfeats += dWh·Wᵀ
-    ops::gemm_tn(feats_cache_, dwh, h.dw, 1.0f, 1.0f);
-    ops::gemm_nt(dwh, h.w, dfeats, 1.0f, 1.0f);
-  }
-  return dfeats;
 }
 
 void GatLayer::attention_backward_head(const BipartiteCsr& adj,
@@ -338,30 +297,35 @@ void GatLayer::attention_backward_head(const BipartiteCsr& adj,
   }
 }
 
-Matrix GatLayer::backward_halo(const BipartiteCsr& adj, const Matrix& dout,
-                               std::span<const float> inv_deg) {
-  phase_check_.on_backward_halo();
-  (void)inv_deg;
+void GatLayer::backward_begin(const BipartiteCsr& adj, const Matrix& dout) {
+  phase_check_.on_backward_begin();
   BNSGCN_CHECK(dout.rows() == adj.n_dst && dout.cols() == d_out_);
-  // Everything the wire needs runs before the gradient exchange is
-  // posted: activation backward, the attention backward (dWh per head,
-  // cached for B2), and the halo-source input gradients. The fused dW
-  // GEMMs and the inner gradients wait for backward_inner — they feed
-  // nothing until the epoch-end allreduce / the next layer down.
+  // Activation backward, then the attention backward: dWh per head (read
+  // by B1/B2 for the input gradients and by B3 for dW) and da_src/da_dst.
   Matrix g = dout;
   if (cached_training_ && !dropout_mask_.empty())
     ops::dropout_backward(g, dropout_mask_);
   if (opts_.relu) ops::relu_backward(g, relu_mask_);
-
-  const NodeId n_halo = adj.n_src - adj.n_dst;
-  Matrix dhalo(n_halo, d_in_);
   for (std::size_t hi = 0; hi < heads_.size(); ++hi) {
     Head& h = heads_[hi];
     h.dwh.resize(adj.n_src, d_head_); // zero-filled accumulation target
     attention_backward_head(adj, g, hi, h.dwh);
-    if (n_halo == 0) continue;
-    // The halo row range of dWh·Wᵀ, per head in order — bit-identical to
-    // the fused gemm_nt's rows because each output row is independent.
+  }
+}
+
+Matrix GatLayer::backward_halo(const BipartiteCsr& adj, const Matrix& dout,
+                               std::span<const float> inv_deg) {
+  backward_begin(adj, dout);
+  phase_check_.on_backward_halo();
+  (void)inv_deg;
+  // The halo-source input gradients go on the wire; the inner gradients
+  // and the dW GEMMs wait for B2/B3 — they feed nothing until the next
+  // layer down / the epoch-end allreduce.
+  const NodeId n_halo = adj.n_src - adj.n_dst;
+  Matrix dhalo(n_halo, d_in_);
+  if (n_halo == 0) return dhalo;
+  for (auto& h : heads_) {
+    // The halo row range of dWh·Wᵀ, accumulated per head in order.
     Matrix tmp(n_halo, d_head_);
     std::copy(h.dwh.data() + static_cast<std::int64_t>(adj.n_dst) * d_head_,
               h.dwh.data() + static_cast<std::int64_t>(adj.n_src) * d_head_,
@@ -389,9 +353,9 @@ Matrix GatLayer::backward_inner(const BipartiteCsr& adj,
 void GatLayer::backward_params(const BipartiteCsr&) {
   phase_check_.on_backward_params();
   // Deferred B3: Wh = feats·W → dW += featsᵀ·dWh, over the assembled feats
-  // cache — the identical fused GEMM, pushed by the trainer into the next
-  // layer's exchange window (feats_cache_ and dwh survive until the next
-  // forward; da_src/da_dst were already accumulated in B1).
+  // cache, pushed by the trainer into the next layer's exchange window
+  // (feats_cache_ and dwh survive until the next forward; da_src/da_dst
+  // were already accumulated in B0).
   for (auto& h : heads_)
     ops::gemm_tn(feats_cache_, h.dwh, h.dw, 1.0f, 1.0f);
 }

@@ -26,11 +26,6 @@ class GatLayer final : public Layer {
   GatLayer(std::int64_t d_in, std::int64_t d_out, const Options& opts,
            Rng& rng);
 
-  Matrix forward(const BipartiteCsr& adj, const Matrix& feats,
-                 std::span<const float> inv_deg, bool training) override;
-  Matrix backward(const BipartiteCsr& adj, const Matrix& dout,
-                  std::span<const float> inv_deg) override;
-
   // Split-phase protocol (see Layer). Attention itself needs the full
   // neighbor set at once, but the per-head linear transforms Wh and the
   // score projections are per-row: phase F1 transforms the inner block in
@@ -38,14 +33,14 @@ class GatLayer final : public Layer {
   // per-peer fold transforms that peer's halo slab the moment it lands —
   // inner chunks and halo folds write disjoint rows of wh/s_src, so their
   // interleaving is free — and only the attention softmax waits for the
-  // finish call. The row-split GEMMs reproduce the fused forward
-  // bit-for-bit (gemm_nn is row-independent), so neither the phased
-  // schedule nor any chunk size changes GAT numerics. Backward: B1 runs
-  // activation+attention backward and emits the halo-source input
-  // gradients for the wire; B2 computes the inner input gradients while
-  // the gradient exchange is in flight; B3 (backward_params, deferred by
-  // the trainer into the next layer's exchange window) runs the fused dW
-  // GEMM over the cached assembled feats.
+  // finish call. The row-split GEMMs reproduce one whole-block transform
+  // bit-for-bit (gemm_nn is row-independent), so neither the schedule nor
+  // any chunk size changes GAT numerics. Backward: B0 runs the activation
+  // and attention backward; B1 emits the halo-source input gradients for
+  // the wire; B2 computes the inner input gradients while the gradient
+  // exchange is in flight; B3 (backward_params, deferred by the trainer
+  // into the next layer's exchange window) runs the dW GEMM over the
+  // cached assembled feats.
   void forward_inner_begin(const BipartiteCsr& adj, const Matrix& inner_feats,
                            bool training) override;
   void forward_inner_chunk(const BipartiteCsr& adj, NodeId row0,
@@ -57,6 +52,7 @@ class GatLayer final : public Layer {
                          std::span<const float> rows) override;
   [[nodiscard]] Matrix forward_halo_finish(
       const BipartiteCsr& adj, std::span<const float> inv_deg) override;
+  void backward_begin(const BipartiteCsr& adj, const Matrix& dout) override;
   [[nodiscard]] Matrix backward_halo(const BipartiteCsr& adj,
                                      const Matrix& dout,
                                      std::span<const float> inv_deg) override;
@@ -85,7 +81,7 @@ class GatLayer final : public Layer {
     std::vector<float> slope;   // LeakyReLU derivative per entry
     std::vector<float> s_src;   // n_src
     std::vector<float> s_dst;   // n_dst
-    Matrix dwh;                 // backward split: (n_src, d_head), B1→B2
+    Matrix dwh;                 // (n_src, d_head), from B0 for B1–B3
   };
 
   /// Entry offset of dst v in the per-edge arrays (each dst owns deg+1
@@ -96,21 +92,18 @@ class GatLayer final : public Layer {
         adj.offsets[static_cast<std::size_t>(v)] + v);
   }
 
-  /// The attention forward over fully-assembled per-head wh/s caches:
-  /// shared by the fused forward and forward_halo_finish so the two paths
-  /// are the same code (and therefore bitwise identical).
+  /// The attention forward over fully-assembled per-head wh/s caches
+  /// (phase F2c).
   [[nodiscard]] Matrix attention_forward(const BipartiteCsr& adj,
                                          bool training);
-  /// The attention backward of head `hi` over the cached alpha/slope/wh:
-  /// accumulates da_src/da_dst and the per-source dWh into `dwh` (pre-sized
-  /// (n_src, d_head), zeroed). Shared by the fused backward and the B1
-  /// phase so both paths are the same code.
+  /// The attention backward of head `hi` over the cached alpha/slope/wh
+  /// (phase B0): accumulates da_src/da_dst and the per-source dWh into
+  /// `dwh` (pre-sized (n_src, d_head), zeroed).
   void attention_backward_head(const BipartiteCsr& adj, const Matrix& g,
                                std::size_t hi, Matrix& dwh);
   /// Fill s_src entries for wh rows [row0, row0+count).
   static void score_src_rows(Head& h, NodeId row0, NodeId count);
-  /// Fill s_dst entries for wh rows [row0, row0+count) — shared by the
-  /// fused forward and the chunked F1 so both paths are the same code.
+  /// Fill s_dst entries for wh rows [row0, row0+count).
   static void score_dst_rows(Head& h, NodeId row0, NodeId count);
 
   Options opts_;

@@ -1,5 +1,8 @@
 #include "nn/layer.hpp"
 
+#include <algorithm>
+#include <numeric>
+
 #include "common/thread_pool.hpp"
 
 namespace bnsgcn::nn {
@@ -52,33 +55,6 @@ void mean_aggregate(const BipartiteCsr& adj, const Matrix& src,
         for (std::int64_t c = 0; c < d; ++c) o[c] += es * s[c];
       }
       for (std::int64_t c = 0; c < d; ++c) o[c] *= w;
-    }
-  });
-}
-
-void mean_aggregate_backward(const BipartiteCsr& adj, const Matrix& dout,
-                             std::span<const float> inv_deg, Matrix& dsrc) {
-  BNSGCN_CHECK(dout.rows() == adj.n_dst);
-  BNSGCN_CHECK(dsrc.rows() == adj.n_src && dsrc.cols() == dout.cols());
-  const std::int64_t d = dout.cols();
-  const bool weighted = !adj.edge_scale.empty();
-  // Scatter into dsrc: the same source row u appears under many v, so lanes
-  // own disjoint column ranges and replay the full v/e walk.
-  common::for_blocks(d, kColBlock, [&](std::int64_t c0, std::int64_t c1) {
-    for (NodeId v = 0; v < adj.n_dst; ++v) {
-      const float w = inv_deg[static_cast<std::size_t>(v)];
-      if (w == 0.0f) continue;
-      const float* g = dout.data() + static_cast<std::int64_t>(v) * d;
-      const auto begin = static_cast<std::size_t>(
-          adj.offsets[static_cast<std::size_t>(v)]);
-      const auto end = static_cast<std::size_t>(
-          adj.offsets[static_cast<std::size_t>(v) + 1]);
-      for (std::size_t e = begin; e < end; ++e) {
-        const NodeId u = adj.nbrs[e];
-        const float wu = weighted ? w * adj.edge_scale[e] : w;
-        float* t = dsrc.data() + static_cast<std::int64_t>(u) * d;
-        for (std::int64_t c = c0; c < c1; ++c) t[c] += wu * g[c];
-      }
     }
   });
 }
@@ -245,9 +221,35 @@ void mean_aggregate_backward_inner(const BipartiteCsr& adj, const Matrix& dout,
   });
 }
 
-void Layer::backward_params(const BipartiteCsr&) {
-  // Default: nothing deferred — a phased layer that accumulates its
-  // parameter gradients inside backward_inner stays correct.
+Matrix Layer::forward(const BipartiteCsr& adj, const Matrix& feats,
+                      std::span<const float> inv_deg, bool training) {
+  BNSGCN_CHECK(feats.rows() == adj.n_src && feats.cols() == d_in_);
+  const std::int64_t n_inner = static_cast<std::int64_t>(adj.n_dst) * d_in_;
+  Matrix inner(adj.n_dst, d_in_);
+  std::copy(feats.data(), feats.data() + n_inner, inner.data());
+  HaloIncidence inc;
+  inc.build(adj, adj.n_dst);
+  std::vector<NodeId> slots(static_cast<std::size_t>(inc.n_halo));
+  std::iota(slots.begin(), slots.end(), NodeId{0});
+  forward_inner_begin(adj, inner, training);
+  forward_halo_begin(adj, inc);
+  forward_inner_chunk(adj, 0, adj.n_dst);
+  forward_halo_fold(adj, slots,
+                    {feats.data() + n_inner,
+                     static_cast<std::size_t>(feats.size() - n_inner)});
+  return forward_halo_finish(adj, inv_deg);
+}
+
+Matrix Layer::backward(const BipartiteCsr& adj, const Matrix& dout,
+                       std::span<const float> inv_deg) {
+  const Matrix dhalo = backward_halo(adj, dout, inv_deg);
+  const Matrix dinner = backward_inner(adj, inv_deg);
+  backward_params(adj);
+  Matrix dfeats(adj.n_src, d_in_);
+  std::copy(dinner.data(), dinner.data() + dinner.size(), dfeats.data());
+  std::copy(dhalo.data(), dhalo.data() + dhalo.size(),
+            dfeats.data() + dinner.size());
+  return dfeats;
 }
 
 void Layer::zero_grads() {

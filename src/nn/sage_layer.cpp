@@ -11,40 +11,6 @@ SageLayer::SageLayer(std::int64_t d_in, std::int64_t d_out,
   ops::glorot_init(w_, rng);
 }
 
-Matrix SageLayer::forward(const BipartiteCsr& adj, const Matrix& feats,
-                          std::span<const float> inv_deg, bool training) {
-  BNSGCN_CHECK(feats.cols() == d_in_);
-  BNSGCN_CHECK(feats.rows() == adj.n_src);
-  cached_training_ = training;
-
-  Matrix z;
-  mean_aggregate(adj, feats, inv_deg, z);
-
-  // Self features are the first n_dst rows of feats by the local-id layout.
-  Matrix self(adj.n_dst, d_in_);
-  std::copy(feats.data(), feats.data() + adj.n_dst * d_in_, self.data());
-
-  ops::concat_cols(z, self, u_cache_);
-
-  Matrix out(adj.n_dst, d_out_);
-  ops::gemm_nn(u_cache_, w_, out);
-  ops::add_row_bias(out, b_);
-
-  if (opts_.relu) {
-    if (inference_) {
-      ops::relu_forward(out);
-    } else {
-      ops::relu_forward(out, relu_mask_);
-    }
-  }
-  if (training && opts_.dropout > 0.0f) {
-    ops::dropout_forward(out, dropout_mask_, opts_.dropout, dropout_rng_);
-  } else {
-    dropout_mask_.resize(0, 0);
-  }
-  return out;
-}
-
 void SageLayer::forward_inner_begin(const BipartiteCsr& adj,
                                     const Matrix& inner_feats, bool training) {
   phase_check_.on_forward_begin(adj.n_dst);
@@ -69,8 +35,8 @@ void SageLayer::forward_inner_chunk(const BipartiteCsr& adj, NodeId row0,
   mean_aggregate_inner_rows(adj, self_cache_, row0, row1, z_partial_);
   // Row-range self transform, straight into the output rows: gemm_nn_rows
   // computes each row independently with the fixed k-loop order, so any
-  // chunking is bit-identical to the fused GEMM — and no chunk stages
-  // through heap copies.
+  // chunking is bit-identical to one whole-block GEMM — and no chunk
+  // stages through heap copies.
   ops::gemm_nn_rows(self_cache_, w_half_, out_partial_, row0, row1);
   ops::add_row_bias_rows(out_partial_, b_, row0, row1);
 }
@@ -100,6 +66,7 @@ Matrix SageLayer::forward_halo_finish(const BipartiteCsr& adj,
                                       std::span<const float> inv_deg) {
   phase_check_.on_halo_finish();
   (void)adj;
+  halo_inc_ = nullptr; // every fold landed; the incidence may now go away
   for (std::int64_t i = 0; i < z_partial_.size(); ++i)
     z_partial_.data()[i] += z_halo_.data()[i];
   mean_aggregate_finish(inv_deg, z_partial_);
@@ -109,9 +76,9 @@ Matrix SageLayer::forward_halo_finish(const BipartiteCsr& adj,
   std::copy(w_.data(), w_.data() + d_in_ * d_out_, w_half_.data());
   ops::gemm_nn(z_partial_, w_half_, out, 1.0f, 1.0f);
 
-  // Backward consumes the assembled concat exactly as the fused path does;
-  // inference has no backward, so the cache (and the ReLU mask) are skipped
-  // — the output values are untouched by either skip.
+  // backward_params consumes the assembled concat; inference has no
+  // backward, so the cache (and the ReLU mask) are skipped — the output
+  // values are untouched by either skip.
   if (!inference_) {
     ops::concat_cols(z_partial_, self_cache_, u_cache_);
   }
@@ -130,14 +97,9 @@ Matrix SageLayer::forward_halo_finish(const BipartiteCsr& adj,
   return out;
 }
 
-Matrix SageLayer::backward_halo(const BipartiteCsr& adj, const Matrix& dout,
-                                std::span<const float> inv_deg) {
-  phase_check_.on_backward_halo();
+void SageLayer::backward_begin(const BipartiteCsr& adj, const Matrix& dout) {
+  phase_check_.on_backward_begin();
   BNSGCN_CHECK(dout.rows() == adj.n_dst && dout.cols() == d_out_);
-  // Only what the wire needs happens before the exchange is posted: the
-  // activation backward and the halo-source scatter. Parameter gradients
-  // are deferred to backward_inner (the in-flight phase) — they feed
-  // nothing until the epoch-end allreduce.
   g_cache_ = dout;
   if (cached_training_ && !dropout_mask_.empty()) {
     ops::dropout_backward(g_cache_, dropout_mask_);
@@ -145,6 +107,16 @@ Matrix SageLayer::backward_halo(const BipartiteCsr& adj, const Matrix& dout,
   if (opts_.relu) {
     ops::relu_backward(g_cache_, relu_mask_);
   }
+}
+
+Matrix SageLayer::backward_halo(const BipartiteCsr& adj, const Matrix& dout,
+                                std::span<const float> inv_deg) {
+  backward_begin(adj, dout);
+  phase_check_.on_backward_halo();
+  // Only what the wire needs happens before the exchange is posted: the
+  // activation backward and the halo-source scatter. Parameter gradients
+  // wait for backward_params — they feed nothing until the epoch-end
+  // allreduce.
   Matrix du(adj.n_dst, 2 * d_in_);
   ops::gemm_nt(g_cache_, w_, du);
   ops::split_cols(du, dz_cache_, dself_cache_, d_in_);
@@ -180,40 +152,6 @@ void SageLayer::release_training_state() {
   dz_cache_.resize(0, 0);
   dself_cache_.resize(0, 0);
   g_cache_.resize(0, 0);
-}
-
-Matrix SageLayer::backward(const BipartiteCsr& adj, const Matrix& dout,
-                           std::span<const float> inv_deg) {
-  BNSGCN_CHECK(dout.rows() == adj.n_dst && dout.cols() == d_out_);
-  Matrix g = dout; // own a mutable copy of the incoming gradient
-
-  if (cached_training_ && !dropout_mask_.empty()) {
-    ops::dropout_backward(g, dropout_mask_);
-  }
-  if (opts_.relu) {
-    ops::relu_backward(g, relu_mask_);
-  }
-
-  // Parameter gradients (accumulated: trainer zeroes between iterations).
-  ops::gemm_tn(u_cache_, g, dw_, 1.0f, 1.0f);
-  ops::col_sum(g, db_);
-
-  // dU = g · Wᵀ, split into the aggregation half and the self half.
-  Matrix du(adj.n_dst, 2 * d_in_);
-  ops::gemm_nt(g, w_, du);
-  Matrix dz;
-  Matrix dself;
-  ops::split_cols(du, dz, dself, d_in_);
-
-  Matrix dfeats(adj.n_src, d_in_);
-  // Self contribution: inner rows only.
-  for (NodeId v = 0; v < adj.n_dst; ++v) {
-    float* t = dfeats.data() + static_cast<std::int64_t>(v) * d_in_;
-    const float* s = dself.data() + static_cast<std::int64_t>(v) * d_in_;
-    for (std::int64_t c = 0; c < d_in_; ++c) t[c] += s[c];
-  }
-  mean_aggregate_backward(adj, dz, inv_deg, dfeats);
-  return dfeats;
 }
 
 } // namespace bnsgcn::nn

@@ -19,19 +19,15 @@ class SageLayer final : public Layer {
   SageLayer(std::int64_t d_in, std::int64_t d_out, const Options& opts,
             Rng& rng);
 
-  Matrix forward(const BipartiteCsr& adj, const Matrix& feats,
-                 std::span<const float> inv_deg, bool training) override;
-  Matrix backward(const BipartiteCsr& adj, const Matrix& dout,
-                  std::span<const float> inv_deg) override;
-
   // Split-phase protocol (see Layer): the mean aggregator decomposes into
   // an inner-source partial sum (chunked by destination row — each row's
   // work is independent, so any chunking is bit-exact) plus per-peer halo
   // folds (streamed through the slot→dst reverse incidence as each slab
   // lands, into a separate accumulator combined at finish so folds may
   // interleave mid-F1), and the backward scatter into disjoint inner/halo
-  // target halves, so SAGE supports full streaming overlap. Parameter
-  // gradients live in backward_params (the cross-layer-deferred B3 phase).
+  // target halves, so SAGE supports full streaming overlap. B0 is the
+  // activation backward; the parameter gradients live in backward_params
+  // (the cross-layer-deferred B3 phase), which needs only B0's state.
   void forward_inner_begin(const BipartiteCsr& adj, const Matrix& inner_feats,
                            bool training) override;
   void forward_inner_chunk(const BipartiteCsr& adj, NodeId row0,
@@ -43,6 +39,7 @@ class SageLayer final : public Layer {
                          std::span<const float> rows) override;
   [[nodiscard]] Matrix forward_halo_finish(
       const BipartiteCsr& adj, std::span<const float> inv_deg) override;
+  void backward_begin(const BipartiteCsr& adj, const Matrix& dout) override;
   [[nodiscard]] Matrix backward_halo(const BipartiteCsr& adj,
                                      const Matrix& dout,
                                      std::span<const float> inv_deg) override;
@@ -78,8 +75,8 @@ class SageLayer final : public Layer {
   Matrix z_halo_;        // forward: folded halo sums — separate from
                          // z_partial_ so folds may land mid-F1 without
                          // perturbing the per-row order; combined at finish
-  const HaloIncidence* halo_inc_ = nullptr; // trainer-owned, set per epoch
-                                            // by forward_halo_begin
+  const HaloIncidence* halo_inc_ = nullptr; // caller-owned, set by
+                                            // forward_halo_begin
   Matrix self_cache_;    // forward: the inner feature block
   Matrix out_partial_;   // forward: self·W_self + b, built in phase F1
   Matrix w_half_;        // staging copy of one d_in-row half of w_

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "nn/gat_layer.hpp"
@@ -91,11 +92,18 @@ TEST(MeanAggregate, BackwardMatchesForwardLinearity) {
   for (std::int64_t i = 0; i < out0.size(); ++i)
     fd += (out1.data()[i] - out0.data()[i]) / 1e-3 * dout.data()[i];
 
-  Matrix dsrc(5, 4);
-  nn::mean_aggregate_backward(adj, dout, inv, dsrc);
+  // The inner (sources < 3) and halo (sources >= 3) halves of the scatter
+  // together cover every source row.
+  constexpr NodeId kLo = 3;
+  Matrix dinner(kLo, 4), dhalo(5 - kLo, 4);
+  nn::mean_aggregate_backward_inner(adj, dout, inv, kLo, dinner);
+  nn::mean_aggregate_backward_halo(adj, dout, inv, kLo, dhalo);
   double analytic = 0.0;
-  for (std::int64_t i = 0; i < dsrc.size(); ++i)
-    analytic += static_cast<double>(dsrc.data()[i]) * dir.data()[i];
+  for (std::int64_t i = 0; i < dinner.size(); ++i)
+    analytic += static_cast<double>(dinner.data()[i]) * dir.data()[i];
+  for (std::int64_t i = 0; i < dhalo.size(); ++i)
+    analytic += static_cast<double>(dhalo.data()[i]) *
+                dir.data()[dinner.size() + i];
   EXPECT_NEAR(fd, analytic, 1e-2 * std::abs(analytic) + 1e-3);
 }
 
@@ -249,6 +257,50 @@ TEST(GatLayer, AttentionIsNormalized) {
 TEST(GatLayer, RejectsIndivisibleHeads) {
   Rng rng(14);
   EXPECT_THROW(nn::GatLayer(3, 5, {.heads = 2}, rng), CheckError);
+}
+
+/// Every trainer runs only B0 and B3 for layer 0, whose input gradients
+/// feed nothing: the parameter gradients must be the bits the full backward
+/// accumulates, dropout and activation masks included.
+template <class LayerT>
+void expect_params_only_backward_matches(
+    const typename LayerT::Options& opts) {
+  const auto adj = small_adj();
+  const auto inv = full_inv_deg(adj);
+  Rng rng_full(21), rng_params(21);
+  LayerT full(4, 6, opts, rng_full);
+  LayerT params_only(4, 6, opts, rng_params);
+  Rng data_rng(22);
+  Matrix feats(5, 4), dout(3, 6);
+  feats.randomize_gaussian(data_rng, 1.0f);
+  dout.randomize_gaussian(data_rng, 1.0f);
+  (void)full.forward(adj, feats, inv, /*training=*/true);
+  (void)params_only.forward(adj, feats, inv, /*training=*/true);
+
+  full.zero_grads();
+  params_only.zero_grads();
+  (void)full.backward(adj, dout, inv);
+  params_only.backward_begin(adj, dout);
+  params_only.backward_params(adj);
+
+  const auto expect = full.grads();
+  const auto got = params_only.grads();
+  ASSERT_EQ(expect.size(), got.size());
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    ASSERT_EQ(expect[i]->size(), got[i]->size());
+    EXPECT_GT(ops::frobenius_norm_sq(*expect[i]), 0.0) << "grad " << i;
+    EXPECT_EQ(std::memcmp(expect[i]->data(), got[i]->data(),
+                          static_cast<std::size_t>(expect[i]->bytes())),
+              0)
+        << "grad " << i;
+  }
+}
+
+TEST(Layers, ParamsOnlyBackwardMatchesFullBackward) {
+  expect_params_only_backward_matches<nn::SageLayer>(
+      {.relu = true, .dropout = 0.5f});
+  expect_params_only_backward_matches<nn::GatLayer>(
+      {.heads = 2, .relu = true, .dropout = 0.5f});
 }
 
 TEST(FlattenGrads, RoundTrip) {

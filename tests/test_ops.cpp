@@ -486,11 +486,6 @@ TEST(OpsThreadsParity, MeanAggregateFamily) {
       out.zero();
       nn::mean_aggregate_inner_rows(adj, inner, 20, 160, out);
     });
-    check_threads_parity("mean_aggregate_backward", [&](Matrix& dsrc) {
-      dsrc.resize(n_src, d);
-      dsrc.zero();
-      nn::mean_aggregate_backward(adj, dout, inv, dsrc);
-    });
     check_threads_parity("mean_aggregate_backward_halo", [&](Matrix& dhalo) {
       dhalo.resize(n_src - n_lo, d);
       dhalo.zero();

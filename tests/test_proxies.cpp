@@ -2,9 +2,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
+#include "baselines/minibatch.hpp"
 #include "core/proxies.hpp"
 #include "graph/dataset.hpp"
 #include "partition/metis_like.hpp"
@@ -75,6 +78,28 @@ TEST(Proxies, CagnetC2HalvesBroadcastTime) {
   const auto c2 = core::run_cagnet_proxy(ds, part, cfg, 2);
   EXPECT_NEAR(c2.mean_epoch().comm_s, c1.mean_epoch().comm_s / 2.0,
               0.2 * c1.mean_epoch().comm_s);
+}
+
+TEST(Proxies, CagnetTracksFullGraphOracle) {
+  // The 1.5D proxy partitions the work, not the model: every rank's self
+  // term must read its own nodes, so each epoch's loss tracks the
+  // single-process full-graph oracle up to the reassociated cross-rank
+  // gradient sums. The proxy trains without dropout; so does the oracle.
+  const Dataset ds = tiny_dataset();
+  auto cfg = proxy_config();
+  cfg.dropout = 0.0f;
+  const auto oracle = baselines::train_full_graph(ds, cfg);
+  for (const PartId m : {2, 3}) {
+    const auto cagnet =
+        core::run_cagnet_proxy(ds, metis_like(ds.graph, m), cfg, /*c=*/1);
+    ASSERT_EQ(cagnet.train_loss.size(), oracle.train_loss.size());
+    for (std::size_t e = 0; e < oracle.train_loss.size(); ++e) {
+      const double want = oracle.train_loss[e];
+      EXPECT_NEAR(cagnet.train_loss[e], want,
+                  5e-3 * std::max(1.0, std::abs(want)))
+          << "m=" << m << " epoch " << e;
+    }
+  }
 }
 
 TEST(Proxies, BnsComposesWithSwapTraining) {
