@@ -33,11 +33,28 @@ void BM_GemmNN(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmNN)->Arg(1024)->Arg(8192);
 
+// Phase B1's input gradient: dout (n x 64) times a 128 x 64 weight,
+// transposed — the only GEMM shape without a row above or below.
+void BM_GemmNT(benchmark::State& state) {
+  const auto n = static_cast<std::int64_t>(state.range(0));
+  Rng rng(1);
+  Matrix a(n, 64), b(128, 64), c(n, 128);
+  a.randomize_gaussian(rng, 1.0f);
+  b.randomize_gaussian(rng, 1.0f);
+  for (auto _ : state) {
+    ops::gemm_nt(a, b, c);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * n * 64 * 128 * 2);
+}
+BENCHMARK(BM_GemmNT)->Arg(1024)->Arg(8192);
+
 // The thread-pool sweep: the same kernels at K ∈ {1,2,4,8} lanes. K=1 rows
-// are the before (bit-for-bit the scalar kernels — the serial fast path
-// never touches the pool); higher-K rows the after. items_per_second is the
-// comparison axis; outputs stay bit-identical across the whole sweep (the
-// determinism contract in common/thread_pool.hpp), which test_ops pins.
+// are one lane of whichever GEMM kernel the host dispatches to (the serial
+// fast path never touches the pool); higher-K rows add lanes.
+// items_per_second is the comparison axis; outputs stay bit-identical
+// across the whole sweep (the determinism contract in
+// common/thread_pool.hpp), which test_ops pins.
 void BM_GemmNNThreads(benchmark::State& state) {
   const auto n = static_cast<std::int64_t>(state.range(0));
   const auto k = static_cast<int>(state.range(1));

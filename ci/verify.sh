@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Tier-1 verify: docs link check, determinism lint, then configure, build
-# everything (library, benches, examples, test binaries, tools) and run the
-# full test suite — including test_overlap, the blocking/bulk/stream
-# three-way bit-parity gate of the async fabric (run once more by name so a
-# regression there is called out explicitly) — then a stream-mode
-# bench_overlap smoke, the artifact replay gates, and the instrumented
-# build matrix (checked contracts, TSan, ASan+LSan, UBSan).
+# Tier-1 verify: docs link check, then configure and build everything
+# (library, benches, examples, test binaries, tools), run the determinism
+# lint and the no-FMA disassembly gate, and run the full test suite —
+# including test_overlap, the blocking/bulk/stream three-way bit-parity
+# gate of the async fabric (run once more by name so a regression there is
+# called out explicitly) — then a stream-mode bench_overlap smoke, the
+# artifact replay gates, and the instrumented build matrix (checked
+# contracts, TSan, ASan+LSan, UBSan).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -23,6 +24,16 @@ cmake --build build -j
 # contract (docs/ARCHITECTURE.md §7). Zero violations on the tree; every
 # legitimate exception carries an in-source `lint: allow(...)` annotation.
 ./build/tools/lint_determinism src
+
+# No-FMA gate: the AVX-512F and scalar GEMM kernels agree bit for bit only
+# while every product is rounded before its add (docs/ARCHITECTURE.md §6,
+# "ISA dispatch"). Baseline x86-64 has no FMA, so any fused multiply-add in
+# the library is a contraction inside a target-attributed kernel.
+objdump -d build/libbnsgcn.a > build/libbnsgcn.dis
+if grep -E '\bvfn?m(add|sub)' build/libbnsgcn.dis; then
+  echo "error: fused multiply-add instructions in build/libbnsgcn.a" >&2
+  exit 1
+fi
 
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 ctest --test-dir build --output-on-failure -R test_overlap

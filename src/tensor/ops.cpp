@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/thread_pool.hpp"
+#include "tensor/gemm_kernels.hpp"
 
 namespace bnsgcn::ops {
 
@@ -11,10 +13,10 @@ namespace {
 
 // Block sizes chosen for L1/L2 friendliness at the feature widths used by the
 // models (64-612 columns). Correctness does not depend on them; neither does
-// bitwise output — kBlockM is also the parallel_for grain for the row-split
-// kernels, and every output element's accumulation runs to completion inside
-// one block (common/thread_pool.hpp, determinism contract).
-constexpr std::int64_t kBlockM = 64;
+// bitwise output — detail::kBlockM is also the parallel_for grain for the
+// row-split kernels, and every output element's accumulation runs to
+// completion inside one block (common/thread_pool.hpp, determinism contract).
+using detail::kBlockM;
 constexpr std::int64_t kBlockK = 256;
 
 // Column grain for the scatter-shaped kernels (scatter_add_rows here, the
@@ -23,20 +25,32 @@ constexpr std::int64_t kBlockK = 256;
 // owns a disjoint column range, keeping the per-element entry order intact.
 constexpr std::int64_t kBlockCols = 64;
 
-} // namespace
-
-void gemm_nn(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
-             float beta) {
-  BNSGCN_CHECK(c.rows() == a.rows());
-  gemm_nn_rows(a, b, c, 0, a.rows(), alpha, beta);
+// The GEMM kernel set, picked once per process: the AVX-512F kernels when
+// the host runs them, the scalar ones otherwise. Either gives the same bits.
+bool host_has_avx512f() {
+  static const bool yes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") != 0;
+  }();
+  return yes;
 }
 
-void gemm_nn_rows(const Matrix& a, const Matrix& b, Matrix& c,
-                  std::int64_t r0, std::int64_t r1, float alpha, float beta) {
+} // namespace
+
+namespace detail {
+
+void scale_by_beta(float* first, float* last, float beta) {
+  if (beta == 0.0f) {
+    std::fill(first, last, 0.0f);
+  } else if (beta != 1.0f) {
+    for (float* p = first; p != last; ++p) *p *= beta;
+  }
+}
+
+void gemm_nn_rows_scalar(const Matrix& a, const Matrix& b, Matrix& c,
+                         std::int64_t r0, std::int64_t r1, float alpha,
+                         float beta) {
   const std::int64_t k = a.cols(), n = b.cols();
-  BNSGCN_CHECK(b.rows() == k);
-  BNSGCN_CHECK(c.cols() == n);
-  BNSGCN_CHECK(0 <= r0 && r0 <= r1 && r1 <= a.rows() && r1 <= c.rows());
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
@@ -48,11 +62,7 @@ void gemm_nn_rows(const Matrix& a, const Matrix& b, Matrix& c,
   common::for_blocks(r1 - r0, kBlockM, [&](std::int64_t b0, std::int64_t b1) {
     const std::int64_t i0 = r0 + b0;
     const std::int64_t i1 = r0 + b1;
-    if (beta == 0.0f) {
-      std::fill(pc + i0 * n, pc + i1 * n, 0.0f);
-    } else if (beta != 1.0f) {
-      for (std::int64_t t = i0 * n; t < i1 * n; ++t) pc[t] *= beta;
-    }
+    scale_by_beta(pc + i0 * n, pc + i1 * n, beta);
     for (std::int64_t k0 = 0; k0 < k; k0 += kBlockK) {
       const std::int64_t k1 = std::min(k0 + kBlockK, k);
       for (std::int64_t i = i0; i < i1; ++i) {
@@ -68,11 +78,9 @@ void gemm_nn_rows(const Matrix& a, const Matrix& b, Matrix& c,
   });
 }
 
-void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
-             float beta) {
+void gemm_tn_scalar(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
+                    float beta) {
   const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  BNSGCN_CHECK(b.rows() == m);
-  BNSGCN_CHECK(c.rows() == k && c.cols() == n);
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
@@ -83,11 +91,7 @@ void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
   // (The skip must be preserved, not just cheap: adding a 0.0f term is not
   // bitwise-neutral when the accumulator holds -0.0f.)
   common::for_blocks(k, kBlockM, [&](std::int64_t kk0, std::int64_t kk1) {
-    if (beta == 0.0f) {
-      std::fill(pc + kk0 * n, pc + kk1 * n, 0.0f);
-    } else if (beta != 1.0f) {
-      for (std::int64_t t = kk0 * n; t < kk1 * n; ++t) pc[t] *= beta;
-    }
+    scale_by_beta(pc + kk0 * n, pc + kk1 * n, beta);
     for (std::int64_t i = 0; i < m; ++i) {
       const float* arow = pa + i * k;
       const float* brow = pb + i * n;
@@ -101,11 +105,9 @@ void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
   });
 }
 
-void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
-             float beta) {
+void gemm_nt_scalar(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
+                    float beta) {
   const std::int64_t m = a.rows(), n = a.cols(), k = b.rows();
-  BNSGCN_CHECK(b.cols() == n);
-  BNSGCN_CHECK(c.rows() == m && c.cols() == k);
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
@@ -113,11 +115,7 @@ void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
   // output row is an independent set of local dot products, so the row
   // split is trivially bit-stable.
   common::for_blocks(m, kBlockM, [&](std::int64_t i0, std::int64_t i1) {
-    if (beta == 0.0f) {
-      std::fill(pc + i0 * k, pc + i1 * k, 0.0f);
-    } else if (beta != 1.0f) {
-      for (std::int64_t t = i0 * k; t < i1 * k; ++t) pc[t] *= beta;
-    }
+    scale_by_beta(pc + i0 * k, pc + i1 * k, beta);
     for (std::int64_t i = i0; i < i1; ++i) {
       const float* arow = pa + i * n;
       float* crow = pc + i * k;
@@ -129,6 +127,48 @@ void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
       }
     }
   });
+}
+
+} // namespace detail
+
+void gemm_nn(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
+             float beta) {
+  BNSGCN_CHECK(c.rows() == a.rows());
+  gemm_nn_rows(a, b, c, 0, a.rows(), alpha, beta);
+}
+
+void gemm_nn_rows(const Matrix& a, const Matrix& b, Matrix& c,
+                  std::int64_t r0, std::int64_t r1, float alpha, float beta) {
+  BNSGCN_CHECK(b.rows() == a.cols());
+  BNSGCN_CHECK(c.cols() == b.cols());
+  BNSGCN_CHECK(0 <= r0 && r0 <= r1 && r1 <= a.rows() && r1 <= c.rows());
+  if (host_has_avx512f()) {
+    detail::gemm_nn_rows_avx512(a, b, c, r0, r1, alpha, beta);
+  } else {
+    detail::gemm_nn_rows_scalar(a, b, c, r0, r1, alpha, beta);
+  }
+}
+
+void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
+             float beta) {
+  BNSGCN_CHECK(b.rows() == a.rows());
+  BNSGCN_CHECK(c.rows() == a.cols() && c.cols() == b.cols());
+  if (host_has_avx512f()) {
+    detail::gemm_tn_avx512(a, b, c, alpha, beta);
+  } else {
+    detail::gemm_tn_scalar(a, b, c, alpha, beta);
+  }
+}
+
+void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
+             float beta) {
+  BNSGCN_CHECK(b.cols() == a.cols());
+  BNSGCN_CHECK(c.rows() == a.rows() && c.cols() == b.rows());
+  if (host_has_avx512f()) {
+    detail::gemm_nt_avx512(a, b, c, alpha, beta);
+  } else {
+    detail::gemm_nt_scalar(a, b, c, alpha, beta);
+  }
 }
 
 void add_inplace(Matrix& y, const Matrix& x) {
@@ -154,10 +194,6 @@ void scale_inplace(Matrix& y, float s) {
   float* py = y.data();
   const std::int64_t n = y.size();
   for (std::int64_t i = 0; i < n; ++i) py[i] *= s;
-}
-
-void add_row_bias(Matrix& x, const Matrix& bias) {
-  add_row_bias_rows(x, bias, 0, x.rows());
 }
 
 void add_row_bias_rows(Matrix& x, const Matrix& bias, std::int64_t r0,
@@ -344,8 +380,13 @@ float max_abs_diff(const Matrix& a, const Matrix& b) {
   float mx = 0.0f;
   const float* pa = a.data();
   const float* pb = b.data();
-  for (std::int64_t i = 0; i < a.size(); ++i)
+  for (std::int64_t i = 0; i < a.size(); ++i) {
+    // A NaN on one side only is as far apart as two floats get; std::max
+    // would drop the NaN difference and call the pair equal.
+    if (std::isnan(pa[i]) != std::isnan(pb[i]))
+      return std::numeric_limits<float>::infinity();
     mx = std::max(mx, std::abs(pa[i] - pb[i]));
+  }
   return mx;
 }
 

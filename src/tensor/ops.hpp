@@ -12,8 +12,13 @@ namespace bnsgcn::ops {
 // ---------------------------------------------------------------------------
 // GEMM family. All variants accumulate into a pre-shaped output:
 //   C = alpha * op(A) * op(B) + beta * C
-// Only the three shapes needed by the layers are provided; each is a blocked
-// triple loop tuned for row-major operands (no transposed memory walks).
+// Only the three shapes needed by the layers are provided. Each has two
+// kernels behind it (tensor/gemm_kernels.hpp): an AVX-512F one held in
+// 4-row x 64-column register tiles, picked once per process when the host
+// supports it, and the scalar one, a blocked loop for row-major operands.
+// Both keep every output element's operation sequence — multiply, then a
+// separate add, over ascending k, with the same zero skips — so results
+// are bit-identical on any host (docs/ARCHITECTURE.md §6, "ISA dispatch").
 // ---------------------------------------------------------------------------
 
 /// C[m,n] = alpha * A[m,k] * B[k,n] + beta * C
@@ -51,11 +56,8 @@ void axpy(float a, const Matrix& x, Matrix& y);
 
 void scale_inplace(Matrix& y, float s);
 
-/// out[r,:] = x[r,:] + bias[0,:] for every row.
-void add_row_bias(Matrix& x, const Matrix& bias);
-
-/// add_row_bias over rows [r0, r1) only (chunked-stream companion of
-/// gemm_nn_rows).
+/// x[r,:] += bias[0,:] for rows r in [r0, r1) only (chunked-stream
+/// companion of gemm_nn_rows).
 void add_row_bias_rows(Matrix& x, const Matrix& bias, std::int64_t r0,
                        std::int64_t r1);
 
@@ -110,7 +112,8 @@ void split_cols(const Matrix& out, Matrix& a, Matrix& b, std::int64_t a_cols);
 /// weight: stddev = sqrt(2 / (fan_in + fan_out)).
 void glorot_init(Matrix& w, Rng& rng);
 
-/// Max |a-b| over all elements; shapes must match.
+/// Max |a-b| over all elements; shapes must match. A pair with NaN on one
+/// side only counts as +inf; NaN on both sides counts as equal.
 [[nodiscard]] float max_abs_diff(const Matrix& a, const Matrix& b);
 
 /// Frobenius norm squared.

@@ -4,9 +4,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "common/thread_pool.hpp"
 #include "nn/layer.hpp"
+#include "tensor/gemm_kernels.hpp"
 #include "tensor/ops.hpp"
 
 namespace bnsgcn {
@@ -152,7 +154,7 @@ TEST(Ops, AddAndAxpy) {
 TEST(Ops, AddRowBias) {
   Matrix x{{1, 1}, {2, 2}};
   Matrix b{{10, 20}};
-  ops::add_row_bias(x, b);
+  ops::add_row_bias_rows(x, b, 0, x.rows());
   EXPECT_FLOAT_EQ(x.at(0, 0), 11.0f);
   EXPECT_FLOAT_EQ(x.at(1, 1), 22.0f);
 }
@@ -265,6 +267,19 @@ TEST(Ops, ConcatAndSplitColsRoundTrip) {
   ops::split_cols(cat, a2, b2, 2);
   EXPECT_LT(ops::max_abs_diff(a, a2), 1e-7f);
   EXPECT_LT(ops::max_abs_diff(b, b2), 1e-7f);
+}
+
+TEST(Ops, MaxAbsDiffSeesNaN) {
+  // A NaN on one side of a pair is a difference, not a match; NaN on both
+  // sides is the same value.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  Matrix a{{1, nan, 3}};
+  Matrix b{{1, 2, 3}};
+  EXPECT_EQ(ops::max_abs_diff(a, b), inf);
+  EXPECT_EQ(ops::max_abs_diff(b, a), inf);
+  EXPECT_EQ(ops::max_abs_diff(a, a), 0.0f);
+  EXPECT_EQ(ops::max_abs_diff(b, b), 0.0f);
 }
 
 TEST(Ops, FrobeniusNorm) {
@@ -431,6 +446,237 @@ TEST(OpsThreadsParity, GatherAndScatter) {
     dst.fill(0.125f);
     ops::scatter_add_rows(rows, idx, dst);
   });
+}
+
+// ---------------------------------------------------------------------------
+// ISA dispatch: the public GEMMs run the AVX-512F kernels on hosts that have
+// them (tensor/gemm_kernels.hpp), and must give the scalar kernels' bits.
+// Non-NaN outputs must be bit-equal; NaN must appear exactly where the
+// scalar kernel has NaN (x86 propagates the first operand's NaN payload,
+// and the two kernels may order a NaN pair's operands differently).
+// On a host without AVX-512F both sides run the scalar kernel.
+// ---------------------------------------------------------------------------
+
+void expect_same_bits_or_both_nan(const Matrix& got, const Matrix& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::int64_t i = 0; i < got.size(); ++i) {
+    const float g = got.data()[i], w = want.data()[i];
+    if (std::isnan(w)) {
+      ASSERT_TRUE(std::isnan(g)) << "at flat index " << i;
+    } else {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(g), std::bit_cast<std::uint32_t>(w))
+          << "at flat index " << i << ": " << g << " vs " << w;
+    }
+  }
+}
+
+/// The value mixes of the dispatch grid.
+enum class Mix { kDense, kZeros, kSpecial };
+
+/// Gaussian entries, then:
+///   kZeros   — about half become +0.0f or -0.0f; row 0 is all -0.0f,
+///              row 1 all 1.0f, and column 0 below row 0 all +0.0f. As A,
+///              row 0 (gemm_nn) and column 0 (gemm_tn) are all-skipped
+///              terms; as gemm_nt's A and B, row 0 against row 1 is a dot
+///              product of -0.0f terms, which is +0.0f only because the sum
+///              starts from 0.0f.
+///   kSpecial — one NaN, one +Inf, one -Inf and one -0.0f, so most outputs
+///              stay finite and each special shows in its own row/column.
+void fill(Matrix& m, Rng& rng, Mix mix) {
+  m.randomize_gaussian(rng, 1.0f);
+  const auto pick = [&] {
+    return m.data() + rng.next_u64() % static_cast<std::uint64_t>(m.size());
+  };
+  switch (mix) {
+    case Mix::kDense:
+      return;
+    case Mix::kSpecial:
+      *pick() = std::numeric_limits<float>::quiet_NaN();
+      *pick() = std::numeric_limits<float>::infinity();
+      *pick() = -std::numeric_limits<float>::infinity();
+      *pick() = -0.0f;
+      return;
+    case Mix::kZeros:
+      for (std::int64_t i = 0; i < m.size(); ++i) {
+        if (rng.next_u64() % 2 == 0)
+          m.data()[i] = rng.next_u64() % 2 == 0 ? 0.0f : -0.0f;
+      }
+      for (std::int64_t j = 0; j < m.cols(); ++j) {
+        m.at(0, j) = -0.0f;
+        if (m.rows() > 1) m.at(1, j) = 1.0f;
+      }
+      for (std::int64_t r = 1; r < m.rows(); ++r) m.at(r, 0) = 0.0f;
+      return;
+  }
+}
+
+/// The output's starting contents: -0.0f everywhere for kZeros (so a zero
+/// term that is not skipped turns it into +0.0f), else like fill().
+Matrix start_c(std::int64_t rows, std::int64_t cols, Rng& rng, Mix mix) {
+  Matrix c(rows, cols);
+  if (mix == Mix::kZeros) {
+    c.fill(-0.0f);
+  } else {
+    fill(c, rng, mix);
+  }
+  return c;
+}
+
+/// Operand shapes of one dispatch case.
+struct Shapes {
+  std::int64_t a_rows, a_cols, b_rows, b_cols, c_rows, c_cols;
+};
+
+/// Runs `scalar` at one lane and `dispatched` at 1 and 3 lanes on copies of
+/// one starting C, for every value mix, alpha and beta, and compares.
+template <typename Scalar, typename Dispatched>
+void check_dispatch(const Shapes& s, Scalar&& scalar, Dispatched&& dispatched) {
+  Rng rng(static_cast<std::uint64_t>(s.a_rows * 1000003 + s.a_cols * 1009 +
+                                     s.b_cols * 31 + s.c_cols));
+  for (const Mix mix : {Mix::kDense, Mix::kZeros, Mix::kSpecial}) {
+    Matrix a(s.a_rows, s.a_cols), b(s.b_rows, s.b_cols);
+    fill(a, rng, mix);
+    fill(b, rng, mix);
+    const Matrix c0 = start_c(s.c_rows, s.c_cols, rng, mix);
+    for (const float alpha : {1.0f, 0.5f, -1.25f}) {
+      for (const float beta : {0.0f, 1.0f, 0.3f}) {
+        Matrix want = c0;
+        common::set_ops_threads(1);
+        scalar(a, b, want, alpha, beta);
+        for (const int lanes : {1, 3}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "A " << s.a_rows << "x" << s.a_cols << ", mix "
+                       << static_cast<int>(mix) << ", alpha " << alpha
+                       << ", beta " << beta << ", lanes " << lanes);
+          Matrix got = c0;
+          common::set_ops_threads(lanes);
+          dispatched(a, b, got, alpha, beta);
+          common::set_ops_threads(1);
+          expect_same_bits_or_both_nan(got, want);
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmDispatch, NnMatchesScalar) {
+  // (m, k, n): row tails of 1-3 under the 4-row tile and across the 64-row
+  // lane blocks, column tails under the 64-column tile and its 16-wide
+  // vectors, k = 1 up past the scalar kernel's 256-wide k blocks.
+  struct Shape { std::int64_t m, k, n; };
+  for (const Shape s : {Shape{1, 1, 1}, Shape{5, 3, 17}, Shape{67, 33, 64},
+                        Shape{130, 20, 80}, Shape{9, 300, 129},
+                        Shape{66, 7, 48}}) {
+    check_dispatch(
+        {s.m, s.k, s.k, s.n, s.m, s.n},
+        [&](const Matrix& a, const Matrix& b, Matrix& c, float al, float be) {
+          ops::detail::gemm_nn_rows_scalar(a, b, c, 0, s.m, al, be);
+        },
+        [](const Matrix& a, const Matrix& b, Matrix& c, float al, float be) {
+          ops::gemm_nn(a, b, c, al, be);
+        });
+  }
+}
+
+TEST(GemmDispatch, NnRowsRangesMatchScalar) {
+  struct Range { std::int64_t r0, r1; };
+  for (const Range r : {Range{0, 0}, Range{3, 4}, Range{1, 66}, Range{5, 137},
+                        Range{64, 139}}) {
+    SCOPED_TRACE(::testing::Message() << "rows [" << r.r0 << ", " << r.r1 << ")");
+    check_dispatch(
+        {139, 21, 21, 70, 139, 70},
+        [&](const Matrix& a, const Matrix& b, Matrix& c, float al, float be) {
+          ops::detail::gemm_nn_rows_scalar(a, b, c, r.r0, r.r1, al, be);
+        },
+        [&](const Matrix& a, const Matrix& b, Matrix& c, float al, float be) {
+          ops::gemm_nn_rows(a, b, c, r.r0, r.r1, al, be);
+        });
+  }
+}
+
+TEST(GemmDispatch, TnMatchesScalar) {
+  // (m, k, n) with C = A^T B of shape k x n: m = 300 crosses the kernel's
+  // 128-row i blocks, k tails under the 4-row tile and the 64-row lanes.
+  struct Shape { std::int64_t m, k, n; };
+  for (const Shape s : {Shape{1, 1, 1}, Shape{3, 5, 17}, Shape{300, 67, 64},
+                        Shape{150, 9, 130}, Shape{129, 130, 33},
+                        Shape{2, 66, 48}}) {
+    check_dispatch(
+        {s.m, s.k, s.m, s.n, s.k, s.n},
+        [](const Matrix& a, const Matrix& b, Matrix& c, float al, float be) {
+          ops::detail::gemm_tn_scalar(a, b, c, al, be);
+        },
+        [](const Matrix& a, const Matrix& b, Matrix& c, float al, float be) {
+          ops::gemm_tn(a, b, c, al, be);
+        });
+  }
+}
+
+TEST(GemmDispatch, NtMatchesScalar) {
+  // (m, n, k) with C = A B^T of shape m x k.
+  struct Shape { std::int64_t m, n, k; };
+  for (const Shape s : {Shape{1, 1, 1}, Shape{5, 3, 17}, Shape{67, 64, 128},
+                        Shape{130, 20, 80}, Shape{9, 33, 129},
+                        Shape{66, 7, 48}}) {
+    check_dispatch(
+        {s.m, s.n, s.k, s.n, s.m, s.k},
+        [](const Matrix& a, const Matrix& b, Matrix& c, float al, float be) {
+          ops::detail::gemm_nt_scalar(a, b, c, al, be);
+        },
+        [](const Matrix& a, const Matrix& b, Matrix& c, float al, float be) {
+          ops::gemm_nt(a, b, c, al, be);
+        });
+  }
+}
+
+TEST(GemmDispatch, DispatchedGemmsDoNotFuse) {
+  // a = b = 1 + 2^-12 and c = -(1 + 2^-11): a*b rounds to exactly -c, so
+  // c + a*b is +0.0f with two roundings but 2^-24 fused. Every
+  // multiply-then-add step of the vector path meets these operands at
+  // least once, over a 4-row tile plus a 1-row tail and a 64-column tile
+  // plus a column tail; every output must be +0.0f.
+  const float a = 1.0f + std::ldexp(1.0f, -12);
+  const float c = -(1.0f + std::ldexp(1.0f, -11));
+  ASSERT_EQ(c + a * a, 0.0f);
+  ASSERT_EQ(std::fma(a, a, c), std::ldexp(1.0f, -24));
+  const std::int64_t rows = 5, cols = 80;
+  auto expect_all_plus_zero = [](const Matrix& out, const char* what) {
+    for (std::int64_t i = 0; i < out.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(out.data()[i]), 0u)
+          << what << " fused at flat index " << i << ": " << out.data()[i];
+  };
+  {  // gemm_nn, beta = 1: C + (1 * a) * a
+    const Matrix x(rows, 1, a), w(1, cols, a);
+    Matrix out(rows, cols, c);
+    ops::gemm_nn(x, w, out, 1.0f, 1.0f);
+    expect_all_plus_zero(out, "gemm_nn");
+  }
+  {  // gemm_tn, beta = 1: C + (1 * a) * a
+    const Matrix x(1, rows, a), g(1, cols, a);
+    Matrix out(rows, cols, c);
+    ops::gemm_tn(x, g, out, 1.0f, 1.0f);
+    expect_all_plus_zero(out, "gemm_tn");
+  }
+  {  // gemm_nt's sum: (0 + c * 1) + a * a, then 0 + 1 * 0
+    Matrix x(rows, 2), w(cols, 2);
+    for (std::int64_t i = 0; i < rows; ++i) {
+      x.at(i, 0) = c;
+      x.at(i, 1) = a;
+    }
+    for (std::int64_t j = 0; j < cols; ++j) {
+      w.at(j, 0) = 1.0f;
+      w.at(j, 1) = a;
+    }
+    Matrix out(rows, cols);
+    ops::gemm_nt(x, w, out, 1.0f, 0.0f);
+    expect_all_plus_zero(out, "gemm_nt sum");
+  }
+  {  // gemm_nt's finish: C + alpha * acc with alpha = acc = a
+    const Matrix x(rows, 1, a), w(cols, 1, 1.0f);
+    Matrix out(rows, cols, c);
+    ops::gemm_nt(x, w, out, a, 1.0f);
+    expect_all_plus_zero(out, "gemm_nt finish");
+  }
 }
 
 // Random bipartite graph with a ragged feature width and optional edge
