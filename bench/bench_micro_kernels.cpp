@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "core/boundary_sampler.hpp"
@@ -135,50 +136,70 @@ void BM_GemmChunkedRows(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmChunkedRows)->Arg(1024)->Arg(8192);
 
-void BM_MeanAggregate(benchmark::State& state) {
-  const auto n = static_cast<NodeId>(state.range(0));
-  Rng rng(2);
-  const Csr g = gen::rmat(n, static_cast<EdgeId>(n) * 16, rng);
+/// An R-MAT graph with 16 arcs per node as a square adjacency (every
+/// source is local), with its 1/degree normalizers.
+struct RmatAdjacency {
   nn::BipartiteCsr adj;
-  adj.n_dst = g.n;
-  adj.n_src = g.n;
-  adj.offsets = g.offsets;
-  adj.nbrs = g.nbrs;
-  std::vector<float> inv(static_cast<std::size_t>(g.n), 0.0f);
-  for (NodeId v = 0; v < g.n; ++v)
-    if (g.degree(v) > 0) inv[static_cast<std::size_t>(v)] = 1.0f / g.degree(v);
-  Matrix src(g.n, 64), out;
+  std::vector<float> inv;
+  EdgeId arcs = 0;
+
+  RmatAdjacency(NodeId n, Rng& rng) {
+    const Csr g = gen::rmat(n, static_cast<EdgeId>(n) * 16, rng);
+    adj.n_dst = g.n;
+    adj.n_src = g.n;
+    adj.offsets = g.offsets;
+    adj.nbrs = g.nbrs;
+    inv.assign(static_cast<std::size_t>(g.n), 0.0f);
+    for (NodeId v = 0; v < g.n; ++v)
+      if (g.degree(v) > 0) inv[static_cast<std::size_t>(v)] = 1.0f / g.degree(v);
+    arcs = g.num_arcs();
+  }
+};
+
+// F1 over every source, then the finish pass.
+void BM_MeanAggregate(benchmark::State& state) {
+  Rng rng(2);
+  const RmatAdjacency r(static_cast<NodeId>(state.range(0)), rng);
+  Matrix src(r.adj.n_src, 64), out;
   src.randomize_gaussian(rng, 1.0f);
   for (auto _ : state) {
-    nn::mean_aggregate(adj, src, inv, out);
+    nn::mean_aggregate(r.adj, src, r.inv, out);
     benchmark::DoNotOptimize(out.data());
   }
-  state.SetItemsProcessed(state.iterations() * g.num_arcs() * 64);
+  state.SetItemsProcessed(state.iterations() * r.arcs * 64);
 }
 BENCHMARK(BM_MeanAggregate)->Arg(4096)->Arg(32768);
 
+// B2, the inner half of the backward scatter, at n x 64: each arc adds
+// w * dout[v] into its source's row. The gradient accumulates across
+// iterations, as the work does not depend on its values.
+void BM_MeanAggregateBackwardInner(benchmark::State& state) {
+  Rng rng(2);
+  const RmatAdjacency r(static_cast<NodeId>(state.range(0)), rng);
+  Matrix dout(r.adj.n_dst, 64), dinner(r.adj.n_src, 64);
+  dout.randomize_gaussian(rng, 1.0f);
+  for (auto _ : state) {
+    nn::mean_aggregate_backward_inner(r.adj, dout, r.inv, r.adj.n_src, dinner);
+    benchmark::DoNotOptimize(dinner.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * r.arcs * 64);
+}
+BENCHMARK(BM_MeanAggregateBackwardInner)->Arg(4096)->Arg(32768);
+
 void BM_MeanAggregateThreads(benchmark::State& state) {
-  const auto n = static_cast<NodeId>(state.range(0));
   const auto k = static_cast<int>(state.range(1));
   common::set_ops_threads(k);
   Rng rng(2);
-  const Csr g = gen::rmat(n, static_cast<EdgeId>(n) * 16, rng);
-  nn::BipartiteCsr adj;
-  adj.n_dst = g.n;
-  adj.n_src = g.n;
-  adj.offsets = g.offsets;
-  adj.nbrs = g.nbrs;
-  std::vector<float> inv(static_cast<std::size_t>(g.n), 0.0f);
-  for (NodeId v = 0; v < g.n; ++v)
-    if (g.degree(v) > 0) inv[static_cast<std::size_t>(v)] = 1.0f / g.degree(v);
-  Matrix src(g.n, 64), out;
+  const RmatAdjacency r(static_cast<NodeId>(state.range(0)), rng);
+  Matrix src(r.adj.n_src, 64), out;
   src.randomize_gaussian(rng, 1.0f);
   for (auto _ : state) {
-    nn::mean_aggregate(adj, src, inv, out);
+    nn::mean_aggregate(r.adj, src, r.inv, out);
     benchmark::DoNotOptimize(out.data());
   }
   common::set_ops_threads(1);
-  state.SetItemsProcessed(state.iterations() * g.num_arcs() * 64);
+  state.SetItemsProcessed(state.iterations() * r.arcs * 64);
 }
 BENCHMARK(BM_MeanAggregateThreads)
     ->ArgsProduct({{32768}, {1, 2, 4, 8}})

@@ -4,21 +4,10 @@
 #include <numeric>
 
 #include "common/thread_pool.hpp"
+#include "nn/aggregate_kernels.hpp"
+#include "tensor/simd.hpp"
 
 namespace bnsgcn::nn {
-
-namespace {
-
-// Parallel grains, mirroring tensor/ops.cpp. Gather-shaped kernels (one
-// writer per destination row) split the row axis; scatter-shaped kernels
-// (source rows fan out to repeating destinations) split the feature axis so
-// each lane owns disjoint columns while walking entries in the serial
-// order. Either way each output element's accumulation order is the scalar
-// kernel's — bit-identical for every thread count (common/thread_pool.hpp).
-constexpr std::int64_t kRowBlock = 64;
-constexpr std::int64_t kColBlock = 64;
-
-} // namespace
 
 void BipartiteCsr::validate() const {
   BNSGCN_CHECK(static_cast<NodeId>(offsets.size()) == n_dst + 1);
@@ -30,42 +19,12 @@ void BipartiteCsr::validate() const {
   BNSGCN_CHECK(edge_scale.empty() || edge_scale.size() == nbrs.size());
 }
 
-void mean_aggregate(const BipartiteCsr& adj, const Matrix& src,
-                    std::span<const float> inv_deg, Matrix& out) {
-  BNSGCN_CHECK(src.rows() == adj.n_src);
-  BNSGCN_CHECK(static_cast<NodeId>(inv_deg.size()) == adj.n_dst);
-  const std::int64_t d = src.cols();
-  out.resize(adj.n_dst, d);
-  const bool weighted = !adj.edge_scale.empty();
-  common::for_blocks(adj.n_dst, kRowBlock, [&](std::int64_t v0,
-                                               std::int64_t v1) {
-    for (NodeId v = static_cast<NodeId>(v0); v < static_cast<NodeId>(v1);
-         ++v) {
-      float* o = out.data() + static_cast<std::int64_t>(v) * d;
-      const float w = inv_deg[static_cast<std::size_t>(v)];
-      if (w == 0.0f) continue;
-      const auto begin = static_cast<std::size_t>(
-          adj.offsets[static_cast<std::size_t>(v)]);
-      const auto end = static_cast<std::size_t>(
-          adj.offsets[static_cast<std::size_t>(v) + 1]);
-      for (std::size_t e = begin; e < end; ++e) {
-        const NodeId u = adj.nbrs[e];
-        const float es = weighted ? adj.edge_scale[e] : 1.0f;
-        const float* s = src.data() + static_cast<std::int64_t>(u) * d;
-        for (std::int64_t c = 0; c < d; ++c) o[c] += es * s[c];
-      }
-      for (std::int64_t c = 0; c < d; ++c) o[c] *= w;
-    }
-  });
-}
+namespace detail {
 
-void mean_aggregate_inner_rows(const BipartiteCsr& adj,
-                               const Matrix& inner_src, NodeId row0,
-                               NodeId row1, Matrix& out) {
+void mean_aggregate_inner_rows_scalar(const BipartiteCsr& adj,
+                                      const Matrix& inner_src, NodeId row0,
+                                      NodeId row1, Matrix& out) {
   const NodeId n_lo = static_cast<NodeId>(inner_src.rows());
-  BNSGCN_CHECK(n_lo <= adj.n_src);
-  BNSGCN_CHECK(row0 >= 0 && row0 <= row1 && row1 <= adj.n_dst);
-  BNSGCN_CHECK(out.rows() == adj.n_dst && out.cols() == inner_src.cols());
   const std::int64_t d = inner_src.cols();
   const bool weighted = !adj.edge_scale.empty();
   // Row blocks anchored at row0, so chunked-stream callers (chunks can be a
@@ -88,6 +47,105 @@ void mean_aggregate_inner_rows(const BipartiteCsr& adj,
       }
     }
   });
+}
+
+void mean_aggregate_halo_fold_scalar(const HaloIncidence& inc,
+                                     std::span<const NodeId> slots,
+                                     std::span<const float> rows,
+                                     std::int64_t d, Matrix& out) {
+  // Different slots can hit the same destination row, so this is a scatter:
+  // lanes split the feature axis, each replaying the slot/entry walk.
+  common::for_blocks(d, kColBlock, [&](std::int64_t c0, std::int64_t c1) {
+    for (std::size_t t = 0; t < slots.size(); ++t) {
+      const NodeId s = slots[t];
+      const float* row = rows.data() + t * static_cast<std::size_t>(d);
+      const auto begin = static_cast<std::size_t>(
+          inc.offsets[static_cast<std::size_t>(s)]);
+      const auto end = static_cast<std::size_t>(
+          inc.offsets[static_cast<std::size_t>(s) + 1]);
+      for (std::size_t e = begin; e < end; ++e) {
+        float* o = out.data() + static_cast<std::int64_t>(inc.dsts[e]) * d;
+        const float es = inc.scales[e];
+        for (std::int64_t c = c0; c < c1; ++c) o[c] += es * row[c];
+      }
+    }
+  });
+}
+
+void mean_aggregate_backward_halo_scalar(const BipartiteCsr& adj,
+                                         const Matrix& dout,
+                                         std::span<const float> inv_deg,
+                                         NodeId n_lo, Matrix& dhalo) {
+  const std::int64_t d = dout.cols();
+  const bool weighted = !adj.edge_scale.empty();
+  common::for_blocks(d, kColBlock, [&](std::int64_t c0, std::int64_t c1) {
+    for (NodeId v = 0; v < adj.n_dst; ++v) {
+      const float w = inv_deg[static_cast<std::size_t>(v)];
+      if (w == 0.0f) continue;
+      const float* g = dout.data() + static_cast<std::int64_t>(v) * d;
+      const auto begin = static_cast<std::size_t>(
+          adj.offsets[static_cast<std::size_t>(v)]);
+      const auto end = static_cast<std::size_t>(
+          adj.offsets[static_cast<std::size_t>(v) + 1]);
+      for (std::size_t e = begin; e < end; ++e) {
+        const NodeId u = adj.nbrs[e];
+        if (u < n_lo) continue;
+        const float wu = weighted ? w * adj.edge_scale[e] : w;
+        float* t = dhalo.data() + static_cast<std::int64_t>(u - n_lo) * d;
+        for (std::int64_t c = c0; c < c1; ++c) t[c] += wu * g[c];
+      }
+    }
+  });
+}
+
+void mean_aggregate_backward_inner_scalar(const BipartiteCsr& adj,
+                                          const Matrix& dout,
+                                          std::span<const float> inv_deg,
+                                          NodeId n_lo, Matrix& dinner) {
+  const std::int64_t d = dout.cols();
+  const bool weighted = !adj.edge_scale.empty();
+  common::for_blocks(d, kColBlock, [&](std::int64_t c0, std::int64_t c1) {
+    for (NodeId v = 0; v < adj.n_dst; ++v) {
+      const float w = inv_deg[static_cast<std::size_t>(v)];
+      if (w == 0.0f) continue;
+      const float* g = dout.data() + static_cast<std::int64_t>(v) * d;
+      const auto begin = static_cast<std::size_t>(
+          adj.offsets[static_cast<std::size_t>(v)]);
+      const auto end = static_cast<std::size_t>(
+          adj.offsets[static_cast<std::size_t>(v) + 1]);
+      for (std::size_t e = begin; e < end; ++e) {
+        const NodeId u = adj.nbrs[e];
+        if (u >= n_lo) continue;
+        const float wu = weighted ? w * adj.edge_scale[e] : w;
+        float* t = dinner.data() + static_cast<std::int64_t>(u) * d;
+        for (std::int64_t c = c0; c < c1; ++c) t[c] += wu * g[c];
+      }
+    }
+  });
+}
+
+} // namespace detail
+
+void mean_aggregate(const BipartiteCsr& adj, const Matrix& src,
+                    std::span<const float> inv_deg, Matrix& out) {
+  BNSGCN_CHECK(src.rows() == adj.n_src);
+  BNSGCN_CHECK(static_cast<NodeId>(inv_deg.size()) == adj.n_dst);
+  out.resize(adj.n_dst, src.cols()); // resize zero-fills
+  mean_aggregate_inner_rows(adj, src, 0, adj.n_dst, out);
+  mean_aggregate_finish(inv_deg, out);
+}
+
+void mean_aggregate_inner_rows(const BipartiteCsr& adj,
+                               const Matrix& inner_src, NodeId row0,
+                               NodeId row1, Matrix& out) {
+  BNSGCN_CHECK(inner_src.rows() <= adj.n_src);
+  BNSGCN_CHECK(row0 >= 0 && row0 <= row1 && row1 <= adj.n_dst);
+  BNSGCN_CHECK(out.rows() == adj.n_dst && out.cols() == inner_src.cols());
+  if (simd::host_has_avx512f()) {
+    detail::mean_aggregate_inner_rows_avx512(adj, inner_src, row0, row1, out);
+  } else {
+    detail::mean_aggregate_inner_rows_scalar(adj, inner_src, row0, row1, out);
+  }
 }
 
 void HaloIncidence::build(const BipartiteCsr& adj, NodeId lo) {
@@ -129,35 +187,23 @@ void mean_aggregate_halo_fold(const HaloIncidence& inc,
   BNSGCN_CHECK(rows.size() == slots.size() * static_cast<std::size_t>(d));
   BNSGCN_CHECK(out.cols() == d);
   for (const NodeId s : slots) BNSGCN_CHECK(s >= 0 && s < inc.n_halo);
-  // Different slots can hit the same destination row, so this is a scatter:
-  // lanes split the feature axis, each replaying the slot/entry walk.
-  common::for_blocks(d, kColBlock, [&](std::int64_t c0, std::int64_t c1) {
-    for (std::size_t t = 0; t < slots.size(); ++t) {
-      const NodeId s = slots[t];
-      const float* row = rows.data() + t * static_cast<std::size_t>(d);
-      const auto begin = static_cast<std::size_t>(
-          inc.offsets[static_cast<std::size_t>(s)]);
-      const auto end = static_cast<std::size_t>(
-          inc.offsets[static_cast<std::size_t>(s) + 1]);
-      for (std::size_t e = begin; e < end; ++e) {
-        float* o = out.data() + static_cast<std::int64_t>(inc.dsts[e]) * d;
-        const float es = inc.scales[e];
-        for (std::int64_t c = c0; c < c1; ++c) o[c] += es * row[c];
-      }
-    }
-  });
+  if (simd::host_has_avx512f()) {
+    detail::mean_aggregate_halo_fold_avx512(inc, slots, rows, d, out);
+  } else {
+    detail::mean_aggregate_halo_fold_scalar(inc, slots, rows, d, out);
+  }
 }
 
 void mean_aggregate_finish(std::span<const float> inv_deg, Matrix& out) {
   BNSGCN_CHECK(static_cast<NodeId>(inv_deg.size()) == out.rows());
   const std::int64_t d = out.cols();
-  common::for_blocks(out.rows(), kRowBlock, [&](std::int64_t v0,
-                                                std::int64_t v1) {
+  common::for_blocks(out.rows(), detail::kRowBlock, [&](std::int64_t v0,
+                                                        std::int64_t v1) {
     for (NodeId v = static_cast<NodeId>(v0); v < static_cast<NodeId>(v1);
          ++v) {
       float* o = out.data() + static_cast<std::int64_t>(v) * d;
       const float w = inv_deg[static_cast<std::size_t>(v)];
-      if (w == 0.0f) { // mean_aggregate leaves such rows zero; match it
+      if (w == 0.0f) { // isolated destination: the mean is defined as zero
         for (std::int64_t c = 0; c < d; ++c) o[c] = 0.0f;
         continue;
       }
@@ -172,26 +218,13 @@ void mean_aggregate_backward_halo(const BipartiteCsr& adj, const Matrix& dout,
   BNSGCN_CHECK(dout.rows() == adj.n_dst);
   BNSGCN_CHECK(dhalo.rows() == adj.n_src - n_lo &&
                dhalo.cols() == dout.cols());
-  const std::int64_t d = dout.cols();
-  const bool weighted = !adj.edge_scale.empty();
-  common::for_blocks(d, kColBlock, [&](std::int64_t c0, std::int64_t c1) {
-    for (NodeId v = 0; v < adj.n_dst; ++v) {
-      const float w = inv_deg[static_cast<std::size_t>(v)];
-      if (w == 0.0f) continue;
-      const float* g = dout.data() + static_cast<std::int64_t>(v) * d;
-      const auto begin = static_cast<std::size_t>(
-          adj.offsets[static_cast<std::size_t>(v)]);
-      const auto end = static_cast<std::size_t>(
-          adj.offsets[static_cast<std::size_t>(v) + 1]);
-      for (std::size_t e = begin; e < end; ++e) {
-        const NodeId u = adj.nbrs[e];
-        if (u < n_lo) continue;
-        const float wu = weighted ? w * adj.edge_scale[e] : w;
-        float* t = dhalo.data() + static_cast<std::int64_t>(u - n_lo) * d;
-        for (std::int64_t c = c0; c < c1; ++c) t[c] += wu * g[c];
-      }
-    }
-  });
+  if (simd::host_has_avx512f()) {
+    detail::mean_aggregate_backward_halo_avx512(adj, dout, inv_deg, n_lo,
+                                                dhalo);
+  } else {
+    detail::mean_aggregate_backward_halo_scalar(adj, dout, inv_deg, n_lo,
+                                                dhalo);
+  }
 }
 
 void mean_aggregate_backward_inner(const BipartiteCsr& adj, const Matrix& dout,
@@ -199,26 +232,13 @@ void mean_aggregate_backward_inner(const BipartiteCsr& adj, const Matrix& dout,
                                    Matrix& dinner) {
   BNSGCN_CHECK(dout.rows() == adj.n_dst);
   BNSGCN_CHECK(dinner.rows() == n_lo && dinner.cols() == dout.cols());
-  const std::int64_t d = dout.cols();
-  const bool weighted = !adj.edge_scale.empty();
-  common::for_blocks(d, kColBlock, [&](std::int64_t c0, std::int64_t c1) {
-    for (NodeId v = 0; v < adj.n_dst; ++v) {
-      const float w = inv_deg[static_cast<std::size_t>(v)];
-      if (w == 0.0f) continue;
-      const float* g = dout.data() + static_cast<std::int64_t>(v) * d;
-      const auto begin = static_cast<std::size_t>(
-          adj.offsets[static_cast<std::size_t>(v)]);
-      const auto end = static_cast<std::size_t>(
-          adj.offsets[static_cast<std::size_t>(v) + 1]);
-      for (std::size_t e = begin; e < end; ++e) {
-        const NodeId u = adj.nbrs[e];
-        if (u >= n_lo) continue;
-        const float wu = weighted ? w * adj.edge_scale[e] : w;
-        float* t = dinner.data() + static_cast<std::int64_t>(u) * d;
-        for (std::int64_t c = c0; c < c1; ++c) t[c] += wu * g[c];
-      }
-    }
-  });
+  if (simd::host_has_avx512f()) {
+    detail::mean_aggregate_backward_inner_avx512(adj, dout, inv_deg, n_lo,
+                                                 dinner);
+  } else {
+    detail::mean_aggregate_backward_inner_scalar(adj, dout, inv_deg, n_lo,
+                                                 dinner);
+  }
 }
 
 Matrix Layer::forward(const BipartiteCsr& adj, const Matrix& feats,

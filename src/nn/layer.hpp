@@ -46,7 +46,10 @@ struct BipartiteCsr {
 /// `inv_deg` is supplied by the caller because under boundary-node sampling
 /// the normalizer stays 1/full_degree — the kept halo rows carry the 1/p
 /// rescale instead, which keeps the mean unbiased — and the adjacency alone
-/// cannot know the full degree.
+/// cannot know the full degree. `out` is resized and zero-filled, then
+/// built from the split-phase kernels below: F1 over every row with every
+/// source local, then the finish pass. Each row therefore sums its terms
+/// in adjacency order and scales once; rows with inv_deg == 0 are zero.
 void mean_aggregate(const BipartiteCsr& adj, const Matrix& src,
                     std::span<const float> inv_deg, Matrix& out);
 
@@ -64,10 +67,18 @@ void mean_aggregate(const BipartiteCsr& adj, const Matrix& src,
 // order), then the halo sum (accumulated in (peer, slot, incidence)
 // order) added as one term — independent of chunking and of *when* folds
 // land relative to chunks, which is what keeps every schedule and every
-// chunk size bit-identical. Relative to the interleaved single-pass
-// mean_aggregate this reassociates the per-row sum (fp32 drift only).
-// The two backward halves scatter into disjoint targets, each receiving
-// its contributions in (dst, edge) order.
+// chunk size bit-identical. Relative to mean_aggregate, whose rows take
+// inner and halo terms interleaved in adjacency order, this reassociates
+// the per-row sum (fp32 drift only). The two backward halves scatter into
+// disjoint targets, each receiving its contributions in (dst, edge) order.
+//
+// F1, F2a, B1 and B2 each run one of two kernels (nn/aggregate_kernels.hpp),
+// picked once per process: an AVX-512F kernel when the host has it, the
+// scalar loop otherwise. F1's vector kernel keeps a destination row in
+// registers across its arcs; the scatters keep their source row there.
+// Both give every output element the same operations in the same order,
+// so results are bit-identical on any host (docs/ARCHITECTURE.md §6,
+// "ISA dispatch").
 // ---------------------------------------------------------------------------
 
 /// Phase 1, row-chunked: out[v,:] = sum over neighbors u <
@@ -111,8 +122,9 @@ void mean_aggregate_halo_fold(const HaloIncidence& inc,
                               Matrix& out);
 
 /// Phase 2b: the mean normalization, applied once every fold landed:
-/// out[v,:] *= inv_deg[v], with inv_deg == 0 rows forced to zero (the
-/// convention mean_aggregate established for isolated destinations).
+/// out[v,:] *= inv_deg[v], with inv_deg == 0 rows forced to zero (the mean
+/// of an isolated destination). Scalar only: it is one multiply per
+/// element, which the compiler already vectorizes.
 void mean_aggregate_finish(std::span<const float> inv_deg, Matrix& out);
 
 /// Halo half of the backward scatter: dhalo[u - n_lo,:] += w * dout[v,:]

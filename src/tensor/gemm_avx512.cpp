@@ -6,12 +6,9 @@
 // the same bits (docs/ARCHITECTURE.md §6, "ISA dispatch"). Two rules keep
 // it that way:
 //
-//   * No fused multiply-add. Under GCC's default -ffp-contract=fast a
-//     vector add of a vector product — and a plain `c += a * b` in a
-//     target("avx512f") function — compiles to vfmadd, which rounds once
-//     where the scalar kernel rounds twice. Every product here goes through
-//     mul(), a rounding-mode builtin the compiler does not contract, so no
-//     build flag is needed. GemmDispatch.DispatchedGemmsDoNotFuse
+//   * No fused multiply-add. Every product goes through simd::mul()
+//     (tensor/simd.hpp), which the compiler does not contract, so no build
+//     flag is needed. GemmDispatch.DispatchedGemmsDoNotFuse
 //     (tests/test_ops.cpp) and the objdump gate in ci/verify.sh pin it.
 //   * Tiles move where an element is computed, never the order of its
 //     terms. Register tiles are kTileRows x kTileCols (16 zmm accumulators;
@@ -23,14 +20,13 @@
 // accumulator arrays are split into registers; otherwise GCC keeps a stack
 // copy and stores all 16 accumulators on every k step.
 
-#include <immintrin.h>
-
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "common/thread_pool.hpp"
 #include "tensor/gemm_kernels.hpp"
+#include "tensor/simd.hpp"
 
 namespace bnsgcn::ops::detail {
 namespace {
@@ -43,24 +39,8 @@ constexpr std::int64_t kTileCols = 16 * kVecs;
 // while every kk tile of the lane sweeps them.
 constexpr std::int64_t kTnRows = 128;
 
-/// Load/store masks of one column tile: mask q covers the tile's columns
-/// [16q, 16q + 16) that exist, for a tile of `width` columns.
-struct ColMasks {
-  explicit ColMasks(std::int64_t width) {
-    for (int q = 0; q < kVecs; ++q) {
-      const auto live = std::clamp<std::int64_t>(width - 16 * q, 0, 16);
-      m[q] = static_cast<__mmask16>((1u << live) - 1u);
-    }
-  }
-  __mmask16 m[kVecs] = {};
-};
-
-/// x * y, rounded; never contracted into an FMA (see the file comment).
-/// The masked form is used because the unmasked _mm512_mul_round_ps reads
-/// an undefined source register that GCC 12 flags as uninitialized.
-[[gnu::target("avx512f")]] inline __m512 mul(__m512 x, __m512 y) {
-  return _mm512_maskz_mul_round_ps(0xFFFF, x, y, _MM_FROUND_CUR_DIRECTION);
-}
+using ColMasks = simd::ColMasks<kVecs>;
+using simd::mul;
 
 /// One register tile of gemm_nn / gemm_tn: for each of its R rows,
 ///   c[r, :] = c[r, :] + av * b[s, :]   with av = alpha * a[r*a_row + s*a_step]

@@ -6,6 +6,7 @@
 
 #include "common/thread_pool.hpp"
 #include "tensor/gemm_kernels.hpp"
+#include "tensor/simd.hpp"
 
 namespace bnsgcn::ops {
 
@@ -24,16 +25,6 @@ constexpr std::int64_t kBlockK = 256;
 // split the feature axis instead — each lane walks the full entry list but
 // owns a disjoint column range, keeping the per-element entry order intact.
 constexpr std::int64_t kBlockCols = 64;
-
-// The GEMM kernel set, picked once per process: the AVX-512F kernels when
-// the host runs them, the scalar ones otherwise. Either gives the same bits.
-bool host_has_avx512f() {
-  static const bool yes = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx512f") != 0;
-  }();
-  return yes;
-}
 
 } // namespace
 
@@ -142,7 +133,7 @@ void gemm_nn_rows(const Matrix& a, const Matrix& b, Matrix& c,
   BNSGCN_CHECK(b.rows() == a.cols());
   BNSGCN_CHECK(c.cols() == b.cols());
   BNSGCN_CHECK(0 <= r0 && r0 <= r1 && r1 <= a.rows() && r1 <= c.rows());
-  if (host_has_avx512f()) {
+  if (simd::host_has_avx512f()) {
     detail::gemm_nn_rows_avx512(a, b, c, r0, r1, alpha, beta);
   } else {
     detail::gemm_nn_rows_scalar(a, b, c, r0, r1, alpha, beta);
@@ -153,7 +144,7 @@ void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
              float beta) {
   BNSGCN_CHECK(b.rows() == a.rows());
   BNSGCN_CHECK(c.rows() == a.cols() && c.cols() == b.cols());
-  if (host_has_avx512f()) {
+  if (simd::host_has_avx512f()) {
     detail::gemm_tn_avx512(a, b, c, alpha, beta);
   } else {
     detail::gemm_tn_scalar(a, b, c, alpha, beta);
@@ -164,7 +155,7 @@ void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
              float beta) {
   BNSGCN_CHECK(b.cols() == a.cols());
   BNSGCN_CHECK(c.rows() == a.rows() && c.cols() == b.rows());
-  if (host_has_avx512f()) {
+  if (simd::host_has_avx512f()) {
     detail::gemm_nt_avx512(a, b, c, alpha, beta);
   } else {
     detail::gemm_nt_scalar(a, b, c, alpha, beta);
@@ -219,18 +210,18 @@ void col_sum(const Matrix& grad, Matrix& out) {
   }
 }
 
+// Both ReLU overloads are selects on one comparison, so GCC vectorizes them
+// at baseline SSE2: x > 0 keeps x, anything else (-0.0f and NaN included)
+// becomes +0.0f.
 void relu_forward(Matrix& x, Matrix& mask) {
   mask.resize(x.rows(), x.cols());
   float* px = x.data();
   float* pm = mask.data();
   const std::int64_t n = x.size();
   for (std::int64_t i = 0; i < n; ++i) {
-    if (px[i] > 0.0f) {
-      pm[i] = 1.0f;
-    } else {
-      px[i] = 0.0f;
-      pm[i] = 0.0f;
-    }
+    const bool pos = px[i] > 0.0f;
+    pm[i] = pos ? 1.0f : 0.0f;
+    px[i] = pos ? px[i] : 0.0f;
   }
 }
 
@@ -245,28 +236,7 @@ void relu_backward(Matrix& grad, const Matrix& mask) {
 void relu_forward(Matrix& x) {
   float* px = x.data();
   const std::int64_t n = x.size();
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (px[i] <= 0.0f) px[i] = 0.0f;
-  }
-}
-
-void leaky_relu_forward(Matrix& x, Matrix& mask, float slope) {
-  mask.resize(x.rows(), x.cols());
-  float* px = x.data();
-  float* pm = mask.data();
-  const std::int64_t n = x.size();
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (px[i] > 0.0f) {
-      pm[i] = 1.0f;
-    } else {
-      px[i] *= slope;
-      pm[i] = slope;
-    }
-  }
-}
-
-void leaky_relu_backward(Matrix& grad, const Matrix& mask) {
-  relu_backward(grad, mask); // same elementwise multiply
+  for (std::int64_t i = 0; i < n; ++i) px[i] = px[i] > 0.0f ? px[i] : 0.0f;
 }
 
 void dropout_forward(Matrix& x, Matrix& mask, float p, Rng& rng) {

@@ -64,20 +64,17 @@ void add_row_bias_rows(Matrix& x, const Matrix& bias, std::int64_t r0,
 /// bias_grad[0,:] += column sums of grad.
 void col_sum(const Matrix& grad, Matrix& out);
 
-/// ReLU forward in place; mask receives 1/0 for backward.
+/// ReLU forward in place: x stays where x > 0 and becomes +0.0f elsewhere
+/// (-0.0f and NaN included); mask receives 1 where x > 0, else 0, for
+/// backward.
 void relu_forward(Matrix& x, Matrix& mask);
 
-/// Maskless ReLU for forward-only (inference) passes: identical outputs,
-/// no backward mask allocated.
+/// Maskless ReLU for forward-only (inference) passes: byte-identical
+/// outputs, NaN included, with no backward mask allocated.
 void relu_forward(Matrix& x);
 
 /// grad *= mask (backward through ReLU).
 void relu_backward(Matrix& grad, const Matrix& mask);
-
-/// LeakyReLU with slope (GAT attention) — returns activated copy semantics
-/// via in-place transform; mask stores the effective slope per element.
-void leaky_relu_forward(Matrix& x, Matrix& mask, float slope);
-void leaky_relu_backward(Matrix& grad, const Matrix& mask);
 
 /// Inverted dropout: zero with prob p, scale kept values by 1/(1-p).
 /// mask holds the applied multiplier so backward is grad *= mask.

@@ -4,9 +4,15 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <numeric>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/thread_pool.hpp"
+#include "nn/aggregate_kernels.hpp"
 #include "nn/layer.hpp"
 #include "tensor/gemm_kernels.hpp"
 #include "tensor/ops.hpp"
@@ -181,16 +187,40 @@ TEST(Ops, ReluForwardBackward) {
   EXPECT_FLOAT_EQ(g.at(1, 1), 0.0f);
 }
 
-TEST(Ops, LeakyRelu) {
-  Matrix x{{-2, 4}};
-  Matrix mask;
-  ops::leaky_relu_forward(x, mask, 0.1f);
-  EXPECT_NEAR(x.at(0, 0), -0.2f, 1e-6f);
-  EXPECT_FLOAT_EQ(x.at(0, 1), 4.0f);
-  Matrix g{{1, 1}};
-  ops::leaky_relu_backward(g, mask);
-  EXPECT_NEAR(g.at(0, 0), 0.1f, 1e-6f);
-  EXPECT_FLOAT_EQ(g.at(0, 1), 1.0f);
+TEST(Ops, ReluOverloadsAgree) {
+  // Serving runs the maskless overload on the forward training ran with
+  // the masked one, so the two must give the same bytes for every input,
+  // NaN included; the mask is 1 exactly where x > 0.
+  using L = std::numeric_limits<float>;
+  const float specials[] = {0.0f,           -0.0f,           L::infinity(),
+                            -L::infinity(), L::quiet_NaN(),  -L::quiet_NaN(),
+                            L::denorm_min(), -L::denorm_min(), 1e-39f,
+                            -1e-39f,        L::min(),        -L::min(),
+                            L::max(),       L::lowest()};
+  constexpr auto kSpecials = std::size(specials);
+  Rng rng(23);
+  Matrix x(37, 19); // 703 elements: a tail under every vector width
+  x.randomize_gaussian(rng, 1.0f);
+  for (std::size_t i = 0; i < kSpecials; ++i) x.data()[i] = specials[i];
+  for (std::int64_t i = static_cast<std::int64_t>(kSpecials); i < x.size();
+       ++i) {
+    if (rng.next_u64() % 4 == 0)
+      x.data()[i] = specials[rng.next_u64() % kSpecials];
+  }
+  Matrix masked = x, maskless = x, mask;
+  ops::relu_forward(masked, mask);
+  ops::relu_forward(maskless);
+  ASSERT_EQ(mask.size(), x.size());
+  for (std::int64_t i = 0; i < x.size(); ++i) {
+    const float v = x.data()[i];
+    const auto bits = [](float f) { return std::bit_cast<std::uint32_t>(f); };
+    ASSERT_EQ(bits(maskless.data()[i]), bits(masked.data()[i]))
+        << "overloads differ on " << v << " at flat index " << i;
+    ASSERT_EQ(bits(masked.data()[i]), bits(v > 0.0f ? v : 0.0f))
+        << "relu(" << v << ") at flat index " << i;
+    ASSERT_EQ(bits(mask.data()[i]), bits(v > 0.0f ? 1.0f : 0.0f))
+        << "mask of " << v << " at flat index " << i;
+  }
 }
 
 TEST(Ops, DropoutZeroRateIsIdentity) {
@@ -761,6 +791,262 @@ TEST(OpsThreadsParity, MeanAggregateFamily) {
       out.fill(3.0f);
       nn::mean_aggregate_finish(inv, out);
     });
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ISA dispatch, aggregation: F1, F2a, B1 and B2 run AVX-512F kernels on
+// hosts that have them (nn/aggregate_kernels.hpp), and must give the scalar
+// kernels' bits by the rule of the GemmDispatch tests above. The grid
+// crosses feature widths around the 16-wide vectors, the 64-column lanes
+// and the 128-column F1 tile with weighted and unweighted adjacencies and
+// the split points n_lo = 0, n_dst / 2, n_dst and n_src, on inputs and
+// starting outputs that hold ±0, NaN, ±Inf and subnormals. On a host
+// without AVX-512F both sides run the scalar kernel.
+// ---------------------------------------------------------------------------
+
+constexpr std::int64_t kAggWidths[] = {1, 15, 16, 17, 63, 64, 65, 100, 128,
+                                       130, 200};
+
+/// Replaces about one value in `every` with ±0, NaN, ±Inf or a subnormal.
+void sprinkle_specials(float* p, std::size_t n, Rng& rng, std::uint64_t every) {
+  using L = std::numeric_limits<float>;
+  const float specials[] = {0.0f,           -0.0f,          L::quiet_NaN(),
+                            L::infinity(),  -L::infinity(), L::denorm_min(),
+                            -L::denorm_min(), 1e-39f};
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.next_u64() % every == 0)
+      p[i] = specials[rng.next_u64() % std::size(specials)];
+  }
+}
+
+Matrix special_matrix(std::int64_t rows, std::int64_t cols, Rng& rng) {
+  Matrix m(rows, cols);
+  m.randomize_gaussian(rng, 1.0f);
+  sprinkle_specials(m.data(), static_cast<std::size_t>(m.size()), rng, 16);
+  return m;
+}
+
+/// The aggregation fixture: 150 destinations over 200 sources, edge scales
+/// (when weighted) with specials of their own, and normalizers 1/degree
+/// (0 on zero-degree rows) with a -0.0f, a subnormal and a NaN mixed in.
+struct AggGraph {
+  static constexpr NodeId kDst = 150, kSrc = 200;
+  nn::BipartiteCsr adj;
+  std::vector<float> inv;
+
+  AggGraph(bool weighted, Rng& rng)
+      : adj(random_adj(rng, kDst, kSrc, weighted)), inv(inv_degrees(adj)) {
+    sprinkle_specials(adj.edge_scale.data(), adj.edge_scale.size(), rng, 16);
+    inv[3] = -0.0f;
+    inv[5] = std::numeric_limits<float>::denorm_min();
+    inv[9] = std::numeric_limits<float>::quiet_NaN();
+  }
+};
+
+/// Runs `scalar` at one lane and `dispatched` at 1 and 3 lanes on copies
+/// of `start`, and compares.
+template <typename Scalar, typename Dispatched>
+void check_agg_dispatch(const Matrix& start, Scalar&& scalar,
+                        Dispatched&& dispatched) {
+  Matrix want = start;
+  common::set_ops_threads(1);
+  scalar(want);
+  for (const int lanes : {1, 3}) {
+    SCOPED_TRACE(::testing::Message() << "lanes " << lanes);
+    Matrix got = start;
+    common::set_ops_threads(lanes);
+    dispatched(got);
+    common::set_ops_threads(1);
+    expect_same_bits_or_both_nan(got, want);
+  }
+}
+
+/// Calls body(graph, d, n_lo, rng) over the grid, with a trace naming the
+/// case.
+template <typename Body>
+void for_agg_grid(Body&& body) {
+  for (const bool weighted : {false, true}) {
+    Rng rng(weighted ? 42 : 41);
+    const AggGraph g(weighted, rng);
+    for (const std::int64_t d : kAggWidths) {
+      for (const NodeId n_lo : {NodeId{0}, AggGraph::kDst / 2, AggGraph::kDst,
+                                AggGraph::kSrc}) {
+        SCOPED_TRACE(::testing::Message() << "weighted " << weighted << ", d "
+                                          << d << ", n_lo " << n_lo);
+        body(g, d, n_lo, rng);
+      }
+    }
+  }
+}
+
+TEST(AggregateDispatch, InnerRowsMatchScalar) {
+  for_agg_grid([](const AggGraph& g, std::int64_t d, NodeId n_lo, Rng& rng) {
+    const Matrix inner = special_matrix(n_lo, d, rng);
+    const Matrix start = special_matrix(AggGraph::kDst, d, rng);
+    for (const auto& [r0, r1] : {std::pair<NodeId, NodeId>{0, AggGraph::kDst},
+                                 std::pair<NodeId, NodeId>{7, 140}}) {
+      SCOPED_TRACE(::testing::Message() << "rows [" << r0 << ", " << r1 << ")");
+      check_agg_dispatch(
+          start,
+          [&](Matrix& out) {
+            nn::detail::mean_aggregate_inner_rows_scalar(g.adj, inner, r0, r1,
+                                                         out);
+          },
+          [&](Matrix& out) {
+            nn::mean_aggregate_inner_rows(g.adj, inner, r0, r1, out);
+          });
+    }
+  });
+}
+
+TEST(AggregateDispatch, HaloFoldMatchesScalar) {
+  for_agg_grid([](const AggGraph& g, std::int64_t d, NodeId n_lo, Rng& rng) {
+    nn::HaloIncidence inc;
+    inc.build(g.adj, n_lo);
+    // Every slot once, evens ascending then odds descending: the kernels
+    // take slots in the order given.
+    std::vector<NodeId> slots;
+    for (NodeId s = 0; s < inc.n_halo; s += 2) slots.push_back(s);
+    for (NodeId s = inc.n_halo - 1 - inc.n_halo % 2; s > 0; s -= 2)
+      slots.push_back(s);
+    ASSERT_EQ(static_cast<NodeId>(slots.size()), inc.n_halo);
+    const Matrix rows = special_matrix(static_cast<std::int64_t>(slots.size()),
+                                       d, rng);
+    const std::span<const float> slab(rows.data(),
+                                      static_cast<std::size_t>(rows.size()));
+    check_agg_dispatch(
+        special_matrix(AggGraph::kDst, d, rng),
+        [&](Matrix& out) {
+          nn::detail::mean_aggregate_halo_fold_scalar(inc, slots, slab, d,
+                                                      out);
+        },
+        [&](Matrix& out) {
+          nn::mean_aggregate_halo_fold(inc, slots, slab, d, out);
+        });
+  });
+}
+
+TEST(AggregateDispatch, BackwardHaloMatchesScalar) {
+  for_agg_grid([](const AggGraph& g, std::int64_t d, NodeId n_lo, Rng& rng) {
+    const Matrix dout = special_matrix(AggGraph::kDst, d, rng);
+    check_agg_dispatch(
+        special_matrix(AggGraph::kSrc - n_lo, d, rng),
+        [&](Matrix& dhalo) {
+          nn::detail::mean_aggregate_backward_halo_scalar(g.adj, dout, g.inv,
+                                                          n_lo, dhalo);
+        },
+        [&](Matrix& dhalo) {
+          nn::mean_aggregate_backward_halo(g.adj, dout, g.inv, n_lo, dhalo);
+        });
+  });
+}
+
+TEST(AggregateDispatch, BackwardInnerMatchesScalar) {
+  for_agg_grid([](const AggGraph& g, std::int64_t d, NodeId n_lo, Rng& rng) {
+    const Matrix dout = special_matrix(AggGraph::kDst, d, rng);
+    check_agg_dispatch(
+        special_matrix(n_lo, d, rng),
+        [&](Matrix& dinner) {
+          nn::detail::mean_aggregate_backward_inner_scalar(g.adj, dout, g.inv,
+                                                           n_lo, dinner);
+        },
+        [&](Matrix& dinner) {
+          nn::mean_aggregate_backward_inner(g.adj, dout, g.inv, n_lo, dinner);
+        });
+  });
+}
+
+TEST(AggregateDispatch, MeanAggregateMatchesOnePassDefinition) {
+  // mean_aggregate is F1 over every source, then the finish pass. Its
+  // reference is the definition in one pass per row: rows with
+  // inv_deg == 0 stay zero; every other row sums es * src[u] in adjacency
+  // order from zero, then scales by inv_deg.
+  for_agg_grid([](const AggGraph& g, std::int64_t d, NodeId n_lo, Rng& rng) {
+    if (n_lo != AggGraph::kSrc) return; // n_lo is not a parameter here
+    const Matrix src = special_matrix(AggGraph::kSrc, d, rng);
+    const bool weighted = !g.adj.edge_scale.empty();
+    check_agg_dispatch(
+        special_matrix(3, 5, rng), // resized away by both sides
+        [&](Matrix& out) {
+          out.resize(AggGraph::kDst, d);
+          for (NodeId v = 0; v < AggGraph::kDst; ++v) {
+            float* o = out.data() + static_cast<std::int64_t>(v) * d;
+            const float w = g.inv[static_cast<std::size_t>(v)];
+            if (w == 0.0f) continue;
+            for (auto e = static_cast<std::size_t>(
+                     g.adj.offsets[static_cast<std::size_t>(v)]);
+                 e < static_cast<std::size_t>(
+                         g.adj.offsets[static_cast<std::size_t>(v) + 1]);
+                 ++e) {
+              const float es = weighted ? g.adj.edge_scale[e] : 1.0f;
+              const float* s =
+                  src.data() + static_cast<std::int64_t>(g.adj.nbrs[e]) * d;
+              for (std::int64_t c = 0; c < d; ++c) o[c] += es * s[c];
+            }
+            for (std::int64_t c = 0; c < d; ++c) o[c] *= w;
+          }
+        },
+        [&](Matrix& out) { nn::mean_aggregate(g.adj, src, g.inv, out); });
+  });
+}
+
+TEST(AggregateDispatch, DoesNotFuse) {
+  // The GemmDispatch.DispatchedGemmsDoNotFuse operands: a * a rounds to
+  // exactly -c, so c + a * a is +0.0f with two roundings and 2^-24 fused.
+  // Every destination v has two arcs, inner source v and halo source
+  // kDst + v, so each output row below takes exactly one a * a term; the
+  // width covers the 128-column F1 tile, the 64-column lanes and tails.
+  const float a = 1.0f + std::ldexp(1.0f, -12);
+  const float c = -(1.0f + std::ldexp(1.0f, -11));
+  ASSERT_EQ(c + a * a, 0.0f);
+  ASSERT_EQ(std::fma(a, a, c), std::ldexp(1.0f, -24));
+  constexpr NodeId kDst = 6;
+  constexpr std::int64_t d = 130;
+  nn::BipartiteCsr adj;
+  adj.n_dst = kDst;
+  adj.n_src = 2 * kDst;
+  adj.offsets.push_back(0);
+  for (NodeId v = 0; v < kDst; ++v) {
+    adj.nbrs.push_back(v);
+    adj.nbrs.push_back(kDst + v);
+    adj.offsets.push_back(static_cast<EdgeId>(adj.nbrs.size()));
+  }
+  adj.validate();
+  auto expect_all_plus_zero = [](const Matrix& out, const char* what) {
+    for (std::int64_t i = 0; i < out.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(out.data()[i]), 0u)
+          << what << " fused at flat index " << i << ": " << out.data()[i];
+  };
+  nn::BipartiteCsr weighted = adj;
+  weighted.edge_scale.assign(adj.nbrs.size(), a);
+  {  // F1, weighted: c + es * s with es = s = a
+    const Matrix inner(kDst, d, a);
+    Matrix out(kDst, d, c);
+    nn::mean_aggregate_inner_rows(weighted, inner, 0, kDst, out);
+    expect_all_plus_zero(out, "F1");
+  }
+  {  // F2a: c + es * row with es = row = a
+    nn::HaloIncidence inc;
+    inc.build(weighted, kDst);
+    std::vector<NodeId> slots(static_cast<std::size_t>(kDst));
+    std::iota(slots.begin(), slots.end(), NodeId{0});
+    const std::vector<float> rows(static_cast<std::size_t>(kDst * d), a);
+    Matrix out(kDst, d, c);
+    nn::mean_aggregate_halo_fold(inc, slots, rows, d, out);
+    expect_all_plus_zero(out, "F2a");
+  }
+  // B1/B2: c + wu * g with wu = w = a (unweighted) or w * 1 (weighted).
+  nn::BipartiteCsr unit_scaled = adj;
+  unit_scaled.edge_scale.assign(adj.nbrs.size(), 1.0f);
+  const std::vector<float> inv(static_cast<std::size_t>(kDst), a);
+  const Matrix dout(kDst, d, a);
+  for (const nn::BipartiteCsr* g : {&adj, &unit_scaled}) {
+    Matrix dhalo(kDst, d, c), dinner(kDst, d, c);
+    nn::mean_aggregate_backward_halo(*g, dout, inv, kDst, dhalo);
+    nn::mean_aggregate_backward_inner(*g, dout, inv, kDst, dinner);
+    expect_all_plus_zero(dhalo, g == &adj ? "B1" : "B1 weighted");
+    expect_all_plus_zero(dinner, g == &adj ? "B2" : "B2 weighted");
   }
 }
 
