@@ -1,17 +1,21 @@
 // Micro-benchmarks (google-benchmark) for the kernels the trainer spends
-// its time in: GEMM, mean aggregation, boundary sampling/compaction, and
-// the METIS-like partitioner.
+// its time in: GEMM, mean aggregation, GAT's attention combine, the
+// halo-cache directory, boundary sampling/compaction, and the METIS-like
+// partitioner.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.hpp"
 #include "core/boundary_sampler.hpp"
 #include "core/epoch_planner.hpp"
+#include "core/halo_cache.hpp"
 #include "core/local_graph.hpp"
 #include "graph/generators.hpp"
+#include "nn/gat_layer.hpp"
 #include "nn/layer.hpp"
 #include "partition/metis_like.hpp"
 #include "tensor/ops.hpp"
@@ -204,6 +208,71 @@ void BM_MeanAggregateThreads(benchmark::State& state) {
 BENCHMARK(BM_MeanAggregateThreads)
     ->ArgsProduct({{32768}, {1, 2, 4, 8}})
     ->ArgNames({"n", "threads"});
+
+// GAT's attention combine (F2c) for one head of width 64: every row adds
+// its neighbours' rows and its own, each scaled by its attention weight
+// (here 1/(degree + 1)). The output accumulates across iterations, as the
+// work does not depend on its values.
+void BM_GatCombine(benchmark::State& state) {
+  Rng rng(2);
+  const RmatAdjacency r(static_cast<NodeId>(state.range(0)), rng);
+  Matrix wh(r.adj.n_src, 64), out(r.adj.n_dst, 64);
+  wh.randomize_gaussian(rng, 1.0f);
+  std::vector<float> alpha;
+  for (NodeId v = 0; v < r.adj.n_dst; ++v)
+    alpha.insert(alpha.end(), static_cast<std::size_t>(r.adj.degree(v)) + 1,
+                 1.0f / static_cast<float>(r.adj.degree(v) + 1));
+  for (auto _ : state) {
+    nn::gat_combine(r.adj, alpha, wh, 0, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(alpha.size()) * 64);
+}
+BENCHMARK(BM_GatCombine)->Arg(4096)->Arg(32768);
+
+// One halo-cache directory step at steady state. Each step requests a
+// random keep_pct% of `universe` positions (64 lists drawn ahead, cycled,
+// and stepped once each before timing). At full keep and capacity every
+// request hits; at 70% of 5,000 positions against 2,600 rows the
+// directory is full and a hotter newcomer evicts in most steps; at full
+// keep of 3,500 positions against 2,600 rows — serving below the boundary
+// set — every step misses 900 rows and never evicts (frequencies tie).
+void BM_HaloCacheDirStep(benchmark::State& state) {
+  const auto universe = static_cast<NodeId>(state.range(0));
+  const auto capacity = static_cast<NodeId>(state.range(1));
+  const auto keep_pct = static_cast<std::uint64_t>(state.range(2));
+  Rng rng(5);
+  std::vector<std::vector<NodeId>> lists(64);
+  for (auto& list : lists)
+    for (NodeId p = 0; p < universe; ++p)
+      if (rng.next_u64() % 100 < keep_pct) list.push_back(p);
+  core::HaloCacheDir dir(capacity);
+  int epoch = 0;
+  for (const auto& list : lists) (void)dir.step(list, epoch++, -1);
+  std::int64_t positions = 0, stores = 0;
+  for (auto _ : state) {
+    const auto& list = lists[static_cast<std::size_t>(epoch) % lists.size()];
+    const core::CacheStep s = dir.step(list, epoch++, -1);
+    positions += static_cast<std::int64_t>(list.size());
+    stores += static_cast<std::int64_t>(
+        std::count(s.action.begin(), s.action.end(),
+                   core::CacheAction::kMissStore));
+    benchmark::DoNotOptimize(s.slot.data());
+  }
+  state.SetItemsProcessed(positions);
+  // A label, not a user counter: google-benchmark's CSV reporter aborts
+  // on a counter that earlier benchmarks in the run did not report.
+  state.SetLabel("stores_per_step=" +
+                 std::to_string(stores / static_cast<std::int64_t>(
+                                             state.iterations())));
+}
+BENCHMARK(BM_HaloCacheDirStep)
+    ->Args({7000, 7000, 100})
+    ->Args({5000, 2600, 70})
+    ->Args({3500, 2600, 100})
+    ->ArgNames({"universe", "capacity", "keep_pct"});
 
 void BM_EpochPlannerDraw(benchmark::State& state) {
   // Strategy-only cost of one epoch's random draw (no compaction, no

@@ -25,11 +25,12 @@ cmake --build build -j
 # legitimate exception carries an in-source `lint: allow(...)` annotation.
 ./build/tools/lint_determinism src
 
-# No-FMA gate: the AVX-512F kernels — the GEMMs and the SAGE aggregation
-# kernels — agree bit for bit with their scalar kernels only while every
-# product is rounded before its add (docs/ARCHITECTURE.md §6, "ISA
-# dispatch"). Baseline x86-64 has no FMA, so any fused multiply-add in the
-# library is a contraction inside a target-attributed kernel.
+# No-FMA gate: the AVX-512F kernels — the GEMMs, the SAGE aggregation
+# kernels and GAT's attention combine — agree bit for bit with their scalar
+# kernels only while every product is rounded before its add
+# (docs/ARCHITECTURE.md §6, "ISA dispatch"). Baseline x86-64 has no FMA, so
+# any fused multiply-add in the library is a contraction inside a
+# target-attributed kernel.
 objdump -d build/libbnsgcn.a > build/libbnsgcn.dis
 if grep -E '\bvfn?m(add|sub)' build/libbnsgcn.dis; then
   echo "error: fused multiply-add instructions in build/libbnsgcn.a" >&2
@@ -135,8 +136,12 @@ ctest --test-dir build --output-on-failure -R test_serve
 #             threads through the mailbox condition variables (test_fabric).
 #   asan    — heap misuse and leaks (LeakSanitizer rides along on Linux).
 #             test_layers drives the aggregation kernels, vector tails
-#             included, through SageLayer's phased and composed paths.
+#             included, through SageLayer's phased and composed paths;
+#             test_halo_cache drives the cache directory, whose per-position
+#             arrays grow with the largest position requested.
 #   ubsan   — -fno-sanitize-recover=all, so any UB report is the exit code.
+#             test_halo_cache runs here too: the directory is raw index
+#             arithmetic over those arrays.
 #
 # Instrumented runs are bounded: reduced fuzz iterations, --scale 0.2
 # bench smokes. Each sanitizer aborts nonzero on a report, so plain
@@ -144,8 +149,8 @@ ctest --test-dir build --output-on-failure -R test_serve
 INSTRUMENTED_LEGS=(
   "checked|test_ops test_transport test_trainer test_schedule_fuzz test_layers test_baselines test_proxies bench_overlap|./build-checked/bench/bench_overlap --scale 0.2 --epochs 2 --json build-checked/overlap_smoke.json"
   "tsan|test_thread_pool test_ops test_fabric test_transport test_trainer test_schedule_fuzz|"
-  "asan|test_ops test_fabric test_transport test_trainer test_serve test_schedule_fuzz test_layers bench_overlap|./build-asan/bench/bench_overlap --scale 0.2 --epochs 2 --json build-asan/overlap_smoke.json"
-  "ubsan|test_ops test_transport test_trainer test_schedule_fuzz test_layers|"
+  "asan|test_ops test_fabric test_transport test_trainer test_serve test_schedule_fuzz test_layers test_halo_cache bench_overlap|./build-asan/bench/bench_overlap --scale 0.2 --epochs 2 --json build-asan/overlap_smoke.json"
+  "ubsan|test_ops test_transport test_trainer test_schedule_fuzz test_layers test_halo_cache|"
 )
 for leg in "${INSTRUMENTED_LEGS[@]}"; do
   IFS='|' read -r preset targets extra <<< "$leg"

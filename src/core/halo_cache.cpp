@@ -1,5 +1,7 @@
 #include "core/halo_cache.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 
 namespace bnsgcn::core {
@@ -11,76 +13,93 @@ CacheStep HaloCacheDir::step(std::span<const NodeId> positions, int epoch,
   out.action.reserve(positions.size());
   out.slot.reserve(positions.size());
 
-  // Phase 1: bump the request frequency of every position, reordering
-  // cached entries under their new count. Done before any classification
-  // so eviction comparisons within this step see consistent frequencies.
+  // Phase 1: bump the request frequency of every position. Done before any
+  // classification so eviction comparisons within this step see
+  // consistent frequencies.
   NodeId prev = -1;
   for (const NodeId p : positions) {
     BNSGCN_CHECK_MSG(p > prev, "cache step positions must strictly increase");
     prev = p;
-    auto [fit, inserted] = freq_.try_emplace(p, 0);
-    const auto eit = entries_.find(p);
-    if (eit != entries_.end()) order_.erase({fit->second, p});
-    ++fit->second;
-    if (eit != entries_.end()) order_.insert({fit->second, p});
   }
+  if (!positions.empty() &&
+      static_cast<std::size_t>(positions.back()) >= freq_.size()) {
+    const auto n = static_cast<std::size_t>(positions.back()) + 1;
+    freq_.resize(n, 0);
+    slot_.resize(n, -1);
+    stored_epoch_.resize(n, 0);
+    last_step_.resize(n, 0);
+  }
+  for (const NodeId p : positions) ++freq_[static_cast<std::size_t>(p)];
 
-  // Phase 2: classify in list order.
+  // Phase 2: classify in list order. The eviction order — the positions
+  // resident at the step's first eviction attempt, ascending by (freq,
+  // position) — is sorted only if some miss finds the directory full.
+  std::vector<NodeId> victims;
+  std::size_t cursor = 0;
+  auto evictable = [&](NodeId q) {  // not evicted, not touched this step
+    const auto i = static_cast<std::size_t>(q);
+    return slot_[i] >= 0 && last_step_[i] != step_id_;
+  };
   for (const NodeId p : positions) {
-    const std::int64_t f = freq_.at(p);
-    const auto eit = entries_.find(p);
-    if (eit != entries_.end()) {
-      Entry& ent = eit->second;
-      ent.last_step = step_id_;
-      const bool fresh = max_age < 0 || epoch - ent.stored_epoch <= max_age;
+    const auto i = static_cast<std::size_t>(p);
+    if (slot_[i] >= 0) {
+      last_step_[i] = step_id_;
+      const bool fresh = max_age < 0 || epoch - stored_epoch_[i] <= max_age;
       if (fresh) {
         out.action.push_back(CacheAction::kHit);
         ++out.hits;
       } else {
-        ent.stored_epoch = epoch;  // refreshed in place, same slot
+        stored_epoch_[i] = epoch;  // refreshed in place, same slot
         out.action.push_back(CacheAction::kMissStore);
         ++out.misses;
       }
-      out.slot.push_back(ent.slot);
+      out.slot.push_back(slot_[i]);
       continue;
     }
     // Uncached position. While below capacity, slots fill densely (used
     // slots are exactly [0, size)); once full, evict the least-frequently
     // requested resident — but only on a strictly higher count, and never
     // one touched by this step (its slot is being read right now).
-    if (static_cast<NodeId>(entries_.size()) < capacity_) {
-      const auto s = static_cast<NodeId>(entries_.size());
-      entries_.emplace(p, Entry{s, epoch, step_id_});
-      order_.insert({f, p});
-      out.action.push_back(CacheAction::kMissStore);
-      out.slot.push_back(s);
-      ++out.misses;
-      continue;
-    }
-    bool stored = false;
-    if (capacity_ > 0) {
-      auto vit = order_.begin();
-      while (vit != order_.end() &&
-             entries_.at(vit->second).last_step == step_id_)
-        ++vit;
-      if (vit != order_.end() && vit->first < f) {
-        const NodeId victim = vit->second;
-        const NodeId s = entries_.at(victim).slot;
-        order_.erase(vit);
-        entries_.erase(victim);
-        entries_.emplace(p, Entry{s, epoch, step_id_});
-        order_.insert({f, p});
-        out.action.push_back(CacheAction::kMissStore);
-        out.slot.push_back(s);
-        ++out.misses;
-        stored = true;
+    NodeId s = -1;
+    if (size() < capacity_) {
+      s = size();
+      slot_pos_.push_back(p);
+    } else if (capacity_ > 0) {
+      // Frequencies are final after phase 1, and within phase 2 the
+      // evictable set only shrinks: entries leave it when touched or
+      // evicted, and stored rows are born touched. So the first evictable
+      // entry of the order sorted here only moves forward through it.
+      // Positions are unique, so the order is total: both ends of the
+      // channel sort it alike. The directory is full, so once sorted the
+      // list is never empty.
+      if (victims.empty()) {
+        victims = slot_pos_;
+        std::sort(victims.begin(), victims.end(), [this](NodeId a, NodeId b) {
+          const auto fa = freq_[static_cast<std::size_t>(a)];
+          const auto fb = freq_[static_cast<std::size_t>(b)];
+          return fa != fb ? fa < fb : a < b;
+        });
+      }
+      while (cursor < victims.size() && !evictable(victims[cursor])) ++cursor;
+      if (cursor < victims.size()) {
+        const auto v = static_cast<std::size_t>(victims[cursor]);
+        if (freq_[v] < freq_[i]) {
+          s = slot_[v];
+          slot_[v] = -1;
+          slot_pos_[static_cast<std::size_t>(s)] = p;
+        }
       }
     }
-    if (!stored) {
+    if (s >= 0) {
+      slot_[i] = s;
+      stored_epoch_[i] = epoch;
+      last_step_[i] = step_id_;
+      out.action.push_back(CacheAction::kMissStore);
+    } else {
       out.action.push_back(CacheAction::kMissSend);
-      out.slot.push_back(-1);
-      ++out.misses;
     }
+    out.slot.push_back(s);
+    ++out.misses;
   }
   return out;
 }

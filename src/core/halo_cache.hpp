@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -43,6 +41,10 @@ struct CacheStep {
 /// broken by position; a tie never evicts, so a marginal newcomer cannot
 /// thrash a resident row). Rows requested in the current step are pinned —
 /// a slot being read this exchange is never reused by it.
+///
+/// State is dense per position (positions index one channel's send set),
+/// so a hit is O(1); a step that evicts sorts its resident positions once,
+/// O(C log C) for C resident rows (docs/ARCHITECTURE.md §9.3).
 class HaloCacheDir {
  public:
   explicit HaloCacheDir(NodeId capacity_rows = 0)
@@ -58,24 +60,19 @@ class HaloCacheDir {
 
   [[nodiscard]] NodeId capacity() const { return capacity_; }
   [[nodiscard]] NodeId size() const {
-    return static_cast<NodeId>(entries_.size());
+    return static_cast<NodeId>(slot_pos_.size());
   }
 
  private:
-  struct Entry {
-    NodeId slot = 0;
-    int stored_epoch = 0;
-    std::int64_t last_step = 0;  // pin against same-step eviction
-  };
-
   NodeId capacity_ = 0;
   std::int64_t step_id_ = 0;
-  // Ordered containers only: iteration order is part of the cross-rank
-  // lockstep contract (the determinism lint's unordered-container rule
-  // polices exactly this path).
-  std::map<NodeId, Entry> entries_;      // cached position -> entry
-  std::map<NodeId, std::int64_t> freq_;  // every requested position
-  std::set<std::pair<std::int64_t, NodeId>> order_;  // (freq, pos), cached
+  // Per position, grown to the largest position requested so far.
+  std::vector<std::int64_t> freq_;     // requests over all steps
+  std::vector<NodeId> slot_;           // store row, -1 when not resident
+  std::vector<int> stored_epoch_;      // epoch the resident row was stored
+  std::vector<std::int64_t> last_step_;  // pin against same-step eviction
+  // Per slot: its position. Slots stay dense, so size() == its length.
+  std::vector<NodeId> slot_pos_;
 };
 
 } // namespace bnsgcn::core

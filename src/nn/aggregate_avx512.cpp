@@ -14,6 +14,8 @@
 //   * The column-split scatters keep their *source* tile in registers:
 //     w·dout[v] for the backward halves B1/B2, the slab row for the halo
 //     fold F2a. Each arc is then one load, add and store of its target.
+//   * GAT's attention combine keeps one head's output tile in registers
+//     across the row's arcs and its self term, as F1 does.
 //
 // An unweighted F1 adds the source row as it is, where the scalar kernel
 // adds 1.0f * s: for every non-NaN s — ±0, ±Inf and subnormals included —
@@ -70,6 +72,59 @@ template <int V, bool kWeighted>
 #pragma GCC unroll 8
   for (int q = 0; q < V; ++q)
     _mm512_mask_storeu_ps(o + 16 * q, cols.m[q], acc[q]);
+}
+
+/// One GAT combine tile, columns [c0, c0 + 16·V) of destination row v:
+///   o[c] = o[c] + alpha[i] * wh[u_i, c]
+/// over v's entries i in order — its arcs in adjacency order, then v itself
+/// — with `alpha` at v's first entry and `o` at the tile's first column.
+/// No zero skip: the scalar loop has none.
+template <int V>
+[[gnu::target("avx512f")]] void combine_tile(std::span<const NodeId> nb,
+                                             NodeId v, const float* alpha,
+                                             const float* wh, std::int64_t dh,
+                                             std::int64_t c0, float* o,
+                                             const ColMasks<V>& cols) {
+  __m512 acc[V];
+#pragma GCC unroll 8
+  for (int q = 0; q < V; ++q)
+    acc[q] = _mm512_maskz_loadu_ps(cols.m[q], o + 16 * q);
+  for (std::size_t i = 0; i <= nb.size(); ++i) {
+    const NodeId u = i < nb.size() ? nb[i] : v;
+    const float* s = wh + static_cast<std::int64_t>(u) * dh + c0;
+    const __m512 a = _mm512_set1_ps(alpha[i]);
+#pragma GCC unroll 8
+    for (int q = 0; q < V; ++q)
+      acc[q] = _mm512_add_ps(
+          acc[q], mul(a, _mm512_maskz_loadu_ps(cols.m[q], s + 16 * q)));
+  }
+#pragma GCC unroll 8
+  for (int q = 0; q < V; ++q)
+    _mm512_mask_storeu_ps(o + 16 * q, cols.m[q], acc[q]);
+}
+
+/// The GAT combine over every destination row, each row in kGatherCols-
+/// wide tiles as in F1.
+[[gnu::target("avx512f")]] void combine_rows(const BipartiteCsr& adj,
+                                             const float* alpha,
+                                             const Matrix& wh,
+                                             std::int64_t col0, Matrix& out) {
+  const std::int64_t dh = wh.cols();
+  for (NodeId v = 0; v < adj.n_dst; ++v) {
+    const auto nb = adj.neighbors(v);
+    const float* a = alpha + gat_entry_offset(adj, v);
+    float* o = out.data() + static_cast<std::int64_t>(v) * out.cols() + col0;
+    for (std::int64_t c0 = 0; c0 < dh; c0 += kGatherCols) {
+      const std::int64_t width = dh - c0;
+      if (width > kGatherCols / 2) {
+        combine_tile<kGatherVecs>(nb, v, a, wh.data(), dh, c0, o + c0,
+                                  ColMasks<kGatherVecs>(width));
+      } else {
+        combine_tile<kGatherVecs / 2>(nb, v, a, wh.data(), dh, c0, o + c0,
+                                      ColMasks<kGatherVecs / 2>(width));
+      }
+    }
+  }
 }
 
 /// F1 over destination rows [v0, v1), one row at a time, each row in
@@ -202,6 +257,11 @@ void backward_scatter(const BipartiteCsr& adj, const Matrix& dout,
 }
 
 } // namespace
+
+void gat_combine_avx512(const BipartiteCsr& adj, std::span<const float> alpha,
+                        const Matrix& wh, std::int64_t col0, Matrix& out) {
+  combine_rows(adj, alpha.data(), wh, col0, out);
+}
 
 void mean_aggregate_inner_rows_avx512(const BipartiteCsr& adj,
                                       const Matrix& inner_src, NodeId row0,

@@ -7,12 +7,13 @@
 #include "nn/layer.hpp"
 #include "tensor/matrix.hpp"
 
-// Private to nn/layer.cpp, nn/aggregate_avx512.cpp and the kernel tests:
-// the two implementations behind mean_aggregate_inner_rows (F1),
-// mean_aggregate_halo_fold (F2a), mean_aggregate_backward_halo (B1) and
-// mean_aggregate_backward_inner (B2). The public functions check their
-// arguments, then run the AVX-512F kernel when the host has it and the
-// scalar kernel otherwise. Both compute every output element with the same
+// Private to nn/layer.cpp, nn/gat_layer.cpp, nn/aggregate_avx512.cpp and
+// the kernel tests: the two implementations behind
+// mean_aggregate_inner_rows (F1), mean_aggregate_halo_fold (F2a),
+// mean_aggregate_backward_halo (B1), mean_aggregate_backward_inner (B2)
+// and GAT's attention combine gat_combine (F2c). The public functions check
+// their arguments, then run the AVX-512F kernel when the host has it and
+// the scalar kernel otherwise. Both compute every output element with the same
 // sequence of single-precision operations, so they agree bit for bit
 // (docs/ARCHITECTURE.md §6, "ISA dispatch").
 namespace bnsgcn::nn::detail {
@@ -44,6 +45,22 @@ void mean_aggregate_backward_inner_scalar(const BipartiteCsr& adj,
                                           std::span<const float> inv_deg,
                                           NodeId n_lo, Matrix& dinner);
 
+/// Where destination v's entries start in GAT's per-entry arrays (the
+/// attention weights and LeakyReLU slopes): each row owns deg + 1 entries,
+/// its arcs in adjacency order, then itself.
+[[nodiscard]] inline std::size_t gat_entry_offset(const BipartiteCsr& adj,
+                                                  NodeId v) {
+  return static_cast<std::size_t>(adj.offsets[static_cast<std::size_t>(v)] +
+                                  v);
+}
+
+/// GAT's attention combine, one head: for every destination v,
+///   out[v, col0 + c] = out[v, col0 + c] + alpha[e] * wh[u, c]
+/// over v's entries e in order (gat_entry_offset) for c in
+/// [0, wh.cols()). Defined in nn/gat_layer.cpp.
+void gat_combine_scalar(const BipartiteCsr& adj, std::span<const float> alpha,
+                        const Matrix& wh, std::int64_t col0, Matrix& out);
+
 void mean_aggregate_inner_rows_avx512(const BipartiteCsr& adj,
                                       const Matrix& inner_src, NodeId row0,
                                       NodeId row1, Matrix& out);
@@ -59,5 +76,7 @@ void mean_aggregate_backward_inner_avx512(const BipartiteCsr& adj,
                                           const Matrix& dout,
                                           std::span<const float> inv_deg,
                                           NodeId n_lo, Matrix& dinner);
+void gat_combine_avx512(const BipartiteCsr& adj, std::span<const float> alpha,
+                        const Matrix& wh, std::int64_t col0, Matrix& out);
 
 } // namespace bnsgcn::nn::detail

@@ -3,9 +3,45 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/aggregate_kernels.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/simd.hpp"
 
 namespace bnsgcn::nn {
+
+namespace detail {
+
+void gat_combine_scalar(const BipartiteCsr& adj, std::span<const float> alpha,
+                        const Matrix& wh, std::int64_t col0, Matrix& out) {
+  const std::int64_t dh = wh.cols();
+  for (NodeId v = 0; v < adj.n_dst; ++v) {
+    const auto nb = adj.neighbors(v);
+    const float* a = alpha.data() + gat_entry_offset(adj, v);
+    float* o = out.data() + static_cast<std::int64_t>(v) * out.cols() + col0;
+    for (std::size_t i = 0; i <= nb.size(); ++i) {
+      const NodeId u = (i < nb.size()) ? nb[i] : v;
+      const float ai = a[i];
+      const float* s = wh.data() + static_cast<std::int64_t>(u) * dh;
+      for (std::int64_t c = 0; c < dh; ++c) o[c] += ai * s[c];
+    }
+  }
+}
+
+} // namespace detail
+
+void gat_combine(const BipartiteCsr& adj, std::span<const float> alpha,
+                 const Matrix& wh, std::int64_t col0, Matrix& out) {
+  BNSGCN_CHECK(alpha.size() == static_cast<std::size_t>(adj.num_edges()) +
+                                   static_cast<std::size_t>(adj.n_dst));
+  BNSGCN_CHECK(wh.rows() == adj.n_src && adj.n_dst <= adj.n_src);
+  BNSGCN_CHECK(out.rows() == adj.n_dst);
+  BNSGCN_CHECK(col0 >= 0 && col0 + wh.cols() <= out.cols());
+  if (simd::host_has_avx512f()) {
+    detail::gat_combine_avx512(adj, alpha, wh, col0, out);
+  } else {
+    detail::gat_combine_scalar(adj, alpha, wh, col0, out);
+  }
+}
 
 GatLayer::GatLayer(std::int64_t d_in, std::int64_t d_out, const Options& opts,
                    Rng& rng)
@@ -74,14 +110,15 @@ Matrix GatLayer::attention_forward(const BipartiteCsr& adj, bool training) {
 
   for (std::size_t hi = 0; hi < heads_.size(); ++hi) {
     Head& h = heads_[hi];
-    h.alpha.assign(n_entries, 0.0f);
+    // Every entry is written before it is read: no fill.
+    h.alpha.resize(n_entries);
     // The LeakyReLU slopes feed only the attention backward; inference
     // skips the whole per-entry array.
-    if (!inference_) h.slope.assign(n_entries, 0.0f);
+    if (!inference_) h.slope.resize(n_entries);
 
     for (NodeId v = 0; v < adj.n_dst; ++v) {
       const auto nb = adj.neighbors(v);
-      const std::size_t base = entry_offset(adj, v);
+      const std::size_t base = detail::gat_entry_offset(adj, v);
       const std::size_t cnt = nb.size() + 1; // + self
       // scores
       float mx = -1e30f;
@@ -106,16 +143,11 @@ Matrix GatLayer::attention_forward(const BipartiteCsr& adj, bool training) {
       }
       const float inv = 1.0f / sum;
       for (std::size_t i = 0; i < cnt; ++i) h.alpha[base + i] *= inv;
-      // weighted combine
-      float* o = out.data() + static_cast<std::int64_t>(v) * d_out_ +
-                 static_cast<std::int64_t>(hi) * d_head_;
-      for (std::size_t i = 0; i < cnt; ++i) {
-        const NodeId u = (i < nb.size()) ? nb[i] : v;
-        const float a = h.alpha[base + i];
-        const float* s = h.wh.data() + static_cast<std::int64_t>(u) * d_head_;
-        for (std::int64_t c = 0; c < d_head_; ++c) o[c] += a * s[c];
-      }
     }
+    // Weighted combine into this head's columns, once every row's
+    // attention is known.
+    gat_combine(adj, h.alpha, h.wh, static_cast<std::int64_t>(hi) * d_head_,
+                out);
   }
 
   if (opts_.relu) {
@@ -239,10 +271,15 @@ void GatLayer::attention_backward_head(const BipartiteCsr& adj,
   Head& h = heads_[hi];
   std::vector<float> ds_src(static_cast<std::size_t>(adj.n_src), 0.0f);
   std::vector<float> ds_dst(static_cast<std::size_t>(adj.n_dst), 0.0f);
+  // dα of one destination's entries, sized once for the largest.
+  NodeId max_deg = 0;
+  for (NodeId v = 0; v < adj.n_dst; ++v)
+    max_deg = std::max(max_deg, adj.degree(v));
+  std::vector<float> dalpha(static_cast<std::size_t>(max_deg) + 1);
 
   for (NodeId v = 0; v < adj.n_dst; ++v) {
     const auto nb = adj.neighbors(v);
-    const std::size_t base = entry_offset(adj, v);
+    const std::size_t base = detail::gat_entry_offset(adj, v);
     const std::size_t cnt = nb.size() + 1;
     const float* gv = g.data() + static_cast<std::int64_t>(v) * d_out_ +
                       static_cast<std::int64_t>(hi) * d_head_;
@@ -250,8 +287,6 @@ void GatLayer::attention_backward_head(const BipartiteCsr& adj,
     // dα_vu = <g_v, Wh_u>; also the α·g contribution to dWh_u.
     float dot_sum = 0.0f; // Σ_k α_vk dα_vk for softmax backward
     // First pass: compute dα and accumulate α-weighted dWh.
-    // (store dα temporarily in a small stack buffer)
-    std::vector<float> dalpha(cnt);
     for (std::size_t i = 0; i < cnt; ++i) {
       const NodeId u = (i < nb.size()) ? nb[i] : v;
       const float* whu =

@@ -13,6 +13,15 @@ namespace bnsgcn::nn {
 /// Under boundary-node sampling the softmax renormalizes over the kept
 /// neighbors, so no 1/p correction is applied (the estimator is the standard
 /// subsampled-attention one; `inv_deg` is ignored).
+/// GAT's attention combine (phase F2c) for one head: for every destination
+/// v, out[v, col0 + c] += alpha[e] * wh[u, c] over v's entries e — its arcs
+/// in adjacency order, then v itself — for c in [0, wh.cols()). `alpha`
+/// holds deg + 1 entries per row starting at offsets[v] + v, self last.
+/// Runs the AVX-512F kernel when the host has it, the scalar loop
+/// otherwise; both give the same bits (docs/ARCHITECTURE.md §6).
+void gat_combine(const BipartiteCsr& adj, std::span<const float> alpha,
+                 const Matrix& wh, std::int64_t col0, Matrix& out);
+
 class GatLayer final : public Layer {
  public:
   struct Options {
@@ -83,14 +92,6 @@ class GatLayer final : public Layer {
     std::vector<float> s_dst;   // n_dst
     Matrix dwh;                 // (n_src, d_head), from B0 for B1–B3
   };
-
-  /// Entry offset of dst v in the per-edge arrays (each dst owns deg+1
-  /// slots, self last).
-  [[nodiscard]] static std::size_t entry_offset(const BipartiteCsr& adj,
-                                                NodeId v) {
-    return static_cast<std::size_t>(
-        adj.offsets[static_cast<std::size_t>(v)] + v);
-  }
 
   /// The attention forward over fully-assembled per-head wh/s caches
   /// (phase F2c).

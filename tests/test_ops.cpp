@@ -13,6 +13,7 @@
 
 #include "common/thread_pool.hpp"
 #include "nn/aggregate_kernels.hpp"
+#include "nn/gat_layer.hpp"
 #include "nn/layer.hpp"
 #include "tensor/gemm_kernels.hpp"
 #include "tensor/ops.hpp"
@@ -1047,6 +1048,91 @@ TEST(AggregateDispatch, DoesNotFuse) {
     nn::mean_aggregate_backward_inner(*g, dout, inv, kDst, dinner);
     expect_all_plus_zero(dhalo, g == &adj ? "B1" : "B1 weighted");
     expect_all_plus_zero(dinner, g == &adj ? "B2" : "B2 weighted");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ISA dispatch, GAT: the attention combine (F2c) runs an AVX-512F kernel on
+// hosts that have it and must give the scalar loop's bits by the same rule.
+// The grid crosses head widths around the 16-wide vectors and the 64- and
+// 128-column tiles with one and two heads (the head's column offset inside
+// the output row), over rows with and without neighbours, on weights,
+// attention values and starting outputs that hold ±0, NaN, ±Inf and
+// subnormals.
+// ---------------------------------------------------------------------------
+
+constexpr std::int64_t kGatHeadWidths[] = {1,  15, 16,  17,  47, 63,
+                                           64, 65, 100, 128, 130};
+
+TEST(GatDispatch, CombineMatchesScalar) {
+  Rng rng(44);
+  const nn::BipartiteCsr adj = random_adj(rng, 150, 200, false);
+  NodeId isolated = 0;
+  for (NodeId v = 0; v < adj.n_dst; ++v) isolated += adj.degree(v) == 0;
+  ASSERT_GT(isolated, 0);
+  const std::int64_t n_entries = adj.num_edges() + adj.n_dst;
+  for (const std::int64_t dh : kGatHeadWidths) {
+    for (const int heads : {1, 2}) {
+      SCOPED_TRACE(::testing::Message() << "d_head " << dh << ", heads "
+                                        << heads);
+      const Matrix start = special_matrix(adj.n_dst, heads * dh, rng);
+      Matrix want = start, got = start;
+      for (int hi = 0; hi < heads; ++hi) {
+        const Matrix wh = special_matrix(adj.n_src, dh, rng);
+        const Matrix alpha = special_matrix(1, n_entries, rng);
+        const std::span<const float> a(alpha.data(),
+                                       static_cast<std::size_t>(n_entries));
+        nn::detail::gat_combine_scalar(adj, a, wh, hi * dh, want);
+        nn::gat_combine(adj, a, wh, hi * dh, got);
+      }
+      expect_same_bits_or_both_nan(got, want);
+    }
+  }
+}
+
+TEST(GatDispatch, DoesNotFuse) {
+  // The GemmDispatch.DispatchedGemmsDoNotFuse operands: a * a rounds to
+  // exactly -c, so c + a * a is +0.0f with two roundings and 2^-24 fused.
+  // Each row takes exactly one a * a term: as its self term with no arcs,
+  // or from its one arc with a 0 weight on the other entry (c + 0 * a and
+  // +0 + 0 * a are exact either way). Two heads of widths covering the
+  // 128-column tile, the 64-column tile and tails.
+  const float a = 1.0f + std::ldexp(1.0f, -12);
+  const float c = -(1.0f + std::ldexp(1.0f, -11));
+  ASSERT_EQ(c + a * a, 0.0f);
+  ASSERT_EQ(std::fma(a, a, c), std::ldexp(1.0f, -24));
+  constexpr NodeId kDst = 9;
+  nn::BipartiteCsr adj;
+  adj.n_dst = kDst;
+  adj.n_src = 2 * kDst;
+  adj.offsets.push_back(0);
+  std::vector<float> alpha;
+  for (NodeId v = 0; v < kDst; ++v) {
+    switch (v % 3) {
+      case 0: // self only
+        alpha.push_back(a);
+        break;
+      case 1: // the arc's term, then a zero-weight self term
+        adj.nbrs.push_back(kDst + v);
+        alpha.insert(alpha.end(), {a, 0.0f});
+        break;
+      default: // a zero-weight arc, then the self term
+        adj.nbrs.push_back(kDst + v);
+        alpha.insert(alpha.end(), {0.0f, a});
+        break;
+    }
+    adj.offsets.push_back(static_cast<EdgeId>(adj.nbrs.size()));
+  }
+  adj.validate();
+  for (const std::int64_t dh : {std::int64_t{47}, std::int64_t{130}}) {
+    SCOPED_TRACE(::testing::Message() << "d_head " << dh);
+    const Matrix wh(adj.n_src, dh, a);
+    Matrix out(kDst, 2 * dh, c);
+    nn::gat_combine(adj, alpha, wh, 0, out);
+    nn::gat_combine(adj, alpha, wh, dh, out);
+    for (std::int64_t i = 0; i < out.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(out.data()[i]), 0u)
+          << "fused at flat index " << i << ": " << out.data()[i];
   }
 }
 
