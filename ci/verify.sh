@@ -41,9 +41,10 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 ctest --test-dir build --output-on-failure -R test_overlap
 
 # Transport gates, run once more by name so a socket-fabric regression is
-# called out explicitly: framing/shutdown unit tests, then the
-# cross-process parity suite (forked UDS/TCP rank processes must train
-# bit-identically to the in-process mailbox and report measured timing).
+# called out explicitly: the frame codec tests and its seeded fuzzer,
+# corrupt-frame and shutdown unit tests, then the cross-process parity
+# suite (forked UDS/TCP rank processes must train bit-identically to the
+# in-process mailbox and report measured timing).
 ctest --test-dir build --output-on-failure -R test_transport
 ctest --test-dir build --output-on-failure -R test_multiprocess
 
@@ -138,10 +139,16 @@ ctest --test-dir build --output-on-failure -R test_serve
 #             test_layers drives the aggregation kernels, vector tails
 #             included, through SageLayer's phased and composed paths;
 #             test_halo_cache drives the cache directory, whose per-position
-#             arrays grow with the largest position requested.
+#             arrays grow with the largest position requested;
+#             test_transport runs the frame fuzzer over the codec; and
+#             test_multiprocess drives it across forked rank processes,
+#             where each received Wire is allocated on the I/O thread and
+#             freed or pooled on the rank thread.
 #   ubsan   — -fno-sanitize-recover=all, so any UB report is the exit code.
 #             test_halo_cache runs here too: the directory is raw index
-#             arithmetic over those arrays.
+#             arithmetic over those arrays; so do the frame fuzzer
+#             (test_transport) and test_multiprocess, whose decoders read
+#             wire-supplied lengths and counts.
 #
 # Instrumented runs are bounded: reduced fuzz iterations, --scale 0.2
 # bench smokes. Each sanitizer aborts nonzero on a report, so plain
@@ -149,8 +156,8 @@ ctest --test-dir build --output-on-failure -R test_serve
 INSTRUMENTED_LEGS=(
   "checked|test_ops test_transport test_trainer test_schedule_fuzz test_layers test_baselines test_proxies bench_overlap|./build-checked/bench/bench_overlap --scale 0.2 --epochs 2 --json build-checked/overlap_smoke.json"
   "tsan|test_thread_pool test_ops test_fabric test_transport test_trainer test_schedule_fuzz|"
-  "asan|test_ops test_fabric test_transport test_trainer test_serve test_schedule_fuzz test_layers test_halo_cache bench_overlap|./build-asan/bench/bench_overlap --scale 0.2 --epochs 2 --json build-asan/overlap_smoke.json"
-  "ubsan|test_ops test_transport test_trainer test_schedule_fuzz test_layers test_halo_cache|"
+  "asan|test_ops test_fabric test_transport test_multiprocess test_trainer test_serve test_schedule_fuzz test_layers test_halo_cache bench_overlap|./build-asan/bench/bench_overlap --scale 0.2 --epochs 2 --json build-asan/overlap_smoke.json"
+  "ubsan|test_ops test_transport test_multiprocess test_trainer test_schedule_fuzz test_layers test_halo_cache|"
 )
 for leg in "${INSTRUMENTED_LEGS[@]}"; do
   IFS='|' read -r preset targets extra <<< "$leg"

@@ -97,12 +97,6 @@ std::vector<float> Request::take_floats() {
   return std::move(state_->payload.floats);
 }
 
-std::vector<NodeId> Request::take_ids() {
-  wait();
-  BNSGCN_CHECK(state_ != nullptr);
-  return std::move(state_->payload.ids);
-}
-
 Wire Request::take_payload() {
   wait();
   BNSGCN_CHECK(state_ != nullptr);
@@ -236,7 +230,6 @@ void Endpoint::send_floats(PartId to, int tag, std::vector<float> payload,
                            TrafficClass cls) {
   post(to,
        Wire{.tag = tag,
-            .hold = 0,
             .kind = WireKind::kFloats,
             .floats = std::move(payload),
             .ids = {}},
@@ -255,7 +248,6 @@ void Endpoint::send_ids(PartId to, int tag, std::vector<NodeId> payload,
                         TrafficClass cls) {
   post(to,
        Wire{.tag = tag,
-            .hold = 0,
             .kind = WireKind::kIds,
             .floats = {},
             .ids = std::move(payload)},
@@ -276,22 +268,14 @@ Request Endpoint::isend_floats(PartId to, int tag, std::vector<float> payload,
   return {};
 }
 
-Request Endpoint::isend_ids(PartId to, int tag, std::vector<NodeId> payload,
-                            TrafficClass cls) {
-  send_ids(to, tag, std::move(payload), cls);
-  return {};
-}
-
-Request Endpoint::isend_halo(PartId to, int tag, std::vector<NodeId> present,
-                             std::vector<float> rows, TrafficClass cls) {
+void Endpoint::send_halo(PartId to, int tag, std::vector<NodeId> present,
+                         std::vector<float> rows, TrafficClass cls) {
   post(to,
        Wire{.tag = tag,
-            .hold = 0,
             .kind = WireKind::kHaloDelta,
             .floats = std::move(rows),
             .ids = std::move(present)},
        cls);
-  return {};
 }
 
 std::vector<float> Endpoint::acquire_floats(std::size_t n) {
@@ -324,10 +308,6 @@ Request Endpoint::irecv_floats(PartId from, int tag, TrafficClass cls) {
   return Request(std::move(state));
 }
 
-Request Endpoint::irecv_ids(PartId from, int tag, TrafficClass cls) {
-  return irecv_floats(from, tag, cls); // same matching; payload kind differs
-}
-
 std::vector<Wire> Endpoint::allgather_wire(Wire mine) {
   const int tag = next_coll_tag();
   mine.tag = tag;
@@ -343,7 +323,7 @@ std::vector<Wire> Endpoint::allgather_wire(Wire mine) {
 
 void Endpoint::barrier() {
   const int tag = next_coll_tag();
-  const Wire ping{.tag = tag, .hold = 0, .kind = WireKind::kFloats,
+  const Wire ping{.tag = tag, .kind = WireKind::kFloats,
                   .floats = {}, .ids = {}};
   if (rank_ == 0) {
     for (PartId j = 1; j < nranks(); ++j) (void)transport().recv(rank_, j, tag);
@@ -362,12 +342,12 @@ void Endpoint::allreduce_sum(std::span<float> data, TrafficClass cls) {
       BNSGCN_CHECK(c.floats.size() == data.size());
       for (std::size_t i = 0; i < data.size(); ++i) data[i] += c.floats[i];
     }
-    const Wire sum{.tag = tag, .hold = 0, .kind = WireKind::kFloats,
+    const Wire sum{.tag = tag, .kind = WireKind::kFloats,
                    .floats = {data.begin(), data.end()}, .ids = {}};
     for (PartId j = 1; j < nranks(); ++j) transport().send(rank_, j, sum);
   } else {
     transport().send(rank_, 0,
-                     Wire{.tag = tag, .hold = 0, .kind = WireKind::kFloats,
+                     Wire{.tag = tag, .kind = WireKind::kFloats,
                           .floats = {data.begin(), data.end()}, .ids = {}});
     const Wire sum = transport().recv(rank_, 0, tag);
     BNSGCN_CHECK(sum.floats.size() == data.size());
@@ -406,7 +386,6 @@ std::vector<std::vector<NodeId>> Endpoint::allgather_ids(
   const PartId n = nranks();
   const auto own_bytes = static_cast<std::int64_t>(ids.size() * sizeof(NodeId));
   auto all = allgather_wire(Wire{.tag = 0,
-                                 .hold = 0,
                                  .kind = WireKind::kIds,
                                  .floats = {},
                                  .ids = std::move(ids)});
@@ -429,7 +408,6 @@ std::vector<std::vector<NodeId>> Endpoint::allgather_ids(
 std::vector<std::vector<double>> Endpoint::allgather_doubles(
     std::vector<double> vals) {
   auto all = allgather_wire(Wire{.tag = 0,
-                                 .hold = 0,
                                  .kind = WireKind::kDoubles,
                                  .floats = {},
                                  .ids = {},

@@ -91,27 +91,24 @@ class Endpoint {
   [[nodiscard]] std::vector<NodeId> recv_ids(PartId from, int tag,
                                              TrafficClass cls);
 
+  /// Halo-cache delta message (WireKind::kHaloDelta): the index list of
+  /// the rows actually present plus those rows' features. Both vectors
+  /// are accounted under `cls` — the index list is real overhead the
+  /// cache pays, so it must show up in the same traffic class it saves
+  /// from.
+  void send_halo(PartId to, int tag, std::vector<NodeId> present,
+                 std::vector<float> rows, TrafficClass cls);
+
   /// Nonblocking point-to-point. isend hands the payload to the backend
   /// and returns an already complete Request (mailboxes are unbounded and
   /// socket sends queue locally, like an eager-protocol MPI send; the
   /// Request exists for a uniform wait_all over mixed batches); irecv
-  /// posts a receive that completes when a matching message is delivered.
-  /// Complete with Request::wait()/test() or comm::wait_all.
+  /// posts a receive that completes when a matching message of any kind
+  /// is delivered. Complete with Request::wait()/test() or comm::wait_all.
   [[nodiscard]] Request isend_floats(PartId to, int tag,
                                      std::vector<float> payload,
                                      TrafficClass cls);
-  [[nodiscard]] Request isend_ids(PartId to, int tag,
-                                  std::vector<NodeId> payload,
-                                  TrafficClass cls);
-  /// Halo-cache delta frame (WireKind::kHaloDelta): the index list of the
-  /// rows actually present plus those rows' features. Both vectors are
-  /// accounted under `cls` — the index list is real overhead the cache
-  /// pays, so it must show up in the same traffic class it saves from.
-  [[nodiscard]] Request isend_halo(PartId to, int tag,
-                                   std::vector<NodeId> present,
-                                   std::vector<float> rows, TrafficClass cls);
   [[nodiscard]] Request irecv_floats(PartId from, int tag, TrafficClass cls);
-  [[nodiscard]] Request irecv_ids(PartId from, int tag, TrafficClass cls);
 
   /// Per-endpoint float-buffer pool: the trainer's per-peer staging
   /// vectors are acquired here instead of allocated fresh every exchange,
@@ -219,10 +216,10 @@ class Fabric {
 /// completed (or destroyed) by the thread owning the posting endpoint.
 ///
 /// Payload buffers are double-buffered across the exchange: the in-flight
-/// bytes live in the backend (mailbox message / socket frame) while the
+/// bytes live in the backend (mailbox message / socket inbox) while the
 /// consumer keeps computing on its own matrices; wait() moves the message
-/// into the request's private slot, and take_floats()/take_ids() move it
-/// out again into the fold destination. The network-side and compute-side
+/// into the request's private slot, and take_floats()/take_payload() move
+/// it out again into the fold destination. The network-side and compute-side
 /// buffers are therefore never the same memory, which is what lets the
 /// trainer fold a finished exchange while the next one's deposits are
 /// already arriving.
@@ -240,11 +237,10 @@ class Request {
   bool test();
   /// Block until complete.
   void wait();
-  /// Move the received payload out (wait()s first if still pending).
+  /// Move the received floats out (wait()s first if still pending).
   [[nodiscard]] std::vector<float> take_floats();
-  [[nodiscard]] std::vector<NodeId> take_ids();
-  /// Move the whole message out — for kHaloDelta frames, whose index list
-  /// and rows are consumed together.
+  /// Move the whole message out — for kHaloDelta messages, whose index
+  /// list and rows are consumed together, and for every other kind.
   [[nodiscard]] Wire take_payload();
 
  private:
@@ -271,7 +267,7 @@ class Request {
 void run_ranks(Fabric& fabric, const std::function<void(PartId)>& rank_fn);
 
 /// Complete every request in the span (MPI_Waitall). Payloads stay stored
-/// in the requests for take_floats()/take_ids().
+/// in the requests for take_floats()/take_payload().
 void wait_all(std::span<Request> requests);
 
 /// Completion set over a batch of requests: wait_any-style progress built

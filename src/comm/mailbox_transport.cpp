@@ -48,11 +48,11 @@ int MailboxTransport::hold_of(PartId from, PartId to, int tag) const {
 
 void MailboxTransport::send(PartId from, PartId to, Wire msg) {
   check_alive();
-  msg.hold = hold_of(from, to, msg.tag);
+  const int hold = hold_of(from, to, msg.tag);
   auto& box = mailbox(from, to);
   {
     std::lock_guard<std::mutex> lock(box.mu);
-    box.queue.push_back(std::move(msg));
+    box.queue.push_back(Deposit{.msg = std::move(msg), .hold = hold});
   }
   box.cv.notify_all();
 }
@@ -61,14 +61,15 @@ bool MailboxTransport::try_recv(PartId rank, PartId from, int tag, Wire& out) {
   check_alive();
   auto& box = mailbox(from, rank);
   std::lock_guard<std::mutex> lock(box.mu);
-  const auto it = std::find_if(box.queue.begin(), box.queue.end(),
-                               [tag](const Wire& m) { return m.tag == tag; });
+  const auto it =
+      std::find_if(box.queue.begin(), box.queue.end(),
+                   [tag](const Deposit& d) { return d.msg.tag == tag; });
   if (it == box.queue.end()) return false;
   if (it->hold > 0) { // delivery shuffle: not yet "arrived" for probes
     --it->hold;
     return false;
   }
-  out = std::move(*it);
+  out = std::move(it->msg);
   box.queue.erase(it);
   return true;
 }
@@ -81,9 +82,9 @@ Wire MailboxTransport::recv(PartId rank, PartId from, int tag) {
       throw ShutdownError("mailbox fabric shut down");
     const auto it =
         std::find_if(box.queue.begin(), box.queue.end(),
-                     [tag](const Wire& m) { return m.tag == tag; });
+                     [tag](const Deposit& d) { return d.msg.tag == tag; });
     if (it != box.queue.end()) {
-      Wire msg = std::move(*it);
+      Wire msg = std::move(it->msg);
       box.queue.erase(it);
       return msg;
     }

@@ -48,10 +48,16 @@ class MailboxTransport final : public Transport {
   void enable_delivery_shuffle(std::uint64_t seed, int max_hold) override;
 
  private:
+  /// A deposited message and its delivery-shuffle hold: how many more
+  /// nonblocking probes pass it over (0 when the shuffle is off).
+  struct Deposit {
+    Wire msg;
+    int hold = 0;
+  };
   struct Mailbox {
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<Wire> queue;
+    std::deque<Deposit> queue;
   };
 
   Mailbox& mailbox(PartId from, PartId to) {

@@ -22,16 +22,18 @@ namespace bnsgcn::comm {
 
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& buf, std::uint32_t v) {
-  const auto off = buf.size();
-  buf.resize(off + sizeof(v));
-  std::memcpy(buf.data() + off, &v, sizeof(v));
+/// Append the bytes of `count` PODs to a frame under construction.
+template <typename T>
+void put_pods(std::vector<std::uint8_t>& buf, const T* data,
+              std::size_t count) {
+  if (count == 0) return;
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(data);
+  buf.insert(buf.end(), bytes, bytes + count * sizeof(T));
 }
 
-void put_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-  const auto off = buf.size();
-  buf.resize(off + sizeof(v));
-  std::memcpy(buf.data() + off, &v, sizeof(v));
+template <typename T>
+void write_pod(std::uint8_t* p, T v) {
+  std::memcpy(p, &v, sizeof(T));
 }
 
 template <typename T>
@@ -39,6 +41,13 @@ T get_pod(const std::uint8_t* p) {
   T v;
   std::memcpy(&v, p, sizeof(T));
   return v;
+}
+
+/// Decode `nbytes` of payload (whole Ts) into `out`.
+template <typename T>
+void get_pods(std::vector<T>& out, const std::uint8_t* p, std::size_t nbytes) {
+  out.resize(nbytes / sizeof(T));
+  if (nbytes > 0) std::memcpy(out.data(), p, nbytes);
 }
 
 void set_nonblocking(int fd) {
@@ -97,20 +106,35 @@ ParsedTcp parse_tcp_addr(const std::string& addr) {
   return out;
 }
 
-/// Whether a payload of `nbytes` is well formed for its frame kind; false
-/// for every length when `kind` is unassigned.
-bool payload_fits(FrameKind kind, std::uint64_t nbytes) {
+/// Whether a payload of `nbytes` is well formed for its frame kind.
+bool payload_fits(WireKind kind, std::uint64_t nbytes) {
   switch (kind) {
-    case FrameKind::kFloats:
+    case WireKind::kFloats:
       return nbytes % sizeof(float) == 0;
-    case FrameKind::kIds:
+    case WireKind::kIds:
       return nbytes % sizeof(NodeId) == 0;
-    case FrameKind::kDoubles:
+    case WireKind::kDoubles:
       return nbytes % sizeof(double) == 0;
-    case FrameKind::kHaloDelta:
+    case WireKind::kHaloDelta:
       return nbytes >= sizeof(std::uint64_t);
   }
   return false;
+}
+
+/// Payload bytes of a message's frame.
+std::size_t payload_bytes(const Wire& msg) {
+  switch (msg.kind) {
+    case WireKind::kFloats:
+      return msg.floats.size() * sizeof(float);
+    case WireKind::kIds:
+      return msg.ids.size() * sizeof(NodeId);
+    case WireKind::kDoubles:
+      return msg.doubles.size() * sizeof(double);
+    case WireKind::kHaloDelta:
+      return sizeof(std::uint64_t) + msg.ids.size() * sizeof(NodeId) +
+             msg.floats.size() * sizeof(float);
+  }
+  return 0;
 }
 
 int dial(const SocketEndpoints& eps, PartId to) {
@@ -153,14 +177,37 @@ int dial(const SocketEndpoints& eps, PartId to) {
 
 } // namespace
 
-std::vector<std::uint8_t> encode_frame(const Frame& f) {
+std::vector<std::uint8_t> encode_frame(const Wire& msg) {
+  const std::size_t nbytes = payload_bytes(msg);
+  std::uint8_t header[kFrameHeaderBytes];
+  write_pod(header, kFrameMagic);
+  write_pod(header + 4, static_cast<std::uint32_t>(msg.kind));
+  write_pod(header + 8, static_cast<std::uint32_t>(msg.tag));
+  write_pod(header + 12, static_cast<std::uint64_t>(nbytes));
   std::vector<std::uint8_t> out;
-  out.reserve(kFrameHeaderBytes + f.payload.size());
-  put_u32(out, kFrameMagic);
-  put_u32(out, static_cast<std::uint32_t>(f.kind));
-  put_u32(out, static_cast<std::uint32_t>(f.tag));
-  put_u64(out, static_cast<std::uint64_t>(f.payload.size()));
-  out.insert(out.end(), f.payload.begin(), f.payload.end());
+  out.reserve(kFrameHeaderBytes + nbytes);
+  out.assign(header, header + kFrameHeaderBytes);
+  switch (msg.kind) {
+    case WireKind::kFloats:
+      put_pods(out, msg.floats.data(), msg.floats.size());
+      break;
+    case WireKind::kIds:
+      put_pods(out, msg.ids.data(), msg.ids.size());
+      break;
+    case WireKind::kDoubles:
+      put_pods(out, msg.doubles.data(), msg.doubles.size());
+      break;
+    case WireKind::kHaloDelta: {
+      // The only kind carrying two payload vectors, so the index count
+      // makes the split explicit (the receiver must not infer it from
+      // the row width).
+      const auto nids = static_cast<std::uint64_t>(msg.ids.size());
+      put_pods(out, &nids, 1);
+      put_pods(out, msg.ids.data(), msg.ids.size());
+      put_pods(out, msg.floats.data(), msg.floats.size());
+      break;
+    }
+  }
   return out;
 }
 
@@ -168,32 +215,65 @@ void FrameDecoder::feed(const std::uint8_t* data, std::size_t n) {
   buf_.insert(buf_.end(), data, data + n);
 }
 
-bool FrameDecoder::pop(Frame& out) {
+bool FrameDecoder::pop(Wire& out) {
   BNSGCN_REQUIRE(pos_ <= buf_.size(),
                  "decoder consumed past the end of its buffer");
   if (buf_.size() - pos_ < kFrameHeaderBytes) return false;
   const std::uint8_t* h = buf_.data() + pos_;
   const auto magic = get_pod<std::uint32_t>(h);
   BNSGCN_CHECK_MSG(magic == kFrameMagic, "corrupt frame header");
-  const auto kind = get_pod<std::uint32_t>(h + 4);
-  BNSGCN_CHECK_MSG(kind <= static_cast<std::uint32_t>(FrameKind::kHaloDelta),
-                   "corrupt frame kind");
+  // The kind field carries a WireKind, whose largest value is kDoubles.
+  const auto kind_field = get_pod<std::uint32_t>(h + 4);
+  BNSGCN_CHECK_MSG(
+      kind_field <= static_cast<std::uint32_t>(WireKind::kDoubles),
+      "corrupt frame kind " + std::to_string(kind_field));
+  const auto kind = static_cast<WireKind>(kind_field);
   const auto nbytes = get_pod<std::uint64_t>(h + 12);
   // Bound the wire-supplied length before any arithmetic on it: an
   // unchecked header + length sum wraps and passes the test below.
   BNSGCN_CHECK_MSG(nbytes <= kMaxFramePayloadBytes,
                    "frame length " + std::to_string(nbytes) +
                        " exceeds the frame cap");
-  BNSGCN_CHECK_MSG(payload_fits(static_cast<FrameKind>(kind), nbytes),
+  BNSGCN_CHECK_MSG(payload_fits(kind, nbytes),
                    "frame length " + std::to_string(nbytes) +
-                       " does not fit frame kind " + std::to_string(kind));
-  const std::size_t frame_bytes =
-      kFrameHeaderBytes + static_cast<std::size_t>(nbytes);
-  if (buf_.size() - pos_ < frame_bytes) return false;
-  out.kind = static_cast<FrameKind>(kind);
-  out.tag = static_cast<int>(get_pod<std::uint32_t>(h + 8));
-  out.payload.assign(h + kFrameHeaderBytes, h + frame_bytes);
-  pos_ += frame_bytes;
+                       " does not fit frame kind " +
+                       std::to_string(kind_field));
+  const auto n = static_cast<std::size_t>(nbytes);
+  if (buf_.size() - pos_ < kFrameHeaderBytes + n) return false;
+  const std::uint8_t* p = h + kFrameHeaderBytes;
+  Wire msg;
+  msg.tag = static_cast<int>(get_pod<std::uint32_t>(h + 8));
+  msg.kind = kind;
+  switch (kind) {
+    case WireKind::kFloats:
+      get_pods(msg.floats, p, n);
+      break;
+    case WireKind::kIds:
+      get_pods(msg.ids, p, n);
+      break;
+    case WireKind::kDoubles:
+      get_pods(msg.doubles, p, n);
+      break;
+    case WireKind::kHaloDelta: {
+      const auto nids = get_pod<std::uint64_t>(p);
+      const std::size_t rest = n - sizeof(std::uint64_t);
+      BNSGCN_CHECK_MSG(nids <= rest / sizeof(NodeId),
+                       "halo delta index count " + std::to_string(nids) +
+                           " runs past its " + std::to_string(n) +
+                           "-byte payload");
+      const std::size_t id_bytes =
+          static_cast<std::size_t>(nids) * sizeof(NodeId);
+      const std::size_t row_bytes = rest - id_bytes;
+      BNSGCN_CHECK_MSG(row_bytes % sizeof(float) == 0,
+                       "halo delta rows of " + std::to_string(row_bytes) +
+                           " bytes are not whole floats");
+      get_pods(msg.ids, p + sizeof(std::uint64_t), id_bytes);
+      get_pods(msg.floats, p + sizeof(std::uint64_t) + id_bytes, row_bytes);
+      break;
+    }
+  }
+  out = std::move(msg);
+  pos_ += kFrameHeaderBytes + n;
   // Compact once the consumed prefix dominates, keeping feed() amortised.
   if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
     buf_.erase(buf_.begin(),
@@ -201,93 +281,6 @@ bool FrameDecoder::pop(Frame& out) {
     pos_ = 0;
   }
   return true;
-}
-
-Frame wire_to_frame(const Wire& msg) {
-  Frame f;
-  f.tag = msg.tag;
-  const std::size_t id_bytes = msg.ids.size() * sizeof(NodeId);
-  const std::size_t float_bytes = msg.floats.size() * sizeof(float);
-  const std::size_t double_bytes = msg.doubles.size() * sizeof(double);
-  switch (msg.kind) {
-    case WireKind::kIds:
-      f.kind = FrameKind::kIds;
-      f.payload.resize(id_bytes);
-      if (id_bytes > 0)
-        std::memcpy(f.payload.data(), msg.ids.data(), id_bytes);
-      break;
-    case WireKind::kFloats:
-      f.kind = FrameKind::kFloats;
-      f.payload.resize(float_bytes);
-      if (float_bytes > 0)
-        std::memcpy(f.payload.data(), msg.floats.data(), float_bytes);
-      break;
-    case WireKind::kDoubles:
-      f.kind = FrameKind::kDoubles;
-      f.payload.resize(double_bytes);
-      if (double_bytes > 0)
-        std::memcpy(f.payload.data(), msg.doubles.data(), double_bytes);
-      break;
-    case WireKind::kHaloDelta:
-      // u64 index count, then the index list, then the rows — the only
-      // frame carrying two payload vectors, so the count makes the split
-      // explicit (the receiver must not infer it from the row width).
-      f.kind = FrameKind::kHaloDelta;
-      f.payload.reserve(sizeof(std::uint64_t) + id_bytes + float_bytes);
-      put_u64(f.payload, static_cast<std::uint64_t>(msg.ids.size()));
-      f.payload.resize(sizeof(std::uint64_t) + id_bytes + float_bytes);
-      if (id_bytes > 0)
-        std::memcpy(f.payload.data() + sizeof(std::uint64_t), msg.ids.data(),
-                    id_bytes);
-      if (float_bytes > 0)
-        std::memcpy(f.payload.data() + sizeof(std::uint64_t) + id_bytes,
-                    msg.floats.data(), float_bytes);
-      break;
-  }
-  return f;
-}
-
-Wire frame_to_wire(Frame f) {
-  Wire msg;
-  msg.tag = f.tag;
-  if (f.kind == FrameKind::kIds) {
-    msg.kind = WireKind::kIds;
-    msg.ids.resize(f.payload.size() / sizeof(NodeId));
-    if (!f.payload.empty())
-      std::memcpy(msg.ids.data(), f.payload.data(), f.payload.size());
-  } else if (f.kind == FrameKind::kHaloDelta) {
-    msg.kind = WireKind::kHaloDelta;
-    BNSGCN_CHECK(f.payload.size() >= sizeof(std::uint64_t));
-    const auto nids = get_pod<std::uint64_t>(f.payload.data());
-    BNSGCN_CHECK(nids <=
-                 (f.payload.size() - sizeof(std::uint64_t)) / sizeof(NodeId));
-    const std::size_t id_bytes =
-        static_cast<std::size_t>(nids) * sizeof(NodeId);
-    const std::size_t float_bytes =
-        f.payload.size() - sizeof(std::uint64_t) - id_bytes;
-    BNSGCN_CHECK(float_bytes % sizeof(float) == 0);
-    msg.ids.resize(static_cast<std::size_t>(nids));
-    msg.floats.resize(float_bytes / sizeof(float));
-    if (id_bytes > 0)
-      std::memcpy(msg.ids.data(), f.payload.data() + sizeof(std::uint64_t),
-                  id_bytes);
-    if (float_bytes > 0)
-      std::memcpy(msg.floats.data(),
-                  f.payload.data() + sizeof(std::uint64_t) + id_bytes,
-                  float_bytes);
-  } else if (f.kind == FrameKind::kDoubles) {
-    msg.kind = WireKind::kDoubles;
-    msg.doubles.resize(f.payload.size() / sizeof(double));
-    if (!f.payload.empty())
-      std::memcpy(msg.doubles.data(), f.payload.data(), f.payload.size());
-  } else {
-    BNSGCN_CHECK(f.kind == FrameKind::kFloats);
-    msg.kind = WireKind::kFloats;
-    msg.floats.resize(f.payload.size() / sizeof(float));
-    if (!f.payload.empty())
-      std::memcpy(msg.floats.data(), f.payload.data(), f.payload.size());
-  }
-  return msg;
 }
 
 SocketTransport::SocketTransport(PartId rank, const SocketEndpoints& eps,
@@ -486,13 +479,12 @@ void SocketTransport::read_peer(Peer& p) {
     closed = true; // hard error: treat as disconnect
     break;
   }
-  std::vector<Frame> ready;
-  Frame f;
-  while (p.decoder.pop(f)) ready.push_back(std::move(f));
+  std::vector<Wire> ready;
+  for (Wire msg; p.decoder.pop(msg);) ready.push_back(std::move(msg));
   if (ready.empty() && !closed) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (Frame& r : ready) p.inbox.push_back(std::move(r));
+    for (Wire& msg : ready) p.inbox.push_back(std::move(msg));
     if (closed) p.eof = true;
   }
   cv_.notify_all();
@@ -542,7 +534,7 @@ void SocketTransport::send(PartId from, PartId to, Wire msg) {
   BNSGCN_CHECK(from == rank_);
   BNSGCN_CHECK(to >= 0 && to < nranks_ && to != rank_);
   BNSGCN_REQUIRE(msg.tag != -1, "tag -1 belongs to no tag space");
-  std::vector<std::uint8_t> bytes = encode_frame(wire_to_frame(msg));
+  std::vector<std::uint8_t> bytes = encode_frame(msg);
   Peer& p = peers_[static_cast<std::size_t>(to)];
   bool wake = false;
   {
@@ -559,10 +551,10 @@ void SocketTransport::send(PartId from, PartId to, Wire msg) {
   if (wake) wake_io();
 }
 
-bool SocketTransport::take_from_inbox(Peer& p, int tag, Frame& out) {
+bool SocketTransport::take_from_inbox(Peer& p, int tag, Wire& out) {
   const auto it =
       std::find_if(p.inbox.begin(), p.inbox.end(),
-                   [tag](const Frame& f) { return f.tag == tag; });
+                   [tag](const Wire& m) { return m.tag == tag; });
   if (it == p.inbox.end()) return false;
   out = std::move(*it);
   p.inbox.erase(it);
@@ -573,17 +565,11 @@ bool SocketTransport::try_recv(PartId rank, PartId from, int tag, Wire& out) {
   BNSGCN_CHECK(rank == rank_);
   BNSGCN_CHECK(from >= 0 && from < nranks_ && from != rank_);
   Peer& p = peers_[static_cast<std::size_t>(from)];
-  Frame f;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    check_alive_locked();
-    if (!take_from_inbox(p, tag, f)) {
-      if (p.eof) throw peer_gone(from);
-      return false;
-    }
-  }
-  out = frame_to_wire(std::move(f));
-  return true;
+  std::lock_guard<std::mutex> lock(mu_);
+  check_alive_locked();
+  if (take_from_inbox(p, tag, out)) return true;
+  if (p.eof) throw peer_gone(from);
+  return false;
 }
 
 Wire SocketTransport::recv(PartId rank, PartId from, int tag) {
@@ -594,17 +580,14 @@ Wire SocketTransport::recv(PartId rank, PartId from, int tag) {
   // sequence); -1 matches neither.
   BNSGCN_REQUIRE(tag != -1, "tag -1 belongs to no tag space");
   Peer& p = peers_[static_cast<std::size_t>(from)];
-  Frame f;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      check_alive_locked();
-      if (take_from_inbox(p, tag, f)) break;
-      if (p.eof) throw peer_gone(from);
-      cv_.wait(lock);
-    }
+  Wire msg;
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    check_alive_locked();
+    if (take_from_inbox(p, tag, msg)) return msg;
+    if (p.eof) throw peer_gone(from);
+    cv_.wait(lock);
   }
-  return frame_to_wire(std::move(f));
 }
 
 void SocketTransport::shutdown(PartId /*rank*/) {

@@ -22,27 +22,12 @@ struct SocketEndpoints {
   std::vector<std::string> addrs;
 };
 
-/// Payload kind carried by a frame, one per WireKind. kHaloDelta is the
-/// halo cache's miss-only frame: a u64 index count, the NodeId index list,
-/// then the float rows (docs/ARCHITECTURE.md §9). Kind 3 is unassigned: a
-/// header carrying it is corrupt.
-enum class FrameKind : std::uint32_t {
-  kFloats = 0,
-  kIds = 1,
-  kDoubles = 2,
-  kHaloDelta = 4,
-};
-
-/// One length-prefixed message as it crosses a socket. The wire layout is
-/// a 20-byte header — magic u32, kind u32, tag i32, payload-bytes u64,
-/// all host-endian (same host for UDS; homogeneous hosts assumed for
-/// TCP) — followed by the raw payload bytes.
-struct Frame {
-  FrameKind kind = FrameKind::kFloats;
-  int tag = 0;
-  std::vector<std::uint8_t> payload;
-};
-
+/// Socket framing (docs/ARCHITECTURE.md §3 "Framing"). A frame is a
+/// 20-byte header — magic u32, kind u32 (the WireKind's value), tag i32,
+/// payload-bytes u64, all host-endian (same host for UDS; homogeneous
+/// hosts assumed for TCP) — followed by the message's payload: its raw
+/// floats, ids or doubles, or for a halo delta a u64 index count, the
+/// NodeId index list, then the float rows.
 inline constexpr std::uint32_t kFrameMagic = 0x424E5347; // "BNSG"
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 /// Largest payload a frame may carry. The biggest real frames are halo
@@ -50,20 +35,26 @@ inline constexpr std::size_t kFrameHeaderBytes = 20;
 /// decoder's arithmetic or making it buffer without bound.
 inline constexpr std::uint64_t kMaxFramePayloadBytes = std::uint64_t{1} << 30;
 
-/// Serialise a frame into header + payload, ready to write.
-[[nodiscard]] std::vector<std::uint8_t> encode_frame(const Frame& f);
+/// Serialise a message into one frame, header and payload written into a
+/// single buffer in one pass, ready to write.
+[[nodiscard]] std::vector<std::uint8_t> encode_frame(const Wire& msg);
 
 /// Incremental frame parser over an arbitrary byte stream. feed() bytes
-/// as they arrive (any split, down to one byte at a time); pop() yields
-/// complete frames in order. Throws CheckError on a corrupt header: bad
-/// magic or kind, a length above kMaxFramePayloadBytes, or a length that
-/// does not fit the kind (floats and doubles whole elements, ids whole
-/// NodeIds, halo deltas at least their u64 count).
+/// as they arrive (any split, down to one byte at a time); pop() decodes
+/// complete frames, in order, straight into a Wire. Throws CheckError on
+/// a corrupt header — bad magic, a kind above WireKind::kDoubles, a
+/// length above kMaxFramePayloadBytes, or a length that does not fit the
+/// kind (floats and doubles whole elements, ids whole NodeIds, halo
+/// deltas at least their u64 count) — as soon as the header is buffered,
+/// and on a halo delta whose index count runs past its payload or whose
+/// rows are not whole floats. A throwing pop consumes nothing, so every
+/// later pop throws again.
 class FrameDecoder {
  public:
   void feed(const std::uint8_t* data, std::size_t n);
-  /// Extract the next complete frame; false when more bytes are needed.
-  bool pop(Frame& out);
+  /// Decode the next complete frame into `out`; false when more bytes
+  /// are needed (then `out` is untouched).
+  bool pop(Wire& out);
   /// Bytes buffered but not yet returned as frames.
   [[nodiscard]] std::size_t buffered() const { return buf_.size() - pos_; }
 
@@ -76,11 +67,12 @@ class FrameDecoder {
 /// process or test thread), with one nonblocking stream socket per peer.
 /// After bootstrap a per-rank I/O thread owns every peer socket: it
 /// poll(2)s the peers plus a wake pipe, flushes the per-peer send queues
-/// and decodes reads into per-peer tag-matched inboxes, so bytes cross
-/// the wire while the rank computes. The rank thread never touches a peer
-/// fd: send() enqueues an encoded frame and wakes the I/O thread, recv()
-/// waits on a condition variable for its frame, and try_recv() only
-/// probes the inbox.
+/// and decodes reads straight into Wires in per-peer tag-matched inboxes,
+/// so bytes cross the wire while the rank computes. The rank thread never
+/// touches a peer fd: send() encodes the message into a frame, enqueues it
+/// and wakes the I/O thread; recv() waits on a condition variable for its
+/// message and try_recv() only probes the inbox, each moving a decoded
+/// Wire out.
 ///
 /// Bootstrap: every rank's listener is bound (and listening) before any
 /// process starts, so connects cannot race; rank r then dials every rank
@@ -89,9 +81,9 @@ class FrameDecoder {
 /// connected, which under the forked runtime is inside the child.
 ///
 /// Failures: a peer's EOF turns a blocked or later receive from it into
-/// ShutdownError; an error on the I/O thread (a corrupt frame, a failed
-/// poll) stops that thread and is rethrown, naming the peer, from the
-/// rank's next send, recv or try_recv.
+/// ShutdownError; an error on the I/O thread (a corrupt header or halo
+/// delta, a failed poll) stops that thread and is rethrown, naming the
+/// peer, from the rank's next send, recv or try_recv.
 class SocketTransport final : public Transport {
  public:
   /// `listen_fd` is rank's pre-bound listening socket (ownership taken;
@@ -124,7 +116,7 @@ class SocketTransport final : public Transport {
     // Guarded by mu_.
     bool eof = false; // peer closed (or errored); reads are done
     std::deque<std::vector<std::uint8_t>> sendq; // encoded frames
-    std::deque<Frame> inbox; // complete frames not yet matched
+    std::deque<Wire> inbox; // decoded messages not yet matched
     // I/O thread only.
     std::size_t send_off = 0; // bytes of sendq.front() already written
     FrameDecoder decoder;
@@ -141,7 +133,7 @@ class SocketTransport final : public Transport {
   void wake_io();
   /// Set stopped_, wake and join the I/O thread. Idempotent.
   void stop_io();
-  bool take_from_inbox(Peer& p, int tag, Frame& out);
+  bool take_from_inbox(Peer& p, int tag, Wire& out);
   /// Throw the recorded I/O error or ShutdownError; caller holds mu_.
   void check_alive_locked() const;
   [[nodiscard]] ShutdownError peer_gone(PartId from) const;
@@ -162,9 +154,5 @@ class SocketTransport final : public Transport {
   // the peer sockets and the queues; it touches no numeric state.
   std::thread io_;
 };
-
-/// Convert between the Endpoint-level Wire and the socket Frame.
-[[nodiscard]] Frame wire_to_frame(const Wire& msg);
-[[nodiscard]] Wire frame_to_wire(Frame f);
 
 } // namespace bnsgcn::comm

@@ -29,11 +29,13 @@ class ShutdownError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Payload kind of a Wire message. kFloats/kIds/kDoubles populate exactly
-/// one of the payload vectors; kHaloDelta — the halo cache's miss-only
-/// frame (docs/ARCHITECTURE.md §9) — carries two: `ids` lists which
-/// positions of the exchange's row list are actually present, `floats`
-/// their rows.
+/// Payload kind of a Wire message; its value is also the kind field of a
+/// socket frame's header, where anything above kDoubles is corrupt
+/// (docs/ARCHITECTURE.md §3 "Framing"). kFloats/kIds/kDoubles populate
+/// exactly one of the payload vectors; kHaloDelta — the halo cache's
+/// miss-only message (docs/ARCHITECTURE.md §9) — carries two: `ids` lists
+/// which positions of the exchange's row list are actually present,
+/// `floats` their rows.
 enum class WireKind : std::uint8_t {
   kFloats = 0,
   kIds = 1,
@@ -41,13 +43,13 @@ enum class WireKind : std::uint8_t {
   kDoubles = 3,
 };
 
-/// One tagged message as the transport moves it. `kind` says which payload
-/// vectors are populated; `hold` is the mailbox delivery-shuffle counter
-/// and is zero everywhere else. `doubles` carries the collectives' scalars
-/// and metric vectors.
+/// One tagged message, the only form a message takes on every backend:
+/// the mailbox queues it as is, and the socket codec encodes it straight
+/// into a frame and decodes a frame straight back into one. `kind` says
+/// which payload vectors are populated; `doubles` carries the
+/// collectives' scalars and metric vectors.
 struct Wire {
   int tag = 0;
-  int hold = 0;
   WireKind kind = WireKind::kFloats;
   std::vector<float> floats;
   std::vector<NodeId> ids;

@@ -64,8 +64,7 @@ PendingExchange HaloExchanger::post_forward(const Matrix& h_inner,
       }
       tx_bytes += static_cast<std::int64_t>(rows.size()) * d *
                   static_cast<std::int64_t>(sizeof(float));
-      px.sends.push_back(ep_.isend_floats(j, tag, std::move(payload),
-                                          TrafficClass::kFeature));
+      ep_.send_floats(j, tag, std::move(payload), TrafficClass::kFeature);
       continue;
     }
     // Cached channel: step the sender-side directory with the same
@@ -90,9 +89,8 @@ PendingExchange HaloExchanger::post_forward(const Matrix& h_inner,
     }
     tx_bytes += static_cast<std::int64_t>(payload.size() * sizeof(float)) +
                 static_cast<std::int64_t>(present.size() * sizeof(NodeId));
-    px.sends.push_back(ep_.isend_halo(j, tag, std::move(present),
-                                      std::move(payload),
-                                      TrafficClass::kFeature));
+    ep_.send_halo(j, tag, std::move(present), std::move(payload),
+                  TrafficClass::kFeature);
   }
   for (PartId j = 0; j < ep_.nranks(); ++j) {
     const auto& slots = plan.recv_slots[static_cast<std::size_t>(j)];
@@ -247,8 +245,7 @@ PendingExchange HaloExchanger::post_backward(const Matrix& dhalo,
     tx_bytes += static_cast<std::int64_t>(slots.size()) * d *
                 static_cast<std::int64_t>(sizeof(float));
     ++tx_msgs;
-    px.sends.push_back(
-        ep_.isend_floats(j, tag, std::move(payload), TrafficClass::kFeature));
+    ep_.send_floats(j, tag, std::move(payload), TrafficClass::kFeature);
   }
   for (PartId j = 0; j < ep_.nranks(); ++j) {
     const auto& rows = plan.send_rows[static_cast<std::size_t>(j)];

@@ -27,14 +27,15 @@ namespace bnsgcn::core {
 enum class OverlapMode : int { kBlocking = 0, kBulk = 1, kStream = 2 };
 
 // ---- Pipelined (split-phase) exchange -------------------------------------
-// One in-flight boundary exchange: sends are posted eagerly, receives into a
-// completion set; the caller computes the halo-independent phase and folds
-// the payloads afterwards. The fold always applies peers in ascending index
-// order (deterministic reduction): blocking waits for everything right after
-// posting, bulk waits at fold time, stream polls the set and applies each
-// peer the moment it and every earlier peer have landed — the fold itself
-// sits at the same point of the schedule with the same order in every mode,
-// so all three execute the identical fp instruction stream.
+// One in-flight boundary exchange: sends are handed to the fabric when it
+// is posted (eager), receives go into a completion set; the caller computes
+// the halo-independent phase and folds the payloads afterwards. The fold
+// always applies peers in ascending index order (deterministic reduction):
+// blocking waits for everything right after posting, bulk waits at fold
+// time, stream polls the set and applies each peer the moment it and every
+// earlier peer have landed — the fold itself sits at the same point of the
+// schedule with the same order in every mode, so all three execute the
+// identical fp instruction stream.
 //
 // Every forward pass — a training epoch, an evaluation, a serve request
 // batch — runs its layers through one routine, HaloExchanger::forward_layer;
@@ -43,7 +44,6 @@ enum class OverlapMode : int { kBlocking = 0, kBulk = 1, kStream = 2 };
 // is training-only.
 
 struct PendingExchange {
-  std::vector<comm::Request> sends;  // complete on posting (eager)
   std::vector<PartId> peers;         // peer of recvs.at(k)
   comm::RequestSet recvs;
   double sim_s = 0.0;   // simulated wire time of the whole exchange
@@ -284,7 +284,7 @@ class HaloExchanger {
   }
 
  private:
-  /// Post the forward exchange: isend this layer's sampled rows of
+  /// Post the forward exchange: send this layer's sampled rows of
   /// h_inner (misses only on a cached channel), irecv the halo rows each
   /// owner will push to us. Per-peer byte totals are accumulated while
   /// posting — with the cache on, the message count is unchanged (every

@@ -244,13 +244,15 @@ TEST(Fabric, RequestTestPollsWithoutBlocking) {
       ep.barrier(); // hold the send until rank 1 has probed emptiness
       ep.send_ids(1, 0, {42}, TrafficClass::kControl);
     } else {
-      auto req = ep.irecv_ids(0, 0, TrafficClass::kControl);
+      auto req = ep.irecv_floats(0, 0, TrafficClass::kControl);
       EXPECT_FALSE(req.test()); // nothing sent yet: must not block
       EXPECT_FALSE(req.done());
       ep.barrier();
       req.wait();
       EXPECT_TRUE(req.done());
-      EXPECT_EQ(req.take_ids(), (std::vector<NodeId>{42}));
+      const comm::Wire msg = req.take_payload();
+      EXPECT_EQ(msg.kind, comm::WireKind::kIds);
+      EXPECT_EQ(msg.ids, (std::vector<NodeId>{42}));
     }
   });
 }

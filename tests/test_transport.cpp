@@ -1,14 +1,15 @@
-// Socket transport unit tests: frame codec round-trips (any byte split)
-// and header validation (length cap, length-fits-kind), real UDS/TCP rank
-// groups driven from threads (one SocketTransport per rank, exactly the
-// shape of the multi-process runtime minus the fork), out-of-order tag
-// completion through RequestSet, large payloads that force partial writes
-// through the nonblocking send queues, background progress by the per-rank
-// I/O thread while the sender makes no transport call, a corrupt frame on
-// a live socket surfacing on the rank thread, and the deadlock-free
-// shutdown contract (a dead peer surfaces ShutdownError on survivors
-// instead of a hang). Cross-process parity with the mailbox is pinned
-// separately in tests/test_multiprocess.cpp.
+// Socket transport unit tests: frame codec round-trips (any byte split),
+// header and halo-delta validation (length cap, length-fits-kind, index
+// count), a seeded frame fuzzer (random splits, truncation, header damage,
+// oversized lengths), real UDS/TCP rank groups driven from threads (one
+// SocketTransport per rank, exactly the shape of the multi-process runtime
+// minus the fork), out-of-order tag completion through RequestSet, large
+// payloads that force partial writes through the nonblocking send queues,
+// background progress by the per-rank I/O thread while the sender makes
+// no transport call, corrupt frames on a live socket surfacing on the rank
+// thread, and the deadlock-free shutdown contract (a dead peer surfaces
+// ShutdownError on survivors instead of a hang). Cross-process parity with
+// the mailbox is pinned separately in tests/test_multiprocess.cpp.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -21,6 +22,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -30,51 +32,68 @@
 #include "comm/process_group.hpp"
 #include "comm/socket_transport.hpp"
 #include "common/check.hpp"
+#include "common/rng.hpp"
 
 namespace bnsgcn {
 namespace {
 
 using comm::CostModel;
 using comm::Fabric;
-using comm::Frame;
 using comm::FrameDecoder;
-using comm::FrameKind;
 using comm::TrafficClass;
 using comm::TransportKind;
 using comm::Wire;
+using comm::WireKind;
 
 // ---------------------------------------------------------------------------
-// Frame codec
+// The frame codec
 // ---------------------------------------------------------------------------
 
-Frame make_frame(FrameKind kind, int tag, std::size_t nbytes) {
-  Frame f;
-  f.kind = kind;
-  f.tag = tag;
-  f.payload.resize(nbytes);
-  for (std::size_t i = 0; i < nbytes; ++i)
-    f.payload[i] = static_cast<std::uint8_t>((i * 7 + 13) & 0xFF);
-  return f;
+/// A floats message of `n` distinct values.
+Wire floats_wire(int tag, std::size_t n) {
+  Wire w{.tag = tag, .kind = WireKind::kFloats, .floats = {}, .ids = {}};
+  for (std::size_t i = 0; i < n; ++i)
+    w.floats.push_back(static_cast<float>(i) * 0.5f - 3.0f);
+  return w;
+}
+
+/// Whether two messages agree in tag, kind and every payload vector (the
+/// values compared are finite, so == on the floats is exact).
+bool same_wire(const Wire& a, const Wire& b) {
+  return a.tag == b.tag && a.kind == b.kind && a.floats == b.floats &&
+         a.ids == b.ids && a.doubles == b.doubles;
 }
 
 TEST(FrameCodec, RoundTripAllKinds) {
-  const Frame frames[] = {
-      make_frame(FrameKind::kFloats, 42, 12),
-      make_frame(FrameKind::kIds, -3, 8),
-      make_frame(FrameKind::kDoubles, 0, 24),
-      make_frame(FrameKind::kFloats, 7, 0),
+  const Wire msgs[] = {
+      Wire{.tag = 42, .kind = WireKind::kFloats,
+           .floats = {1.5f, -2.0f, 3.25f}, .ids = {}},
+      Wire{.tag = -3, .kind = WireKind::kIds, .floats = {}, .ids = {10, 20}},
+      Wire{.tag = 0, .kind = WireKind::kDoubles, .floats = {}, .ids = {},
+           .doubles = {0.5, -1e300, 7.0}},
+      // An empty floats message, as a barrier sends.
+      Wire{.tag = 7, .kind = WireKind::kFloats, .floats = {}, .ids = {}},
+      // The halo delta is the only kind carrying two vectors: the index
+      // list of present rows plus their features must survive together,
+      // including the all-hits message that carries neither.
+      Wire{.tag = 42, .kind = WireKind::kHaloDelta,
+           .floats = {0.5f, 1.5f, 2.5f, 3.5f}, .ids = {1, 3}},
+      Wire{.tag = 5, .kind = WireKind::kHaloDelta, .floats = {}, .ids = {}},
   };
+  const std::size_t payload_bytes[] = {12, 8, 24, 0, 8 + 8 + 16, 8};
   FrameDecoder dec;
-  for (const Frame& f : frames) {
-    const auto bytes = comm::encode_frame(f);
-    ASSERT_EQ(bytes.size(), comm::kFrameHeaderBytes + f.payload.size());
+  for (std::size_t i = 0; i < std::size(msgs); ++i) {
+    const auto bytes = comm::encode_frame(msgs[i]);
+    ASSERT_EQ(bytes.size(), comm::kFrameHeaderBytes + payload_bytes[i]);
+    // The header's kind field is the WireKind's value.
+    std::uint32_t kind = 0;
+    std::memcpy(&kind, bytes.data() + 4, sizeof(kind));
+    EXPECT_EQ(kind, static_cast<std::uint32_t>(msgs[i].kind));
     dec.feed(bytes.data(), bytes.size());
-    Frame out;
+    Wire out;
     ASSERT_TRUE(dec.pop(out));
-    EXPECT_EQ(out.kind, f.kind);
-    EXPECT_EQ(out.tag, f.tag);
-    EXPECT_EQ(out.payload, f.payload);
-    Frame none;
+    EXPECT_TRUE(same_wire(out, msgs[i])) << "message " << i;
+    Wire none;
     EXPECT_FALSE(dec.pop(none)); // stream fully consumed
   }
 }
@@ -82,10 +101,10 @@ TEST(FrameCodec, RoundTripAllKinds) {
 TEST(FrameCodec, ByteAtATimeFeed) {
   // The decoder must assemble frames from any split — down to one byte at
   // a time — and report "need more" everywhere short of a full frame.
-  const Frame f = make_frame(FrameKind::kFloats, 1234, 40);
-  const auto bytes = comm::encode_frame(f);
+  const Wire msg = floats_wire(1234, 10);
+  const auto bytes = comm::encode_frame(msg);
   FrameDecoder dec;
-  Frame out;
+  Wire out;
   for (std::size_t i = 0; i + 1 < bytes.size(); ++i) {
     dec.feed(&bytes[i], 1);
     EXPECT_FALSE(dec.pop(out)) << "frame popped " << bytes.size() - 1 - i
@@ -93,48 +112,48 @@ TEST(FrameCodec, ByteAtATimeFeed) {
   }
   dec.feed(&bytes[bytes.size() - 1], 1);
   ASSERT_TRUE(dec.pop(out));
-  EXPECT_EQ(out.tag, f.tag);
-  EXPECT_EQ(out.payload, f.payload);
+  EXPECT_TRUE(same_wire(out, msg));
   EXPECT_EQ(dec.buffered(), 0u);
 }
 
 TEST(FrameCodec, BackToBackFramesSplitMidHeader) {
   // Two frames in one stream, fed in chunks that straddle the header of
   // the second frame.
-  const Frame a = make_frame(FrameKind::kIds, 5, 16);
-  const Frame b = make_frame(FrameKind::kFloats, 6, 4);
+  const Wire a{.tag = 5, .kind = WireKind::kIds, .floats = {},
+               .ids = {1, 2, 3, 4}};
+  const Wire b = floats_wire(6, 1);
   auto stream = comm::encode_frame(a);
   const auto tail = comm::encode_frame(b);
   stream.insert(stream.end(), tail.begin(), tail.end());
 
   FrameDecoder dec;
   // First chunk ends 3 bytes into frame b's header.
-  const std::size_t cut = comm::kFrameHeaderBytes + a.payload.size() + 3;
+  const std::size_t cut = comm::kFrameHeaderBytes + 4 * sizeof(NodeId) + 3;
   dec.feed(stream.data(), cut);
-  Frame out;
+  Wire out;
   ASSERT_TRUE(dec.pop(out));
-  EXPECT_EQ(out.payload, a.payload);
+  EXPECT_TRUE(same_wire(out, a));
   EXPECT_FALSE(dec.pop(out));
   dec.feed(stream.data() + cut, stream.size() - cut);
   ASSERT_TRUE(dec.pop(out));
-  EXPECT_EQ(out.tag, b.tag);
-  EXPECT_EQ(out.payload, b.payload);
+  EXPECT_TRUE(same_wire(out, b));
 }
 
 TEST(FrameCodec, CorruptMagicThrows) {
-  Frame f = make_frame(FrameKind::kFloats, 0, 4);
-  auto bytes = comm::encode_frame(f);
+  auto bytes = comm::encode_frame(floats_wire(0, 1));
   bytes[0] ^= 0xFF;
   FrameDecoder dec;
   dec.feed(bytes.data(), bytes.size());
-  Frame out;
+  Wire out;
   EXPECT_THROW((void)dec.pop(out), CheckError);
 }
 
-/// A bare frame header as a hostile or broken peer could write it.
-std::vector<std::uint8_t> raw_header(std::uint32_t magic, FrameKind kind,
-                                     std::uint64_t nbytes) {
-  std::vector<std::uint8_t> h(comm::kFrameHeaderBytes);
+/// A frame header as a hostile or broken peer could write it, followed by
+/// `payload` zero bytes.
+std::vector<std::uint8_t> raw_header(std::uint32_t magic, WireKind kind,
+                                     std::uint64_t nbytes,
+                                     std::size_t payload = 0) {
+  std::vector<std::uint8_t> h(comm::kFrameHeaderBytes + payload, 0);
   const auto k = static_cast<std::uint32_t>(kind);
   const std::uint32_t tag = 0;
   std::memcpy(h.data(), &magic, sizeof(magic));
@@ -144,20 +163,30 @@ std::vector<std::uint8_t> raw_header(std::uint32_t magic, FrameKind kind,
   return h;
 }
 
+/// A halo-delta frame whose payload claims `nids` indices and then
+/// carries `rest` more (zero) bytes.
+std::vector<std::uint8_t> raw_halo_delta(std::uint64_t nids,
+                                         std::size_t rest) {
+  auto f = raw_header(comm::kFrameMagic, WireKind::kHaloDelta,
+                      sizeof(nids) + rest, sizeof(nids) + rest);
+  std::memcpy(f.data() + comm::kFrameHeaderBytes, &nids, sizeof(nids));
+  return f;
+}
+
 TEST(FrameCodec, OversizedLengthThrowsBeforeArithmetic) {
   // 2^64-1 would wrap header + length to 19 bytes and look complete; the
   // length itself must be rejected, with a CheckError.
-  Frame out;
+  Wire out;
   for (const std::uint64_t nbytes :
        {~std::uint64_t{0}, comm::kMaxFramePayloadBytes + 4}) {
     FrameDecoder dec;
-    const auto h = raw_header(comm::kFrameMagic, FrameKind::kFloats, nbytes);
+    const auto h = raw_header(comm::kFrameMagic, WireKind::kFloats, nbytes);
     dec.feed(h.data(), h.size());
     EXPECT_THROW((void)dec.pop(out), CheckError) << nbytes;
   }
   // A frame exactly at the cap is legal: the decoder just waits for bytes.
   FrameDecoder dec;
-  const auto h = raw_header(comm::kFrameMagic, FrameKind::kFloats,
+  const auto h = raw_header(comm::kFrameMagic, WireKind::kFloats,
                             comm::kMaxFramePayloadBytes);
   dec.feed(h.data(), h.size());
   EXPECT_FALSE(dec.pop(out));
@@ -165,16 +194,16 @@ TEST(FrameCodec, OversizedLengthThrowsBeforeArithmetic) {
 
 TEST(FrameCodec, LengthMustFitTheKind) {
   // Five bytes hold no whole float: rejected, not truncated to one float.
-  const auto floats = comm::encode_frame(make_frame(FrameKind::kFloats, 3, 5));
+  const auto floats = raw_header(comm::kFrameMagic, WireKind::kFloats, 5, 5);
   FrameDecoder dec;
   dec.feed(floats.data(), floats.size());
-  Frame out;
+  Wire out;
   EXPECT_THROW((void)dec.pop(out), CheckError);
   // Every other kind's misfit is caught from the header alone.
-  const std::pair<FrameKind, std::uint64_t> misfits[] = {
-      {FrameKind::kIds, sizeof(NodeId) + 2},
-      {FrameKind::kDoubles, 12},
-      {FrameKind::kHaloDelta, sizeof(std::uint64_t) - 1},
+  const std::pair<WireKind, std::uint64_t> misfits[] = {
+      {WireKind::kIds, sizeof(NodeId) + 2},
+      {WireKind::kDoubles, 12},
+      {WireKind::kHaloDelta, sizeof(std::uint64_t) - 1},
   };
   for (const auto& [kind, nbytes] : misfits) {
     FrameDecoder d;
@@ -183,52 +212,281 @@ TEST(FrameCodec, LengthMustFitTheKind) {
     EXPECT_THROW((void)d.pop(out), CheckError)
         << "kind " << static_cast<int>(kind) << ", " << nbytes << " bytes";
   }
-  // Kind 3 names no frame kind: no length fits it.
+  // Kind 4, the first past WireKind::kDoubles, names no message kind: no
+  // length fits it.
   FrameDecoder d;
-  const auto h = raw_header(comm::kFrameMagic, static_cast<FrameKind>(3), 0);
+  const auto h = raw_header(comm::kFrameMagic, static_cast<WireKind>(4), 0);
   d.feed(h.data(), h.size());
   EXPECT_THROW((void)d.pop(out), CheckError);
 }
 
-TEST(FrameCodec, WireConversionRoundTrips) {
-  Wire floats{.tag = 9, .hold = 0, .kind = comm::WireKind::kFloats,
-              .floats = {1.5f, -2.0f, 3.25f}, .ids = {}};
-  Wire got = comm::frame_to_wire(comm::wire_to_frame(floats));
-  EXPECT_EQ(got.tag, 9);
-  EXPECT_EQ(got.kind, comm::WireKind::kFloats);
-  EXPECT_EQ(got.floats, floats.floats);
+TEST(FrameCodec, MalformedHaloDeltaThrows) {
+  // The header only knows a halo delta's total length; the split between
+  // index list and rows is the payload's u64 count. A count running past
+  // the payload, or rows that are not whole floats, must throw from pop —
+  // and keep throwing, since the frame is never consumed.
+  Wire out;
+  for (const auto& bad : {raw_halo_delta(2, sizeof(NodeId)),
+                          raw_halo_delta(~std::uint64_t{0}, sizeof(NodeId)),
+                          raw_halo_delta(1, sizeof(NodeId) + 6)}) {
+    FrameDecoder dec;
+    dec.feed(bad.data(), bad.size());
+    EXPECT_THROW((void)dec.pop(out), CheckError);
+    EXPECT_THROW((void)dec.pop(out), CheckError);
+    EXPECT_EQ(dec.buffered(), bad.size());
+  }
+  // A count that exactly fills the payload leaves no rows, which is legal.
+  const auto ok = raw_halo_delta(2, 2 * sizeof(NodeId));
+  FrameDecoder dec;
+  dec.feed(ok.data(), ok.size());
+  ASSERT_TRUE(dec.pop(out));
+  EXPECT_EQ(out.kind, WireKind::kHaloDelta);
+  EXPECT_EQ(out.ids, (std::vector<NodeId>{0, 0}));
+  EXPECT_TRUE(out.floats.empty());
+}
 
-  Wire ids{.tag = -7, .hold = 0, .kind = comm::WireKind::kIds, .floats = {},
-           .ids = {10, 20, 30}};
-  got = comm::frame_to_wire(comm::wire_to_frame(ids));
-  EXPECT_EQ(got.tag, -7);
-  EXPECT_EQ(got.kind, comm::WireKind::kIds);
-  EXPECT_EQ(got.ids, ids.ids);
+// ---------------------------------------------------------------------------
+// The frame fuzzer: a fixed seed and fixed iteration counts, so every run
+// draws the same streams and a failure reproduces as is.
+// ---------------------------------------------------------------------------
 
-  Wire empty{.tag = 3, .hold = 0, .kind = comm::WireKind::kFloats,
-             .floats = {}, .ids = {}};
-  got = comm::frame_to_wire(comm::wire_to_frame(empty));
-  EXPECT_EQ(got.tag, 3);
-  EXPECT_TRUE(got.floats.empty());
-  EXPECT_TRUE(got.ids.empty());
+constexpr std::uint64_t kFuzzSeed = 20261019;
+constexpr int kFuzzIters = 200;
 
-  // The halo-delta frame is the only kind carrying both vectors: the index
-  // list of present rows plus their features must survive the round trip
-  // together, including the empty all-hits message.
-  Wire delta{.tag = 42, .hold = 0, .kind = comm::WireKind::kHaloDelta,
-             .floats = {0.5f, 1.5f, 2.5f, 3.5f}, .ids = {1, 3}};
-  got = comm::frame_to_wire(comm::wire_to_frame(delta));
-  EXPECT_EQ(got.tag, 42);
-  EXPECT_EQ(got.kind, comm::WireKind::kHaloDelta);
-  EXPECT_EQ(got.ids, delta.ids);
-  EXPECT_EQ(got.floats, delta.floats);
+/// An element count: empty, one element, a small odd count, or enough
+/// elements that the frame outgrows the socket reader's 64 KiB buffer.
+std::size_t fuzz_count(Rng& rng, std::size_t elem_bytes) {
+  switch (rng.next_below(4)) {
+    case 0:
+      return 0;
+    case 1:
+      return 1;
+    case 2:
+      return 2 * rng.next_below(50) + 3;
+    default:
+      return (std::size_t{65536} + rng.next_below(65536)) / elem_bytes + 1;
+  }
+}
 
-  Wire all_hits{.tag = 5, .hold = 0, .kind = comm::WireKind::kHaloDelta,
-                .floats = {}, .ids = {}};
-  got = comm::frame_to_wire(comm::wire_to_frame(all_hits));
-  EXPECT_EQ(got.kind, comm::WireKind::kHaloDelta);
-  EXPECT_TRUE(got.ids.empty());
-  EXPECT_TRUE(got.floats.empty());
+/// A random message of a random kind; halo deltas come with and without
+/// rows.
+Wire fuzz_wire(Rng& rng) {
+  Wire w;
+  w.tag = static_cast<int>(rng.next_int(-100000, 100000));
+  w.kind = static_cast<WireKind>(rng.next_below(4));
+  switch (w.kind) {
+    case WireKind::kFloats:
+      w.floats.resize(fuzz_count(rng, sizeof(float)));
+      break;
+    case WireKind::kIds:
+      w.ids.resize(fuzz_count(rng, sizeof(NodeId)));
+      break;
+    case WireKind::kDoubles:
+      w.doubles.resize(fuzz_count(rng, sizeof(double)));
+      break;
+    case WireKind::kHaloDelta:
+      w.ids.resize(fuzz_count(rng, sizeof(NodeId)));
+      if (rng.next_bool(0.5))
+        w.floats.resize(w.ids.size() * (1 + rng.next_below(3)));
+      break;
+  }
+  for (float& v : w.floats) v = rng.next_float() * 8.0f - 4.0f;
+  for (NodeId& v : w.ids) v = static_cast<NodeId>(rng.next_u64());
+  for (double& v : w.doubles) v = rng.next_gaussian();
+  return w;
+}
+
+/// 1-6 random messages encoded back to back into one stream; `ends[i]` is
+/// where frame i ends.
+struct FuzzStream {
+  std::vector<Wire> msgs;
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::size_t> ends;
+
+  /// Where frame i starts.
+  [[nodiscard]] std::size_t begin(std::size_t i) const {
+    return i == 0 ? 0 : ends[i - 1];
+  }
+};
+
+FuzzStream fuzz_stream(Rng& rng) {
+  FuzzStream s;
+  const auto n = 1 + rng.next_below(6);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    s.msgs.push_back(fuzz_wire(rng));
+    const auto frame = comm::encode_frame(s.msgs.back());
+    s.bytes.insert(s.bytes.end(), frame.begin(), frame.end());
+    s.ends.push_back(s.bytes.size());
+  }
+  return s;
+}
+
+/// Feeds a stream to a decoder in random splits — single bytes, short
+/// runs, or runs beyond the socket reader's 64 KiB buffer — and pops
+/// every complete frame after each feed, as the socket I/O thread does.
+/// A throwing pop propagates with `popped` and `fed` left as they were.
+struct SplitFeeder {
+  FrameDecoder dec;
+  std::vector<Wire> popped;
+  std::size_t fed = 0;
+
+  void feed(Rng& rng, const std::vector<std::uint8_t>& bytes,
+            std::size_t end) {
+    while (fed < end) {
+      std::size_t n = 1;
+      switch (rng.next_below(3)) {
+        case 0:
+          break;
+        case 1:
+          n += rng.next_below(64);
+          break;
+        default:
+          n += rng.next_below(100000);
+          break;
+      }
+      n = std::min(n, end - fed);
+      dec.feed(bytes.data() + fed, n);
+      fed += n;
+      for (Wire w; dec.pop(w);) popped.push_back(std::move(w));
+    }
+  }
+
+  /// The popped messages re-encoded back to back.
+  [[nodiscard]] std::vector<std::uint8_t> reencoded() const {
+    std::vector<std::uint8_t> out;
+    for (const Wire& w : popped) {
+      const auto frame = comm::encode_frame(w);
+      out.insert(out.end(), frame.begin(), frame.end());
+    }
+    return out;
+  }
+};
+
+TEST(FrameFuzz, RandomSplitsRoundTripEveryKind) {
+  Rng rng(kFuzzSeed);
+  std::size_t large = 0, halo_rows = 0, halo_bare = 0;
+  for (int it = 0; it < kFuzzIters; ++it) {
+    SCOPED_TRACE(::testing::Message() << "iteration " << it);
+    const FuzzStream s = fuzz_stream(rng);
+    SplitFeeder f;
+    f.feed(rng, s.bytes, s.bytes.size());
+    ASSERT_EQ(f.popped.size(), s.msgs.size());
+    for (std::size_t i = 0; i < s.msgs.size(); ++i)
+      ASSERT_TRUE(same_wire(f.popped[i], s.msgs[i])) << "message " << i;
+    EXPECT_EQ(f.dec.buffered(), 0u);
+    for (std::size_t i = 0; i < s.msgs.size(); ++i) {
+      if (s.ends[i] - s.begin(i) > 65536) ++large;
+      if (s.msgs[i].kind != WireKind::kHaloDelta) continue;
+      ++(s.msgs[i].floats.empty() ? halo_bare : halo_rows);
+    }
+  }
+  // The draws really cover frames spanning several reads and both shapes
+  // of halo delta.
+  EXPECT_GT(large, 50u);
+  EXPECT_GT(halo_rows, 20u);
+  EXPECT_GT(halo_bare, 20u);
+}
+
+TEST(FrameFuzz, TruncatedStreamNeverPopsTheCutFrame) {
+  // Cut the stream anywhere short of its end (half the cuts inside a
+  // header): exactly the frames wholly before the cut pop, nothing
+  // throws, and the cut frame's bytes stay buffered.
+  Rng rng(kFuzzSeed + 1);
+  for (int it = 0; it < kFuzzIters; ++it) {
+    SCOPED_TRACE(::testing::Message() << "iteration " << it);
+    const FuzzStream s = fuzz_stream(rng);
+    const std::size_t k = rng.next_below(s.msgs.size());
+    const std::size_t begin = s.begin(k);
+    const std::size_t cut =
+        rng.next_bool(0.5)
+            ? begin + rng.next_below(comm::kFrameHeaderBytes)
+            : begin + rng.next_below(s.ends[k] - begin);
+    SplitFeeder f;
+    f.feed(rng, s.bytes, cut);
+    ASSERT_EQ(f.popped.size(), k);
+    for (std::size_t i = 0; i < k; ++i)
+      ASSERT_TRUE(same_wire(f.popped[i], s.msgs[i])) << "message " << i;
+    EXPECT_EQ(f.dec.buffered(), cut - begin);
+    Wire none;
+    EXPECT_FALSE(f.dec.pop(none));
+  }
+}
+
+TEST(FrameFuzz, DamagedHeaderPopsWhatItsBytesSayOrThrows) {
+  // Flip one bit of a frame's header, or splice in the byte at the same
+  // offset of another frame's header. Frames carry no checksum, so a
+  // damaged tag, or a kind or length swapped for another that fits,
+  // decodes as what the damaged bytes say. The property: frames before
+  // the damage pop unchanged; everything that pops re-encodes to exactly
+  // the bytes it consumed (the original message when the damage left the
+  // frame intact); everything else is a CheckError or a wait for bytes
+  // that never come. Damage to the magic always throws.
+  Rng rng(kFuzzSeed + 2);
+  int threw = 0, popped_damaged = 0;
+  for (int it = 0; it < kFuzzIters; ++it) {
+    SCOPED_TRACE(::testing::Message() << "iteration " << it);
+    FuzzStream s = fuzz_stream(rng);
+    const std::size_t k = rng.next_below(s.msgs.size());
+    const std::size_t begin = s.begin(k);
+    const std::size_t off = rng.next_below(comm::kFrameHeaderBytes);
+    std::uint8_t& byte = s.bytes[begin + off];
+    const std::uint8_t before = byte;
+    if (rng.next_bool(0.5)) {
+      byte ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+    } else {
+      const std::size_t j = rng.next_below(s.msgs.size());
+      byte = s.bytes[s.begin(j) + off];
+    }
+    SplitFeeder f;
+    bool threw_here = false;
+    try {
+      f.feed(rng, s.bytes, s.bytes.size());
+    } catch (const CheckError&) {
+      threw_here = true;
+      ++threw;
+    }
+    ASSERT_GE(f.popped.size(), k);
+    for (std::size_t i = 0; i < k; ++i)
+      ASSERT_TRUE(same_wire(f.popped[i], s.msgs[i])) << "message " << i;
+    const auto again = f.reencoded();
+    ASSERT_EQ(again.size(), f.fed - f.dec.buffered());
+    ASSERT_TRUE(std::equal(again.begin(), again.end(), s.bytes.begin()));
+    if (f.popped.size() > k) ++popped_damaged;
+    if (off < sizeof(comm::kFrameMagic) && byte != before) {
+      EXPECT_TRUE(threw_here) << "damaged magic at byte " << off;
+      EXPECT_EQ(f.popped.size(), k);
+    }
+    if (byte == before) { // a splice that changed nothing
+      EXPECT_FALSE(threw_here);
+      ASSERT_EQ(f.popped.size(), s.msgs.size());
+      EXPECT_TRUE(same_wire(f.popped[k], s.msgs[k]));
+    }
+  }
+  // Both outcomes are really exercised.
+  EXPECT_GT(threw, 20);
+  EXPECT_GT(popped_damaged, 20);
+}
+
+TEST(FrameFuzz, OversizedLengthThrowsOnItsHeader) {
+  // A length past kMaxFramePayloadBytes is rejected the moment its header
+  // is complete: before the decoder waits for, or buffers, any payload.
+  Rng rng(kFuzzSeed + 3);
+  for (int it = 0; it < kFuzzIters; ++it) {
+    SCOPED_TRACE(::testing::Message() << "iteration " << it);
+    FuzzStream s = fuzz_stream(rng);
+    const std::size_t k = rng.next_below(s.msgs.size());
+    const std::size_t begin = s.begin(k);
+    const std::uint64_t nbytes =
+        comm::kMaxFramePayloadBytes + 1 +
+        rng.next_below(~std::uint64_t{0} - comm::kMaxFramePayloadBytes);
+    std::memcpy(s.bytes.data() + begin + 12, &nbytes, sizeof(nbytes));
+    SplitFeeder f;
+    f.feed(rng, s.bytes, begin + comm::kFrameHeaderBytes - 1);
+    ASSERT_EQ(f.popped.size(), k);
+    EXPECT_THROW(f.feed(rng, s.bytes, begin + comm::kFrameHeaderBytes),
+                 CheckError);
+    EXPECT_EQ(f.dec.buffered(), comm::kFrameHeaderBytes);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -487,39 +745,52 @@ TEST(SocketTransport, PeerDisconnectSurfacesShutdownError) {
 
 TEST(SocketTransport, CorruptFrameOnLiveSocketNamesThePeer) {
   // A raw client stands in for rank 1: it sends rank 1's hello, then a
-  // header with a bad magic. Rank 0's I/O thread decodes it; the CheckError
-  // must reach the rank thread's blocking recv naming peer 1 — never
-  // std::terminate — and stay sticky for the rank's next calls.
-  auto group = comm::make_local_group(TransportKind::kUds, 2);
-  ::close(group.listen_fds[1]);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_un sa{};
-  sa.sun_family = AF_UNIX;
-  std::strncpy(sa.sun_path, group.endpoints.addrs[0].c_str(),
-               sizeof(sa.sun_path) - 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
-  const std::uint32_t hello = 1;
-  const auto bad = raw_header(comm::kFrameMagic ^ 0xFFu, FrameKind::kFloats, 4);
-  ASSERT_EQ(::send(fd, &hello, sizeof(hello), MSG_NOSIGNAL),
-            static_cast<ssize_t>(sizeof(hello)));
-  ASSERT_EQ(::send(fd, bad.data(), bad.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(bad.size()));
-  {
-    comm::SocketTransport rank0(0, group.endpoints, group.listen_fds[0]);
-    try {
-      (void)rank0.recv(0, 1, 0);
-      ADD_FAILURE() << "recv returned from a corrupt stream";
-    } catch (const CheckError& e) {
-      EXPECT_NE(std::string(e.what()).find("peer rank 1"), std::string::npos)
-          << e.what();
+  // corrupt frame — a header with a bad magic, or a halo delta whose
+  // payload fails its split checks. Rank 0's I/O thread decodes it; the
+  // CheckError must reach the rank thread's blocking recv naming peer 1 —
+  // never std::terminate — and stay sticky for the rank's next calls.
+  const std::pair<const char*, std::vector<std::uint8_t>> corrupt[] = {
+      {"bad magic",
+       raw_header(comm::kFrameMagic ^ 0xFFu, WireKind::kFloats, 4)},
+      {"halo delta index count past its payload",
+       raw_halo_delta(2, sizeof(NodeId))},
+      {"halo delta rows not whole floats",
+       raw_halo_delta(1, sizeof(NodeId) + 6)},
+  };
+  for (const auto& [what, bad] : corrupt) {
+    SCOPED_TRACE(what);
+    auto group = comm::make_local_group(TransportKind::kUds, 2);
+    ::close(group.listen_fds[1]);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un sa{};
+    sa.sun_family = AF_UNIX;
+    std::strncpy(sa.sun_path, group.endpoints.addrs[0].c_str(),
+                 sizeof(sa.sun_path) - 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)),
+              0);
+    const std::uint32_t hello = 1;
+    ASSERT_EQ(::send(fd, &hello, sizeof(hello), MSG_NOSIGNAL),
+              static_cast<ssize_t>(sizeof(hello)));
+    ASSERT_EQ(::send(fd, bad.data(), bad.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bad.size()));
+    {
+      comm::SocketTransport rank0(0, group.endpoints, group.listen_fds[0]);
+      try {
+        (void)rank0.recv(0, 1, 0);
+        ADD_FAILURE() << "recv returned from a corrupt stream";
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find("peer rank 1"),
+                  std::string::npos)
+            << e.what();
+      }
+      Wire w;
+      EXPECT_THROW((void)rank0.try_recv(0, 1, 0, w), CheckError);
+      EXPECT_THROW(rank0.send(0, 1, Wire{}), CheckError);
     }
-    Wire w;
-    EXPECT_THROW((void)rank0.try_recv(0, 1, 0, w), CheckError);
-    EXPECT_THROW(rank0.send(0, 1, Wire{}), CheckError);
+    ::close(fd);
+    comm::cleanup_local_group(group, /*fds_taken=*/true);
   }
-  ::close(fd);
-  comm::cleanup_local_group(group, /*fds_taken=*/true);
 }
 
 } // namespace
