@@ -4,9 +4,10 @@
 # lint and the no-FMA disassembly gate, and run the full test suite —
 # including test_overlap, the blocking/bulk/stream three-way bit-parity
 # gate of the async fabric (run once more by name so a regression there is
-# called out explicitly) — then a stream-mode bench_overlap smoke, the
-# artifact replay gates, and the instrumented build matrix (checked
-# contracts, TSan, ASan+LSan, UBSan).
+# called out explicitly) — then the perfbench runner build and its Python
+# self-tests, a stream-mode bench_overlap smoke, the artifact replay gates,
+# and the instrumented build matrix (checked contracts, TSan, ASan+LSan,
+# UBSan).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -39,6 +40,15 @@ fi
 
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 ctest --test-dir build --output-on-failure -R test_overlap
+
+# Measured-benchmark build: perfbench/ compiles the library from src/ into
+# its own tree and links the workload runner against it, so a library
+# change that breaks the runner fails here, not first in a benchmark run.
+# Its Python self-tests check perfbench/run.py's metric spec, tail rule,
+# output checks and trace format.
+cmake -S perfbench -B build/perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build/perfbench -j "$(nproc)"
+python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 # Transport gates, run once more by name so a socket-fabric regression is
 # called out explicitly: the frame codec tests and its seeded fuzzer,

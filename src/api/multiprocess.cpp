@@ -146,15 +146,13 @@ std::string run_ranks_piped(comm::TransportKind kind, PartId nranks,
 
 RunReport run_multiprocess(const Dataset& ds, const Partitioning& part,
                            const RunConfig& cfg) {
-  const core::TrainerConfig tcfg = engine_config(cfg);
-
   // Build the trainer — local graphs included — before forking: children
   // inherit every read-only structure copy-on-write, so nothing crosses a
   // serialization boundary on the way in.
-  core::BnsTrainer trainer(ds, part, tcfg);
+  core::BnsTrainer trainer(ds, part, cfg.trainer, cfg.comm);
 
   const std::string payload = run_ranks_piped(
-      cfg.comm.transport, part.nparts, tcfg.cost,
+      cfg.comm.transport, part.nparts, cfg.trainer.cost,
       [&](comm::Fabric& fabric, PartId r) {
         core::TrainResult result = trainer.train_rank(fabric, r);
         if (r != 0) return std::string();

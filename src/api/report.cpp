@@ -2,12 +2,6 @@
 
 namespace bnsgcn::api {
 
-double RunReport::sample_time_s() const {
-  double total = 0.0;
-  for (const auto& e : epochs) total += e.sample_s;
-  return total;
-}
-
 double RunReport::total_train_s() const {
   double total = 0.0;
   for (const auto& e : epochs) total += e.total_s();

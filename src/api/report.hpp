@@ -56,8 +56,6 @@ struct RunReport {
   [[nodiscard]] double wall_epoch_s() const {
     return num_epochs() > 0 ? wall_time_s / num_epochs() : 0.0;
   }
-  /// Total time spent in the sampler — the Table 12 numerator.
-  [[nodiscard]] double sample_time_s() const;
   /// Table 12 quantity: sampler time / total epoch time.
   [[nodiscard]] double sampler_overhead() const {
     return core::sampler_overhead(epochs);

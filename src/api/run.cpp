@@ -1,7 +1,5 @@
 #include "api/run.hpp"
 
-#include <algorithm>
-
 #include "api/multiprocess.hpp"
 #include "api/partition_cache.hpp"
 #include "common/check.hpp"
@@ -57,7 +55,7 @@ std::deque<MethodInfo>& mutable_registry() {
                    if (cfg.comm.transport != comm::TransportKind::kMailbox)
                      return run_multiprocess(ds, *part, cfg);
                    return RunReport::from_train_result(
-                       core::BnsTrainer(ds, *part, engine_config(cfg))
+                       core::BnsTrainer(ds, *part, cfg.trainer, cfg.comm)
                            .train(),
                        "bns", ds.name);
                  }});
@@ -66,7 +64,7 @@ std::deque<MethodInfo>& mutable_registry() {
                  [](const Dataset& ds, const Partitioning* part,
                     const RunConfig& cfg) {
                    return RunReport::from_train_result(
-                       core::run_roc_proxy(ds, *part, engine_config(cfg)),
+                       core::run_roc_proxy(ds, *part, cfg.trainer, cfg.comm),
                        "roc-proxy", ds.name);
                  }});
     r.push_back({Method::kCagnetProxy, "cagnet-proxy", "CAGNET proxy",
@@ -74,7 +72,7 @@ std::deque<MethodInfo>& mutable_registry() {
                  [](const Dataset& ds, const Partitioning* part,
                     const RunConfig& cfg) {
                    return RunReport::from_train_result(
-                       core::run_cagnet_proxy(ds, *part, engine_config(cfg),
+                       core::run_cagnet_proxy(ds, *part, cfg.trainer,
                                               cfg.cagnet_c),
                        "cagnet-proxy", ds.name);
                  }});
@@ -126,22 +124,8 @@ std::deque<MethodInfo>& mutable_registry() {
 
 } // namespace
 
-// The two overlap spellings combine by taking the more aggressive schedule
-// (modes are ordered blocking < bulk < stream), so either knob alone works.
 core::TrainerConfig engine_config(const RunConfig& cfg) {
-  core::TrainerConfig tcfg = cfg.trainer;
-  tcfg.overlap = std::max(cfg.comm.overlap, cfg.trainer.overlap);
-  // The api-level chunk spelling wins when set; otherwise the engine-level
-  // value (possibly 0 = unchunked) stands.
-  if (cfg.comm.inner_chunk_rows > 0)
-    tcfg.inner_chunk_rows = cfg.comm.inner_chunk_rows;
-  // Halo-cache knobs live on the comm spec (they shape the fabric traffic);
-  // the api-level spelling wins whenever it enables the cache.
-  if (cfg.comm.cache_mb > 0) {
-    tcfg.cache_mb = cfg.comm.cache_mb;
-    tcfg.cache_staleness = cfg.comm.cache_staleness;
-  }
-  return tcfg;
+  return cfg.trainer;
 }
 
 const std::deque<MethodInfo>& method_registry() {

@@ -31,43 +31,11 @@ enum class Method {
   kCustom,
 };
 
-/// Communication-fabric knobs shared by the partition-parallel methods
-/// (BNS, the ROC proxy, and — where applicable — the CAGNET proxy).
-struct CommSpec {
-  /// Boundary-exchange schedule (docs/ARCHITECTURE.md §4): blocking, bulk
-  /// (one wait_all hidden behind the halo-independent compute phase) or
-  /// stream (per-peer progressive folds via comm::RequestSet polling).
-  /// Results are bit-identical across all three modes; only the simulated
-  /// epoch time (EpochBreakdown::overlap_s) changes. Safe for every
-  /// method: SAGE and GAT both run the phased schedule, the CAGNET dense
-  /// broadcast ignores the knob, the minibatch baselines have no fabric
-  /// to overlap. JSON spells modes "blocking" / "bulk" / "stream" and
-  /// still accepts the legacy PR 2 bool (true → bulk).
-  core::OverlapMode overlap = core::OverlapMode::kBlocking;
-
-  /// Chunk size (destination rows) of the halo-independent forward phase:
-  /// with a positive value the trainer polls the completion set between
-  /// F1 row chunks, so stream-mode folds interleave mid-F1
-  /// (TrainerConfig::inner_chunk_rows has the full story). 0 = unchunked.
-  /// Results are bit-identical for every value. This api-level spelling
-  /// wins over trainer.inner_chunk_rows when nonzero; JSON key
-  /// "inner_chunk_rows".
-  NodeId inner_chunk_rows = 0;
-
-  /// Per-(peer, layer) halo-cache budget in MiB (docs/ARCHITECTURE.md §9):
-  /// 0 (default) disables the cache; a positive value caches layer-0
-  /// boundary rows (epoch-invariant input features) so warm epochs ship
-  /// only an index list plus the rows the remote rank does not hold.
-  /// Bit-identical losses at cache_staleness == 0, on every transport and
-  /// overlap mode. JSON key "cache_mb", written only when nonzero.
-  std::int64_t cache_mb = 0;
-
-  /// Staleness bound (epochs) for caching layers above 0: their rows
-  /// change every epoch, so a hit replays a row up to this many epochs
-  /// old. 0 (default) = exact — only layer 0 caches. JSON key
-  /// "cache_staleness", written only when the cache is enabled.
-  int cache_staleness = 0;
-
+/// Communication knobs of the partition-parallel methods: the exchange
+/// schedule and halo cache (core::ExchangeSpec, handed unchanged to BNS,
+/// the ROC proxy and the serving engine; the CAGNET proxy and the minibatch
+/// baselines have no halo exchange) plus the fabric backend.
+struct CommSpec : core::ExchangeSpec {
   /// Fabric backend. kMailbox (default) trains every rank as a thread over
   /// the in-process deterministic fabric, with comm/overlap times simulated
   /// from byte counts. kUds / kTcp spawn one OS process per rank connected
@@ -95,9 +63,7 @@ struct RunConfig {
   /// cadence, seed, interconnect cost model and the per-epoch observer.
   core::TrainerConfig trainer;
 
-  /// Fabric behavior (communication–computation overlap). Either this or
-  /// trainer.overlap enables the pipelined exchange; this is the
-  /// config-file-facing spelling.
+  /// Exchange schedule, halo cache and fabric backend.
   CommSpec comm;
 
   /// Sampler-specific knobs of the minibatch baselines; ignored by the
@@ -133,10 +99,8 @@ void register_method(MethodInfo info);
 /// The method resolved from `cfg` (built-in or custom).
 [[nodiscard]] const MethodInfo& resolve_method(const RunConfig& cfg);
 
-/// The engine-level trainer config of a partition-parallel run: the api's
-/// CommSpec folds into the TrainerConfig knobs the engine reads (overlap
-/// mode, chunking). Shared with the multi-process runtime so both runtimes
-/// resolve the config identically.
+/// The engine-level trainer config of a run: cfg.trainer itself. Nothing in
+/// the library calls it; perfbench/runner.cpp still does.
 [[nodiscard]] core::TrainerConfig engine_config(const RunConfig& cfg);
 
 /// Run `cfg` end to end: build the dataset from cfg.dataset, partition per

@@ -1,5 +1,7 @@
 #include "api/serialize.hpp"
 
+#include <algorithm>
+
 namespace bnsgcn::api {
 
 json::Value to_json(const core::EpochBreakdown& e) {
@@ -341,17 +343,7 @@ json::Value trainer_to_json(const core::TrainerConfig& t) {
   cost.set("bytes_per_s", t.cost.bytes_per_s);
   v.set("cost", std::move(cost));
   v.set("simulate_host_swap", t.simulate_host_swap);
-  v.set("overlap", overlap_mode_name(t.overlap));
-  v.set("inner_chunk_rows", static_cast<std::int64_t>(t.inner_chunk_rows));
   v.set("threads", t.threads);
-  // Halo-cache knobs: written only when non-default, so configs predating
-  // them (and uncached ones) round-trip byte-identical. cache_staleness is
-  // keyed on its own value, not on cache_mb — gating it on the budget
-  // dropped a staleness set without a budget, so the round-tripped config
-  // silently lost the knob and a later cache_mb enable changed semantics.
-  if (t.cache_mb > 0) v.set("cache_mb", t.cache_mb);
-  if (t.cache_mb > 0 || t.cache_staleness != 0)
-    v.set("cache_staleness", t.cache_staleness);
   // The per-epoch observer is a process-local callback, and the
   // fabric_shuffle_seed / threads_oversubscribe test-only knobs: not
   // serialized.
@@ -380,19 +372,48 @@ core::TrainerConfig trainer_from_json(const json::Value& v) {
     read_if(*c, "bytes_per_s", t.cost.bytes_per_s, as_d);
   }
   read_if(v, "simulate_host_swap", t.simulate_host_swap, as_b);
-  read_if(v, "overlap", t.overlap, overlap_mode_from_json);
-  read_if(v, "inner_chunk_rows", t.inner_chunk_rows,
+  // Absent in pre-threads artifacts → the field default of 1 (serial).
+  read_if(v, "threads", t.threads, as_i);
+  return t;
+}
+
+constexpr const char* kExchangeKeys[] = {"overlap", "inner_chunk_rows",
+                                         "cache_mb", "cache_staleness"};
+
+/// Read the exchange knobs present in `v` (absent keys keep `xs`'s values:
+/// 0 before chunking and the halo cache existed).
+void exchange_from_json(const json::Value& v, core::ExchangeSpec& xs) {
+  read_if(v, "overlap", xs.overlap, overlap_mode_from_json);
+  read_if(v, "inner_chunk_rows", xs.inner_chunk_rows,
           [](const json::Value& f) {
             return static_cast<NodeId>(f.as_int64());
           });
-  // Absent in pre-threads artifacts → the field default of 1 (serial).
-  read_if(v, "threads", t.threads, as_i);
-  // Absent before the halo cache (and in uncached configs) → disabled.
-  read_if(v, "cache_mb", t.cache_mb, [](const json::Value& f) {
+  read_if(v, "cache_mb", xs.cache_mb, [](const json::Value& f) {
     return f.as_int64();
   });
-  read_if(v, "cache_staleness", t.cache_staleness, as_i);
-  return t;
+  read_if(v, "cache_staleness", xs.cache_staleness, as_i);
+}
+
+/// Documents written before the exchange knobs had one home also carry
+/// them in "trainer", and the engine combined the two spellings at run
+/// time. Fold them into `comm` once, by that same rule, so an old artifact
+/// parses to the spec its run used: the stronger overlap mode; the comm
+/// chunk when positive; the comm cache pair when its budget is positive.
+void fold_legacy_exchange(const json::Value& trainer,
+                          core::ExchangeSpec& comm) {
+  if (std::ranges::none_of(kExchangeKeys, [&](const char* key) {
+        return trainer.get(key) != nullptr;
+      }))
+    return;
+  core::ExchangeSpec legacy;
+  exchange_from_json(trainer, legacy);
+  comm.overlap = std::max(comm.overlap, legacy.overlap);
+  if (comm.inner_chunk_rows <= 0)
+    comm.inner_chunk_rows = legacy.inner_chunk_rows;
+  if (comm.cache_mb <= 0) {
+    comm.cache_mb = legacy.cache_mb;
+    comm.cache_staleness = legacy.cache_staleness;
+  }
 }
 
 json::Value minibatch_to_json(const baselines::MinibatchConfig& mb) {
@@ -454,10 +475,12 @@ json::Value to_json(const RunConfig& cfg) {
   comm.set("inner_chunk_rows",
            static_cast<std::int64_t>(cfg.comm.inner_chunk_rows));
   comm.set("transport", comm::transport_kind_name(cfg.comm.transport));
-  // Cache knobs only when non-default (back-compat byte-identity, as
-  // above) — cache_staleness round-trips on its own value, not cache_mb's.
-  if (cfg.comm.cache_mb > 0) comm.set("cache_mb", cfg.comm.cache_mb);
-  if (cfg.comm.cache_mb > 0 || cfg.comm.cache_staleness != 0)
+  // Halo-cache knobs: written only when non-default, so configs predating
+  // them (and uncached ones) round-trip byte-identical. cache_staleness is
+  // keyed on its own value too, so a staleness staged ahead of the budget
+  // survives the round trip.
+  if (cfg.comm.cache_mb != 0) comm.set("cache_mb", cfg.comm.cache_mb);
+  if (cfg.comm.cache_mb != 0 || cfg.comm.cache_staleness != 0)
     comm.set("cache_staleness", cfg.comm.cache_staleness);
   v.set("comm", std::move(comm));
 
@@ -493,22 +516,16 @@ RunConfig run_config_from_json(const json::Value& v) {
     });
     read_if(*p, "seed", cfg.partition.seed, as_u64);
   }
-  if (const auto* t = v.get("trainer")) cfg.trainer = trainer_from_json(*t);
   if (const auto* c = v.get("comm")) {
-    read_if(*c, "overlap", cfg.comm.overlap, overlap_mode_from_json);
-    read_if(*c, "inner_chunk_rows", cfg.comm.inner_chunk_rows,
-            [](const json::Value& f) {
-              return static_cast<NodeId>(f.as_int64());
-            });
+    exchange_from_json(*c, cfg.comm);
     // Absent in configs written before socket transports existed: mailbox.
     read_if(*c, "transport", cfg.comm.transport, [](const json::Value& f) {
       return comm::transport_kind_from_name(f.as_string());
     });
-    // Absent before the halo cache → disabled.
-    read_if(*c, "cache_mb", cfg.comm.cache_mb, [](const json::Value& f) {
-      return f.as_int64();
-    });
-    read_if(*c, "cache_staleness", cfg.comm.cache_staleness, as_i);
+  }
+  if (const auto* t = v.get("trainer")) {
+    cfg.trainer = trainer_from_json(*t);
+    fold_legacy_exchange(*t, cfg.comm);
   }
   if (const auto* mb = v.get("minibatch"))
     cfg.minibatch = minibatch_from_json(*mb);

@@ -10,16 +10,6 @@ namespace bnsgcn::api {
 
 namespace {
 
-core::ServeOptions serve_options(const ServeConfig& scfg) {
-  core::ServeOptions opts;
-  opts.batch_size = scfg.batch_size;
-  opts.num_batches = scfg.num_batches;
-  opts.seed = scfg.seed;
-  opts.record_logits = scfg.record_logits;
-  opts.fail_rank = scfg.fail_rank;
-  return opts;
-}
-
 /// Engine result -> report rows. method/dataset/train_wall_s are stamped
 /// by the caller (under the forked runtime this runs in the child, which
 /// does not know the training provenance).
@@ -90,20 +80,19 @@ ServeReport serve(const Dataset& ds, const Partitioning& part,
   // trained weights are bit-identical across transports (the tier-1 parity
   // suites pin this), and the in-process run is what lets the snapshot be
   // captured without a serialization path.
-  core::TrainerConfig tcfg = engine_config(cfg);
+  core::TrainerConfig tcfg = cfg.trainer;
   core::WeightSnapshot snapshot;
   tcfg.capture_weights = &snapshot;
-  core::TrainResult tr = core::BnsTrainer(ds, part, tcfg).train();
+  core::TrainResult tr = core::BnsTrainer(ds, part, tcfg, cfg.comm).train();
   BNSGCN_CHECK_MSG(!snapshot.empty(), "training produced no weight snapshot");
   tcfg.capture_weights = nullptr;
   tcfg.observer = nullptr;  // per-epoch callback is a training-only hook
 
-  const core::ServeOptions opts = serve_options(scfg);
-  core::InferenceEngine engine(ds, part, tcfg, snapshot);
+  core::InferenceEngine engine(ds, part, tcfg, cfg.comm, snapshot);
 
   ServeReport report;
   if (cfg.comm.transport == comm::TransportKind::kMailbox) {
-    report = report_from_result(engine.serve(opts), scfg);
+    report = report_from_result(engine.serve(scfg), scfg);
   } else {
     // Socket transports fork one OS process per rank through the shared
     // piped-rank runtime; the engine (weights, local graphs) was built
@@ -111,7 +100,7 @@ ServeReport serve(const Dataset& ds, const Partitioning& part,
     const std::string payload = run_ranks_piped(
         cfg.comm.transport, part.nparts, tcfg.cost,
         [&](comm::Fabric& fabric, PartId rank) {
-          core::ServeResult res = engine.serve_rank(fabric, rank, opts);
+          core::ServeResult res = engine.serve_rank(fabric, rank, scfg);
           if (rank != 0) return std::string();
           return to_json_string(report_from_result(std::move(res), scfg));
         });

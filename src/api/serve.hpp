@@ -12,19 +12,10 @@
 
 namespace bnsgcn::api {
 
-/// Serving knobs of api::serve — the config-file spelling of
-/// core::ServeOptions. JSON keys: batch_size, num_batches, seed,
-/// record_logits (fail_rank is test-only, not serialized).
-struct ServeConfig {
-  int batch_size = 32;
-  int num_batches = 8;
-  std::uint64_t seed = 1;
-  /// Keep the raw logits rows in the report (the determinism tests'
-  /// bitwise oracle; floats round-trip the JSON artifact exactly).
-  bool record_logits = false;
-  /// Test-only: forwarded to core::ServeOptions::fail_rank. Not serialized.
-  int fail_rank = -1;
-};
+/// Serving knobs of api::serve: the engine's own options (JSON keys
+/// batch_size, num_batches, seed, record_logits; fail_rank is test-only,
+/// not serialized).
+using ServeConfig = core::ServeOptions;
 
 /// The result of api::serve: training provenance plus the per-batch
 /// latency/traffic rows and the answered queries. Mirrors RunReport's

@@ -1,7 +1,5 @@
 #include "comm/cost_model.hpp"
 
-#include <limits>
-
 namespace bnsgcn::comm {
 
 CostModel CostModel::pcie3_x16() {
@@ -9,17 +7,6 @@ CostModel CostModel::pcie3_x16() {
   // the 16 GB/s line rate once protocol overhead and the double hop are
   // paid; 8 GB/s with ~20us software latency matches Gloo-on-PCIe numbers.
   return {.latency_s = 20e-6, .bytes_per_s = 8.0e9};
-}
-
-CostModel CostModel::multi_machine() {
-  // The papers100M testbed communicates across 32 machines; per-pair
-  // effective bandwidth on a shared 10-25GbE class fabric is ~1 GB/s.
-  return {.latency_s = 50e-6, .bytes_per_s = 1.0e9};
-}
-
-CostModel CostModel::infinite() {
-  return {.latency_s = 0.0,
-          .bytes_per_s = std::numeric_limits<double>::infinity()};
 }
 
 CostModel CostModel::scaled_pcie3() {

@@ -44,8 +44,6 @@ struct CostModel {
 
   /// Presets mirroring the paper's testbeds at face value.
   static CostModel pcie3_x16();    // single machine, 10×2080Ti over PCIe3
-  static CostModel multi_machine();// 32-machine cluster interconnect
-  static CostModel infinite();     // no simulated comm cost (ablation)
 
   /// Compute-normalized presets (the bench defaults). A CPU rank here
   /// computes ~500x slower than the paper's 2080Ti, so an interconnect at

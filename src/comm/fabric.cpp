@@ -10,18 +10,6 @@
 
 namespace bnsgcn::comm {
 
-std::int64_t RankStats::total_tx_bytes() const {
-  std::int64_t sum = 0;
-  for (const auto b : tx_bytes) sum += b;
-  return sum;
-}
-
-std::int64_t RankStats::total_rx_bytes() const {
-  std::int64_t sum = 0;
-  for (const auto b : rx_bytes) sum += b;
-  return sum;
-}
-
 RankStats RankStats::operator-(const RankStats& before) const {
   RankStats d;
   for (std::size_t c = 0; c < tx_bytes.size(); ++c) {
@@ -62,10 +50,6 @@ std::int64_t Fabric::total_rx_bytes(TrafficClass cls) const {
   for (const auto& ep : endpoints_)
     sum += ep->stats().rx_bytes[static_cast<int>(cls)];
   return sum;
-}
-
-void Fabric::reset_stats() {
-  for (auto& ep : endpoints_) ep->stats().reset();
 }
 
 void Fabric::enable_delivery_shuffle(std::uint64_t seed, int max_hold) {
@@ -283,10 +267,8 @@ std::vector<float> Endpoint::acquire_floats(std::size_t n) {
     std::vector<float> buf = std::move(float_pool_.back());
     float_pool_.pop_back();
     buf.resize(n);
-    ++pool_stats_.hits;
     return buf;
   }
-  ++pool_stats_.misses;
   return std::vector<float>(n);
 }
 

@@ -31,11 +31,6 @@ struct RankStats {
   std::array<std::int64_t, static_cast<int>(TrafficClass::kCount)> tx_msgs{};
   std::array<std::int64_t, static_cast<int>(TrafficClass::kCount)> rx_msgs{};
 
-  void reset() { *this = RankStats{}; }
-
-  [[nodiscard]] std::int64_t total_tx_bytes() const;
-  [[nodiscard]] std::int64_t total_rx_bytes() const;
-
   /// Traffic between two snapshots of the same counters: `*this` minus
   /// the earlier snapshot `before`, per class and direction.
   [[nodiscard]] RankStats operator-(const RankStats& before) const;
@@ -119,11 +114,6 @@ class Endpoint {
   /// content guarantee — callers overwrite every element.
   [[nodiscard]] std::vector<float> acquire_floats(std::size_t n);
   void release_floats(std::vector<float> buf);
-  struct PoolStats {
-    std::int64_t hits = 0;    // acquires served from the pool
-    std::int64_t misses = 0;  // acquires that had to allocate
-  };
-  [[nodiscard]] const PoolStats& pool_stats() const { return pool_stats_; }
 
   /// Collectives.
   void barrier();
@@ -167,7 +157,6 @@ class Endpoint {
   int coll_seq_ = 0; // collectives entered so far
   RankStats stats_;
   std::vector<std::vector<float>> float_pool_;  // owner-thread only
-  PoolStats pool_stats_;
 };
 
 /// Communication fabric over `nranks` logical ranks: per-rank Endpoints
@@ -190,7 +179,6 @@ class Fabric {
   /// Sum of a traffic class's rx bytes over all ranks (global volume;
   /// only the ranks this process serves contribute).
   [[nodiscard]] std::int64_t total_rx_bytes(TrafficClass cls) const;
-  void reset_stats();
 
   /// Tear the fabric down from `rank`'s side so peers blocked on it
   /// unwind with ShutdownError instead of hanging. Called by a failing

@@ -2,10 +2,28 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 namespace bnsgcn::core {
 
 using comm::TrafficClass;
+
+void validate_exchange_spec(const ExchangeSpec& xs) {
+  BNSGCN_CHECK_MSG(xs.inner_chunk_rows >= 0,
+                   "inner_chunk_rows must be >= 0, got " +
+                       std::to_string(xs.inner_chunk_rows));
+  BNSGCN_CHECK_MSG(xs.cache_mb >= 0,
+                   "cache_mb must be >= 0, got " + std::to_string(xs.cache_mb));
+  // The directory capacity is computed from cache_mb MiB in bytes.
+  constexpr std::int64_t kMaxCacheMb =
+      std::numeric_limits<std::int64_t>::max() >> 20;
+  BNSGCN_CHECK_MSG(xs.cache_mb <= kMaxCacheMb,
+                   "cache_mb overflows a byte count, got " +
+                       std::to_string(xs.cache_mb));
+  BNSGCN_CHECK_MSG(xs.cache_staleness >= 0,
+                   "cache_staleness must be >= 0, got " +
+                       std::to_string(xs.cache_staleness));
+}
 
 HaloExchanger::HaloExchanger(comm::Endpoint& ep, const Options& opts)
     : ep_(ep), opt_(opts) {
@@ -15,13 +33,14 @@ HaloExchanger::HaloExchanger(comm::Endpoint& ep, const Options& opts)
   // staleness bound. Capacity is rows per (peer, layer, direction) at
   // that layer's feature width. The recv-side row store grows lazily —
   // slots fill densely, so memory tracks actual use, not the budget.
-  if (opt_.cache_mb > 0) {
+  const ExchangeSpec& xs = opt_.exchange;
+  if (xs.cache_mb > 0) {
     cache_.resize(static_cast<std::size_t>(opt_.num_layers));
     for (int l = 0; l < opt_.num_layers; ++l) {
-      if (l > 0 && opt_.cache_staleness <= 0) continue;
+      if (l > 0 && xs.cache_staleness <= 0) continue;
       const std::int64_t d = (l == 0) ? opt_.feat_dim : opt_.hidden;
       const std::int64_t cap =
-          opt_.cache_mb * (1 << 20) /
+          xs.cache_mb * (1 << 20) /
           (d * static_cast<std::int64_t>(sizeof(float)));
       auto& per_peer = cache_[static_cast<std::size_t>(l)];
       per_peer.resize(static_cast<std::size_t>(ep_.nranks()));
@@ -179,7 +198,7 @@ ExchangeRecord HaloExchanger::forward_layer(const ForwardPass& pass,
   const EpochPlan& plan = pass.plan;
   const std::int64_t d = h_in.cols();
   PendingExchange px = post_forward(h_in, plan, tag, channel);
-  FoldDriver fold(px, opt_.overlap);
+  FoldDriver fold(px, opt_.exchange.overlap);
   // The in-flight window is accumulated phase by phase (not wall time
   // across the loop) so interleaved fold work is not counted twice — the
   // driver tracks the fold share separately.
@@ -207,7 +226,8 @@ ExchangeRecord HaloExchanger::forward_layer(const ForwardPass& pass,
   };
   const NodeId n_dst = plan.adj.n_dst;
   const NodeId step =
-      opt_.inner_chunk_rows > 0 ? opt_.inner_chunk_rows : n_dst;
+      opt_.exchange.inner_chunk_rows > 0 ? opt_.exchange.inner_chunk_rows
+                                         : n_dst;
   for (NodeId r0 = 0; r0 < n_dst; r0 += step) {
     {
       ScopedTimer t(pass.compute_acc);

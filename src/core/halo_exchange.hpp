@@ -26,6 +26,49 @@ namespace bnsgcn::core {
 /// Ordered by how much wire time each can hide.
 enum class OverlapMode : int { kBlocking = 0, kBulk = 1, kStream = 2 };
 
+/// The boundary-exchange knobs: when and whether the sampled boundary rows
+/// cross the wire. Which rows each rank exchanges is the sampler's
+/// decision (Algorithm 1); none of these changes a value (the cache only
+/// at cache_staleness == 0). BnsTrainer, the ROC proxy and
+/// InferenceEngine take one; api::CommSpec extends it with the transport,
+/// and JSON carries it in the "comm" object under the field names.
+struct ExchangeSpec {
+  /// Exchange schedule (docs/ARCHITECTURE.md §4; see OverlapMode). Moves
+  /// only the waits, so the effect is EpochBreakdown::overlap_s lowering
+  /// the simulated epoch time. SAGE and GAT both run the phased schedule;
+  /// methods without a halo exchange (the CAGNET proxy, the minibatch
+  /// baselines) take no spec. JSON: "blocking" / "bulk" / "stream", and
+  /// the legacy bool (true → bulk) still parses.
+  OverlapMode overlap = OverlapMode::kBlocking;
+
+  /// Chunk size (destination rows) of the halo-independent forward phase
+  /// F1; 0 = one chunk covering every row. With a positive chunk the
+  /// exchanger polls the completion set between chunks, so in stream mode
+  /// peer folds interleave mid-F1 instead of queueing until F1 returns.
+  /// F1 is row-independent and the fold targets are disjoint from the
+  /// chunk targets (see nn::Layer), so only the poll points move.
+  NodeId inner_chunk_rows = 0;
+
+  /// Halo cache (core/halo_cache.hpp, docs/ARCHITECTURE.md §9): per (peer,
+  /// layer, direction) row budget in MiB; 0 disables it. Layer-0 input
+  /// features — epoch-invariant — are sent once and then referenced by
+  /// index; frequency-ordered eviction keeps the hot rows resident.
+  /// Written to JSON only when nonzero.
+  std::int64_t cache_mb = 0;
+
+  /// Staleness bound (epochs) for caching the layers above 0, whose rows
+  /// change every epoch: a hit replays a row up to this many epochs old.
+  /// 0 = exact, only layer 0 caches. Ignored unless cache_mb > 0; written
+  /// to JSON when either cache knob is nonzero.
+  int cache_staleness = 0;
+};
+
+/// Throws CheckError naming the first field no engine can run: a negative
+/// inner_chunk_rows, cache_mb or cache_staleness, or a cache_mb whose byte
+/// count overflows int64. BnsTrainer and InferenceEngine call it in their
+/// constructors, before any rank starts.
+void validate_exchange_spec(const ExchangeSpec& xs);
+
 // ---- Pipelined (split-phase) exchange -------------------------------------
 // One in-flight boundary exchange: sends are handed to the fabric when it
 // is posted (eager), receives go into a completion set; the caller computes
@@ -211,15 +254,7 @@ class HaloExchanger {
  public:
   struct Options {
     comm::CostModel cost;
-    /// Exchange schedule and F1 chunk size (TrainerConfig::overlap and
-    /// ::inner_chunk_rows; 0 = one chunk). Neither changes any value.
-    OverlapMode overlap = OverlapMode::kBlocking;
-    NodeId inner_chunk_rows = 0;
-    /// Halo cache (TrainerConfig::cache_mb semantics): per (peer, layer,
-    /// direction) row budget in MiB; 0 disables. Layer 0 always caches
-    /// when enabled, deeper layers only under a positive staleness bound.
-    std::int64_t cache_mb = 0;
-    int cache_staleness = 0;
+    ExchangeSpec exchange;
     int num_layers = 0;
     std::int64_t feat_dim = 0;  // layer-0 row width
     std::int64_t hidden = 0;    // deeper-layer row width
@@ -296,7 +331,7 @@ class HaloExchanger {
   /// Staleness argument for a cached layer's directories: layer 0 never
   /// goes stale; deeper layers refresh after cache_staleness epochs.
   [[nodiscard]] int cache_max_age(int layer) const {
-    return layer == 0 ? -1 : opt_.cache_staleness;
+    return layer == 0 ? -1 : opt_.exchange.cache_staleness;
   }
 
   /// Resolve peer k's received message into this exchange's full row block

@@ -20,7 +20,7 @@ using comm::TrafficClass;
 /// fabric, a whole OS process on a socket fabric.
 class ServeWorker {
  public:
-  ServeWorker(const Dataset& ds, const TrainerConfig& cfg,
+  ServeWorker(const Dataset& ds, const TrainerConfig& cfg, ExchangeSpec xs,
               const WeightSnapshot& weights, const LocalGraph& lg,
               comm::Endpoint& ep)
       : ds_(ds), cfg_(cfg), lg_(lg), ep_(ep) {
@@ -63,12 +63,9 @@ class ServeWorker {
     // activations); weights are frozen here, so clamp it to 0 and keep
     // served bits unconditionally identical to the cache-off forward —
     // layer-0 rows, the batch-invariant bulk, still cache and hit.
+    xs.cache_staleness = 0;
     hx_.emplace(ep_, HaloExchanger::Options{.cost = cfg_.cost,
-                                            .overlap = cfg_.overlap,
-                                            .inner_chunk_rows =
-                                                cfg_.inner_chunk_rows,
-                                            .cache_mb = cfg_.cache_mb,
-                                            .cache_staleness = 0,
+                                            .exchange = xs,
                                             .num_layers = cfg_.num_layers,
                                             .feat_dim = ds.feat_dim(),
                                             .hidden = cfg_.hidden});
@@ -258,10 +255,11 @@ class ServeWorker {
 } // namespace
 
 InferenceEngine::InferenceEngine(const Dataset& ds, const Partitioning& part,
-                                 TrainerConfig cfg,
+                                 TrainerConfig cfg, ExchangeSpec xs,
                                  const WeightSnapshot& weights)
-    : ds_(ds), cfg_(std::move(cfg)), part_(part), weights_(weights) {
+    : ds_(ds), cfg_(std::move(cfg)), xs_(xs), part_(part), weights_(weights) {
   BNSGCN_CHECK(cfg_.num_layers >= 1);
+  validate_exchange_spec(xs_);
   BNSGCN_CHECK_MSG(!weights_.empty(),
                    "api::serve needs a trained weight snapshot "
                    "(TrainerConfig::capture_weights)");
@@ -272,7 +270,7 @@ ServeResult InferenceEngine::serve_rank(comm::Fabric& fabric, PartId rank,
                                         const ServeOptions& opts) {
   BNSGCN_CHECK(rank >= 0 && rank < part_.nparts &&
                fabric.nranks() == part_.nparts);
-  ServeWorker worker(ds_, cfg_, weights_,
+  ServeWorker worker(ds_, cfg_, xs_, weights_,
                      local_graphs_[static_cast<std::size_t>(rank)],
                      fabric.endpoint(rank));
   return worker.run(opts);

@@ -9,8 +9,9 @@
 
 namespace bnsgcn::core {
 
-/// One serve run's request generator + loop parameters (api::ServeConfig is
-/// the config-file spelling). Queries are global node ids drawn from a
+/// One serve run's request generator + loop parameters (api::ServeConfig
+/// names this struct at the api level; JSON keys batch_size, num_batches,
+/// seed and record_logits). Queries are global node ids drawn from a
 /// single persistent stream seeded with `seed`: batch b serves queries
 /// [b*batch_size, (b+1)*batch_size) of that flat stream, so two runs with
 /// the same seed and the same total query count serve the identical queries
@@ -21,8 +22,9 @@ struct ServeOptions {
   int num_batches = 8;
   std::uint64_t seed = 1;
   /// Keep the per-query logits rows in the result (the determinism tests'
-  /// bitwise oracle). Off by default: predictions are always kept and are
-  /// what a real client consumes.
+  /// bitwise oracle; floats round-trip the JSON artifact exactly). Off by
+  /// default: predictions are always kept and are what a real client
+  /// consumes.
   bool record_logits = false;
   /// Test-only: the named rank throws before batch 0's first exchange,
   /// exercising the serve-path shutdown (peers surface comm::ShutdownError
@@ -68,18 +70,21 @@ struct ServeResult {
 /// — so served logits are bit-identical to a training-path forward of the
 /// same weights, across transports, overlap modes and batch sizes.
 ///
-/// Reuses TrainerConfig for the model/comm knobs (num_layers, hidden,
-/// model, overlap, inner_chunk_rows, threads, cache_mb, cache_staleness,
-/// cost); training-only fields (lr, epochs, dropout, sampling) are ignored
-/// — serving always exchanges the full boundary set.
+/// Reuses TrainerConfig for the model knobs (num_layers, hidden, model,
+/// threads, cost); training-only fields (lr, epochs, dropout, sampling)
+/// are ignored — serving always exchanges the full boundary set. The
+/// ExchangeSpec schedules the exchanges as in training, except that
+/// cache_staleness is clamped to 0: weights are frozen, so served bits
+/// stay identical to the cache-off forward.
 class InferenceEngine {
  public:
   /// `weights` must hold the stack's parameters flattened in params()
   /// order (what TrainerConfig::capture_weights produces); shapes are
   /// checked on load. ds/part/weights are borrowed for the engine's
-  /// lifetime.
+  /// lifetime. `xs` is validated here, before any rank starts.
   InferenceEngine(const Dataset& ds, const Partitioning& part,
-                  TrainerConfig cfg, const WeightSnapshot& weights);
+                  TrainerConfig cfg, ExchangeSpec xs,
+                  const WeightSnapshot& weights);
 
   /// In-process serve: mailbox fabric, one thread per partition
   /// (comm::run_ranks, the same runtime and failure handling as
@@ -91,13 +96,10 @@ class InferenceEngine {
   [[nodiscard]] ServeResult serve_rank(comm::Fabric& fabric, PartId rank,
                                        const ServeOptions& opts);
 
-  [[nodiscard]] const std::vector<LocalGraph>& local_graphs() const {
-    return local_graphs_;
-  }
-
  private:
   const Dataset& ds_;
   TrainerConfig cfg_;
+  ExchangeSpec xs_;
   Partitioning part_;
   const WeightSnapshot& weights_;
   std::vector<LocalGraph> local_graphs_;

@@ -11,11 +11,11 @@
 namespace bnsgcn::core {
 
 TrainResult run_roc_proxy(const Dataset& ds, const Partitioning& part,
-                          TrainerConfig cfg) {
+                          TrainerConfig cfg, ExchangeSpec xs) {
   cfg.sample_rate = 1.0f;
   cfg.variant = SamplingVariant::kBns;
   cfg.simulate_host_swap = true;
-  BnsTrainer trainer(ds, part, cfg);
+  BnsTrainer trainer(ds, part, cfg, xs);
   return trainer.train();
 }
 
@@ -52,9 +52,6 @@ TrainResult run_cagnet_proxy(const Dataset& ds, const Partitioning& part,
 
   TrainResult result;
   result.train_loss.reserve(static_cast<std::size_t>(cfg.epochs));
-  // TrainerConfig::overlap is a no-op here by design: every broadcast row
-  // feeds every destination's aggregation, so the 1.5D exchange has no
-  // halo-free compute to hide it behind (the knob stays safe, not useful).
 
   Stopwatch wall;
   comm::run_ranks(fabric, [&](PartId r) {

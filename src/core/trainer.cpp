@@ -95,8 +95,9 @@ struct ExchangeTotals {
 class RankWorker {
  public:
   RankWorker(const Dataset& ds, const TrainerConfig& cfg,
-             const LocalGraph& lg, comm::Endpoint& ep, TrainResult& result)
-      : ds_(ds), cfg_(cfg), lg_(lg), ep_(ep), result_(result),
+             const ExchangeSpec& xs, const LocalGraph& lg, comm::Endpoint& ep,
+             TrainResult& result)
+      : ds_(ds), cfg_(cfg), xs_(xs), lg_(lg), ep_(ep), result_(result),
         measured_(ep.timing() == comm::TimingSource::kMeasured) {
     // The constructor runs on the rank's own thread (a std::thread under
     // train(), the forked process's main thread under train_rank), so the
@@ -145,12 +146,7 @@ class RankWorker {
     // halo cache) is shared verbatim with the serving path — see
     // core/halo_exchange.hpp.
     hx_.emplace(ep_, HaloExchanger::Options{.cost = cfg_.cost,
-                                            .overlap = cfg_.overlap,
-                                            .inner_chunk_rows =
-                                                cfg_.inner_chunk_rows,
-                                            .cache_mb = cfg_.cache_mb,
-                                            .cache_staleness =
-                                                cfg_.cache_staleness,
+                                            .exchange = xs_,
                                             .num_layers = cfg_.num_layers,
                                             .feat_dim = ds.feat_dim(),
                                             .hidden = cfg_.hidden});
@@ -358,7 +354,7 @@ class RankWorker {
       }
       PendingExchange px =
           hx_->post_backward(dhalo, plan, plan.halo_scale, next_tag());
-      FoldDriver fold(px, cfg_.overlap);
+      FoldDriver fold(px, xs_.overlap);
       Accumulator window_acc;
       Matrix dinner;
       {
@@ -475,6 +471,7 @@ class RankWorker {
 
   const Dataset& ds_;
   const TrainerConfig& cfg_;
+  const ExchangeSpec& xs_;
   const LocalGraph& lg_;
   comm::Endpoint& ep_;
   TrainResult& result_;
@@ -573,11 +570,11 @@ double throughput_eps(std::span<const EpochBreakdown> epochs) {
 }
 
 BnsTrainer::BnsTrainer(const Dataset& ds, const Partitioning& part,
-                       TrainerConfig cfg)
-    : ds_(ds), cfg_(cfg), part_(part) {
+                       TrainerConfig cfg, ExchangeSpec xs)
+    : ds_(ds), cfg_(cfg), xs_(xs), part_(part) {
   BNSGCN_CHECK(cfg.num_layers >= 1);
   BNSGCN_CHECK(cfg.sample_rate >= 0.0f && cfg.sample_rate <= 1.0f);
-  BNSGCN_CHECK(cfg.inner_chunk_rows >= 0);
+  validate_exchange_spec(xs);
   local_graphs_ = build_local_graphs(ds.graph, part_);
 }
 
@@ -611,7 +608,8 @@ TrainResult BnsTrainer::train_rank(comm::Fabric& fabric, PartId rank) {
                fabric.nranks() == part_.nparts);
   TrainResult result;
   Stopwatch wall;
-  RankWorker worker(ds_, cfg_, local_graphs_[static_cast<std::size_t>(rank)],
+  RankWorker worker(ds_, cfg_, xs_,
+                    local_graphs_[static_cast<std::size_t>(rank)],
                     fabric.endpoint(rank), result);
   worker.run();
   finalize_rank(fabric.endpoint(rank), worker.mean_kept_halo(), result);

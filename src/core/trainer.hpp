@@ -28,7 +28,7 @@ struct EpochBreakdown {
   double sample_s = 0.0;  // sampler: draw + index negotiation + compaction
   double swap_s = 0.0;    // ROC proxy only
   /// Exchange time hidden behind in-flight compute when
-  /// communication–computation overlap is on (TrainerConfig::overlap):
+  /// communication–computation overlap is on (ExchangeSpec::overlap):
   /// per exchange, min(simulated transfer time, measured in-flight
   /// compute), summed over the epoch's forward+backward exchanges and
   /// taken as the min over ranks (a conservative lower bound on what the
@@ -51,7 +51,7 @@ struct EpochBreakdown {
   std::int64_t feature_bytes = 0; // global rx over all ranks
   std::int64_t grad_bytes = 0;
   std::int64_t control_bytes = 0;
-  /// Halo-cache accounting (TrainerConfig::cache_mb; all zero when the
+  /// Halo-cache accounting (ExchangeSpec::cache_mb; all zero when the
   /// cache is off). Counted on the receiving side and summed over ranks:
   /// hit rows were served from the local store instead of the wire,
   /// miss rows actually travelled. bytes_saved is the gross feature-byte
@@ -147,31 +147,6 @@ struct TrainerConfig {
   /// Compute-normalized PCIe model by default (see CostModel::scaled_pcie3).
   comm::CostModel cost = comm::CostModel::scaled_pcie3();
 
-  /// Boundary-exchange schedule (docs/ARCHITECTURE.md §4): blocking, bulk
-  /// (one wait_all hidden behind the halo-independent phase) or stream
-  /// (per-peer progressive folds driven by comm::RequestSet). Training
-  /// results are bit-identical across all three — every mode executes the
-  /// same split fp schedule with folds applied in fixed peer order; the
-  /// knob only moves the waits — so the effect is purely
-  /// EpochBreakdown::overlap_s lowering the simulated epoch time. SAGE
-  /// and GAT both run the phased schedule (GAT's per-head linear
-  /// transforms are its halo-independent phase); the CAGNET proxy ignores
-  /// the knob (a dense broadcast has no halo-free portion), so it is safe
-  /// for every method.
-  OverlapMode overlap = OverlapMode::kBlocking;
-
-  /// Chunk size (destination rows) of the halo-independent forward phase
-  /// F1. 0 = one chunk covering every row (the PR 4 behavior). With a
-  /// positive chunk the trainer polls the completion set between chunks,
-  /// so in stream mode peer folds interleave *mid-F1* instead of queueing
-  /// until F1 returns — the finer the chunks, the earlier an early peer's
-  /// fold starts hiding the transfers still in flight. Training results
-  /// are bit-identical for every value (F1 is row-independent and the
-  /// fold targets are disjoint from the chunk targets — see nn::Layer);
-  /// the knob only moves the poll points. RunConfig.comm.inner_chunk_rows
-  /// is the config-file spelling.
-  NodeId inner_chunk_rows = 0;
-
   /// Kernel worker threads per rank (common::ThreadPool lanes inside each
   /// rank's tensor kernels). Results are bit-identical for every value —
   /// the pool's fixed-block decomposition preserves each output element's
@@ -182,25 +157,6 @@ struct TrainerConfig {
   /// forked-process runtimes. RunConfig.trainer.threads is the config-file
   /// spelling (serialized as "threads", absent → 1).
   int threads = 1;
-
-  /// Hot-boundary feature cache (core/halo_cache.hpp): per (peer, layer)
-  /// row budget in MiB for caching boundary rows the remote rank already
-  /// holds. 0 (default) disables the cache entirely. When enabled,
-  /// layer-0 input features — epoch-invariant — are sent once and then
-  /// referenced by index; capacity-bounded, frequency-ordered eviction
-  /// keeps the hot rows resident. With cache_staleness == 0 results are
-  /// bit-identical to the uncached path across every overlap mode, model
-  /// and transport (only layer 0 caches, and its rows never change).
-  /// RunConfig.comm.cache_mb is the config-file spelling; serialized only
-  /// when nonzero (absent → disabled back-compat).
-  std::int64_t cache_mb = 0;
-
-  /// Staleness bound for caching the deeper layers' activations (an
-  /// accuracy-vs-bytes knob the paper doesn't explore): a cached hidden
-  /// row may be reused for up to this many epochs before it is refreshed.
-  /// 0 (default) = exact — only the epoch-invariant layer-0 features
-  /// cache, training results are untouched. Ignored unless cache_mb > 0.
-  int cache_staleness = 0;
 
   /// Test-only: skip the rank×thread hardware clamp and run exactly
   /// `threads` lanes even when that oversubscribes the machine. This is
@@ -267,10 +223,12 @@ struct TrainResult {
 
 /// BNS-GCN: partition-parallel full-graph training with random boundary-node
 /// sampling (the paper's core contribution, Algorithm 1). Runs one thread
-/// per partition over an in-process Fabric.
+/// per partition over an in-process Fabric. `xs` schedules the boundary
+/// exchanges (validated here, before any rank starts).
 class BnsTrainer {
  public:
-  BnsTrainer(const Dataset& ds, const Partitioning& part, TrainerConfig cfg);
+  BnsTrainer(const Dataset& ds, const Partitioning& part, TrainerConfig cfg,
+             ExchangeSpec xs = {});
 
   [[nodiscard]] TrainResult train();
 
@@ -284,10 +242,6 @@ class BnsTrainer {
   /// those collectives but holds only their local view.
   [[nodiscard]] TrainResult train_rank(comm::Fabric& fabric, PartId rank);
 
-  [[nodiscard]] const std::vector<LocalGraph>& local_graphs() const {
-    return local_graphs_;
-  }
-
  private:
   /// Post-loop collective bookkeeping for one rank: allgather the kept-halo
   /// fractions and (on rank 0) attach the memory-model report.
@@ -296,6 +250,7 @@ class BnsTrainer {
 
   const Dataset& ds_;
   TrainerConfig cfg_;
+  ExchangeSpec xs_;
   Partitioning part_;
   std::vector<LocalGraph> local_graphs_;
 };

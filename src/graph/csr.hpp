@@ -51,7 +51,6 @@ class CooBuilder {
   void add_edge(NodeId u, NodeId v);
   void reserve(std::size_t edges) { edges_.reserve(edges); }
 
-  [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
   [[nodiscard]] NodeId num_nodes() const { return n_; }
 
   struct Options {

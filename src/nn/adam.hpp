@@ -28,7 +28,6 @@ class Adam {
   void zero_grads();
 
   [[nodiscard]] const Options& options() const { return opts_; }
-  void set_lr(float lr) { opts_.lr = lr; }
 
  private:
   Options opts_;

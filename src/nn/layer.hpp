@@ -351,7 +351,6 @@ class Layer {
     inference_ = on;
     if (on) release_training_state();
   }
-  [[nodiscard]] bool inference_mode() const { return inference_; }
 
   [[nodiscard]] std::int64_t d_in() const { return d_in_; }
   [[nodiscard]] std::int64_t d_out() const { return d_out_; }

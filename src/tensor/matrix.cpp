@@ -79,12 +79,6 @@ void Matrix::fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
 }
 
-void Matrix::reshape(std::int64_t rows, std::int64_t cols) {
-  BNSGCN_CHECK(rows * cols == size());
-  rows_ = rows;
-  cols_ = cols;
-}
-
 void Matrix::resize(std::int64_t rows, std::int64_t cols) {
   BNSGCN_CHECK(rows >= 0 && cols >= 0);
   track_free();

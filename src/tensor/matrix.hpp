@@ -86,9 +86,6 @@ class Matrix {
   void fill(float value);
   void zero() { fill(0.0f); }
 
-  /// Reshape preserving the element count.
-  void reshape(std::int64_t rows, std::int64_t cols);
-
   /// Resize discarding contents (tracked by MemoryTracker).
   void resize(std::int64_t rows, std::int64_t cols);
 

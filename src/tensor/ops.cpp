@@ -162,16 +162,6 @@ void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
   }
 }
 
-void add_inplace(Matrix& y, const Matrix& x) {
-  BNSGCN_CHECK(y.rows() == x.rows() && y.cols() == x.cols());
-  float* py = y.data();
-  const float* px = x.data();
-  const std::int64_t n = y.size();
-  // lint: allow(float-accum) — element-wise y[i] += x[i]; no cross-element
-  // reduction, order-independent by construction.
-  for (std::int64_t i = 0; i < n; ++i) py[i] += px[i];
-}
-
 void axpy(float a, const Matrix& x, Matrix& y) {
   BNSGCN_CHECK(y.size() == x.size());
   float* py = y.data();
@@ -179,12 +169,6 @@ void axpy(float a, const Matrix& x, Matrix& y) {
   const std::int64_t n = y.size();
   // lint: allow(float-accum) — element-wise y[i] += a*x[i]; order-independent.
   for (std::int64_t i = 0; i < n; ++i) py[i] += a * px[i];
-}
-
-void scale_inplace(Matrix& y, float s) {
-  float* py = y.data();
-  const std::int64_t n = y.size();
-  for (std::int64_t i = 0; i < n; ++i) py[i] *= s;
 }
 
 void add_row_bias_rows(Matrix& x, const Matrix& bias, std::int64_t r0,
@@ -265,21 +249,6 @@ void dropout_backward(Matrix& grad, const Matrix& mask) {
   relu_backward(grad, mask); // elementwise multiply by stored multiplier
 }
 
-void softmax_rows(Matrix& x) {
-  for (std::int64_t r = 0; r < x.rows(); ++r) {
-    float* row = x.data() + r * x.cols();
-    float mx = row[0];
-    for (std::int64_t c = 1; c < x.cols(); ++c) mx = std::max(mx, row[c]);
-    float sum = 0.0f;
-    for (std::int64_t c = 0; c < x.cols(); ++c) {
-      row[c] = std::exp(row[c] - mx);
-      sum += row[c]; // lint: allow(float-accum) — serial per-row sum, fixed order
-    }
-    const float inv = 1.0f / sum;
-    for (std::int64_t c = 0; c < x.cols(); ++c) row[c] *= inv;
-  }
-}
-
 void gather_rows(const Matrix& src, std::span<const NodeId> idx, Matrix& out) {
   out.resize(static_cast<std::int64_t>(idx.size()), src.cols());
   const std::int64_t d = src.cols();
@@ -358,15 +327,6 @@ float max_abs_diff(const Matrix& a, const Matrix& b) {
     mx = std::max(mx, std::abs(pa[i] - pb[i]));
   }
   return mx;
-}
-
-double frobenius_norm_sq(const Matrix& a) {
-  double acc = 0.0;
-  const float* pa = a.data();
-  // lint: allow(float-accum) — serial double-precision reduction, fixed order.
-  for (std::int64_t i = 0; i < a.size(); ++i)
-    acc += static_cast<double>(pa[i]) * static_cast<double>(pa[i]);
-  return acc;
 }
 
 } // namespace bnsgcn::ops

@@ -48,13 +48,8 @@ void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, float alpha = 1.0f,
 // Elementwise / rowwise.
 // ---------------------------------------------------------------------------
 
-/// y += x (shapes must match).
-void add_inplace(Matrix& y, const Matrix& x);
-
 /// y = a*x + y (axpy over the flat buffer).
 void axpy(float a, const Matrix& x, Matrix& y);
-
-void scale_inplace(Matrix& y, float s);
 
 /// x[r,:] += bias[0,:] for rows r in [r0, r1) only (chunked-stream
 /// companion of gemm_nn_rows).
@@ -80,9 +75,6 @@ void relu_backward(Matrix& grad, const Matrix& mask);
 /// mask holds the applied multiplier so backward is grad *= mask.
 void dropout_forward(Matrix& x, Matrix& mask, float p, Rng& rng);
 void dropout_backward(Matrix& grad, const Matrix& mask);
-
-/// Numerically stable row-wise softmax (in place).
-void softmax_rows(Matrix& x);
 
 // ---------------------------------------------------------------------------
 // Gather / scatter over row indices — the halo exchange primitives.
@@ -112,8 +104,5 @@ void glorot_init(Matrix& w, Rng& rng);
 /// Max |a-b| over all elements; shapes must match. A pair with NaN on one
 /// side only counts as +inf; NaN on both sides counts as equal.
 [[nodiscard]] float max_abs_diff(const Matrix& a, const Matrix& b);
-
-/// Frobenius norm squared.
-[[nodiscard]] double frobenius_norm_sq(const Matrix& a);
 
 } // namespace bnsgcn::ops

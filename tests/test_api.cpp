@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+
 #include "api/cli.hpp"
 #include "api/presets.hpp"
 #include "api/run.hpp"
+#include "api/serialize.hpp"
+#include "api/serve.hpp"
 #include "common/check.hpp"
 #include "partition/metis_like.hpp"
 
@@ -165,6 +172,54 @@ TEST(ApiRun, ObserverStreamsBnsEpochs) {
               r.train_loss[static_cast<std::size_t>(e)]);
   }
   EXPECT_EQ(evals, 3);  // epochs 2, 4, 6
+}
+
+TEST(ApiRun, InvalidExchangeSpecIsRejectedBeforeTraining) {
+  // Every exchange value no engine can run must fail with a CheckError
+  // naming its field, from api::run and api::serve alike, whether it was
+  // set in code or round-tripped through a config document, and before any
+  // epoch trains. cache_mb past INT64_MAX >> 20 overflows its byte count.
+  const Dataset ds = easy_dataset(29);
+  const std::pair<const char*, void (*)(api::CommSpec&)> cases[] = {
+      {"inner_chunk_rows", [](api::CommSpec& c) { c.inner_chunk_rows = -1; }},
+      {"cache_staleness", [](api::CommSpec& c) { c.cache_staleness = -2; }},
+      {"cache_mb", [](api::CommSpec& c) { c.cache_mb = -1; }},
+      {"cache_mb",
+       [](api::CommSpec& c) {
+         c.cache_mb = (std::numeric_limits<std::int64_t>::max() >> 20) + 1;
+       }},
+  };
+  for (const auto& [field, set_bad] : cases) {
+    api::RunConfig coded;
+    coded.method = api::Method::kBns;
+    coded.trainer = small_trainer();
+    coded.trainer.epochs = 1;
+    coded.partition.nparts = 2;
+    set_bad(coded.comm);
+    api::RunConfig parsed =
+        api::run_config_from_json_string(api::to_json_string(coded));
+    for (api::RunConfig* cfg : {&coded, &parsed}) {
+      int epochs_trained = 0;
+      cfg->trainer.observer = [&](const core::EpochSnapshot&) {
+        ++epochs_trained;
+      };
+      for (const bool serve : {false, true}) {
+        SCOPED_TRACE(std::string(serve ? "serve " : "run ") + field +
+                     (cfg == &coded ? " (coded)" : " (parsed)"));
+        try {
+          if (serve)
+            (void)api::serve(ds, *cfg, api::ServeConfig{});
+          else
+            (void)api::run(ds, *cfg);
+          ADD_FAILURE() << "accepted";
+        } catch (const CheckError& e) {
+          EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+              << e.what();
+        }
+        EXPECT_EQ(epochs_trained, 0);
+      }
+    }
+  }
 }
 
 TEST(ApiPresets, RegistryAndSpecs) {

@@ -54,7 +54,9 @@ TEST(NeighborSampling, Converges) {
   const auto result =
       baselines::train_neighbor_sampling(ds, fast_trainer(), fast_minibatch());
   EXPECT_GT(result.final_test, 0.55);
-  EXPECT_GT(result.sample_time_s(), 0.0);
+  double sample_s = 0.0;
+  for (const auto& e : result.epochs) sample_s += e.sample_s;
+  EXPECT_GT(sample_s, 0.0);
 }
 
 TEST(LayerSampling, FastGcnConverges) {

@@ -164,18 +164,6 @@ TEST(Fabric, ByteAccounting) {
   EXPECT_EQ(fabric.total_rx_bytes(TrafficClass::kFeature), 400);
 }
 
-TEST(Fabric, StatsResetClears) {
-  Fabric fabric(2);
-  run_ranks(fabric, [](comm::Endpoint& ep) {
-    if (ep.rank() == 0)
-      ep.send_floats(1, 0, {1.0f}, TrafficClass::kFeature);
-    else
-      (void)ep.recv_floats(0, 0, TrafficClass::kFeature);
-  });
-  fabric.reset_stats();
-  EXPECT_EQ(fabric.total_rx_bytes(TrafficClass::kFeature), 0);
-}
-
 TEST(CostModel, MessageTime) {
   const CostModel m{.latency_s = 1e-6, .bytes_per_s = 1e9};
   EXPECT_NEAR(m.message_time(1'000'000), 1e-6 + 1e-3, 1e-9);

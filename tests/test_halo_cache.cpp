@@ -447,14 +447,10 @@ TEST(HaloCacheJson, ConfigRoundTripsAndAbsentKeysDisable) {
   api::RunConfig cfg;
   cfg.comm.cache_mb = 6;
   cfg.comm.cache_staleness = 1;
-  cfg.trainer.cache_mb = 6;
-  cfg.trainer.cache_staleness = 1;
   const api::RunConfig rt =
       api::run_config_from_json_string(api::to_json_string(cfg, 0));
   EXPECT_EQ(rt.comm.cache_mb, 6);
   EXPECT_EQ(rt.comm.cache_staleness, 1);
-  EXPECT_EQ(rt.trainer.cache_mb, 6);
-  EXPECT_EQ(rt.trainer.cache_staleness, 1);
 
   // Uncached configs don't even mention the keys (old artifacts stay
   // byte-identical), and configs written before the cache existed load
@@ -466,7 +462,6 @@ TEST(HaloCacheJson, ConfigRoundTripsAndAbsentKeysDisable) {
       R"({"method":"bns","comm":{"overlap":"bulk"}})");
   EXPECT_EQ(old.comm.cache_mb, 0);
   EXPECT_EQ(old.comm.cache_staleness, 0);
-  EXPECT_EQ(old.trainer.cache_mb, 0);
 }
 
 TEST(HaloCacheJson, BreakdownCountersRoundTripAndDefaultToZero) {

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <functional>
 
+#include "matrix_helpers.hpp"
 #include "nn/gat_layer.hpp"
 #include "nn/sage_layer.hpp"
 #include "tensor/ops.hpp"
@@ -288,7 +289,8 @@ void expect_params_only_backward_matches(
   ASSERT_EQ(expect.size(), got.size());
   for (std::size_t i = 0; i < expect.size(); ++i) {
     ASSERT_EQ(expect[i]->size(), got[i]->size());
-    EXPECT_GT(ops::frobenius_norm_sq(*expect[i]), 0.0) << "grad " << i;
+    EXPECT_GT(test_helpers::frobenius_norm_sq(*expect[i]), 0.0)
+        << "grad " << i;
     EXPECT_EQ(std::memcmp(expect[i]->data(), got[i]->data(),
                           static_cast<std::size_t>(expect[i]->bytes())),
               0)

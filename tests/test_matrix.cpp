@@ -64,13 +64,6 @@ TEST(Matrix, FillAndZero) {
   EXPECT_EQ(m.at(1, 1), 0.0f);
 }
 
-TEST(Matrix, ReshapePreservesData) {
-  Matrix m{{1, 2, 3, 4}};
-  m.reshape(2, 2);
-  EXPECT_EQ(m.at(1, 0), 3.0f);
-  EXPECT_THROW(m.reshape(3, 2), CheckError);
-}
-
 TEST(Matrix, ResizeDiscards) {
   Matrix m{{1, 2}, {3, 4}};
   m.resize(1, 3);

@@ -20,6 +20,7 @@ namespace bnsgcn {
 namespace {
 
 using core::BnsTrainer;
+using core::ExchangeSpec;
 using core::ModelKind;
 using core::OverlapMode;
 using core::SamplingVariant;
@@ -60,14 +61,13 @@ TrainerConfig base_config() {
 /// Train under every overlap mode and require bit-identical results
 /// (losses, eval curve, byte counts) against the blocking run.
 void expect_modes_bit_identical(const Dataset& ds, const Partitioning& part,
-                                TrainerConfig cfg) {
-  cfg.overlap = OverlapMode::kBlocking;
-  const auto blocking = BnsTrainer(ds, part, cfg).train();
+                                const TrainerConfig& cfg) {
+  const auto blocking =
+      BnsTrainer(ds, part, cfg, {.overlap = OverlapMode::kBlocking}).train();
   for (const auto& e : blocking.epochs) EXPECT_EQ(e.overlap_s, 0.0);
 
   for (const OverlapMode mode : {OverlapMode::kBulk, OverlapMode::kStream}) {
-    cfg.overlap = mode;
-    const auto piped = BnsTrainer(ds, part, cfg).train();
+    const auto piped = BnsTrainer(ds, part, cfg, {.overlap = mode}).train();
     const auto tag = [mode](std::size_t i) {
       return std::string(mode == OverlapMode::kBulk ? "bulk" : "stream") +
              " epoch " + std::to_string(i);
@@ -161,14 +161,11 @@ TEST(Overlap, ChunkedF1BitIdenticalAcrossChunkSizes) {
     cfg.model = model;
     cfg.gat_heads = model == ModelKind::kGat ? 2 : 1;
     cfg.epochs = 3;
-    cfg.overlap = OverlapMode::kBlocking;
-    cfg.inner_chunk_rows = 0;
     const auto baseline = BnsTrainer(ds, part, cfg).train();
     for (const OverlapMode mode : kAllModes) {
       for (const NodeId chunk : {1, 19, 1 << 20}) {
-        cfg.overlap = mode;
-        cfg.inner_chunk_rows = chunk;
-        const auto got = BnsTrainer(ds, part, cfg).train();
+        const ExchangeSpec xs{.overlap = mode, .inner_chunk_rows = chunk};
+        const auto got = BnsTrainer(ds, part, cfg, xs).train();
         EXPECT_EQ(baseline.train_loss, got.train_loss)
             << "model " << static_cast<int>(model) << " mode "
             << static_cast<int>(mode) << " chunk " << chunk;
@@ -183,9 +180,8 @@ TEST(Overlap, HiddenTimeIsRealAndBounded) {
   const Dataset ds = easy_dataset(113);
   const auto part = metis_like(ds.graph, 4);
   for (const OverlapMode mode : {OverlapMode::kBulk, OverlapMode::kStream}) {
-    auto cfg = base_config();
-    cfg.overlap = mode;
-    const auto result = BnsTrainer(ds, part, cfg).train();
+    const auto result =
+        BnsTrainer(ds, part, base_config(), {.overlap = mode}).train();
     double total_hidden = 0.0;
     for (const auto& e : result.epochs) {
       EXPECT_GE(e.overlap_s, 0.0);
@@ -215,8 +211,7 @@ TEST(Overlap, GatHidesExchangeTimeNow) {
   cfg.gat_heads = 2;
   cfg.epochs = 4;
   for (const OverlapMode mode : {OverlapMode::kBulk, OverlapMode::kStream}) {
-    cfg.overlap = mode;
-    const auto result = BnsTrainer(ds, part, cfg).train();
+    const auto result = BnsTrainer(ds, part, cfg, {.overlap = mode}).train();
     double total_hidden = 0.0;
     for (const auto& e : result.epochs) total_hidden += e.overlap_s;
     EXPECT_GT(total_hidden, 0.0);
@@ -250,21 +245,6 @@ TEST(Overlap, ApiCommKnobReachesTheTrainer) {
                     mean.swap_s - mean.overlap_s,
                 1e-12);
   }
-}
-
-TEST(Overlap, EngineAndApiKnobsCombineToTheStrongerMode) {
-  // Either spelling may ask for a schedule; the engine runs the more
-  // aggressive of the two, so a config file can upgrade a coded default.
-  const Dataset ds = easy_dataset(167);
-  api::RunConfig cfg;
-  cfg.method = api::Method::kBns;
-  cfg.trainer = base_config();
-  cfg.trainer.epochs = 3;
-  cfg.partition.nparts = 3;
-  cfg.trainer.overlap = OverlapMode::kStream;
-  cfg.comm.overlap = OverlapMode::kBlocking;
-  const auto report = api::run(ds, cfg);
-  EXPECT_GT(report.overlap_saved_s(), 0.0);
 }
 
 TEST(Overlap, RocProxyAcceptsTheKnob) {
@@ -324,15 +304,15 @@ TEST(Overlap, SingleLayerAndSinglePartitionDegenerate) {
     auto cfg = base_config();
     cfg.num_layers = 1;
     cfg.epochs = 3;
-    cfg.overlap = mode;
+    const ExchangeSpec xs{.overlap = mode};
     const auto part1 = metis_like(ds.graph, 1);
-    const auto single = BnsTrainer(ds, part1, cfg).train();
+    const auto single = BnsTrainer(ds, part1, cfg, xs).train();
     for (const auto& e : single.epochs) {
       EXPECT_EQ(e.overlap_s, 0.0);
       EXPECT_EQ(e.comm_tail_s, 0.0);
     }
     const auto part4 = metis_like(ds.graph, 4);
-    const auto result = BnsTrainer(ds, part4, cfg).train();
+    const auto result = BnsTrainer(ds, part4, cfg, xs).train();
     EXPECT_EQ(result.train_loss.size(), 3u);
   }
 }
@@ -350,8 +330,7 @@ TEST(Overlap, PhasedBlockingStillMatchesOracleAtP1) {
   const auto oracle = baselines::train_full_graph(ds, cfg);
   const auto part = metis_like(ds.graph, 4);
   for (const OverlapMode mode : kAllModes) {
-    cfg.overlap = mode;
-    const auto dist = BnsTrainer(ds, part, cfg).train();
+    const auto dist = BnsTrainer(ds, part, cfg, {.overlap = mode}).train();
     ASSERT_EQ(oracle.train_loss.size(), dist.train_loss.size());
     for (std::size_t e = 0; e < oracle.train_loss.size(); ++e)
       EXPECT_NEAR(dist.train_loss[e], oracle.train_loss[e],
@@ -375,8 +354,7 @@ TEST(Overlap, GatPhasedMatchesOracleAtP1) {
   const auto oracle = baselines::train_full_graph(ds, cfg);
   const auto part = metis_like(ds.graph, 4);
   for (const OverlapMode mode : kAllModes) {
-    cfg.overlap = mode;
-    const auto dist = BnsTrainer(ds, part, cfg).train();
+    const auto dist = BnsTrainer(ds, part, cfg, {.overlap = mode}).train();
     ASSERT_EQ(oracle.train_loss.size(), dist.train_loss.size());
     for (std::size_t e = 0; e < oracle.train_loss.size(); ++e)
       EXPECT_NEAR(dist.train_loss[e], oracle.train_loss[e],

@@ -39,10 +39,12 @@ TEST(Proxies, RocAddsSwapTraffic) {
   const Dataset ds = tiny_dataset();
   const auto part = metis_like(ds.graph, 3);
   const auto cfg = proxy_config();
+  // The proxy schedules its exchanges like BnsTrainer: one spec for both.
+  const core::ExchangeSpec xs{.overlap = core::OverlapMode::kStream};
 
-  core::BnsTrainer plain(ds, part, cfg);
+  core::BnsTrainer plain(ds, part, cfg, xs);
   const auto base = plain.train();
-  const auto roc = core::run_roc_proxy(ds, part, cfg);
+  const auto roc = core::run_roc_proxy(ds, part, cfg, xs);
 
   // Same exchange volume, plus strictly positive swap time on top. Compare
   // only the simulated (deterministic) components: measured compute time is

@@ -192,11 +192,11 @@ api::RunConfig sample_config() {
   cfg.trainer.cost.latency_s = 2.5e-5;
   cfg.trainer.cost.bytes_per_s = 3.0e7;
   cfg.trainer.simulate_host_swap = true;
-  cfg.trainer.overlap = core::OverlapMode::kStream;
-  cfg.trainer.inner_chunk_rows = 96;
   cfg.trainer.threads = 6;
   cfg.comm.overlap = core::OverlapMode::kBulk;
   cfg.comm.inner_chunk_rows = 48;
+  cfg.comm.cache_mb = 12;
+  cfg.comm.cache_staleness = 2;
   cfg.minibatch.lr = 0.5f;
   cfg.minibatch.batch_size = 777;
   cfg.minibatch.batches_per_epoch = 3;
@@ -253,15 +253,12 @@ void expect_configs_equal(const api::RunConfig& a, const api::RunConfig& b) {
   EXPECT_EQ(a.trainer.cost.latency_s, b.trainer.cost.latency_s);
   EXPECT_EQ(a.trainer.cost.bytes_per_s, b.trainer.cost.bytes_per_s);
   EXPECT_EQ(a.trainer.simulate_host_swap, b.trainer.simulate_host_swap);
-  EXPECT_EQ(a.trainer.overlap, b.trainer.overlap);
-  EXPECT_EQ(a.trainer.inner_chunk_rows, b.trainer.inner_chunk_rows);
   EXPECT_EQ(a.trainer.threads, b.trainer.threads);
-  EXPECT_EQ(a.trainer.cache_mb, b.trainer.cache_mb);
-  EXPECT_EQ(a.trainer.cache_staleness, b.trainer.cache_staleness);
   EXPECT_EQ(a.comm.overlap, b.comm.overlap);
   EXPECT_EQ(a.comm.inner_chunk_rows, b.comm.inner_chunk_rows);
   EXPECT_EQ(a.comm.cache_mb, b.comm.cache_mb);
   EXPECT_EQ(a.comm.cache_staleness, b.comm.cache_staleness);
+  EXPECT_EQ(a.comm.transport, b.comm.transport);
   EXPECT_EQ(a.minibatch.lr, b.minibatch.lr);
   EXPECT_EQ(a.minibatch.batch_size, b.minibatch.batch_size);
   EXPECT_EQ(a.minibatch.batches_per_epoch, b.minibatch.batches_per_epoch);
@@ -278,6 +275,13 @@ TEST(ConfigJson, RoundTripIsExact) {
   const api::RunConfig parsed =
       api::run_config_from_json_string(api::to_json_string(original));
   expect_configs_equal(original, parsed);
+  // The exchange knobs have one home in the document: "comm".
+  const json::Value doc = api::to_json(original);
+  for (const char* key :
+       {"overlap", "inner_chunk_rows", "cache_mb", "cache_staleness"}) {
+    EXPECT_EQ(doc.at("trainer").get(key), nullptr) << key;
+    EXPECT_NE(doc.at("comm").get(key), nullptr) << key;
+  }
 }
 
 TEST(ConfigJson, DefaultsRoundTrip) {
@@ -312,21 +316,18 @@ TEST(ConfigJson, OverlapModeRoundTripsEveryValue) {
         core::OverlapMode::kStream}) {
     api::RunConfig cfg;
     cfg.comm.overlap = mode;
-    cfg.trainer.overlap = mode;
     const api::RunConfig parsed =
         api::run_config_from_json_string(api::to_json_string(cfg));
     EXPECT_EQ(parsed.comm.overlap, mode);
-    EXPECT_EQ(parsed.trainer.overlap, mode);
   }
 }
 
 TEST(ConfigJson, ChunkKnobAbsentKeepsUnchunkedDefault) {
   // Artifacts written before the chunked inner phase have no
-  // inner_chunk_rows key in either block: both sides must stay 0.
+  // inner_chunk_rows key: the chunk must stay 0.
   const api::RunConfig cfg = api::run_config_from_json_string(
       R"({"comm": {"overlap": "stream"}, "trainer": {"epochs": 2}})");
   EXPECT_EQ(cfg.comm.inner_chunk_rows, 0);
-  EXPECT_EQ(cfg.trainer.inner_chunk_rows, 0);
 }
 
 TEST(ConfigJson, ThreadsKnobRoundTripsAndAbsentMeansSerial) {
@@ -355,17 +356,13 @@ TEST(ConfigJson, CacheStalenessSurvivesRoundTripWithoutCacheMb) {
   // (always-fresh) policy than the original config described.
   api::RunConfig cfg;
   cfg.comm.cache_staleness = 3;
-  cfg.trainer.cache_staleness = 5;
   const api::RunConfig parsed =
       api::run_config_from_json_string(api::to_json_string(cfg));
   EXPECT_EQ(parsed.comm.cache_mb, 0);
   EXPECT_EQ(parsed.comm.cache_staleness, 3);
-  EXPECT_EQ(parsed.trainer.cache_mb, 0);
-  EXPECT_EQ(parsed.trainer.cache_staleness, 5);
 
   // And with the cache enabled both knobs still round-trip.
   cfg.comm.cache_mb = 8;
-  cfg.trainer.cache_mb = 16;
   const api::RunConfig enabled =
       api::run_config_from_json_string(api::to_json_string(cfg));
   expect_configs_equal(cfg, enabled);
@@ -374,25 +371,64 @@ TEST(ConfigJson, CacheStalenessSurvivesRoundTripWithoutCacheMb) {
 TEST(ConfigJson, LegacyOverlapBoolStillParses) {
   // PR 2/3 artifacts serialized the knob as a bool: true was the (then
   // only) bulk pipeline, false was blocking. Both spellings must keep
-  // loading, in both the comm block and the trainer block.
-  const api::RunConfig on = api::run_config_from_json_string(
-      R"({"comm": {"overlap": true}, "trainer": {"overlap": true}})");
+  // loading: in "comm" here, in "trainer" in
+  // LegacyTrainerExchangeKeysFoldAsTheEngineDid.
+  const api::RunConfig on =
+      api::run_config_from_json_string(R"({"comm": {"overlap": true}})");
   EXPECT_EQ(on.comm.overlap, core::OverlapMode::kBulk);
-  EXPECT_EQ(on.trainer.overlap, core::OverlapMode::kBulk);
-  const api::RunConfig off = api::run_config_from_json_string(
-      R"({"comm": {"overlap": false}, "trainer": {"overlap": false}})");
+  const api::RunConfig off =
+      api::run_config_from_json_string(R"({"comm": {"overlap": false}})");
   EXPECT_EQ(off.comm.overlap, core::OverlapMode::kBlocking);
-  EXPECT_EQ(off.trainer.overlap, core::OverlapMode::kBlocking);
 }
 
 TEST(ConfigJson, OverlapModeStringsParse) {
-  const api::RunConfig cfg = api::run_config_from_json_string(
-      R"({"comm": {"overlap": "stream"}, "trainer": {"overlap": "bulk"}})");
+  const api::RunConfig cfg =
+      api::run_config_from_json_string(R"({"comm": {"overlap": "stream"}})");
   EXPECT_EQ(cfg.comm.overlap, core::OverlapMode::kStream);
-  EXPECT_EQ(cfg.trainer.overlap, core::OverlapMode::kBulk);
   EXPECT_THROW((void)api::run_config_from_json_string(
                    R"({"comm": {"overlap": "warp"}})"),
                CheckError);
+}
+
+TEST(ConfigJson, LegacyTrainerExchangeKeysFoldAsTheEngineDid) {
+  // Documents written before the exchange knobs had one home carry them in
+  // "trainer" too (the writer always emitted overlap and inner_chunk_rows
+  // there), and the engine combined the two spellings at run time. Each
+  // such document must parse to the spec that run handed its engine.
+  struct Case {
+    const char* trainer;
+    const char* comm;
+    core::ExchangeSpec want;
+  };
+  const Case cases[] = {
+      {R"("overlap": "stream")", R"("overlap": "blocking")",
+       {.overlap = core::OverlapMode::kStream}},
+      {R"("overlap": "blocking")", R"("overlap": "stream")",
+       {.overlap = core::OverlapMode::kStream}},
+      {R"("inner_chunk_rows": 96)", R"("inner_chunk_rows": 48)",
+       {.inner_chunk_rows = 48}},
+      {R"("inner_chunk_rows": 96)", R"("inner_chunk_rows": 0)",
+       {.inner_chunk_rows = 96}},
+      {R"("cache_mb": 16, "cache_staleness": 5)", R"("cache_staleness": 3)",
+       {.cache_mb = 16, .cache_staleness = 5}},
+      {R"("cache_mb": 16, "cache_staleness": 5)",
+       R"("cache_mb": 8, "cache_staleness": 2)",
+       {.cache_mb = 8, .cache_staleness = 2}},
+      {R"("overlap": true)", R"("transport": "mailbox")",
+       {.overlap = core::OverlapMode::kBulk}},
+      {R"("overlap": "blocking")", R"("overlap": true)",
+       {.overlap = core::OverlapMode::kBulk}},
+  };
+  for (const Case& c : cases) {
+    const std::string doc = std::string(R"({"trainer": {"epochs": 2, )") +
+                            c.trainer + R"(}, "comm": {)" + c.comm + "}}";
+    SCOPED_TRACE(doc);
+    const api::RunConfig cfg = api::run_config_from_json_string(doc);
+    EXPECT_EQ(cfg.comm.overlap, c.want.overlap);
+    EXPECT_EQ(cfg.comm.inner_chunk_rows, c.want.inner_chunk_rows);
+    EXPECT_EQ(cfg.comm.cache_mb, c.want.cache_mb);
+    EXPECT_EQ(cfg.comm.cache_staleness, c.want.cache_staleness);
+  }
 }
 
 TEST(ReportJson, PreTailArtifactsStillParse) {

@@ -34,6 +34,7 @@ namespace bnsgcn {
 namespace {
 
 using core::BnsTrainer;
+using core::ExchangeSpec;
 using core::ModelKind;
 using core::OverlapMode;
 using core::SamplingVariant;
@@ -161,16 +162,19 @@ TrainerConfig config_of(const Draw& d) {
   cfg.seed = d.model_seed;
   cfg.sample_rate = d.sample_rate;
   cfg.variant = d.variant;
-  cfg.overlap = d.mode;
-  cfg.inner_chunk_rows = d.chunk;
   cfg.fabric_shuffle_seed = d.shuffle;
   cfg.threads = d.threads;
   // Run the drawn lane count as-is even where nparts × threads exceeds the
   // machine: the point is schedule coverage, not speed.
   cfg.threads_oversubscribe = true;
-  cfg.cache_mb = d.cache_mb;
-  cfg.cache_staleness = d.cache_staleness;
   return cfg;
+}
+
+ExchangeSpec spec_of(const Draw& d) {
+  return {.overlap = d.mode,
+          .inner_chunk_rows = d.chunk,
+          .cache_mb = d.cache_mb,
+          .cache_staleness = d.cache_staleness};
 }
 
 bool bits_equal(double a, double b) {
@@ -238,13 +242,15 @@ void expect_loss_parity(const TrainResult& base, const TrainResult& got,
 
 TrainResult run_draw(const Draw& d, bool baseline) {
   TrainerConfig cfg = config_of(d);
+  ExchangeSpec xs = spec_of(d);
   if (baseline) {
-    cfg.overlap = OverlapMode::kBlocking;
-    cfg.inner_chunk_rows = 0;
+    xs.overlap = OverlapMode::kBlocking;
+    xs.inner_chunk_rows = 0;
     cfg.fabric_shuffle_seed = 0;
     cfg.threads = 1;
   }
-  return BnsTrainer(fuzz_dataset(), fuzz_partition(d.nparts), cfg).train();
+  return BnsTrainer(fuzz_dataset(), fuzz_partition(d.nparts), cfg, xs)
+      .train();
 }
 
 TEST(ScheduleFuzz, RandomizedSweep) {
