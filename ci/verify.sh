@@ -158,7 +158,9 @@ ctest --test-dir build --output-on-failure -R test_serve
 #             test_halo_cache runs here too: the directory is raw index
 #             arithmetic over those arrays; so do the frame fuzzer
 #             (test_transport) and test_multiprocess, whose decoders read
-#             wire-supplied lengths and counts.
+#             wire-supplied lengths and counts; and test_serve, whose
+#             serves cross the rank runtime's status records and the
+#             report codec's non-finite tokens on both transports.
 #
 # Instrumented runs are bounded: reduced fuzz iterations, --scale 0.2
 # bench smokes. Each sanitizer aborts nonzero on a report, so plain
@@ -167,7 +169,7 @@ INSTRUMENTED_LEGS=(
   "checked|test_ops test_transport test_trainer test_schedule_fuzz test_layers test_baselines test_proxies bench_overlap|./build-checked/bench/bench_overlap --scale 0.2 --epochs 2 --json build-checked/overlap_smoke.json"
   "tsan|test_thread_pool test_ops test_fabric test_transport test_trainer test_schedule_fuzz|"
   "asan|test_ops test_fabric test_transport test_multiprocess test_trainer test_serve test_schedule_fuzz test_layers test_halo_cache bench_overlap|./build-asan/bench/bench_overlap --scale 0.2 --epochs 2 --json build-asan/overlap_smoke.json"
-  "ubsan|test_ops test_transport test_multiprocess test_trainer test_schedule_fuzz test_layers test_halo_cache|"
+  "ubsan|test_ops test_transport test_multiprocess test_trainer test_serve test_schedule_fuzz test_layers test_halo_cache|"
 )
 for leg in "${INSTRUMENTED_LEGS[@]}"; do
   IFS='|' read -r preset targets extra <<< "$leg"

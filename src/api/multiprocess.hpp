@@ -3,46 +3,35 @@
 #include <functional>
 #include <string>
 
-#include "api/run.hpp"
+#include "comm/fabric.hpp"
 
 namespace bnsgcn::api {
 
-/// One rank's body under the forked runtime: runs against that rank's
-/// socket fabric and returns the JSON payload to ship back to the parent
-/// (only rank 0's return value is read; other ranks return an empty
-/// string). Everything the body captures was built before the fork and is
-/// inherited copy-on-write.
+/// One rank's body: runs against that rank's fabric and returns the
+/// payload to hand back (only rank 0's return value is read; other ranks
+/// return an empty string). Under the forked half everything the body
+/// captures was built before the fork and is inherited copy-on-write.
 using RankPayloadFn = std::function<std::string(comm::Fabric&, PartId)>;
 
-/// Shared fork/pipe scaffolding of the multi-process runtimes (training
-/// and serving): bootstrap a socket group, fork one process per rank, run
-/// `rank_fn` in each child over its fabric, stream rank 0's payload back
-/// over a pipe, reap every child and name the failed ranks. The parent's
-/// read loop is partial-read-safe (payloads routinely exceed PIPE_BUF) and
-/// treats read errors other than EINTR as fatal — a failed read used to
-/// masquerade as EOF and surface as a bogus "produced no report".
+/// The rank runtime of every transport: run `rank_fn` once per rank and
+/// return rank 0's payload.
+///  - kMailbox: one thread per rank over one in-process mailbox fabric
+///    (comm::run_ranks).
+///  - kUds / kTcp: bind a socket group, fork one process per rank, run
+///    `rank_fn` in each child over its own socket fabric, and stream rank
+///    0's payload back over a report pipe.
+///
+/// Both halves fail alike: a failed run throws comm::RankFailure naming
+/// the root-cause rank with that rank's message (comm::raise_root_cause).
+/// A forked child that fails writes one outcome record to a status pipe
+/// before it exits nonzero; a child killed by a signal, or exiting nonzero
+/// without a record, is a failure named by its wait status. The parent
+/// drains both pipes together with poll(2), to EOF: reports routinely
+/// exceed the pipe capacity, and a read error other than EINTR is raised,
+/// not taken for EOF. An empty rank-0 payload is an error on both halves.
 [[nodiscard]] std::string run_ranks_piped(comm::TransportKind kind,
                                           PartId nranks,
                                           const comm::CostModel& cost,
                                           const RankPayloadFn& rank_fn);
-
-/// Multi-process BNS-GCN runtime: fork one OS process per partition, each
-/// running the unchanged core::BnsTrainer rank loop over a socket fabric
-/// (cfg.comm.transport selects UDS or TCP; see comm/process_group.hpp for
-/// the bootstrap). The trainer — dataset, partitioning, local graphs — is
-/// built before forking, so children inherit it copy-on-write and nothing
-/// is serialized on the way in; rank 0 streams its aggregated RunReport
-/// back over a pipe as JSON (doubles round-trip bit-exactly at %.17g).
-///
-/// Losses and byte counts are bit-identical to the in-process mailbox run
-/// of the same config; comm/overlap/tail/reduce times are measured
-/// wall-clock instead of simulated (EpochBreakdown::timing == kMeasured).
-///
-/// Throws if any rank exits nonzero (the failing rank's message goes to
-/// stderr; peers unwind via the fabric's shutdown path rather than
-/// hanging).
-[[nodiscard]] RunReport run_multiprocess(const Dataset& ds,
-                                         const Partitioning& part,
-                                         const RunConfig& cfg);
 
 } // namespace bnsgcn::api

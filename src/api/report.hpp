@@ -33,6 +33,7 @@ struct RunReport {
   std::vector<core::EpochBreakdown> epochs;
   core::MemoryReport memory;               // empty for minibatch methods
   double wall_time_s = 0.0;                // measured end-to-end wall time
+                                           // (rank 0's, for bns)
   /// What this run's partition lookup cost (delta of the global cache's
   /// counters around it): misses=1 means the partitioner actually ran,
   /// hits=1 or disk_hits=1 means it was served. All-zero for methods

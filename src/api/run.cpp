@@ -2,6 +2,7 @@
 
 #include "api/multiprocess.hpp"
 #include "api/partition_cache.hpp"
+#include "api/serialize.hpp"
 #include "common/check.hpp"
 #include "core/proxies.hpp"
 #include "partition/metis_like.hpp"
@@ -50,14 +51,21 @@ std::deque<MethodInfo>& mutable_registry() {
     r.push_back({Method::kBns, "bns", "BNS-GCN", /*needs_partition=*/true,
                  [](const Dataset& ds, const Partitioning* part,
                     const RunConfig& cfg) {
-                   // A socket transport spawns one OS process per rank
-                   // (api/multiprocess.hpp); the mailbox trains in-process.
-                   if (cfg.comm.transport != comm::TransportKind::kMailbox)
-                     return run_multiprocess(ds, *part, cfg);
-                   return RunReport::from_train_result(
-                       core::BnsTrainer(ds, *part, cfg.trainer, cfg.comm)
-                           .train(),
-                       "bns", ds.name);
+                   // The trainer (local graphs included) is built before
+                   // any rank starts: a bad config fails here, and forked
+                   // ranks inherit it copy-on-write. Rank 0 hands its
+                   // report back as JSON on every transport.
+                   core::BnsTrainer trainer(ds, *part, cfg.trainer,
+                                            cfg.comm);
+                   return run_report_from_json_string(run_ranks_piped(
+                       cfg.comm.transport, part->nparts, cfg.trainer.cost,
+                       [&](comm::Fabric& fabric, PartId r) {
+                         core::TrainResult result =
+                             trainer.train_rank(fabric, r);
+                         if (r != 0) return std::string();
+                         return to_json_string(RunReport::from_train_result(
+                             std::move(result), "bns", ds.name));
+                       }));
                  }});
     r.push_back({Method::kRocProxy, "roc-proxy", "ROC (swap proxy)",
                  /*needs_partition=*/true,

@@ -2,7 +2,31 @@
 
 #include <algorithm>
 
+#include "api/serve.hpp"
+
 namespace bnsgcn::api {
+
+namespace {
+
+/// "timing_source" is written only for measured (socket-fabric) timing;
+/// absent means simulated, which keeps every pre-existing artifact
+/// byte-identical.
+void set_timing(json::Value& v, comm::TimingSource timing) {
+  if (timing == comm::TimingSource::kMeasured)
+    v.set("timing_source", "measured");
+}
+
+void read_timing(const json::Value& v, comm::TimingSource& timing) {
+  const auto* ts = v.get("timing_source");
+  if (ts == nullptr) return;
+  const std::string s = ts->as_string();
+  BNSGCN_CHECK_MSG(s == "measured" || s == "simulated",
+                   "unknown timing_source: " + s);
+  timing = s == "measured" ? comm::TimingSource::kMeasured
+                           : comm::TimingSource::kSimulated;
+}
+
+} // namespace
 
 json::Value to_json(const core::EpochBreakdown& e) {
   json::Value v = json::Value::object();
@@ -23,10 +47,7 @@ json::Value to_json(const core::EpochBreakdown& e) {
     v.set("cache_miss_rows", e.cache_miss_rows);
     v.set("bytes_saved", e.bytes_saved);
   }
-  // Written only for measured (socket-fabric) runs; absent means simulated,
-  // which keeps every pre-existing artifact byte-identical.
-  if (e.timing == comm::TimingSource::kMeasured)
-    v.set("timing_source", "measured");
+  set_timing(v, e.timing);
   return v;
 }
 
@@ -40,13 +61,7 @@ core::EpochBreakdown breakdown_from_json(const json::Value& v) {
   // Absent in artifacts written before these fields existed.
   if (const auto* o = v.get("overlap_s")) e.overlap_s = o->as_double();
   if (const auto* t = v.get("comm_tail_s")) e.comm_tail_s = t->as_double();
-  if (const auto* ts = v.get("timing_source")) {
-    const std::string s = ts->as_string();
-    BNSGCN_CHECK_MSG(s == "measured" || s == "simulated",
-                     "unknown timing_source: " + s);
-    e.timing = s == "measured" ? comm::TimingSource::kMeasured
-                               : comm::TimingSource::kSimulated;
-  }
+  read_timing(v, e.timing);
   e.feature_bytes = v.at("feature_bytes").as_int64();
   e.grad_bytes = v.at("grad_bytes").as_int64();
   e.control_bytes = v.at("control_bytes").as_int64();
@@ -114,11 +129,8 @@ json::Value to_json(const RunReport& r) {
   v.set("epochs", std::move(epochs));
   v.set("memory", to_json(r.memory));
   v.set("wall_time_s", r.wall_time_s);
-  // Headline timing provenance (mirrors the per-epoch flags): written only
-  // for measured runs so pre-existing artifacts stay byte-identical.
-  if (!r.epochs.empty() &&
-      r.epochs.front().timing == comm::TimingSource::kMeasured)
-    v.set("timing_source", "measured");
+  // Headline timing provenance, mirroring the per-epoch flags.
+  if (!r.epochs.empty()) set_timing(v, r.epochs.front().timing);
   json::Value pc = json::Value::object();
   pc.set("hits", r.partition_cache.hits);
   pc.set("disk_hits", r.partition_cache.disk_hits);
@@ -291,6 +303,7 @@ const auto as_f = [](const json::Value& f) {
 const auto as_i = [](const json::Value& f) {
   return static_cast<int>(f.as_int64());
 };
+const auto as_i64 = [](const json::Value& f) { return f.as_int64(); };
 const auto as_b = [](const json::Value& f) { return f.as_bool(); };
 const auto as_s = [](const json::Value& f) { return f.as_string(); };
 const auto as_u64 = [](const json::Value& f) {
@@ -345,8 +358,7 @@ json::Value trainer_to_json(const core::TrainerConfig& t) {
   v.set("simulate_host_swap", t.simulate_host_swap);
   v.set("threads", t.threads);
   // The per-epoch observer is a process-local callback, and the
-  // fabric_shuffle_seed / threads_oversubscribe test-only knobs: not
-  // serialized.
+  // threads_oversubscribe test-only knob: not serialized.
   return v;
 }
 
@@ -388,9 +400,7 @@ void exchange_from_json(const json::Value& v, core::ExchangeSpec& xs) {
           [](const json::Value& f) {
             return static_cast<NodeId>(f.as_int64());
           });
-  read_if(v, "cache_mb", xs.cache_mb, [](const json::Value& f) {
-    return f.as_int64();
-  });
+  read_if(v, "cache_mb", xs.cache_mb, as_i64);
   read_if(v, "cache_staleness", xs.cache_staleness, as_i);
 }
 
@@ -539,6 +549,145 @@ std::string to_json_string(const RunConfig& cfg, int indent) {
 
 RunConfig run_config_from_json_string(std::string_view text) {
   return run_config_from_json(json::Value::parse(text));
+}
+
+// ---------------------------------------------------------------------------
+// ServeConfig / ServeReport (de)serialization, RunReport conventions.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+json::Value batch_to_json(const core::ServeBatchStats& b) {
+  json::Value v = json::Value::object();
+  v.set("latency_s", b.latency_s);
+  v.set("comm_s", b.comm_s);
+  v.set("feature_bytes", b.feature_bytes);
+  v.set("control_bytes", b.control_bytes);
+  // Written only when a halo cache ran (RunReport conventions).
+  if (b.cache_hit_rows != 0 || b.cache_miss_rows != 0 || b.bytes_saved != 0) {
+    v.set("cache_hit_rows", b.cache_hit_rows);
+    v.set("cache_miss_rows", b.cache_miss_rows);
+    v.set("bytes_saved", b.bytes_saved);
+  }
+  return v;
+}
+
+core::ServeBatchStats batch_from_json(const json::Value& v) {
+  core::ServeBatchStats b;
+  b.latency_s = v.at("latency_s").as_double();
+  b.comm_s = v.at("comm_s").as_double();
+  b.feature_bytes = v.at("feature_bytes").as_int64();
+  b.control_bytes = v.at("control_bytes").as_int64();
+  read_if(v, "cache_hit_rows", b.cache_hit_rows, as_i64);
+  read_if(v, "cache_miss_rows", b.cache_miss_rows, as_i64);
+  read_if(v, "bytes_saved", b.bytes_saved, as_i64);
+  return b;
+}
+
+} // namespace
+
+json::Value to_json(const ServeConfig& scfg) {
+  json::Value v = json::Value::object();
+  v.set("batch_size", scfg.batch_size);
+  v.set("num_batches", scfg.num_batches);
+  v.set("seed", static_cast<std::int64_t>(scfg.seed));
+  v.set("record_logits", scfg.record_logits);
+  // fail_rank is test-only: not serialized.
+  return v;
+}
+
+ServeConfig serve_config_from_json(const json::Value& v) {
+  ServeConfig scfg;
+  read_if(v, "batch_size", scfg.batch_size, as_i);
+  read_if(v, "num_batches", scfg.num_batches, as_i);
+  read_if(v, "seed", scfg.seed, as_u64);
+  read_if(v, "record_logits", scfg.record_logits, as_b);
+  return scfg;
+}
+
+json::Value to_json(const ServeReport& r) {
+  json::Value v = json::Value::object();
+  v.set("method", r.method);
+  v.set("dataset", r.dataset);
+  v.set("batch_size", r.batch_size);
+  v.set("num_batches", r.num_batches);
+  v.set("num_classes", r.num_classes);
+  v.set("train_wall_s", r.train_wall_s);
+  v.set("serve_wall_s", r.serve_wall_s);
+  set_timing(v, r.timing);
+  json::Value batches = json::Value::array();
+  for (const auto& b : r.batches) batches.push_back(batch_to_json(b));
+  v.set("batches", std::move(batches));
+  json::Value queries = json::Value::array();
+  for (const NodeId q : r.queries)
+    queries.push_back(static_cast<std::int64_t>(q));
+  v.set("queries", std::move(queries));
+  json::Value preds = json::Value::array();
+  for (const int p : r.predictions) preds.push_back(p);
+  v.set("predictions", std::move(preds));
+  // Logits only when recorded: floats widen to double and %.17g emission
+  // round-trips them bit-exactly (the cross-transport determinism tests
+  // compare logits that crossed this boundary).
+  if (!r.logits.empty()) {
+    json::Value logits = json::Value::array();
+    for (const float f : r.logits)
+      logits.push_back(static_cast<double>(f));
+    v.set("logits", std::move(logits));
+  }
+  // Derived headline numbers, for consumers that only want the summary.
+  json::Value derived = json::Value::object();
+  derived.set("total_queries", r.total_queries());
+  derived.set("p50_latency_s", r.p50_latency_s());
+  derived.set("p99_latency_s", r.p99_latency_s());
+  derived.set("qps", r.qps());
+  if (r.cache_hit_rows() != 0 || r.cache_miss_rows() != 0) {
+    derived.set("cache_hit_rows", r.cache_hit_rows());
+    derived.set("cache_miss_rows", r.cache_miss_rows());
+    derived.set("cache_bytes_saved", r.cache_bytes_saved());
+    derived.set("cache_hit_rate", r.cache_hit_rate());
+  }
+  v.set("derived", std::move(derived));
+  return v;
+}
+
+ServeReport serve_report_from_json(const json::Value& v) {
+  ServeReport r;
+  r.method = v.at("method").as_string();
+  r.dataset = v.at("dataset").as_string();
+  r.batch_size = static_cast<int>(v.at("batch_size").as_int64());
+  r.num_batches = static_cast<int>(v.at("num_batches").as_int64());
+  r.num_classes = static_cast<int>(v.at("num_classes").as_int64());
+  r.train_wall_s = v.at("train_wall_s").as_double();
+  r.serve_wall_s = v.at("serve_wall_s").as_double();
+  read_timing(v, r.timing);
+  for (const auto& b : v.at("batches").items())
+    r.batches.push_back(batch_from_json(b));
+  for (const auto& q : v.at("queries").items())
+    r.queries.push_back(static_cast<NodeId>(q.as_int64()));
+  for (const auto& p : v.at("predictions").items())
+    r.predictions.push_back(static_cast<int>(p.as_int64()));
+  if (const auto* logits = v.get("logits")) {
+    for (const auto& f : logits->items())
+      r.logits.push_back(static_cast<float>(f.as_double()));
+  }
+  // "derived" is recomputed from the stored fields by the accessors.
+  return r;
+}
+
+std::string to_json_string(const ServeConfig& scfg, int indent) {
+  return to_json(scfg).dump(indent);
+}
+
+ServeConfig serve_config_from_json_string(std::string_view text) {
+  return serve_config_from_json(json::Value::parse(text));
+}
+
+std::string to_json_string(const ServeReport& r, int indent) {
+  return to_json(r).dump(indent);
+}
+
+ServeReport serve_report_from_json_string(std::string_view text) {
+  return serve_report_from_json(json::Value::parse(text));
 }
 
 } // namespace bnsgcn::api

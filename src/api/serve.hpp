@@ -96,9 +96,10 @@ struct ServeReport {
 /// weights are bit-identical across transports, so the snapshot serves on
 /// any fabric), snapshot the weights, then answer scfg's query batches
 /// over the live partitioned graph with the forward-only engine
-/// (core::InferenceEngine). cfg.comm.transport picks the serving fabric:
-/// mailbox serves in-process, uds/tcp serve one OS process per rank
-/// through the shared piped-rank runtime. Only Method::kBns serves.
+/// (core::InferenceEngine). The ranks serve through the one rank runtime
+/// (api::run_ranks_piped): threads over the mailbox, or one OS process per
+/// rank over uds/tcp, as cfg.comm.transport says. Only Method::kBns
+/// serves.
 [[nodiscard]] ServeReport serve(const RunConfig& cfg, const ServeConfig& scfg);
 
 /// Same, over a prebuilt dataset (partition built per cfg.partition through
@@ -111,8 +112,9 @@ struct ServeReport {
                                 const RunConfig& cfg,
                                 const ServeConfig& scfg);
 
-/// ServeConfig / ServeReport (de)serialization, RunConfig conventions:
-/// field-complete round-trip, absent keys keep the C++ defaults.
+/// ServeConfig / ServeReport (de)serialization (api/serialize.cpp),
+/// RunConfig conventions: field-complete round-trip, absent keys keep the
+/// C++ defaults.
 [[nodiscard]] json::Value to_json(const ServeConfig& scfg);
 [[nodiscard]] ServeConfig serve_config_from_json(const json::Value& v);
 [[nodiscard]] json::Value to_json(const ServeReport& r);

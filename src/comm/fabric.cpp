@@ -45,13 +45,6 @@ Endpoint& Fabric::endpoint(PartId rank) {
   return *endpoints_[static_cast<std::size_t>(rank)];
 }
 
-std::int64_t Fabric::total_rx_bytes(TrafficClass cls) const {
-  std::int64_t sum = 0;
-  for (const auto& ep : endpoints_)
-    sum += ep->stats().rx_bytes[static_cast<int>(cls)];
-  return sum;
-}
-
 void Fabric::enable_delivery_shuffle(std::uint64_t seed, int max_hold) {
   transport_->enable_delivery_shuffle(seed, max_hold);
 }
@@ -87,9 +80,30 @@ Wire Request::take_payload() {
   return std::move(state_->payload);
 }
 
+RankOutcome current_outcome() {
+  try {
+    throw;
+  } catch (const ShutdownError& e) {
+    return {RankOutcome::Kind::kShutdown, e.what()};
+  } catch (const std::exception& e) {
+    return {RankOutcome::Kind::kFailed, e.what()};
+  } catch (...) {
+    return {RankOutcome::Kind::kFailed, "unknown error"};
+  }
+}
+
+void raise_root_cause(std::span<const RankOutcome> outcomes) {
+  for (const auto kind : {RankOutcome::Kind::kFailed,
+                          RankOutcome::Kind::kShutdown}) {
+    for (std::size_t r = 0; r < outcomes.size(); ++r)
+      if (outcomes[r].kind == kind)
+        throw RankFailure(static_cast<PartId>(r), outcomes[r].what);
+  }
+}
+
 void run_ranks(Fabric& fabric, const std::function<void(PartId)>& rank_fn) {
   const auto m = static_cast<std::size_t>(fabric.nranks());
-  std::vector<std::exception_ptr> errors(m);
+  std::vector<RankOutcome> outcomes(m);
   // lint: allow(raw-thread) — the rank runtime: one OS thread per
   // in-process rank; kernel parallelism inside a rank goes through the pool.
   std::vector<std::thread> threads;
@@ -99,31 +113,13 @@ void run_ranks(Fabric& fabric, const std::function<void(PartId)>& rank_fn) {
       try {
         rank_fn(r);
       } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
+        outcomes[static_cast<std::size_t>(r)] = current_outcome();
         fabric.shutdown(r);
       }
     });
   }
   for (auto& t : threads) t.join();
-  // A ShutdownError is collateral of some other rank's failure; anything
-  // else propagates straight out of the try as the root cause.
-  std::exception_ptr collateral;
-  for (const auto& e : errors) {
-    if (!e) continue;
-    try {
-      std::rethrow_exception(e);
-    } catch (const ShutdownError&) {
-      if (!collateral) collateral = e;
-    }
-  }
-  if (collateral) std::rethrow_exception(collateral);
-}
-
-void wait_all(std::span<Request> requests) {
-  // First drain whatever already arrived without blocking, then block on
-  // the stragglers — the usual Waitall progression.
-  for (auto& r : requests) (void)r.test();
-  for (auto& r : requests) r.wait();
+  raise_root_cause(outcomes);
 }
 
 std::size_t RequestSet::add(Request req) {

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "comm/cost_model.hpp"
@@ -99,7 +100,7 @@ class Endpoint {
   /// socket sends queue locally, like an eager-protocol MPI send; the
   /// Request exists for a uniform wait_all over mixed batches); irecv
   /// posts a receive that completes when a matching message of any kind
-  /// is delivered. Complete with Request::wait()/test() or comm::wait_all.
+  /// is delivered. Complete with Request::wait()/test() or a RequestSet.
   [[nodiscard]] Request isend_floats(PartId to, int tag,
                                      std::vector<float> payload,
                                      TrafficClass cls);
@@ -176,10 +177,6 @@ class Fabric {
   [[nodiscard]] const CostModel& cost_model() const { return cost_; }
   [[nodiscard]] TimingSource timing() const { return transport_->timing(); }
 
-  /// Sum of a traffic class's rx bytes over all ranks (global volume;
-  /// only the ranks this process serves contribute).
-  [[nodiscard]] std::int64_t total_rx_bytes(TrafficClass cls) const;
-
   /// Tear the fabric down from `rank`'s side so peers blocked on it
   /// unwind with ShutdownError instead of hanging. Called by a failing
   /// rank's error path; idempotent.
@@ -245,18 +242,36 @@ class Request {
   std::unique_ptr<State> state_;
 };
 
-/// The in-process rank runtime: run `rank_fn(r)` for every rank of
-/// `fabric` on a thread of its own and join them all. A rank that throws
-/// shuts the fabric down from its side, so peers blocked on it unwind with
-/// ShutdownError instead of hanging. Afterwards the root cause — the first
-/// failure, in rank order, that is not a ShutdownError — is rethrown; if
-/// every failure is a ShutdownError, the first of those. The forked
-/// runtime (api::run_ranks_piped) is the one-process-per-rank counterpart.
-void run_ranks(Fabric& fabric, const std::function<void(PartId)>& rank_fn);
+/// How one rank's body ended, as a rank runtime records it: ok, unwound
+/// by a ShutdownError, or failed with any other exception (`what` holds
+/// the exception's message).
+struct RankOutcome {
+  enum class Kind : std::uint8_t { kOk = 0, kShutdown = 1, kFailed = 2 };
+  Kind kind = Kind::kOk;
+  std::string what;
+};
 
-/// Complete every request in the span (MPI_Waitall). Payloads stay stored
-/// in the requests for take_floats()/take_payload().
-void wait_all(std::span<Request> requests);
+/// The outcome of the exception being handled; call only inside a catch
+/// block.
+[[nodiscard]] RankOutcome current_outcome();
+
+/// The one failure policy of the rank runtimes. Returns when every rank
+/// succeeded; otherwise throws RankFailure naming the root cause: the
+/// first rank, in rank order, that failed with anything but a
+/// ShutdownError (a ShutdownError is collateral: a peer shut the fabric
+/// down under it), or, if every failure is a ShutdownError, the first of
+/// those.
+void raise_root_cause(std::span<const RankOutcome> outcomes);
+
+/// The thread half of the rank runtime: run `rank_fn(r)` for every rank
+/// of `fabric` on a thread of its own and join them all. A rank that
+/// throws shuts the fabric down from its side, so peers blocked on it
+/// unwind with ShutdownError instead of hanging; afterwards
+/// raise_root_cause names the failure. api::run_ranks_piped runs this over
+/// a mailbox fabric, or one forked process per rank over sockets under the
+/// same policy; the engines' in-process train() and the proxies call it
+/// directly.
+void run_ranks(Fabric& fabric, const std::function<void(PartId)>& rank_fn);
 
 /// Completion set over a batch of requests: wait_any-style progress built
 /// on Request::test(). The streaming halo pipeline posts one irecv per

@@ -29,6 +29,15 @@ class ShutdownError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// What a rank runtime (comm::run_ranks, api::run_ranks_piped) throws when
+/// a run fails: the root-cause rank (see comm::raise_root_cause) and that
+/// rank's own message, as "rank <r>: <what>".
+class RankFailure : public std::runtime_error {
+ public:
+  RankFailure(PartId rank, const std::string& what)
+      : std::runtime_error("rank " + std::to_string(rank) + ": " + what) {}
+};
+
 /// Payload kind of a Wire message; its value is also the kind field of a
 /// socket frame's header, where anything above kDoubles is corrupt
 /// (docs/ARCHITECTURE.md §3 "Framing"). kFloats/kIds/kDoubles populate

@@ -8,9 +8,9 @@
 
 namespace bnsgcn::io {
 
-/// Shared raw-array (de)serialization helpers for the binary cache
-/// formats (graph/io.cpp, partition/io.cpp). Little-endian, not portable
-/// across endianness — local caching only, as both headers document.
+/// Raw-array (de)serialization helpers for the binary partition cache
+/// format (partition/io.cpp). Little-endian, not portable across
+/// endianness — local caching only, as partition/io.hpp documents.
 
 template <typename T>
 void write_pod(std::ofstream& os, const T& value) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -22,6 +23,8 @@ double Value::as_double() const {
 
 std::int64_t Value::as_int64() const {
   BNSGCN_CHECK_MSG(kind_ == Kind::kNumber, "json: not a number");
+  // Also rejects NaN and the infinities, which llround cannot convert.
+  BNSGCN_CHECK_MSG(std::fabs(num_) < 0x1p63, "json: integer out of range");
   return static_cast<std::int64_t>(std::llround(num_));
 }
 
@@ -107,7 +110,14 @@ void dump_string(const std::string& s, std::string& out) {
 }
 
 void dump_number(double d, std::string& out) {
-  BNSGCN_CHECK_MSG(std::isfinite(d), "json: non-finite number");
+  if (std::isnan(d)) {
+    out += "NaN";
+    return;
+  }
+  if (std::isinf(d)) {
+    out += d > 0 ? "Infinity" : "-Infinity";
+    return;
+  }
   if (d == std::floor(d) && std::fabs(d) < 9.007199254740992e15) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%lld",
@@ -232,6 +242,12 @@ class Parser {
     if (consume_literal("true")) return Value(true);
     if (consume_literal("false")) return Value(false);
     if (consume_literal("null")) return Value();
+    if (consume_literal("NaN"))
+      return Value(std::numeric_limits<double>::quiet_NaN());
+    if (consume_literal("Infinity"))
+      return Value(std::numeric_limits<double>::infinity());
+    if (consume_literal("-Infinity"))
+      return Value(-std::numeric_limits<double>::infinity());
     return parse_number();
   }
 

@@ -12,7 +12,9 @@ namespace bnsgcn::json {
 /// (RunReport serialization, bench --json output) without an external
 /// dependency. Objects preserve insertion order so dump(parse(x)) is
 /// stable. Numbers are doubles (exact for integers up to 2^53, which
-/// covers every counter in this repo).
+/// covers every counter in this repo). Non-finite doubles are written and
+/// read as the tokens NaN, Infinity and -Infinity (what Python's json
+/// module emits and accepts), so a diverged run's losses still serialize.
 class Value {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -39,8 +41,6 @@ class Value {
   }
 
   [[nodiscard]] Kind kind() const { return kind_; }
-  [[nodiscard]] bool is_null() const { return kind_ == Kind::kNull; }
-  [[nodiscard]] bool is_object() const { return kind_ == Kind::kObject; }
   [[nodiscard]] bool is_array() const { return kind_ == Kind::kArray; }
 
   [[nodiscard]] bool as_bool() const;

@@ -28,8 +28,8 @@ class ThreadPool {
   /// The process-wide pool. Created lazily on first use; fork-safe: a
   /// pthread_atfork child handler abandons the parent's pool (its worker
   /// threads do not survive fork(2)), so the first kernel in a forked rank
-  /// process transparently builds a fresh one. The multi-process runtime
-  /// (api::run_multiprocess) relies on this.
+  /// process transparently builds a fresh one. The rank runtime's forked
+  /// half (api::run_ranks_piped over uds/tcp) relies on this.
   [[nodiscard]] static ThreadPool& instance();
 
   /// Worker threads currently spawned. Grows on demand: a parallel_for

@@ -276,16 +276,4 @@ ServeResult InferenceEngine::serve_rank(comm::Fabric& fabric, PartId rank,
   return worker.run(opts);
 }
 
-ServeResult InferenceEngine::serve(const ServeOptions& opts) {
-  comm::Fabric fabric(part_.nparts, cfg_.cost);
-  ServeResult result;
-  Stopwatch wall;
-  comm::run_ranks(fabric, [&](PartId r) {
-    ServeResult local = serve_rank(fabric, r, opts);
-    if (r == 0) result = std::move(local);
-  });
-  result.wall_time_s = wall.elapsed_s();
-  return result;
-}
-
 } // namespace bnsgcn::core

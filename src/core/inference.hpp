@@ -86,13 +86,9 @@ class InferenceEngine {
                   TrainerConfig cfg, ExchangeSpec xs,
                   const WeightSnapshot& weights);
 
-  /// In-process serve: mailbox fabric, one thread per partition
-  /// (comm::run_ranks, the same runtime and failure handling as
-  /// BnsTrainer::train()).
-  [[nodiscard]] ServeResult serve(const ServeOptions& opts);
-
-  /// One rank of the serve loop against an externally constructed fabric —
-  /// the multi-process runtime's entry point (api::serve over sockets).
+  /// One rank of the serve loop against an externally constructed fabric;
+  /// api::serve runs it on every rank through the rank runtime
+  /// (api::run_ranks_piped), on any transport.
   [[nodiscard]] ServeResult serve_rank(comm::Fabric& fabric, PartId rank,
                                        const ServeOptions& opts);
 

@@ -619,8 +619,6 @@ TrainResult BnsTrainer::train_rank(comm::Fabric& fabric, PartId rank) {
 
 TrainResult BnsTrainer::train() {
   comm::Fabric fabric(part_.nparts, cfg_.cost);
-  if (cfg_.fabric_shuffle_seed != 0)
-    fabric.enable_delivery_shuffle(cfg_.fabric_shuffle_seed);
   TrainResult result;
   Stopwatch wall;
   comm::run_ranks(fabric, [&](PartId r) {

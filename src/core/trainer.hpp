@@ -164,15 +164,6 @@ struct TrainerConfig {
   /// single-core CI boxes. Not serialized.
   bool threads_oversubscribe = false;
 
-  /// Test-only: when nonzero, the fabric holds each deposited message back
-  /// for a seeded-pseudorandom number of nonblocking probes
-  /// (comm::Fabric::enable_delivery_shuffle), scrambling the completion
-  /// order the streaming poll loop observes. Training results must not
-  /// change — the deterministic fold rule buffers arrivals and applies
-  /// them in fixed peer order — which is exactly what the schedule-fuzz
-  /// harness asserts. Not serialized.
-  std::uint64_t fabric_shuffle_seed = 0;
-
   /// ROC proxy: stage each layer's inner activations through a host swap
   /// channel (kSwap traffic), reproducing Fig. 1(b)'s CPU-GPU swaps.
   bool simulate_host_swap = false;
@@ -233,13 +224,13 @@ class BnsTrainer {
   [[nodiscard]] TrainResult train();
 
   /// Run exactly one rank of the training loop against an externally
-  /// constructed fabric — the multi-process runtime's entry point, where
-  /// each OS process owns one rank of a socket fabric. The in-process
-  /// train() is a thin wrapper: a mailbox fabric plus one thread per rank
-  /// calling this. Only rank 0's result carries the aggregated curves and
-  /// breakdowns (the loop's collectives reduce onto rank 0, exactly as in
-  /// the threaded path); other ranks return a result that participated in
-  /// those collectives but holds only their local view.
+  /// constructed fabric — the rank runtime's entry point (api::run runs it
+  /// on every rank through api::run_ranks_piped, on any transport). The
+  /// in-process train() is a thin wrapper: a mailbox fabric plus one
+  /// thread per rank calling this. Only rank 0's result carries the
+  /// aggregated curves and breakdowns (the loop's collectives reduce onto
+  /// rank 0); other ranks return a result that participated in those
+  /// collectives but holds only their local view.
   [[nodiscard]] TrainResult train_rank(comm::Fabric& fabric, PartId rank);
 
  private:

@@ -53,33 +53,6 @@ Csr rmat(NodeId n, EdgeId m, Rng& rng, const RmatParams& p) {
   return b.build();
 }
 
-Csr barabasi_albert(NodeId n, NodeId attach, Rng& rng) {
-  BNSGCN_CHECK(n > attach && attach >= 1);
-  CooBuilder b(n);
-  // Repeated-endpoint list implements preferential attachment in O(1).
-  std::vector<NodeId> endpoints;
-  endpoints.reserve(static_cast<std::size_t>(2 * n * attach));
-  // Seed clique over the first attach+1 nodes.
-  for (NodeId u = 0; u <= attach; ++u) {
-    for (NodeId v = u + 1; v <= attach; ++v) {
-      b.add_edge(u, v);
-      endpoints.push_back(u);
-      endpoints.push_back(v);
-    }
-  }
-  for (NodeId v = attach + 1; v < n; ++v) {
-    for (NodeId k = 0; k < attach; ++k) {
-      const NodeId u = endpoints[static_cast<std::size_t>(
-          rng.next_below(endpoints.size()))];
-      if (u == v) continue;
-      b.add_edge(u, v);
-      endpoints.push_back(u);
-      endpoints.push_back(v);
-    }
-  }
-  return b.build();
-}
-
 PlantedPartition planted_partition(const PlantedPartitionParams& params,
                                    Rng& rng) {
   BNSGCN_CHECK(params.n >= params.communities && params.communities >= 1);

@@ -18,9 +18,6 @@ struct RmatParams {
 };
 [[nodiscard]] Csr rmat(NodeId n, EdgeId m, Rng& rng, const RmatParams& p = {});
 
-/// Barabási–Albert preferential attachment with `attach` edges per new node.
-[[nodiscard]] Csr barabasi_albert(NodeId n, NodeId attach, Rng& rng);
-
 /// Degree-corrected planted-partition model — the workhorse for dataset
 /// synthesis. Nodes get a power-law weight (Pareto with `skew`); each of the
 /// m edges picks "intra-community" with probability `p_intra`, then samples

@@ -12,8 +12,8 @@ namespace bnsgcn {
 /// unit to persist and reuse across processes — the partition cache's
 /// on-disk store is built on these two functions.
 ///
-/// Format matches graph/io.hpp: little-endian magic/version header, then
-/// nparts and the raw owner array. Round-trips bit-exactly; not portable
+/// Format: little-endian magic/version header, then nparts and the raw
+/// owner array. Round-trips bit-exactly; not portable
 /// across endianness (local caching only).
 
 void save_partitioning(const Partitioning& p, const std::string& path);

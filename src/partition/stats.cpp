@@ -1,8 +1,6 @@
 #include "partition/stats.hpp"
 
 #include <algorithm>
-#include <iomanip>
-#include <ostream>
 
 #include "common/check.hpp"
 
@@ -13,13 +11,6 @@ double PartitionStats::max_ratio() const {
   for (std::size_t i = 0; i < inner_count.size(); ++i)
     mx = std::max(mx, ratio(static_cast<PartId>(i)));
   return mx;
-}
-
-double PartitionStats::mean_ratio() const {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < inner_count.size(); ++i)
-    sum += ratio(static_cast<PartId>(i));
-  return sum / static_cast<double>(inner_count.size());
 }
 
 PartitionStats compute_stats(const Csr& g, const Partitioning& part) {
@@ -53,26 +44,6 @@ PartitionStats compute_stats(const Csr& g, const Partitioning& part) {
   }
   for (const EdgeId vol : st.send_volume) st.total_volume += vol;
   return st;
-}
-
-void print_stats(std::ostream& os, const PartitionStats& stats) {
-  os << std::left << std::setw(18) << "Partition";
-  for (std::size_t i = 0; i < stats.inner_count.size(); ++i)
-    os << std::right << std::setw(9) << (i + 1);
-  os << '\n' << std::left << std::setw(18) << "# Inner Nodes";
-  for (const NodeId c : stats.inner_count)
-    os << std::right << std::setw(9) << c;
-  os << '\n' << std::left << std::setw(18) << "# Boundary Nodes";
-  for (const NodeId c : stats.boundary_count)
-    os << std::right << std::setw(9) << c;
-  os << '\n' << std::left << std::setw(18) << "Boundary/Inner";
-  os << std::fixed << std::setprecision(2);
-  for (std::size_t i = 0; i < stats.inner_count.size(); ++i)
-    os << std::right << std::setw(9) << stats.ratio(static_cast<PartId>(i));
-  os << '\n'
-     << "Edge cut: " << stats.edge_cut
-     << "   Total comm volume (Eq. 3): " << stats.total_volume << '\n';
-  os.unsetf(std::ios::fixed);
 }
 
 } // namespace bnsgcn

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <iosfwd>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -26,13 +25,9 @@ struct PartitionStats {
            static_cast<double>(inner_count[static_cast<std::size_t>(i)]);
   }
   [[nodiscard]] double max_ratio() const;
-  [[nodiscard]] double mean_ratio() const;
 };
 
 [[nodiscard]] PartitionStats compute_stats(const Csr& g,
                                            const Partitioning& part);
-
-/// Render a Table-1-style report (one line per partition).
-void print_stats(std::ostream& os, const PartitionStats& stats);
 
 } // namespace bnsgcn

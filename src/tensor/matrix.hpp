@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
@@ -10,27 +9,6 @@
 #include "common/rng.hpp"
 
 namespace bnsgcn {
-
-/// Process-wide accounting of live Matrix bytes. The memory experiments
-/// (Fig. 6 / Fig. 8 / Eq. 4) read the high-water mark of this counter per
-/// training region instead of relying on malloc introspection.
-class MemoryTracker {
- public:
-  static MemoryTracker& instance();
-
-  void on_alloc(std::int64_t bytes);
-  void on_free(std::int64_t bytes);
-
-  [[nodiscard]] std::int64_t live_bytes() const { return live_.load(); }
-  [[nodiscard]] std::int64_t peak_bytes() const { return peak_.load(); }
-
-  /// Resets the peak to the current live value (start of a measured region).
-  void reset_peak();
-
- private:
-  std::atomic<std::int64_t> live_{0};
-  std::atomic<std::int64_t> peak_{0};
-};
 
 /// Dense row-major float32 matrix. The single tensor type of this repo:
 /// node-feature blocks, weights, gradients and logits are all Matrix.
@@ -45,11 +23,12 @@ class Matrix {
   /// Row-major literal, e.g. Matrix({{1,2},{3,4}}).
   Matrix(std::initializer_list<std::initializer_list<float>> rows);
 
-  Matrix(const Matrix& other);
-  Matrix& operator=(const Matrix& other);
+  Matrix(const Matrix& other) = default;
+  Matrix& operator=(const Matrix& other) = default;
+  /// Moves leave the source an empty 0×0 matrix.
   Matrix(Matrix&& other) noexcept;
   Matrix& operator=(Matrix&& other) noexcept;
-  ~Matrix();
+  ~Matrix() = default;
 
   [[nodiscard]] std::int64_t rows() const { return rows_; }
   [[nodiscard]] std::int64_t cols() const { return cols_; }
@@ -86,16 +65,13 @@ class Matrix {
   void fill(float value);
   void zero() { fill(0.0f); }
 
-  /// Resize discarding contents (tracked by MemoryTracker).
+  /// Resize discarding contents (every element becomes 0).
   void resize(std::int64_t rows, std::int64_t cols);
 
   /// Gaussian init with given stddev (Glorot-style helpers in ops.hpp).
   void randomize_gaussian(Rng& rng, float stddev);
 
  private:
-  void track_alloc();
-  void track_free();
-
   std::int64_t rows_ = 0;
   std::int64_t cols_ = 0;
   std::vector<float> data_;

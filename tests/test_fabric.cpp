@@ -26,6 +26,14 @@ void run_ranks(Fabric& fabric, Fn fn) {
   for (auto& t : threads) t.join();
 }
 
+/// Rx bytes of one traffic class, summed over every rank's endpoint.
+std::int64_t total_rx_bytes(Fabric& fabric, TrafficClass cls) {
+  std::int64_t sum = 0;
+  for (PartId r = 0; r < fabric.nranks(); ++r)
+    sum += fabric.endpoint(r).stats().rx_bytes[static_cast<int>(cls)];
+  return sum;
+}
+
 TEST(Fabric, PointToPointDelivers) {
   Fabric fabric(2);
   run_ranks(fabric, [](comm::Endpoint& ep) {
@@ -161,7 +169,7 @@ TEST(Fabric, ByteAccounting) {
   const auto& rx = fabric.endpoint(1).stats();
   EXPECT_EQ(tx.tx_bytes[static_cast<int>(TrafficClass::kFeature)], 400);
   EXPECT_EQ(rx.rx_bytes[static_cast<int>(TrafficClass::kFeature)], 400);
-  EXPECT_EQ(fabric.total_rx_bytes(TrafficClass::kFeature), 400);
+  EXPECT_EQ(total_rx_bytes(fabric, TrafficClass::kFeature), 400);
 }
 
 TEST(CostModel, MessageTime) {
@@ -214,13 +222,13 @@ TEST(Fabric, IrecvOutOfOrderTagDelivery) {
       ep.send_floats(1, 11, {11.0f}, TrafficClass::kFeature);
       ep.send_floats(1, 12, {12.0f}, TrafficClass::kFeature);
     } else {
-      std::vector<comm::Request> reqs;
+      comm::RequestSet reqs;
       for (const int tag : {12, 10, 11})
-        reqs.push_back(ep.irecv_floats(0, tag, TrafficClass::kFeature));
-      comm::wait_all(reqs);
-      EXPECT_FLOAT_EQ(reqs[0].take_floats()[0], 12.0f);
-      EXPECT_FLOAT_EQ(reqs[1].take_floats()[0], 10.0f);
-      EXPECT_FLOAT_EQ(reqs[2].take_floats()[0], 11.0f);
+        reqs.add(ep.irecv_floats(0, tag, TrafficClass::kFeature));
+      reqs.wait_all();
+      EXPECT_FLOAT_EQ(reqs.at(0).take_floats()[0], 12.0f);
+      EXPECT_FLOAT_EQ(reqs.at(1).take_floats()[0], 10.0f);
+      EXPECT_FLOAT_EQ(reqs.at(2).take_floats()[0], 11.0f);
     }
   });
 }
@@ -255,12 +263,12 @@ TEST(Fabric, WaitAllUnderConcurrentRanks) {
   run_ranks(fabric, [](comm::Endpoint& ep) {
     const PartId n = ep.nranks();
     for (int round = 0; round < kRounds; ++round) {
-      std::vector<comm::Request> reqs;
+      comm::RequestSet reqs;
       std::vector<PartId> peer_of;
       // Post all receives first (reversed peer order), then the sends.
       for (PartId j = n - 1; j >= 0; --j) {
         if (j == ep.rank()) continue;
-        reqs.push_back(ep.irecv_floats(j, round, TrafficClass::kFeature));
+        reqs.add(ep.irecv_floats(j, round, TrafficClass::kFeature));
         peer_of.push_back(j);
       }
       for (PartId j = 0; j < n; ++j) {
@@ -269,9 +277,9 @@ TEST(Fabric, WaitAllUnderConcurrentRanks) {
             j, round, {static_cast<float>(ep.rank() * 100 + round)},
             TrafficClass::kFeature);
       }
-      comm::wait_all(reqs);
+      reqs.wait_all();
       for (std::size_t k = 0; k < reqs.size(); ++k) {
-        const auto payload = reqs[k].take_floats();
+        const auto payload = reqs.at(k).take_floats();
         ASSERT_EQ(payload.size(), 1u);
         EXPECT_FLOAT_EQ(payload[0],
                         static_cast<float>(peer_of[k] * 100 + round));
@@ -296,7 +304,7 @@ TEST(Fabric, AsyncAccountingMatchesBlocking) {
   EXPECT_EQ(fabric.endpoint(0).stats().tx_bytes[static_cast<int>(
                 TrafficClass::kFeature)],
             256);
-  EXPECT_EQ(fabric.total_rx_bytes(TrafficClass::kFeature), 256);
+  EXPECT_EQ(total_rx_bytes(fabric, TrafficClass::kFeature), 256);
 }
 
 TEST(RequestSet, PollReportsEachCompletionExactlyOnce) {
@@ -435,7 +443,7 @@ TEST(RequestSet, PollDuringPartialCompletionAccountsBytesExactly) {
       ep.barrier();
     }
   });
-  EXPECT_EQ(fabric.total_rx_bytes(TrafficClass::kFeature), slab_bytes * 3);
+  EXPECT_EQ(total_rx_bytes(fabric, TrafficClass::kFeature), slab_bytes * 3);
 }
 
 TEST(Fabric, DeliveryShuffleHoldsProbesButNotBlockingTakes) {
@@ -463,7 +471,7 @@ TEST(Fabric, DeliveryShuffleHoldsProbesButNotBlockingTakes) {
                 (std::vector<float>{3.0f}));
     }
   });
-  EXPECT_EQ(fabric.total_rx_bytes(TrafficClass::kFeature),
+  EXPECT_EQ(total_rx_bytes(fabric, TrafficClass::kFeature),
             static_cast<std::int64_t>(3 * sizeof(float)));
 }
 
@@ -539,7 +547,7 @@ TEST(Fabric, StreamingSlabStressAcrossManyRanks) {
     EXPECT_EQ(st.rx_msgs[static_cast<int>(TrafficClass::kFeature)],
               (kRanks - 1) * kRounds);
   }
-  EXPECT_EQ(fabric.total_rx_bytes(TrafficClass::kFeature),
+  EXPECT_EQ(total_rx_bytes(fabric, TrafficClass::kFeature),
             expect_per_rank * kRanks);
 }
 

@@ -28,15 +28,6 @@ TEST(Generators, RmatIsSkewed) {
   EXPECT_GT(static_cast<double>(max_deg), 10.0 * avg);
 }
 
-TEST(Generators, BarabasiAlbertDegreeSum) {
-  Rng rng(3);
-  const Csr g = gen::barabasi_albert(2000, 3, rng);
-  g.validate();
-  EXPECT_EQ(g.n, 2000);
-  // Each new node adds ~3 edges (minus occasional self-hit skips).
-  EXPECT_GT(g.num_arcs(), 2 * 3 * 1900);
-}
-
 TEST(Generators, PlantedPartitionCommunityStructure) {
   Rng rng(4);
   gen::PlantedPartitionParams p;

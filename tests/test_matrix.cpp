@@ -77,20 +77,6 @@ TEST(Matrix, BytesAccounting) {
   EXPECT_EQ(m.bytes(), 400);
 }
 
-TEST(MemoryTracker, TracksLiveAndPeak) {
-  auto& tracker = MemoryTracker::instance();
-  tracker.reset_peak();
-  const std::int64_t base = tracker.live_bytes();
-  {
-    Matrix big(1000, 1000);
-    EXPECT_GE(tracker.live_bytes(), base + big.bytes());
-    EXPECT_GE(tracker.peak_bytes(), base + big.bytes());
-  }
-  EXPECT_LE(tracker.live_bytes(), base + 16);
-  // Peak persists after the free.
-  EXPECT_GE(tracker.peak_bytes(), base + 4'000'000);
-}
-
 TEST(Matrix, GaussianRandomize) {
   Matrix m(100, 100);
   Rng rng(1);

@@ -1,18 +1,24 @@
-// Cross-process parity: a multi-process socket run (one forked OS process
-// per rank, UDS or TCP loopback) must train bit-identically to the
-// single-process mailbox run of the same config — same losses, same eval
-// curve, same byte counts — while reporting measured (wall-clock) comm
-// timing instead of the mailbox's simulated times. Also pins the
-// deadlock-free shutdown contract at process level: a rank that dies
-// mid-epoch must surface as a clean error on the parent, not a hang.
+// The rank runtime (api::run_ranks_piped) and cross-process parity. The
+// runtime table drives plain rank bodies over every transport: rank 0's
+// payload comes back, and a failed run names its root-cause rank the same
+// way on threads and on forked processes. A multi-process socket run (one
+// forked OS process per rank, UDS or TCP loopback) must train
+// bit-identically to the in-process mailbox run of the same config — same
+// losses, same eval curve, same byte counts — while reporting measured
+// (wall-clock) comm timing instead of the mailbox's simulated times. Also
+// pins the deadlock-free shutdown contract at process level: a rank that
+// dies mid-epoch must surface as a clean error naming it, not a hang.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <cmath>
+#include <csignal>
 #include <stdexcept>
 #include <string>
 
+#include "api/multiprocess.hpp"
 #include "api/run.hpp"
 #include "api/serialize.hpp"
 #include "partition/metis_like.hpp"
@@ -22,6 +28,92 @@ namespace {
 
 using comm::TimingSource;
 using comm::TransportKind;
+
+constexpr TransportKind kAllTransports[] = {
+    TransportKind::kMailbox, TransportKind::kUds, TransportKind::kTcp};
+constexpr PartId kTableRanks = 4;
+
+/// Run `fn` on kTableRanks ranks over `kind` and require a failure whose
+/// message names rank `k` first, carries `what`, and names no other rank.
+void expect_root_cause(TransportKind kind, PartId k, const std::string& what,
+                       const api::RankPayloadFn& fn) {
+  SCOPED_TRACE(std::string(comm::transport_kind_name(kind)) + " rank " +
+               std::to_string(k));
+  alarm(180);
+  try {
+    (void)api::run_ranks_piped(kind, kTableRanks,
+                               comm::CostModel::scaled_pcie3(), fn);
+    ADD_FAILURE() << "failed run went unnoticed";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(dynamic_cast<const comm::RankFailure*>(&e), nullptr) << msg;
+    EXPECT_EQ(msg.rfind("rank " + std::to_string(k) + ": ", 0), 0u) << msg;
+    EXPECT_NE(msg.find(what), std::string::npos) << msg;
+    for (PartId j = 0; j < kTableRanks; ++j) {
+      if (j != k) {
+        EXPECT_EQ(msg.find("rank " + std::to_string(j)), std::string::npos)
+            << msg;
+      }
+    }
+  }
+  alarm(0);
+}
+
+/// A body in which every rank but `k` blocks on a message from rank `k`
+/// that never comes; rank `k` runs `die` instead.
+api::RankPayloadFn blocked_on(PartId k, void (*die)()) {
+  return [k, die](comm::Fabric& fabric, PartId r) {
+    if (r == k) die();
+    (void)fabric.endpoint(r).recv_floats(k, 0, comm::TrafficClass::kControl);
+    return std::string("unreachable");
+  };
+}
+
+TEST(RankRuntime, EveryRankSucceedsAndRankZerosPayloadComesBack) {
+  for (const TransportKind kind : kAllTransports) {
+    SCOPED_TRACE(comm::transport_kind_name(kind));
+    alarm(180);
+    const std::string payload = api::run_ranks_piped(
+        kind, kTableRanks, comm::CostModel::scaled_pcie3(),
+        [](comm::Fabric& fabric, PartId r) {
+          // One collective, so every rank really talks to its peers.
+          const double sum =
+              fabric.endpoint(r).allreduce_sum_scalar(static_cast<double>(r));
+          return r == 0 ? "sum " + std::to_string(static_cast<int>(sum))
+                        : std::string();
+        });
+    alarm(0);
+    EXPECT_EQ(payload, "sum 6");
+  }
+}
+
+TEST(RankRuntime, ThrowingRankIsTheRootCauseNotItsBlockedPeers) {
+  for (const TransportKind kind : kAllTransports) {
+    for (const PartId k : {PartId{0}, PartId{1}, kTableRanks - 1}) {
+      expect_root_cause(kind, k, "planted failure",
+                        blocked_on(k, [] {
+                          throw std::runtime_error("planted failure");
+                        }));
+    }
+  }
+}
+
+TEST(RankRuntime, AllShutdownErrorsNameRankZero) {
+  for (const TransportKind kind : kAllTransports) {
+    expect_root_cause(kind, 0, "planted shutdown",
+                      [](comm::Fabric&, PartId) -> std::string {
+                        throw comm::ShutdownError("planted shutdown");
+                      });
+  }
+}
+
+TEST(RankRuntime, RankKilledBySignalIsNamedWithTheSignal) {
+  // Forked ranks only: a signal would take the whole test process down
+  // with the mailbox's rank threads.
+  for (const TransportKind kind : {TransportKind::kUds, TransportKind::kTcp})
+    expect_root_cause(kind, 1, "killed by signal 9",
+                      blocked_on(1, [] { (void)::raise(SIGKILL); }));
+}
 
 Dataset small_dataset(std::uint64_t seed = 41) {
   SyntheticSpec spec;
@@ -135,9 +227,9 @@ TEST(Multiprocess, TcpParityOneConfig) {
 TEST(Multiprocess, DeadRankSurfacesCleanErrorNotHang) {
   // One rank throws just before the first forward exchange; its process
   // unwind closes the sockets, peers' blocking waits error out with
-  // ShutdownError, every child exits, and the parent reports which rank
-  // failed. The alarm turns a regression into a loud SIGALRM instead of
-  // a silent CI timeout.
+  // ShutdownError, every child exits, and the parent names the failed rank
+  // with its own message, not the peers that unwound after it. The alarm
+  // turns a regression into a loud SIGALRM instead of a silent CI timeout.
   const Dataset ds = small_dataset(53);
   const auto part = metis_like(ds.graph, 4);
   auto cfg = base_config(core::ModelKind::kSage, 0);
@@ -148,8 +240,10 @@ TEST(Multiprocess, DeadRankSurfacesCleanErrorNotHang) {
     (void)api::run(ds, part, cfg);
     FAIL() << "dead rank went unnoticed";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("rank"), std::string::npos)
-        << e.what();
+    const std::string msg = e.what();
+    EXPECT_EQ(msg.rfind("rank 1", 0), 0u) << msg;
+    EXPECT_NE(msg.find("injected failure: rank 1"), std::string::npos)
+        << msg;
   }
   alarm(0);
 }
@@ -179,10 +273,46 @@ TEST(Multiprocess, ReportLargerThanPipeCapacitySurvivesTheReportPipe) {
   EXPECT_EQ(report.epochs.back().timing, TimingSource::kMeasured);
 }
 
+/// Equal bits, or both NaN (a NaN's payload does not survive the report's
+/// JSON hand-off, so only its position is compared).
+bool same_or_both_nan(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) || a == b;
+}
+
+TEST(Multiprocess, DivergedRunReportsTheSameNonFiniteLossesOnEveryTransport) {
+  // lr = 1e30 blows the weights up within an epoch or two. Rank 0's report
+  // must still come back on both halves of the runtime, with its NaNs at
+  // the same epochs.
+  const Dataset ds = small_dataset(67);
+  const auto part = metis_like(ds.graph, 2);
+  auto cfg = base_config(core::ModelKind::kSage, 0);
+  cfg.trainer.lr = 1e30f;
+  cfg.trainer.epochs = 6;
+  cfg.trainer.eval_every = 0;
+  alarm(180);
+  cfg.comm.transport = TransportKind::kMailbox;
+  const api::RunReport mbox = api::run(ds, part, cfg);
+  cfg.comm.transport = TransportKind::kUds;
+  const api::RunReport uds = api::run(ds, part, cfg);
+  alarm(0);
+  ASSERT_EQ(mbox.train_loss.size(), 6u);
+  ASSERT_EQ(uds.train_loss.size(), 6u);
+  int nonfinite = 0;
+  for (std::size_t e = 0; e < 6; ++e) {
+    EXPECT_TRUE(same_or_both_nan(mbox.train_loss[e], uds.train_loss[e]))
+        << "epoch " << e << ": " << mbox.train_loss[e] << " vs "
+        << uds.train_loss[e];
+    if (!std::isfinite(mbox.train_loss[e])) ++nonfinite;
+  }
+  EXPECT_GT(nonfinite, 0) << "the run did not diverge";
+  EXPECT_TRUE(same_or_both_nan(mbox.final_val, uds.final_val));
+  EXPECT_TRUE(same_or_both_nan(mbox.final_test, uds.final_test));
+}
+
 TEST(Multiprocess, MailboxThreadPathAlsoUnwindsOnDeadRank) {
   // Same injection through the in-process mailbox fabric: the failing
   // thread's shutdown() must poison the collectives so the sibling rank
-  // threads unwind, and train() must rethrow the root cause (the injected
+  // threads unwind, and the runtime must name the root cause (the injected
   // error), not a secondary ShutdownError.
   const Dataset ds = small_dataset(59);
   const auto part = metis_like(ds.graph, 4);

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "graph/generators.hpp"
 #include "partition/metis_like.hpp"
 #include "partition/stats.hpp"
@@ -87,17 +85,12 @@ TEST(PartitionStats, RandomPartitionHasMoreBoundary) {
   EXPECT_LT(st_metis.total_volume * 2, st_rand.total_volume);
 }
 
-TEST(PartitionStats, RatiosAndPrinting) {
+TEST(PartitionStats, MaxRatio) {
   Rng rng(5);
   const Csr g = gen::erdos_renyi(400, 3000, rng);
   const auto p = random_partition(g.n, 4, rng);
   const auto st = compute_stats(g, p);
   EXPECT_GT(st.max_ratio(), 0.0);
-  EXPECT_LE(st.mean_ratio(), st.max_ratio() + 1e-12);
-  std::ostringstream os;
-  print_stats(os, st);
-  EXPECT_NE(os.str().find("# Boundary Nodes"), std::string::npos);
-  EXPECT_NE(os.str().find("Eq. 3"), std::string::npos);
 }
 
 TEST(PartitionStats, IsolatedPartitionHasZeroBoundary) {

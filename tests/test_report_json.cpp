@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "api/run.hpp"
 #include "api/serialize.hpp"
+#include "api/serve.hpp"
 #include "common/check.hpp"
 #include "common/json.hpp"
 
@@ -38,6 +42,64 @@ api::RunReport sample_report() {
                        .evictions = 1};
   return r;
 }
+
+api::ServeReport sample_serve_report() {
+  api::ServeReport s;
+  s.method = "bns";
+  s.dataset = "serve \"scaled\"";
+  s.batch_size = 2;
+  s.num_batches = 2;
+  s.num_classes = 2;
+  s.batches = {{.latency_s = 0.25, .comm_s = 0.0625, .feature_bytes = 4096,
+                .control_bytes = 17},
+               {.latency_s = 0.125, .comm_s = 0.1, .feature_bytes = 2048,
+                .control_bytes = 9, .cache_hit_rows = 3,
+                .cache_miss_rows = 1, .bytes_saved = 96}};
+  s.queries = {4, 9, 1, 7};
+  s.predictions = {1, 0, 0, 1};
+  s.logits = {0.1f, -2.5f, 3.0f, 1e-7f, -0.0f, 7.0f, 0.33333334f, -1e30f};
+  s.train_wall_s = 1.5;
+  s.serve_wall_s = 0.375;
+  s.timing = comm::TimingSource::kMeasured;
+  return s;
+}
+
+/// sample_report() and sample_serve_report() as written before non-finite
+/// numbers had tokens; every finite number must keep this text.
+constexpr const char* kSampleReportText =
+    R"json({"method":"bns","dataset":"reddit-like \"scaled\"","train_loss":[1.5)json"
+    R"json(1234567890123,0.75,0.33333333333333331],"curve":[{"epoch":2,"val":0.)json"
+    R"json(81000000000000005,"test":0.79000000000000004,"train_loss":0.75},{"ep)json"
+    R"json(och":3,"val":0.90000000000000002,"test":0.88,"train_loss":0.33333333)json"
+    R"json(333333331}],"final_val":0.90000000000000002,"final_test":0.88,"epoch)json"
+    R"json(s":[{"compute_s":0.125,"comm_s":0.0625,"reduce_s":1.0000000000000001)json"
+    R"json(e-09,"sample_s":0.001953125,"swap_s":0,"overlap_s":0.015625,"comm_ta)json"
+    R"json(il_s":0.0078125,"feature_bytes":123456789012345,"grad_bytes":4096,"c)json"
+    R"json(ontrol_bytes":17},{"compute_s":0.125,"comm_s":0.0625,"reduce_s":1.00)json"
+    R"json(00000000000001e-09,"sample_s":0.001953125,"swap_s":0,"overlap_s":0.0)json"
+    R"json(15625,"comm_tail_s":0.0078125,"feature_bytes":123456789012345,"grad_)json"
+    R"json(bytes":4096,"control_bytes":17},{"compute_s":0.125,"comm_s":0.0625,")json"
+    R"json(reduce_s":1.0000000000000001e-09,"sample_s":0.001953125,"swap_s":0,")json"
+    R"json(overlap_s":0.015625,"comm_tail_s":0.0078125,"feature_bytes":12345678)json"
+    R"json(9012345,"grad_bytes":4096,"control_bytes":17}],"memory":{"model_byte)json"
+    R"json(s":[1500000,2250000],"full_bytes":[2000000,3000000]},"wall_time_s":0)json"
+    R"json(.4375,"partition_cache":{"hits":3,"disk_hits":1,"misses":2,"eviction)json"
+    R"json(s":1},"derived":{"throughput_eps":5.7528089556692334,"sampler_overhe)json"
+    R"json(ad":0.011235954991541472,"epoch_time_s":0.173828126,"total_train_s":)json"
+    R"json(0.52148437800000003,"overlap_saved_s":0.015625,"overlap_fraction":0.)json"
+    R"json(25}})json";
+constexpr const char* kSampleServeReportText =
+    R"json({"method":"bns","dataset":"serve \"scaled\"","batch_size":2,"num_bat)json"
+    R"json(ches":2,"num_classes":2,"train_wall_s":1.5,"serve_wall_s":0.375,"tim)json"
+    R"json(ing_source":"measured","batches":[{"latency_s":0.25,"comm_s":0.0625,)json"
+    R"json("feature_bytes":4096,"control_bytes":17},{"latency_s":0.125,"comm_s")json"
+    R"json(:0.10000000000000001,"feature_bytes":2048,"control_bytes":9,"cache_h)json"
+    R"json(it_rows":3,"cache_miss_rows":1,"bytes_saved":96}],"queries":[4,9,1,7)json"
+    R"json(],"predictions":[1,0,0,1],"logits":[0.10000000149011612,-2.5,3,1.000)json"
+    R"json(0000116860974e-07,0,7,0.3333333432674408,-1.0000000150474662e+30],"d)json"
+    R"json(erived":{"total_queries":4,"p50_latency_s":0.125,"p99_latency_s":0.2)json"
+    R"json(5,"qps":10.666666666666666,"cache_hit_rows":3,"cache_miss_rows":1,"c)json"
+    R"json(ache_bytes_saved":96,"cache_hit_rate":0.75}})json";
 
 void expect_reports_equal(const api::RunReport& a, const api::RunReport& b) {
   EXPECT_EQ(a.method, b.method);
@@ -79,6 +141,58 @@ TEST(ReportJson, RoundTripIsExact) {
   // Derived quantities recompute identically from the parsed fields.
   EXPECT_EQ(original.throughput_eps(), parsed.throughput_eps());
   EXPECT_EQ(original.sampler_overhead(), parsed.sampler_overhead());
+}
+
+TEST(ReportJson, FiniteReportTextIsPinned) {
+  // Finite numbers keep the text they always had (integers plainly,
+  // everything else at %.17g), key for key: the non-finite tokens below
+  // changed nothing a finite report writes.
+  EXPECT_EQ(api::to_json_string(sample_report(), -1), kSampleReportText);
+  EXPECT_EQ(api::to_json_string(sample_serve_report(), -1),
+            kSampleServeReportText);
+}
+
+TEST(ReportJson, NonFiniteNumbersRoundTrip) {
+  // A diverged run's losses are NaN or infinite. They cross the codec as
+  // the tokens NaN, Infinity and -Infinity, which Python's json module
+  // reads too, and come back as the same kind of value.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  api::RunReport r = sample_report();
+  r.train_loss = {1.5, nan, inf, -inf};
+  r.final_val = nan;
+  r.final_test = -inf;
+  r.epochs[0].comm_s = inf;
+  const std::string text = api::to_json_string(r, -1);
+  EXPECT_NE(text.find("[1.5,NaN,Infinity,-Infinity]"), std::string::npos)
+      << text;
+  const api::RunReport back = api::run_report_from_json_string(text);
+  ASSERT_EQ(back.train_loss.size(), 4u);
+  EXPECT_EQ(back.train_loss[0], 1.5);
+  EXPECT_TRUE(std::isnan(back.train_loss[1]));
+  EXPECT_EQ(back.train_loss[2], inf);
+  EXPECT_EQ(back.train_loss[3], -inf);
+  EXPECT_TRUE(std::isnan(back.final_val));
+  EXPECT_EQ(back.final_test, -inf);
+  EXPECT_EQ(back.epochs[0].comm_s, inf);
+
+  api::ServeReport s = sample_serve_report();
+  const float fnan = std::numeric_limits<float>::quiet_NaN();
+  const float finf = std::numeric_limits<float>::infinity();
+  s.logits[1] = fnan;
+  s.logits[2] = finf;
+  s.logits[3] = -finf;
+  s.serve_wall_s = inf;
+  s.batches[0].comm_s = -inf;
+  const api::ServeReport sback =
+      api::serve_report_from_json_string(api::to_json_string(s));
+  ASSERT_EQ(sback.logits.size(), s.logits.size());
+  EXPECT_EQ(sback.logits[0], s.logits[0]);
+  EXPECT_TRUE(std::isnan(sback.logits[1]));
+  EXPECT_EQ(sback.logits[2], finf);
+  EXPECT_EQ(sback.logits[3], -finf);
+  EXPECT_EQ(sback.serve_wall_s, inf);
+  EXPECT_EQ(sback.batches[0].comm_s, -inf);
 }
 
 TEST(ReportJson, RoundTripOfRealRun) {
@@ -480,6 +594,20 @@ TEST(Json, ParserRejectsGarbage) {
   EXPECT_THROW(json::Value::parse("[1, 2"), CheckError);
   EXPECT_THROW(json::Value::parse("{} trailing"), CheckError);
   EXPECT_THROW(json::Value::parse("nul"), CheckError);
+}
+
+TEST(Json, NonFiniteTokensParseButAreNoIntegers) {
+  const json::Value v = json::Value::parse("[NaN, Infinity, -Infinity, -1]");
+  EXPECT_TRUE(std::isnan(v[0].as_double()));
+  EXPECT_EQ(v[1].as_double(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(v[2].as_double(), -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(v.dump(), "[NaN,Infinity,-Infinity,-1]");
+  // No integer field can silently take a non-finite value.
+  EXPECT_THROW((void)v[0].as_int64(), CheckError);
+  EXPECT_THROW((void)v[1].as_int64(), CheckError);
+  EXPECT_EQ(v[3].as_int64(), -1);
+  EXPECT_THROW(json::Value::parse("-NaN"), CheckError);
+  EXPECT_THROW(json::Value::parse("Inf"), CheckError);
 }
 
 TEST(Json, EscapesRoundTrip) {

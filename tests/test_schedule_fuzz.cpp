@@ -25,7 +25,9 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <utility>
 
+#include "comm/fabric.hpp"
 #include "core/trainer.hpp"
 #include "graph/dataset.hpp"
 #include "partition/metis_like.hpp"
@@ -162,7 +164,6 @@ TrainerConfig config_of(const Draw& d) {
   cfg.seed = d.model_seed;
   cfg.sample_rate = d.sample_rate;
   cfg.variant = d.variant;
-  cfg.fabric_shuffle_seed = d.shuffle;
   cfg.threads = d.threads;
   // Run the drawn lane count as-is even where nparts × threads exceeds the
   // machine: the point is schedule coverage, not speed.
@@ -240,17 +241,29 @@ void expect_loss_parity(const TrainResult& base, const TrainResult& got,
   if (!bits_equal(base.final_test, got.final_test)) return fail("final_test");
 }
 
+/// Train the draw on a mailbox fabric, one thread per rank. A nonzero
+/// `shuffle` holds each deposited message back for a seeded-pseudorandom
+/// number of nonblocking probes (comm::Fabric::enable_delivery_shuffle),
+/// scrambling the completion order the streaming poll loop observes.
 TrainResult run_draw(const Draw& d, bool baseline) {
   TrainerConfig cfg = config_of(d);
   ExchangeSpec xs = spec_of(d);
+  std::uint64_t shuffle = d.shuffle;
   if (baseline) {
     xs.overlap = OverlapMode::kBlocking;
     xs.inner_chunk_rows = 0;
-    cfg.fabric_shuffle_seed = 0;
+    shuffle = 0;
     cfg.threads = 1;
   }
-  return BnsTrainer(fuzz_dataset(), fuzz_partition(d.nparts), cfg, xs)
-      .train();
+  BnsTrainer trainer(fuzz_dataset(), fuzz_partition(d.nparts), cfg, xs);
+  comm::Fabric fabric(d.nparts, cfg.cost);
+  if (shuffle != 0) fabric.enable_delivery_shuffle(shuffle);
+  TrainResult result;
+  comm::run_ranks(fabric, [&](PartId r) {
+    TrainResult local = trainer.train_rank(fabric, r);
+    if (r == 0) result = std::move(local);
+  });
+  return result;
 }
 
 TEST(ScheduleFuzz, RandomizedSweep) {

@@ -254,7 +254,7 @@ TEST(Serve, LatencyPercentilesUseNearestRank) {
 TEST(Serve, MailboxDeadRankUnwindsMidStream) {
   // One rank dies before batch 0; sibling rank threads blocked in the
   // serve exchange must unwind via the fabric shutdown, and serve() must
-  // rethrow the root cause. The alarm turns a regression into a loud
+  // name the root cause. The alarm turns a regression into a loud
   // SIGALRM instead of a silent CI timeout.
   const Dataset ds = small_dataset(101);
   const auto part = metis_like(ds.graph, 4);
@@ -276,7 +276,8 @@ TEST(Serve, MailboxDeadRankUnwindsMidStream) {
 TEST(Serve, UdsDeadRankSurfacesCleanErrorNamingRank) {
   // Same injection through the forked UDS runtime: the dead rank's
   // process unwind closes its sockets, peers error out with
-  // ShutdownError, and the parent names the failed rank.
+  // ShutdownError, and the parent names the failed rank with its own
+  // message, not the peers that unwound after it.
   const Dataset ds = small_dataset(103);
   const auto part = metis_like(ds.graph, 4);
   auto cfg = base_config(core::ModelKind::kSage);
@@ -289,8 +290,9 @@ TEST(Serve, UdsDeadRankSurfacesCleanErrorNamingRank) {
     FAIL() << "dead serving rank went unnoticed";
   } catch (const std::runtime_error& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("rank"), std::string::npos) << msg;
-    EXPECT_NE(msg.find('1'), std::string::npos) << msg;
+    EXPECT_EQ(msg.rfind("rank 1", 0), 0u) << msg;
+    EXPECT_NE(msg.find("injected serve failure: rank 1"), std::string::npos)
+        << msg;
   }
   alarm(0);
 }
