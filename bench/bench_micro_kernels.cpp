@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "api/partition_spec.hpp"
+#include "api/presets.hpp"
 #include "common/thread_pool.hpp"
 #include "core/boundary_sampler.hpp"
 #include "core/epoch_planner.hpp"
@@ -176,10 +178,14 @@ BENCHMARK(BM_MeanAggregate)->Arg(4096)->Arg(32768);
 
 // B2, the inner half of the backward scatter, at n x 64: each arc adds
 // w * dout[v] into its source's row. The gradient accumulates across
-// iterations, as the work does not depend on its values.
-void BM_MeanAggregateBackwardInner(benchmark::State& state) {
+// iterations, as the work does not depend on its values. `gather` sets the
+// adjacency's inner_symmetric flag (the R-MAT graph is symmetric, as
+// build_local_graphs would find), which runs B2 as F1's gather.
+void run_backward_inner(benchmark::State& state, bool gather) {
   Rng rng(2);
-  const RmatAdjacency r(static_cast<NodeId>(state.range(0)), rng);
+  RmatAdjacency r(static_cast<NodeId>(state.range(0)), rng);
+  r.adj.inner_symmetric = gather && nn::inner_block_is_symmetric(r.adj);
+  if (r.adj.inner_symmetric != gather) state.SkipWithError("not symmetric");
   Matrix dout(r.adj.n_dst, 64), dinner(r.adj.n_src, 64);
   dout.randomize_gaussian(rng, 1.0f);
   for (auto _ : state) {
@@ -189,7 +195,53 @@ void BM_MeanAggregateBackwardInner(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * r.arcs * 64);
 }
+
+void BM_MeanAggregateBackwardInner(benchmark::State& state) {
+  run_backward_inner(state, /*gather=*/false);
+}
 BENCHMARK(BM_MeanAggregateBackwardInner)->Arg(4096)->Arg(32768);
+
+void BM_MeanAggregateBackwardInnerGather(benchmark::State& state) {
+  run_backward_inner(state, /*gather=*/true);
+}
+BENCHMARK(BM_MeanAggregateBackwardInnerGather)->Arg(4096)->Arg(32768);
+
+/// Rank 0's local graph in perfbench's train-* workloads: the reddit
+/// preset at scale 1, METIS into 3 parts (about 8k inner rows, 0.6M arcs).
+/// Built once; the first benchmark that asks pays about two seconds.
+const core::LocalGraph& reddit_rank0() {
+  static const std::vector<core::LocalGraph> lgs = [] {
+    api::DatasetSpec spec;
+    spec.custom = api::find_dataset("reddit")->make_spec(1.0);
+    const Dataset ds = api::make_dataset(spec);
+    return core::build_local_graphs(
+        ds.graph, api::make_partition(
+                      ds.graph, {.kind = api::PartitionSpec::Kind::kMetis,
+                                 .nparts = 3}));
+  }();
+  return lgs[0];
+}
+
+// B2 at width 64 on that rank's graph, as the trainer runs it:
+// build_local_graphs found its inner block symmetric, so gather:1 is the
+// gather path; gather:0 clears the flag and runs the scatter.
+void BM_MeanAggregateBackwardInnerRank(benchmark::State& state) {
+  const core::LocalGraph& lg = reddit_rank0();
+  nn::BipartiteCsr adj = lg.adj;
+  if (!adj.inner_symmetric) state.SkipWithError("not symmetric");
+  adj.inner_symmetric = state.range(0) != 0;
+  Rng rng(2);
+  Matrix dout(adj.n_dst, 64), dinner(adj.n_dst, 64);
+  dout.randomize_gaussian(rng, 1.0f);
+  for (auto _ : state) {
+    nn::mean_aggregate_backward_inner(adj, dout, lg.inv_full_degree,
+                                      adj.n_dst, dinner);
+    benchmark::DoNotOptimize(dinner.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * adj.num_edges() * 64);
+}
+BENCHMARK(BM_MeanAggregateBackwardInnerRank)->Arg(0)->Arg(1)->ArgName("gather");
 
 void BM_MeanAggregateThreads(benchmark::State& state) {
   const auto k = static_cast<int>(state.range(1));
@@ -208,6 +260,24 @@ void BM_MeanAggregateThreads(benchmark::State& state) {
 BENCHMARK(BM_MeanAggregateThreads)
     ->ArgsProduct({{32768}, {1, 2, 4, 8}})
     ->ArgNames({"n", "threads"});
+
+// Inverted dropout on a SAGE hidden layer's output, 8000 x 64 at p = 0.3:
+// one generator draw per element, then the select. The input is restored
+// from a copy each iteration (included in the time: one 2 MB copy).
+void BM_DropoutForward(benchmark::State& state) {
+  Rng rng(3);
+  Matrix x0(8000, 64), x, mask;
+  x0.randomize_gaussian(rng, 1.0f);
+  for (auto _ : state) {
+    x = x0;
+    ops::dropout_forward(x, mask, 0.3f, rng);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::DoNotOptimize(mask.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * x0.size());
+}
+BENCHMARK(BM_DropoutForward);
 
 // GAT's attention combine (F2c) for one head of width 64: every row adds
 // its neighbours' rows and its own, each scaled by its attention weight

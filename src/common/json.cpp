@@ -118,6 +118,12 @@ void dump_number(double d, std::string& out) {
     out += d > 0 ? "Infinity" : "-Infinity";
     return;
   }
+  if (d == 0.0 && std::signbit(d)) {
+    // The integer path below would print "0" and lose the sign; "-0.0"
+    // reads back as -0.0 through std::stod and Python's json alike.
+    out += "-0.0";
+    return;
+  }
   if (d == std::floor(d) && std::fabs(d) < 9.007199254740992e15) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%lld",

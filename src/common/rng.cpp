@@ -9,10 +9,6 @@ namespace bnsgcn {
 
 namespace {
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 /// splitmix64 — used for seeding xoshiro state from a single word.
 std::uint64_t splitmix64(std::uint64_t& x) {
   x += 0x9E3779B97F4A7C15ULL;
@@ -29,18 +25,6 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& s : s_) s = splitmix64(x);
   // xoshiro must not start at the all-zero state.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::next_below(std::uint64_t n) {
@@ -62,10 +46,6 @@ std::uint64_t Rng::next_below(std::uint64_t n) {
 
 double Rng::next_double() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-float Rng::next_float() {
-  return static_cast<float>(next_u64() >> 40) * 0x1.0p-24f;
 }
 
 bool Rng::next_bool(double p) {

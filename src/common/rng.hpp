@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -17,8 +18,19 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-  /// Uniform 64-bit value.
-  std::uint64_t next_u64();
+  /// Uniform 64-bit value. Defined here, with next_float, so that
+  /// per-element loops (dropout draws one value per element) inline it.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, n). n must be > 0.
   std::uint64_t next_below(std::uint64_t n);
@@ -26,8 +38,10 @@ class Rng {
   /// Uniform float64 in [0, 1).
   double next_double();
 
-  /// Uniform float32 in [0, 1).
-  float next_float();
+  /// Uniform float32 in [0, 1): the top 24 bits of next_u64, times 2^-24.
+  float next_float() {
+    return static_cast<float>(next_u64() >> 40) * 0x1.0p-24f;
+  }
 
   /// Bernoulli trial with probability p (clamped to [0,1]).
   bool next_bool(double p);

@@ -87,6 +87,10 @@ EpochPlan BoundarySampler::plan_from_draw(const EpochDraw& draw) {
   }
   plan.dropped_edges =
       static_cast<EdgeId>(lg_.adj.nbrs.size() - adj.nbrs.size());
+  // A draw that keeps every arc keeps the inner block as it was, unweighted
+  // (only halo ids are compacted); one that drops arcs may break the
+  // symmetry and weights what it keeps.
+  adj.inner_symmetric = lg_.adj.inner_symmetric && edge_kept == nullptr;
 
   // Per-peer send/recv lists are filled by sample_epoch (they need the
   // negotiated kept positions); full_plan fills them structurally.

@@ -117,6 +117,10 @@ std::vector<LocalGraph> build_local_graphs(const Csr& g,
         lg.adj.nbrs[cursor++] = lu;
       }
     }
+    // True for every part of a symmetric graph (CooBuilder's default; its
+    // rows are sorted and de-duplicated, and the global→local map is
+    // monotone within a part), false for most directed ones.
+    lg.adj.inner_symmetric = nn::inner_block_is_symmetric(lg.adj);
   }
 
   // Send sets: our inner nodes that appear in peer j's halo. Walk each

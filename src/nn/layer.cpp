@@ -19,6 +19,34 @@ void BipartiteCsr::validate() const {
   BNSGCN_CHECK(edge_scale.empty() || edge_scale.size() == nbrs.size());
 }
 
+bool inner_block_is_symmetric(const BipartiteCsr& adj) {
+  const NodeId n = adj.n_dst;
+  // Walk the arcs in (dst, edge) order — the order the backward scatter
+  // adds them in. Arc (v, u) with u inner must be the next unmatched inner
+  // entry of row u. When every row's inner entries are then used up, each
+  // row u lists, in adjacency order, exactly the v of the arcs (v, u) in
+  // the scatter's order.
+  std::vector<EdgeId> next(adj.offsets.begin(), adj.offsets.end() - 1);
+  const auto skip_halo = [&](NodeId u) {
+    const EdgeId end = adj.offsets[static_cast<std::size_t>(u) + 1];
+    EdgeId& e = next[static_cast<std::size_t>(u)];
+    while (e < end && adj.nbrs[static_cast<std::size_t>(e)] >= n) ++e;
+    return e < end;
+  };
+  for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId u : adj.neighbors(v)) {
+      if (u >= n) continue;
+      if (!skip_halo(u)) return false;
+      EdgeId& e = next[static_cast<std::size_t>(u)];
+      if (adj.nbrs[static_cast<std::size_t>(e)] != v) return false;
+      ++e;
+    }
+  }
+  for (NodeId u = 0; u < n; ++u)
+    if (skip_halo(u)) return false;
+  return true;
+}
+
 namespace detail {
 
 void mean_aggregate_inner_rows_scalar(const BipartiteCsr& adj,
@@ -232,6 +260,35 @@ void mean_aggregate_backward_inner(const BipartiteCsr& adj, const Matrix& dout,
                                    Matrix& dinner) {
   BNSGCN_CHECK(dout.rows() == adj.n_dst);
   BNSGCN_CHECK(dinner.rows() == n_lo && dinner.cols() == dout.cols());
+  if (adj.inner_symmetric && adj.edge_scale.empty() && n_lo == adj.n_dst) {
+    if constexpr (kCheckedBuild) {
+      BNSGCN_REQUIRE(inner_block_is_symmetric(adj),
+                     "inner_symmetric set on an inner block that is not its "
+                     "own transpose");
+    }
+    BNSGCN_CHECK(static_cast<NodeId>(inv_deg.size()) == adj.n_dst);
+    // The scatter's term for arc (v, u) is w·dout[v] — one product per
+    // element, the one its kernels form — added to target u in (v, arc)
+    // order. Here the products are formed once per row, and F1 adds them
+    // to row u in its adjacency order, which the flag makes that order.
+    const std::int64_t d = dout.cols();
+    Matrix scaled(dout.rows(), d);
+    common::for_blocks(dout.rows(), detail::kRowBlock, [&](std::int64_t v0,
+                                                           std::int64_t v1) {
+      for (std::int64_t v = v0; v < v1; ++v) {
+        const float w = inv_deg[static_cast<std::size_t>(v)];
+        const float* g = dout.data() + v * d;
+        float* o = scaled.data() + v * d;
+        if (w == 0.0f) { // the scatter skips v: add the exact identity
+          std::fill(o, o + d, -0.0f);
+          continue;
+        }
+        for (std::int64_t c = 0; c < d; ++c) o[c] = w * g[c];
+      }
+    });
+    mean_aggregate_inner_rows(adj, scaled, 0, adj.n_dst, dinner);
+    return;
+  }
   if (simd::host_has_avx512f()) {
     detail::mean_aggregate_backward_inner_avx512(adj, dout, inv_deg, n_lo,
                                                  dinner);

@@ -26,6 +26,17 @@ struct BipartiteCsr {
   /// edge-sampling baselines (DropEdge / BES, Table 9) to keep the mean
   /// estimator unbiased: kept edges carry weight 1/keep_rate. Empty = all 1.
   std::vector<float> edge_scale;
+  /// Whether the inner block (the arcs whose source is below n_dst) is its
+  /// own transpose, in order: for every u < n_dst, row u's inner sources,
+  /// in adjacency order, are the v < n_dst whose rows hold u, ascending,
+  /// each as often as row v holds u (inner_block_is_symmetric). Then the
+  /// backward scatter's terms for target u arrive in row u's own order, so
+  /// an unweighted block with it set runs B2 as F1's gather
+  /// (mean_aggregate_backward_inner). A property of the graph, recorded
+  /// where the adjacency is built — core::build_local_graphs and
+  /// core::BoundarySampler's plans — and never configured; false where no
+  /// builder checked it.
+  bool inner_symmetric = false;
 
   [[nodiscard]] EdgeId num_edges() const {
     return offsets.empty() ? 0 : offsets.back();
@@ -40,6 +51,10 @@ struct BipartiteCsr {
   }
   void validate() const;
 };
+
+/// Checks the condition BipartiteCsr::inner_symmetric records. O(n_dst +
+/// edges).
+[[nodiscard]] bool inner_block_is_symmetric(const BipartiteCsr& adj);
 
 /// Mean neighbor aggregation (Eq. 1 with a mean aggregator):
 ///   out[v,:] = inv_deg[v] * sum_{u in adj(v)} src[u,:]
@@ -70,7 +85,8 @@ void mean_aggregate(const BipartiteCsr& adj, const Matrix& src,
 // chunk size bit-identical. Relative to mean_aggregate, whose rows take
 // inner and halo terms interleaved in adjacency order, this reassociates
 // the per-row sum (fp32 drift only). The two backward halves scatter into
-// disjoint targets, each receiving its contributions in (dst, edge) order.
+// disjoint targets, each receiving its contributions in (dst, edge) order
+// (B2 on a symmetric inner block runs as F1's gather, in the same order).
 //
 // F1, F2a, B1 and B2 each run one of two kernels (nn/aggregate_kernels.hpp),
 // picked once per process: an AVX-512F kernel when the host has it, the
@@ -135,6 +151,14 @@ void mean_aggregate_backward_halo(const BipartiteCsr& adj, const Matrix& dout,
 
 /// Inner half of the backward scatter: dinner[u,:] += w * dout[v,:] for
 /// sources u < n_lo. dinner must be pre-sized to (n_lo, d).
+///
+/// When the block is unweighted, n_lo == n_dst and adj.inner_symmetric is
+/// set, target u's terms in (dst, edge) order are row u's own inner
+/// entries in adjacency order, so this runs as F1's gather instead: form
+/// w·dout[v] once per row (-0.0f, the exact additive identity, for the
+/// rows the scatter skips, w == 0), then mean_aggregate_inner_rows over
+/// adj into dinner. Every element gets the scatter's operations in the
+/// scatter's order; checked builds re-verify the flag on every call.
 void mean_aggregate_backward_inner(const BipartiteCsr& adj, const Matrix& dout,
                                    std::span<const float> inv_deg, NodeId n_lo,
                                    Matrix& dinner);
@@ -343,10 +367,9 @@ class Layer {
   /// Serving mode (docs/ARCHITECTURE.md §10): forward-only execution. The
   /// forward fp instruction stream is unchanged — outputs stay bit-identical
   /// to a training=false forward — but the layer skips the pure-backward
-  /// caches (activation masks, the concat/feature caches backward_params
-  /// reads) and releases its gradient buffers. One-way in practice: after
-  /// switching, no backward phase may run until the next training forward
-  /// rebuilds the caches.
+  /// caches (activation masks, GAT's slope array) and releases its
+  /// gradient buffers. One-way in practice: after switching, no backward
+  /// phase may run until the next training forward rebuilds the caches.
   void set_inference(bool on) {
     inference_ = on;
     if (on) release_training_state();

@@ -1,14 +1,23 @@
 #include "nn/sage_layer.hpp"
 
+#include <cmath>
+
 #include "tensor/ops.hpp"
 
 namespace bnsgcn::nn {
 
 SageLayer::SageLayer(std::int64_t d_in, std::int64_t d_out,
                      const Options& opts, Rng& rng)
-    : Layer(d_in, d_out), opts_(opts), w_(2 * d_in, d_out), b_(1, d_out),
-      dw_(2 * d_in, d_out), db_(1, d_out), dropout_rng_(rng.next_u64()) {
-  ops::glorot_init(w_, rng);
+    : Layer(d_in, d_out), opts_(opts), dropout_rng_(rng.next_u64()),
+      w_neigh_(d_in, d_out), w_self_(d_in, d_out), b_(1, d_out),
+      dw_neigh_(d_in, d_out), dw_self_(d_in, d_out), db_(1, d_out) {
+  // ops::glorot_init of the whole (2·d_in) × d_out weight [W_neigh;
+  // W_self]: its fan, and one draw sequence in row-major order over the
+  // stacked blocks. A glorot_init per block would use the fan d_in + d_out.
+  const float stddev =
+      std::sqrt(2.0f / static_cast<float>(2 * d_in + d_out));
+  w_neigh_.randomize_gaussian(rng, stddev);
+  w_self_.randomize_gaussian(rng, stddev);
 }
 
 void SageLayer::forward_inner_begin(const BipartiteCsr& adj,
@@ -18,14 +27,10 @@ void SageLayer::forward_inner_begin(const BipartiteCsr& adj,
   BNSGCN_CHECK(inner_feats.rows() == adj.n_dst);
   cached_training_ = training;
   // Setup only: the halo-independent work — inner-source partial
-  // aggregation AND the self half of the transform (u·W splits as
-  // z·W[:d_in] + self·W[d_in:] under the concat layout) — runs in the row
+  // aggregation AND the self transform self·W_self — runs in the row
   // chunks, so RequestSet polls (and peer folds) can interleave.
   self_cache_ = inner_feats;
   z_partial_.resize(adj.n_dst, d_in_); // resize zero-fills
-  w_half_.resize(d_in_, d_out_);
-  std::copy(w_.data() + d_in_ * d_out_, w_.data() + 2 * d_in_ * d_out_,
-            w_half_.data());
   out_partial_.resize(adj.n_dst, d_out_);
 }
 
@@ -37,7 +42,7 @@ void SageLayer::forward_inner_chunk(const BipartiteCsr& adj, NodeId row0,
   // computes each row independently with the fixed k-loop order, so any
   // chunking is bit-identical to one whole-block GEMM — and no chunk
   // stages through heap copies.
-  ops::gemm_nn_rows(self_cache_, w_half_, out_partial_, row0, row1);
+  ops::gemm_nn_rows(self_cache_, w_self_, out_partial_, row0, row1);
   ops::add_row_bias_rows(out_partial_, b_, row0, row1);
 }
 
@@ -72,16 +77,10 @@ Matrix SageLayer::forward_halo_finish(const BipartiteCsr& adj,
   mean_aggregate_finish(inv_deg, z_partial_);
 
   Matrix out = std::move(out_partial_);
-  w_half_.resize(d_in_, d_out_);
-  std::copy(w_.data(), w_.data() + d_in_ * d_out_, w_half_.data());
-  ops::gemm_nn(z_partial_, w_half_, out, 1.0f, 1.0f);
+  ops::gemm_nn(z_partial_, w_neigh_, out, 1.0f, 1.0f);
 
-  // backward_params consumes the assembled concat; inference has no
-  // backward, so the cache (and the ReLU mask) are skipped — the output
-  // values are untouched by either skip.
-  if (!inference_) {
-    ops::concat_cols(z_partial_, self_cache_, u_cache_);
-  }
+  // Inference has no backward, so the ReLU mask is skipped — the output
+  // values are untouched by the skip.
   if (opts_.relu) {
     if (inference_) {
       ops::relu_forward(out);
@@ -116,10 +115,12 @@ Matrix SageLayer::backward_halo(const BipartiteCsr& adj, const Matrix& dout,
   // Only what the wire needs happens before the exchange is posted: the
   // activation backward and the halo-source scatter. Parameter gradients
   // wait for backward_params — they feed nothing until the epoch-end
-  // allreduce.
-  Matrix du(adj.n_dst, 2 * d_in_);
-  ops::gemm_nt(g_cache_, w_, du);
-  ops::split_cols(du, dz_cache_, dself_cache_, d_in_);
+  // allreduce. gemm_nt's element (i, j) reads only row j of its weight,
+  // so each block gives the bits of that half of g·Wᵀ.
+  dz_cache_.resize(adj.n_dst, d_in_);
+  dself_cache_.resize(adj.n_dst, d_in_);
+  ops::gemm_nt(g_cache_, w_neigh_, dz_cache_);
+  ops::gemm_nt(g_cache_, w_self_, dself_cache_);
 
   Matrix dhalo(adj.n_src - adj.n_dst, d_in_);
   mean_aggregate_backward_halo(adj, dz_cache_, inv_deg, adj.n_dst, dhalo);
@@ -129,7 +130,9 @@ Matrix SageLayer::backward_halo(const BipartiteCsr& adj, const Matrix& dout,
 Matrix SageLayer::backward_inner(const BipartiteCsr& adj,
                                  std::span<const float> inv_deg) {
   phase_check_.on_backward_inner();
-  Matrix dinner = dself_cache_; // the self half lands on inner rows 1:1
+  // The self rows' gradient lands on the inner rows 1:1, and nothing reads
+  // it after this phase.
+  Matrix dinner = std::move(dself_cache_);
   mean_aggregate_backward_inner(adj, dz_cache_, inv_deg, adj.n_dst, dinner);
   return dinner;
 }
@@ -137,16 +140,19 @@ Matrix SageLayer::backward_inner(const BipartiteCsr& adj,
 void SageLayer::backward_params(const BipartiteCsr&) {
   phase_check_.on_backward_params();
   // Deferred B3: dW/db feed nothing before the epoch-end allreduce, so the
-  // trainer runs this inside the *next* layer's exchange window. u_cache_
-  // and g_cache_ stay untouched until the next forward.
-  ops::gemm_tn(u_cache_, g_cache_, dw_, 1.0f, 1.0f);
+  // trainer runs this inside the *next* layer's exchange window. z, the
+  // self rows and g_cache_ stay untouched until the next forward.
+  // gemm_tn's element (kk, j) reads only column kk of its left operand, so
+  // each block gives the bits of that half of [z | self]ᵀ·g.
+  ops::gemm_tn(z_partial_, g_cache_, dw_neigh_, 1.0f, 1.0f);
+  ops::gemm_tn(self_cache_, g_cache_, dw_self_, 1.0f, 1.0f);
   ops::col_sum(g_cache_, db_);
 }
 
 void SageLayer::release_training_state() {
-  dw_.resize(0, 0);
+  dw_neigh_.resize(0, 0);
+  dw_self_.resize(0, 0);
   db_.resize(0, 0);
-  u_cache_.resize(0, 0);
   relu_mask_.resize(0, 0);
   dropout_mask_.resize(0, 0);
   dz_cache_.resize(0, 0);

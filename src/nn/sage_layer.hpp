@@ -8,7 +8,11 @@ namespace bnsgcn::nn {
 ///   z_v = mean_{u in N(v)} h_u                      (Eq. 1)
 ///   h'_v = act(W · concat(z_v, h_v) + b)            (Eq. 2)
 /// Optional ReLU and inverted dropout on the output (hidden layers); the
-/// final layer emits raw logits.
+/// final layer emits raw logits. W is held as its two row blocks, as in
+/// DGL's and PyG's SAGEConv: z·W_neigh + h·W_self, with no concatenated
+/// [z | h] or split gradient ever materialized. params() is
+/// [W_neigh, W_self, b], whose flattened form is byte for byte that of
+/// [W, b] with W = [W_neigh; W_self] (docs/ARCHITECTURE.md §6).
 class SageLayer final : public Layer {
  public:
   struct Options {
@@ -47,8 +51,12 @@ class SageLayer final : public Layer {
       const BipartiteCsr& adj, std::span<const float> inv_deg) override;
   void backward_params(const BipartiteCsr& adj) override;
 
-  std::vector<Matrix*> params() override { return {&w_, &b_}; }
-  std::vector<Matrix*> grads() override { return {&dw_, &db_}; }
+  std::vector<Matrix*> params() override {
+    return {&w_neigh_, &w_self_, &b_};
+  }
+  std::vector<Matrix*> grads() override {
+    return {&dw_neigh_, &dw_self_, &db_};
+  }
 
   /// RNG used for dropout masks; reseeded per rank by the trainer.
   void set_dropout_rng(Rng rng) { dropout_rng_ = rng; }
@@ -58,30 +66,31 @@ class SageLayer final : public Layer {
 
  private:
   Options opts_;
-  Matrix w_;  // (2*d_in, d_out)
-  Matrix b_;  // (1, d_out)
-  Matrix dw_;
-  Matrix db_;
   Rng dropout_rng_;
+  Matrix w_neigh_;  // (d_in, d_out) — multiplies the aggregate z
+  Matrix w_self_;   // (d_in, d_out) — multiplies the node's own row
+  Matrix b_;        // (1, d_out)
+  Matrix dw_neigh_;
+  Matrix dw_self_;
+  Matrix db_;
 
   // Forward caches for backward.
-  Matrix u_cache_;       // (n_dst, 2*d_in) — concat(z, h_self)
   Matrix relu_mask_;
   Matrix dropout_mask_;
   bool cached_training_ = false;
 
   // Split-phase scratch (valid between the calls of a phase group).
-  Matrix z_partial_;     // forward: unnormalized inner-source sums
+  Matrix z_partial_;     // forward: unnormalized inner-source sums, then
+                         // (from finish on) the aggregate z that B3 reads
   Matrix z_halo_;        // forward: folded halo sums — separate from
                          // z_partial_ so folds may land mid-F1 without
                          // perturbing the per-row order; combined at finish
   const HaloIncidence* halo_inc_ = nullptr; // caller-owned, set by
                                             // forward_halo_begin
-  Matrix self_cache_;    // forward: the inner feature block
+  Matrix self_cache_;    // forward: the inner feature block (B3 reads it)
   Matrix out_partial_;   // forward: self·W_self + b, built in phase F1
-  Matrix w_half_;        // staging copy of one d_in-row half of w_
-  Matrix dz_cache_;      // backward: aggregation-half gradient
-  Matrix dself_cache_;   // backward: self-half gradient
+  Matrix dz_cache_;      // backward: gradient of z, g·W_neighᵀ
+  Matrix dself_cache_;   // backward: gradient of the self rows, g·W_selfᵀ
   Matrix g_cache_;       // backward: post-activation gradient (for dw/db)
 };
 

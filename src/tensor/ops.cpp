@@ -1,7 +1,9 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/thread_pool.hpp"
@@ -19,12 +21,6 @@ namespace {
 // completion inside one block (common/thread_pool.hpp, determinism contract).
 using detail::kBlockM;
 constexpr std::int64_t kBlockK = 256;
-
-// Column grain for the scatter-shaped kernels (scatter_add_rows here, the
-// halo folds in nn/layer.cpp): destination rows repeat, so those kernels
-// split the feature axis instead — each lane walks the full entry list but
-// owns a disjoint column range, keeping the per-element entry order intact.
-constexpr std::int64_t kBlockCols = 64;
 
 } // namespace
 
@@ -162,15 +158,6 @@ void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
   }
 }
 
-void axpy(float a, const Matrix& x, Matrix& y) {
-  BNSGCN_CHECK(y.size() == x.size());
-  float* py = y.data();
-  const float* px = x.data();
-  const std::int64_t n = y.size();
-  // lint: allow(float-accum) — element-wise y[i] += a*x[i]; order-independent.
-  for (std::int64_t i = 0; i < n; ++i) py[i] += a * px[i];
-}
-
 void add_row_bias_rows(Matrix& x, const Matrix& bias, std::int64_t r0,
                        std::int64_t r1) {
   BNSGCN_CHECK(bias.rows() == 1 && bias.cols() == x.cols());
@@ -225,22 +212,45 @@ void relu_forward(Matrix& x) {
 
 void dropout_forward(Matrix& x, Matrix& mask, float p, Rng& rng) {
   BNSGCN_CHECK(p >= 0.0f && p < 1.0f);
-  mask.resize(x.rows(), x.cols());
+  // Every element of the mask is written below: a mask of the right shape
+  // (a layer's, from its previous step) is reused without zero-filling it.
+  if (mask.rows() != x.rows() || mask.cols() != x.cols())
+    mask.resize(x.rows(), x.cols());
   if (p == 0.0f) {
     mask.fill(1.0f);
     return;
   }
   const float keep_scale = 1.0f / (1.0f - p);
+  // An element drops when rng.next_float() < p, i.e. when k·2^-24 < p for
+  // k = next_u64() >> 40. Both scalings by 2^±24 are exact and k < 2^24 is
+  // an integer, so that is k < ceil(p·2^24): the same test on integers,
+  // which lets the draws run ahead of the values. Each chunk first draws
+  // one k per element, in element order; then a loop the compiler
+  // vectorizes turns each k into an all-ones or zero keep mask and selects
+  // through it (a select written as `drop ? 0.0f : x` compiles to an
+  // unpredictable branch). A dropped element becomes +0.0f with multiplier
+  // +0.0f, a kept one x·keep_scale with keep_scale (docs/ARCHITECTURE.md
+  // §6).
+  const auto drop_below = static_cast<std::int32_t>(std::ceil(p * 0x1.0p24f));
+  const auto scale_bits = std::bit_cast<std::int32_t>(keep_scale);
+  constexpr std::int64_t kChunk = 256;
+  std::int32_t draws[kChunk] = {};
   float* px = x.data();
   float* pm = mask.data();
   const std::int64_t n = x.size();
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (rng.next_float() < p) {
-      px[i] = 0.0f;
-      pm[i] = 0.0f;
-    } else {
-      px[i] *= keep_scale;
-      pm[i] = keep_scale;
+  // lint: allow(float-accum) — the += steps an integer chunk cursor.
+  for (std::int64_t i0 = 0; i0 < n; i0 += kChunk) {
+    const std::int64_t len = std::min(kChunk, n - i0);
+    for (std::int64_t j = 0; j < len; ++j)
+      draws[j] = static_cast<std::int32_t>(rng.next_u64() >> 40);
+    float* xc = px + i0;
+    float* mc = pm + i0;
+    for (std::int64_t j = 0; j < len; ++j) {
+      const std::int32_t keep = -static_cast<std::int32_t>(draws[j] >=
+                                                           drop_below);
+      const auto scaled = std::bit_cast<std::int32_t>(xc[j] * keep_scale);
+      xc[j] = std::bit_cast<float>(scaled & keep);
+      mc[j] = std::bit_cast<float>(scale_bits & keep);
     }
   }
 }
@@ -261,51 +271,6 @@ void gather_rows(const Matrix& src, std::span<const NodeId> idx, Matrix& out) {
       std::copy(s, s + d, out.data() + i * d);
     }
   });
-}
-
-void scatter_add_rows(const Matrix& src, std::span<const NodeId> idx,
-                      Matrix& dst) {
-  BNSGCN_CHECK(src.rows() == static_cast<std::int64_t>(idx.size()));
-  BNSGCN_CHECK(src.cols() == dst.cols());
-  const std::int64_t d = src.cols();
-  if constexpr (kCheckedBuild) {
-    for (std::size_t i = 0; i < idx.size(); ++i)
-      BNSGCN_BOUNDS(idx[i], dst.rows());
-  }
-  // idx may repeat destination rows, so lanes split the feature axis: each
-  // walks the whole index list (entry order — and with it each element's
-  // accumulation order — unchanged) but owns a disjoint column range.
-  common::for_blocks(d, kBlockCols, [&](std::int64_t c0, std::int64_t c1) {
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      const float* s = src.data() + static_cast<std::int64_t>(i) * d;
-      float* t = dst.data() + static_cast<std::int64_t>(idx[i]) * d;
-      for (std::int64_t c = c0; c < c1; ++c) t[c] += s[c];
-    }
-  });
-}
-
-void concat_cols(const Matrix& a, const Matrix& b, Matrix& out) {
-  BNSGCN_CHECK(a.rows() == b.rows());
-  out.resize(a.rows(), a.cols() + b.cols());
-  for (std::int64_t r = 0; r < a.rows(); ++r) {
-    float* o = out.data() + r * out.cols();
-    const float* pa = a.data() + r * a.cols();
-    const float* pb = b.data() + r * b.cols();
-    std::copy(pa, pa + a.cols(), o);
-    std::copy(pb, pb + b.cols(), o + a.cols());
-  }
-}
-
-void split_cols(const Matrix& out, Matrix& a, Matrix& b, std::int64_t a_cols) {
-  BNSGCN_CHECK(a_cols >= 0 && a_cols <= out.cols());
-  const std::int64_t b_cols = out.cols() - a_cols;
-  a.resize(out.rows(), a_cols);
-  b.resize(out.rows(), b_cols);
-  for (std::int64_t r = 0; r < out.rows(); ++r) {
-    const float* o = out.data() + r * out.cols();
-    std::copy(o, o + a_cols, a.data() + r * a_cols);
-    std::copy(o + a_cols, o + out.cols(), b.data() + r * b_cols);
-  }
 }
 
 void glorot_init(Matrix& w, Rng& rng) {

@@ -48,9 +48,6 @@ void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, float alpha = 1.0f,
 // Elementwise / rowwise.
 // ---------------------------------------------------------------------------
 
-/// y = a*x + y (axpy over the flat buffer).
-void axpy(float a, const Matrix& x, Matrix& y);
-
 /// x[r,:] += bias[0,:] for rows r in [r0, r1) only (chunked-stream
 /// companion of gemm_nn_rows).
 void add_row_bias_rows(Matrix& x, const Matrix& bias, std::int64_t r0,
@@ -72,26 +69,18 @@ void relu_forward(Matrix& x);
 void relu_backward(Matrix& grad, const Matrix& mask);
 
 /// Inverted dropout: zero with prob p, scale kept values by 1/(1-p).
-/// mask holds the applied multiplier so backward is grad *= mask.
+/// mask holds the applied multiplier so backward is grad *= mask. Draws
+/// one rng value per element, in element order; element i drops when that
+/// draw's next_float() would be < p.
 void dropout_forward(Matrix& x, Matrix& mask, float p, Rng& rng);
 void dropout_backward(Matrix& grad, const Matrix& mask);
 
 // ---------------------------------------------------------------------------
-// Gather / scatter over row indices — the halo exchange primitives.
+// Row gather (the minibatch baselines' input and label blocks).
 // ---------------------------------------------------------------------------
 
 /// out[i,:] = src[idx[i],:]. out is resized to (idx.size(), src.cols()).
 void gather_rows(const Matrix& src, std::span<const NodeId> idx, Matrix& out);
-
-/// dst[idx[i],:] += src[i,:]
-void scatter_add_rows(const Matrix& src, std::span<const NodeId> idx,
-                      Matrix& dst);
-
-/// Concatenate columns: out = [a | b].
-void concat_cols(const Matrix& a, const Matrix& b, Matrix& out);
-
-/// Split columns (backward of concat): a = out[:, :a_cols], b = rest.
-void split_cols(const Matrix& out, Matrix& a, Matrix& b, std::int64_t a_cols);
 
 // ---------------------------------------------------------------------------
 // Init / comparison helpers.

@@ -15,4 +15,11 @@ inline double frobenius_norm_sq(const Matrix& a) {
   return acc;
 }
 
+/// y = a*x + y over the flat buffers (sizes must match).
+inline void axpy(float a, const Matrix& x, Matrix& y) {
+  BNSGCN_CHECK(y.size() == x.size());
+  for (std::int64_t i = 0; i < y.size(); ++i)
+    y.data()[i] += a * x.data()[i];
+}
+
 } // namespace bnsgcn::test_helpers

@@ -52,6 +52,42 @@ TEST(BoundarySampler, FullPlanMatchesLocalGraph) {
   EXPECT_EQ(plan.dropped_edges, 0);
 }
 
+TEST(BoundarySampler, PlansKeepInnerSymmetryOnlyWhenEveryArcSurvives) {
+  // BNS draws, the full plan and the empty plan keep every inner arc
+  // unweighted, so they keep the local graph's flag; BES and DropEdge
+  // draws drop and weight arcs, so they clear it.
+  const auto lgs = two_part_graph(400, 4000, 12, nullptr);
+  ASSERT_TRUE(lgs[0].adj.inner_symmetric);
+  ASSERT_TRUE(lgs[1].adj.inner_symmetric);
+  for (const auto variant :
+       {SamplingVariant::kBns, SamplingVariant::kBoundaryEdge,
+        SamplingVariant::kDropEdge}) {
+    comm::Fabric fabric(2);
+    std::vector<BoundarySampler> samplers;
+    for (PartId r = 0; r < 2; ++r)
+      samplers.emplace_back(
+          lgs[static_cast<std::size_t>(r)],
+          BoundarySampler::Options{
+              .variant = variant,
+              .rate = 0.5f,
+              .seed = 90ull + static_cast<std::uint64_t>(r)});
+    const bool keeps = variant == SamplingVariant::kBns;
+    for (int epoch = 0; epoch < 2; ++epoch) {
+      for (const auto& plan : sample_together(samplers, fabric, epoch)) {
+        EXPECT_EQ(plan.adj.inner_symmetric, keeps)
+            << "variant " << static_cast<int>(variant);
+        if (keeps) {
+          EXPECT_TRUE(nn::inner_block_is_symmetric(plan.adj));
+        }
+      }
+    }
+    EXPECT_TRUE(samplers[0].full_plan().adj.inner_symmetric);
+  }
+  BoundarySampler none(lgs[0], {.variant = SamplingVariant::kBns,
+                                .rate = 0.0f});
+  EXPECT_TRUE(none.empty_plan().adj.inner_symmetric);
+}
+
 TEST(BoundarySampler, OutOfRangeRateIsRejectedBeforePlannerConstruction) {
   // Regression: the delegating constructor used to build the planner from
   // opts.rate *before* the range check ran, so an invalid rate reached

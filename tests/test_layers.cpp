@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <numeric>
 
+#include "common/thread_pool.hpp"
+#include "core/local_graph.hpp"
+#include "graph/generators.hpp"
 #include "matrix_helpers.hpp"
 #include "nn/gat_layer.hpp"
 #include "nn/sage_layer.hpp"
+#include "partition/partitioning.hpp"
 #include "tensor/ops.hpp"
 
 namespace bnsgcn {
@@ -85,7 +91,7 @@ TEST(MeanAggregate, BackwardMatchesForwardLinearity) {
   Matrix out0;
   nn::mean_aggregate(adj, src, inv, out0);
   Matrix src_eps = src;
-  ops::axpy(1e-3f, dir, src_eps);
+  test_helpers::axpy(1e-3f, dir, src_eps);
   Matrix out1;
   nn::mean_aggregate(adj, src_eps, inv, out1);
 
@@ -206,11 +212,166 @@ TEST(SageLayer, ParamsShapes) {
   Rng rng(10);
   nn::SageLayer layer(8, 16, {}, rng);
   const auto params = layer.params();
-  ASSERT_EQ(params.size(), 2u);
-  EXPECT_EQ(params[0]->rows(), 16); // concat doubles the input dim
+  ASSERT_EQ(params.size(), 3u);
+  EXPECT_EQ(params[0]->rows(), 8); // W_neigh
   EXPECT_EQ(params[0]->cols(), 16);
-  EXPECT_EQ(params[1]->rows(), 1);
+  EXPECT_EQ(params[1]->rows(), 8); // W_self
+  EXPECT_EQ(params[1]->cols(), 16);
+  EXPECT_EQ(params[2]->rows(), 1); // b
+  EXPECT_EQ(params[2]->cols(), 16);
+  // As many as the concatenated (2 * 8) x 16 weight and its bias.
   EXPECT_EQ(layer.num_params(), 16 * 16 + 16);
+}
+
+void expect_same_bits(const float* got, const float* want, std::int64_t n,
+                      const char* what) {
+  for (std::int64_t i = 0; i < n; ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << what << " differs at flat index " << i << ": " << got[i]
+        << " vs " << want[i];
+}
+
+void expect_same_bits(const Matrix& got, const Matrix& want,
+                      const char* what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  expect_same_bits(got.data(), want.data(), got.size(), what);
+}
+
+/// SAGE as formulated over one (2 d_in) x d_out weight W = [W_neigh;
+/// W_self] and the concatenation [z | self]: glorot_init of W after the
+/// dropout seed; forward self·W_self + b, then += z·W_neigh, through
+/// staging copies of the halves; B1 one gemm_nt against W, split into dz
+/// and dself; B2 the scatter onto dself; B3 one gemm_tn of [z | self]
+/// into dW. Built from the public kernels, in the order the layer ran
+/// them when it held W whole.
+struct ConcatSage {
+  std::int64_t d_in, d_out;
+  float dropout;
+  Rng dropout_rng;
+  Matrix w, b, dw, db;
+
+  ConcatSage(std::int64_t in, std::int64_t out, float p, Rng& rng)
+      : d_in(in), d_out(out), dropout(p), dropout_rng(rng.next_u64()),
+        w(2 * in, out), b(1, out), dw(2 * in, out), db(1, out) {
+    ops::glorot_init(w, rng);
+  }
+
+  [[nodiscard]] Matrix half(const Matrix& m, std::int64_t which) const {
+    Matrix h(d_in, m.cols());
+    std::copy(m.data() + which * d_in * m.cols(),
+              m.data() + (which + 1) * d_in * m.cols(), h.data());
+    return h;
+  }
+
+  /// One training step; returns (output, [dinner; dhalo]).
+  std::pair<Matrix, Matrix> step(const BipartiteCsr& adj,
+                                 std::span<const float> inv,
+                                 const Matrix& feats, const Matrix& dout) {
+    const NodeId n = adj.n_dst;
+    Matrix self(n, d_in);
+    std::copy(feats.data(), feats.data() + n * d_in, self.data());
+    // z: F1, the halo folds in their own buffer, the sum, the finish.
+    Matrix z(n, d_in), zh(n, d_in);
+    nn::mean_aggregate_inner_rows(adj, self, 0, n, z);
+    nn::HaloIncidence inc;
+    inc.build(adj, n);
+    std::vector<NodeId> slots(static_cast<std::size_t>(inc.n_halo));
+    std::iota(slots.begin(), slots.end(), NodeId{0});
+    nn::mean_aggregate_halo_fold(
+        inc, slots,
+        {feats.data() + n * d_in, static_cast<std::size_t>(inc.n_halo * d_in)},
+        d_in, zh);
+    for (std::int64_t i = 0; i < z.size(); ++i) z.data()[i] += zh.data()[i];
+    nn::mean_aggregate_finish(inv, z);
+
+    Matrix out(n, d_out), relu_mask, drop_mask;
+    ops::gemm_nn_rows(self, half(w, 1), out, 0, n);
+    ops::add_row_bias_rows(out, b, 0, n);
+    ops::gemm_nn(z, half(w, 0), out, 1.0f, 1.0f);
+    ops::relu_forward(out, relu_mask);
+    ops::dropout_forward(out, drop_mask, dropout, dropout_rng);
+
+    Matrix g = dout;
+    ops::dropout_backward(g, drop_mask);
+    ops::relu_backward(g, relu_mask);
+    Matrix du(n, 2 * d_in), dz(n, d_in), dinner(n, d_in);
+    ops::gemm_nt(g, w, du);
+    for (NodeId v = 0; v < n; ++v)
+      for (std::int64_t c = 0; c < d_in; ++c) {
+        dz.at(v, c) = du.at(v, c);
+        dinner.at(v, c) = du.at(v, d_in + c);
+      }
+    Matrix dhalo(adj.n_src - n, d_in);
+    nn::mean_aggregate_backward_halo(adj, dz, inv, n, dhalo);
+    BipartiteCsr scatter_adj = adj;
+    scatter_adj.inner_symmetric = false;
+    nn::mean_aggregate_backward_inner(scatter_adj, dz, inv, n, dinner);
+
+    Matrix u(n, 2 * d_in);
+    for (NodeId v = 0; v < n; ++v)
+      for (std::int64_t c = 0; c < d_in; ++c) {
+        u.at(v, c) = z.at(v, c);
+        u.at(v, d_in + c) = self.at(v, c);
+      }
+    ops::gemm_tn(u, g, dw, 1.0f, 1.0f);
+    ops::col_sum(g, db);
+
+    Matrix dfeats(adj.n_src, d_in);
+    std::copy(dinner.data(), dinner.data() + dinner.size(), dfeats.data());
+    std::copy(dhalo.data(), dhalo.data() + dhalo.size(),
+              dfeats.data() + dinner.size());
+    return {std::move(out), std::move(dfeats)};
+  }
+};
+
+TEST(SageLayer, TwoBlocksMatchTheConcatFormulation) {
+  // A partition of a symmetric random graph: inner rows with halo
+  // sources, a flagged inner block (so the layer's B2 gathers while the
+  // reference scatters), ragged widths, and two training steps so the
+  // gradients accumulate. Every value is compared bit for bit.
+  Rng graph_rng(61);
+  const Csr g = gen::erdos_renyi(320, 2600, graph_rng);
+  const auto part = random_partition(g.n, 2, graph_rng);
+  const auto lgs = core::build_local_graphs(g, part);
+  const BipartiteCsr& adj = lgs[0].adj;
+  ASSERT_TRUE(adj.inner_symmetric);
+  ASSERT_GT(adj.n_src, adj.n_dst);
+  const std::span<const float> inv = lgs[0].inv_full_degree;
+  for (const int lanes : {1, 3}) {
+    for (const auto& [d_in, d_out] :
+         {std::pair<std::int64_t, std::int64_t>{37, 19}, {70, 130}}) {
+      SCOPED_TRACE(::testing::Message() << lanes << " lanes, " << d_in
+                                        << " -> " << d_out);
+      common::set_ops_threads(lanes);
+      Rng rng(62), ref_rng(62);
+      nn::SageLayer layer(d_in, d_out, {.relu = true, .dropout = 0.3f}, rng);
+      ConcatSage ref(d_in, d_out, 0.3f, ref_rng);
+      EXPECT_EQ(rng.next_u64(), ref_rng.next_u64()) << "draws consumed";
+      const auto params = layer.params();
+      ASSERT_EQ(params.size(), 3u);
+      expect_same_bits(*params[0], ref.half(ref.w, 0), "initial W_neigh");
+      expect_same_bits(*params[1], ref.half(ref.w, 1), "initial W_self");
+      expect_same_bits(*params[2], ref.b, "initial b");
+      Rng data_rng(63);
+      for (int step = 0; step < 2; ++step) {
+        Matrix feats(adj.n_src, d_in), dout(adj.n_dst, d_out);
+        feats.randomize_gaussian(data_rng, 1.0f);
+        dout.randomize_gaussian(data_rng, 1.0f);
+        const Matrix out = layer.forward(adj, feats, inv, /*training=*/true);
+        const Matrix dfeats = layer.backward(adj, dout, inv);
+        const auto [want_out, want_dfeats] = ref.step(adj, inv, feats, dout);
+        expect_same_bits(out, want_out, "forward output");
+        expect_same_bits(dfeats, want_dfeats, "[dinner; dhalo]");
+        const auto grads = layer.grads();
+        expect_same_bits(*grads[0], ref.half(ref.dw, 0), "dW_neigh");
+        expect_same_bits(*grads[1], ref.half(ref.dw, 1), "dW_self");
+        expect_same_bits(*grads[2], ref.db, "db");
+      }
+      common::set_ops_threads(1);
+    }
+  }
 }
 
 TEST(GatLayer, GradientsMatchFiniteDifference) {
@@ -312,22 +473,33 @@ TEST(FlattenGrads, RoundTrip) {
       std::make_unique<nn::SageLayer>(4, 3, nn::SageLayer::Options{}, rng));
   layers.push_back(
       std::make_unique<nn::SageLayer>(3, 2, nn::SageLayer::Options{}, rng));
-  // Fill gradients with recognizable values.
-  float fill = 1.0f;
-  for (auto& l : layers)
-    for (Matrix* g : l->grads()) {
-      g->fill(fill);
-      fill += 1.0f;
-    }
+  // Number every gradient element by its flat position in the layout of a
+  // layer holding [W, b], W the (2 d_in) x d_out concatenated weight:
+  // W_neigh's rows are W's first d_in rows, W_self's the next d_in.
+  float next = 0.0f;
+  for (auto& l : layers) {
+    const auto grads = l->grads();
+    ASSERT_EQ(grads.size(), 3u);
+    Matrix w(2 * l->d_in(), l->d_out()), b(1, l->d_out());
+    for (float& v : w.flat()) v = next++;
+    for (float& v : b.flat()) v = next++;
+    std::copy(w.data(), w.data() + grads[0]->size(), grads[0]->data());
+    std::copy(w.data() + grads[0]->size(), w.data() + w.size(),
+              grads[1]->data());
+    *grads[2] = b;
+  }
   auto flat = nn::flatten_grads(layers);
   const std::size_t expect_size = static_cast<std::size_t>(
       (8 * 3 + 3) + (6 * 2 + 2));
   ASSERT_EQ(flat.size(), expect_size);
+  for (std::size_t i = 0; i < flat.size(); ++i)
+    ASSERT_EQ(flat[i], static_cast<float>(i)) << "flat index " << i;
   // Scale and write back.
   for (auto& v : flat) v *= 2.0f;
   nn::apply_flat_grads(flat, layers);
-  EXPECT_FLOAT_EQ(layers[0]->grads()[0]->at(0, 0), 2.0f);
-  EXPECT_FLOAT_EQ(layers[1]->grads()[1]->at(0, 0), 8.0f);
+  EXPECT_FLOAT_EQ(layers[0]->grads()[0]->at(0, 0), 0.0f);
+  EXPECT_FLOAT_EQ(layers[0]->grads()[1]->at(0, 0), 2.0f * 12.0f);
+  EXPECT_FLOAT_EQ(layers[1]->grads()[2]->at(0, 1), 2.0f * 40.0f);
 }
 
 } // namespace

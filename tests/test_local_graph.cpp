@@ -46,6 +46,33 @@ TEST(LocalGraph, HandBuiltPath) {
   EXPECT_EQ(c.inner_global[static_cast<std::size_t>(c.send_sets[0][0])], 2);
 }
 
+TEST(LocalGraph, InnerSymmetryIsRecordedFromTheGraph) {
+  // A symmetric graph gives every part an inner block that is its own
+  // transpose; one directed arc inside a part clears that part's flag.
+  Rng rng(3);
+  const Csr sym = gen::erdos_renyi(400, 3000, rng);
+  const auto part = random_partition(sym.n, 3, rng);
+  for (const LocalGraph& lg : build_local_graphs(sym, part)) {
+    EXPECT_TRUE(lg.adj.inner_symmetric) << "part " << lg.part_id;
+    EXPECT_TRUE(nn::inner_block_is_symmetric(lg.adj));
+  }
+
+  // Path 0 -> 1 -> 2 <-> 3 built with symmetrize = false, split {0,1,2} |
+  // {3}: part 0 holds the one-way arcs 0 -> 1 and 1 -> 2.
+  CooBuilder b(4);
+  b.add_edge(0, 1);
+  b.add_edge(1, 2);
+  b.add_edge(2, 3);
+  b.add_edge(3, 2);
+  const Csr directed = b.build({.symmetrize = false});
+  Partitioning split;
+  split.nparts = 2;
+  split.owner = {0, 0, 0, 1};
+  const auto lgs = build_local_graphs(directed, split);
+  EXPECT_FALSE(lgs[0].adj.inner_symmetric);
+  EXPECT_TRUE(lgs[1].adj.inner_symmetric); // {3}: no inner arcs at all
+}
+
 TEST(LocalGraph, SendRecvSymmetry) {
   // What j sends to i must be exactly i's halo owned by j, in order.
   Rng rng(1);

@@ -153,7 +153,7 @@ TEST(Ops, GemmAssociativityWithIdentity) {
 TEST(Ops, Axpy) {
   Matrix a{{1, 2}};
   Matrix b{{3, 4}};
-  ops::axpy(0.5f, b, a);
+  test_helpers::axpy(0.5f, b, a);
   EXPECT_FLOAT_EQ(a.at(0, 0), 2.5f);
   EXPECT_FLOAT_EQ(a.at(0, 1), 4.0f);
 }
@@ -247,6 +247,126 @@ TEST(Ops, DropoutIsUnbiased) {
   EXPECT_NEAR(sum / kTrials, 1.0, 0.02);
 }
 
+/// dropout_forward as it was before its draws ran ahead in chunks: one
+/// next_float() per element, compared with p as a float, and a branch.
+/// The reference the chunked, branch-free version is pinned to.
+void dropout_per_element_branch(Matrix& x, Matrix& mask, float p, Rng& rng) {
+  mask.resize(x.rows(), x.cols());
+  if (p == 0.0f) {
+    mask.fill(1.0f);
+    return;
+  }
+  const float keep_scale = 1.0f / (1.0f - p);
+  for (std::int64_t i = 0; i < x.size(); ++i) {
+    if (rng.next_float() < p) {
+      x.data()[i] = 0.0f;
+      mask.data()[i] = 0.0f;
+    } else {
+      x.data()[i] *= keep_scale;
+      mask.data()[i] = keep_scale;
+    }
+  }
+}
+
+/// Runs dropout_forward and the per-element reference on copies of x and
+/// of rng; output bits, mask bits and the generators' next draws must
+/// agree.
+void expect_dropout_matches_reference(const Matrix& x, float p,
+                                      const Rng& rng) {
+  SCOPED_TRACE(::testing::Message() << "p = " << p << " (p * 2^24 = "
+                                    << static_cast<double>(p) * 0x1p24
+                                    << "), " << x.size() << " elements");
+  Matrix got = x, want = x, got_mask, want_mask;
+  Rng got_rng = rng, want_rng = rng;
+  ops::dropout_forward(got, got_mask, p, got_rng);
+  dropout_per_element_branch(want, want_mask, p, want_rng);
+  const auto bits = [](float f) { return std::bit_cast<std::uint32_t>(f); };
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got_mask.size(), want_mask.size());
+  for (std::int64_t i = 0; i < x.size(); ++i) {
+    ASSERT_EQ(bits(got.data()[i]), bits(want.data()[i]))
+        << "output of " << x.data()[i] << " at flat index " << i;
+    ASSERT_EQ(bits(got_mask.data()[i]), bits(want_mask.data()[i]))
+        << "mask at flat index " << i;
+  }
+  for (int k = 0; k < 4; ++k)
+    ASSERT_EQ(got_rng.next_u64(), want_rng.next_u64())
+        << "generator state after the call, draw " << k;
+}
+
+/// x of the given shape: Gaussian values, the specials below first, and
+/// about one element in four replaced by a special.
+Matrix dropout_input(std::int64_t rows, std::int64_t cols, Rng& rng) {
+  using L = std::numeric_limits<float>;
+  const float specials[] = {0.0f,           -0.0f,           L::infinity(),
+                            -L::infinity(), L::quiet_NaN(),  -L::quiet_NaN(),
+                            L::denorm_min(), -L::denorm_min(), 1e-39f,
+                            -1e-39f,        L::max(),        L::lowest(),
+                            3e38f,          -3e38f}; // the last four overflow
+  constexpr auto kSpecials = std::size(specials);
+  Matrix x(rows, cols);
+  x.randomize_gaussian(rng, 1.0f);
+  for (std::size_t i = 0; i < kSpecials && i < static_cast<std::size_t>(
+                                                  x.size());
+       ++i)
+    x.data()[i] = specials[i];
+  for (std::int64_t i = static_cast<std::int64_t>(kSpecials); i < x.size();
+       ++i) {
+    if (rng.next_u64() % 4 == 0)
+      x.data()[i] = specials[rng.next_u64() % kSpecials];
+  }
+  return x;
+}
+
+TEST(Ops, DropoutMatchesPerElementReference) {
+  // 0.1, 0.3 and 0.9 scale to non-integers under 2^24, 0.5 and 0.375 to
+  // integers; 2^-24 and 1 - 2^-24 are the extreme integer thresholds 1
+  // and 2^24 - 1, and 3·2^-26 the threshold 0.75. Shapes leave tails under
+  // the 256-element draw chunk and under every vector width; 8000 × 64 is
+  // a SAGE hidden layer.
+  const float rates[] = {0.0f,   0.1f,  0.3f,           0.5f,
+                         0.9f,   0.375f, 0x1p-24f,      1.0f - 0x1p-24f,
+                         0x3p-26f};
+  const std::pair<std::int64_t, std::int64_t> shapes[] = {
+      {1, 1}, {1, 14}, {37, 19}, {16, 16}, {129, 41}, {8000, 64}};
+  Rng data_rng(31);
+  for (const auto& [rows, cols] : shapes) {
+    const Matrix x = dropout_input(rows, cols, data_rng);
+    for (const float p : rates)
+      expect_dropout_matches_reference(x, p, Rng(data_rng.next_u64()));
+  }
+}
+
+TEST(Ops, DropoutThresholdIsExactAtTheDrawItself) {
+  // A random rate almost never lands on a draw, so an off-by-one in the
+  // integer threshold would pass the test above. Here the rate is built
+  // from one element's own draw k = next_u64() >> 40: p = k·2^-24 must keep
+  // that element (k < k is false) and p = (k + 1/2)·2^-24 must drop it.
+  Rng data_rng(32);
+  const Matrix x = dropout_input(50, 30, data_rng);
+  int cases = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const Rng rng(seed);
+    Rng peek = rng;
+    const auto at = static_cast<std::int64_t>(seed * 37 % x.size());
+    std::uint64_t k = 0;
+    for (std::int64_t i = 0; i <= at; ++i) k = peek.next_u64() >> 40;
+    if (k == 0 || k >= (1u << 23)) continue; // k + 1/2 needs 24 bits
+    const float on = static_cast<float>(k) * 0x1p-24f;
+    const float between = (static_cast<float>(k) + 0.5f) * 0x1p-24f;
+    expect_dropout_matches_reference(x, on, rng);
+    expect_dropout_matches_reference(x, between, rng);
+    Matrix kept = x, dropped = x, mask;
+    Rng r1 = rng, r2 = rng;
+    ops::dropout_forward(kept, mask, on, r1);
+    EXPECT_NE(mask.data()[at], 0.0f) << "seed " << seed;
+    ops::dropout_forward(dropped, mask, between, r2);
+    EXPECT_EQ(mask.data()[at], 0.0f) << "seed " << seed;
+    ++cases;
+  }
+  EXPECT_GE(cases, 10);
+}
+
 TEST(Ops, GatherRows) {
   Matrix src{{1, 1}, {2, 2}, {3, 3}};
   std::vector<NodeId> idx{2, 0};
@@ -257,40 +377,18 @@ TEST(Ops, GatherRows) {
   EXPECT_FLOAT_EQ(out.at(1, 0), 1.0f);
 }
 
-TEST(Ops, ScatterAddRows) {
-  Matrix src{{1, 1}, {2, 2}};
-  Matrix dst(3, 2);
-  std::vector<NodeId> idx{1, 1};
-  ops::scatter_add_rows(src, idx, dst);
-  EXPECT_FLOAT_EQ(dst.at(1, 0), 3.0f);
-  EXPECT_FLOAT_EQ(dst.at(0, 0), 0.0f);
-}
-
-TEST(Ops, GatherScatterRoundTrip) {
+TEST(Ops, GatherRowsOfRandomMatrix) {
   Rng rng(4);
   Matrix src(10, 5);
   src.randomize_gaussian(rng, 1.0f);
   std::vector<NodeId> idx{0, 3, 7, 9};
   Matrix picked;
   ops::gather_rows(src, idx, picked);
-  Matrix back(10, 5);
-  ops::scatter_add_rows(picked, idx, back);
-  for (const NodeId i : idx)
+  ASSERT_EQ(picked.rows(), 4);
+  for (std::size_t k = 0; k < idx.size(); ++k)
     for (std::int64_t c = 0; c < 5; ++c)
-      EXPECT_FLOAT_EQ(back.at(i, c), src.at(i, c));
-}
-
-TEST(Ops, ConcatAndSplitColsRoundTrip) {
-  Matrix a{{1, 2}, {3, 4}};
-  Matrix b{{5}, {6}};
-  Matrix cat;
-  ops::concat_cols(a, b, cat);
-  EXPECT_EQ(cat.cols(), 3);
-  EXPECT_FLOAT_EQ(cat.at(1, 2), 6.0f);
-  Matrix a2, b2;
-  ops::split_cols(cat, a2, b2, 2);
-  EXPECT_LT(ops::max_abs_diff(a, a2), 1e-7f);
-  EXPECT_LT(ops::max_abs_diff(b, b2), 1e-7f);
+      EXPECT_EQ(picked.at(static_cast<std::int64_t>(k), c),
+                src.at(idx[k], c));
 }
 
 TEST(Ops, MaxAbsDiffSeesNaN) {
@@ -453,7 +551,7 @@ TEST(OpsThreadsParity, GemmNt) {
   });
 }
 
-TEST(OpsThreadsParity, GatherAndScatter) {
+TEST(OpsThreadsParity, GatherRows) {
   Rng rng(16);
   Matrix src(50, 100);
   src.randomize_gaussian(rng, 1.0f);
@@ -462,13 +560,6 @@ TEST(OpsThreadsParity, GatherAndScatter) {
     idx.push_back(static_cast<NodeId>((i * 17 + 3) % 50)); // repeats
   check_threads_parity("gather_rows", [&](Matrix& out) {
     ops::gather_rows(src, idx, out);
-  });
-  Matrix rows(static_cast<std::int64_t>(idx.size()), 100);
-  rows.randomize_gaussian(rng, 1.0f);
-  check_threads_parity("scatter_add_rows", [&](Matrix& dst) {
-    dst.resize(50, 100);
-    dst.fill(0.125f);
-    ops::scatter_add_rows(rows, idx, dst);
   });
 }
 
@@ -949,6 +1040,202 @@ TEST(AggregateDispatch, BackwardInnerMatchesScalar) {
           nn::mean_aggregate_backward_inner(g.adj, dout, g.inv, n_lo, dinner);
         });
   });
+}
+
+/// A random adjacency whose inner block is its own transpose: n_dst inner
+/// rows over n_dst + n_halo sources. Inner edges (self-loops included) are
+/// stored both ways, each row's inner entries ascend without repeats, halo
+/// arcs sit at random positions among them, and rows 5, 16, 27, … have no
+/// inner arcs.
+nn::BipartiteCsr random_symmetric_adj(Rng& rng, NodeId n_dst, NodeId n_halo) {
+  std::vector<std::vector<NodeId>> inner(static_cast<std::size_t>(n_dst));
+  for (NodeId k = 0; k < 4 * n_dst; ++k) {
+    const auto u = static_cast<NodeId>(
+        rng.next_below(static_cast<std::uint64_t>(n_dst)));
+    const auto v = static_cast<NodeId>(
+        rng.next_below(static_cast<std::uint64_t>(n_dst)));
+    if (u % 11 == 5 || v % 11 == 5) continue;
+    inner[static_cast<std::size_t>(u)].push_back(v);
+    inner[static_cast<std::size_t>(v)].push_back(u);
+  }
+  nn::BipartiteCsr adj;
+  adj.n_dst = n_dst;
+  adj.n_src = n_dst + n_halo;
+  adj.offsets.push_back(0);
+  for (auto& row : inner) {
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
+    const auto halo_arcs = rng.next_below(4);
+    for (std::uint64_t h = 0; h < halo_arcs && n_halo > 0; ++h) {
+      const auto at = static_cast<std::ptrdiff_t>(rng.next_below(row.size() + 1));
+      row.insert(row.begin() + at,
+                 n_dst + static_cast<NodeId>(rng.next_below(
+                             static_cast<std::uint64_t>(n_halo))));
+    }
+    adj.nbrs.insert(adj.nbrs.end(), row.begin(), row.end());
+    adj.offsets.push_back(static_cast<EdgeId>(adj.nbrs.size()));
+  }
+  adj.validate();
+  adj.inner_symmetric = nn::inner_block_is_symmetric(adj);
+  return adj;
+}
+
+/// The normalizers of a symmetric block, with a zero, a -0.0f, a subnormal
+/// and a NaN on rows that have arcs: the scatter skips the two zero rows,
+/// the gather adds -0.0f for them.
+std::vector<float> special_inv_degrees(const nn::BipartiteCsr& adj) {
+  auto inv = inv_degrees(adj);
+  inv[4] = 0.0f;
+  inv[6] = -0.0f;
+  inv[8] = std::numeric_limits<float>::denorm_min();
+  inv[9] = std::numeric_limits<float>::quiet_NaN();
+  return inv;
+}
+
+TEST(BackwardInnerGather, MatchesTheScatterOnSymmetricBlocks) {
+  // B2 on a flagged, unweighted block runs as F1's gather; the reference
+  // is the scalar scatter kernel, at 1 and 3 lanes, on inputs and starting
+  // rows with specials (a -0.0f start tells an added +0.0f apart).
+  Rng rng(52);
+  const auto adj = random_symmetric_adj(rng, 150, 50);
+  ASSERT_TRUE(adj.inner_symmetric);
+  for (const NodeId v : {4, 6, 8, 9}) ASSERT_GT(adj.degree(v), 0) << v;
+  const auto inv = special_inv_degrees(adj);
+  for (const std::int64_t d : kAggWidths) {
+    SCOPED_TRACE(::testing::Message() << "d " << d);
+    const Matrix dout = special_matrix(adj.n_dst, d, rng);
+    check_agg_dispatch(
+        special_matrix(adj.n_dst, d, rng),
+        [&](Matrix& dinner) {
+          nn::detail::mean_aggregate_backward_inner_scalar(adj, dout, inv,
+                                                           adj.n_dst, dinner);
+        },
+        [&](Matrix& dinner) {
+          nn::mean_aggregate_backward_inner(adj, dout, inv, adj.n_dst, dinner);
+        });
+  }
+  // Every row -0.0f, the gradient too: each term is then -0.0f and leaves
+  // its target at -0.0f, so a +0.0f added for a row the scatter skips
+  // (w == 0) would show as a flipped sign.
+  const Matrix zeros(adj.n_dst, 17, -0.0f);
+  check_agg_dispatch(
+      zeros,
+      [&](Matrix& dinner) {
+        nn::detail::mean_aggregate_backward_inner_scalar(adj, zeros, inv,
+                                                         adj.n_dst, dinner);
+      },
+      [&](Matrix& dinner) {
+        nn::mean_aggregate_backward_inner(adj, zeros, inv, adj.n_dst, dinner);
+      });
+}
+
+TEST(BackwardInnerGather, WeightedOrSplitBlocksTakeTheScatter) {
+  // The gather covers only an unweighted block with n_lo == n_dst: a
+  // weighted block and a narrower inner range keep the scatter's result
+  // though the flag is set.
+  Rng rng(53);
+  auto adj = random_symmetric_adj(rng, 150, 50);
+  ASSERT_TRUE(adj.inner_symmetric);
+  const auto inv = special_inv_degrees(adj);
+  const std::int64_t d = 65;
+  const Matrix dout = special_matrix(adj.n_dst, d, rng);
+  check_agg_dispatch(
+      special_matrix(adj.n_dst / 2, d, rng),
+      [&](Matrix& dinner) {
+        nn::detail::mean_aggregate_backward_inner_scalar(adj, dout, inv,
+                                                         adj.n_dst / 2, dinner);
+      },
+      [&](Matrix& dinner) {
+        nn::mean_aggregate_backward_inner(adj, dout, inv, adj.n_dst / 2,
+                                          dinner);
+      });
+  for (std::size_t e = 0; e < adj.nbrs.size(); ++e)
+    adj.edge_scale.push_back(0.5f + static_cast<float>(e % 7) * 0.25f);
+  check_agg_dispatch(
+      special_matrix(adj.n_dst, d, rng),
+      [&](Matrix& dinner) {
+        nn::detail::mean_aggregate_backward_inner_scalar(adj, dout, inv,
+                                                         adj.n_dst, dinner);
+      },
+      [&](Matrix& dinner) {
+        nn::mean_aggregate_backward_inner(adj, dout, inv, adj.n_dst, dinner);
+      });
+}
+
+TEST(BackwardInnerGather, FlagOnAnAsymmetricBlockIsCaughtOrGathers) {
+  // Drop one inner arc one way and keep the flag: checked builds refuse
+  // the call; release builds take the gather, whose result then differs
+  // from the scatter's — so the flag, not the graph, picks the path.
+  Rng rng(54);
+  auto adj = random_symmetric_adj(rng, 60, 10);
+  NodeId v = 0;
+  while (adj.degree(v) == 0 || adj.neighbors(v)[0] >= adj.n_dst ||
+         adj.neighbors(v)[0] == v)
+    ++v;
+  const auto e = static_cast<std::ptrdiff_t>(
+      adj.offsets[static_cast<std::size_t>(v)]);
+  adj.nbrs.erase(adj.nbrs.begin() + e);
+  for (auto o = static_cast<std::size_t>(v) + 1; o < adj.offsets.size(); ++o)
+    --adj.offsets[o];
+  adj.validate();
+  EXPECT_FALSE(nn::inner_block_is_symmetric(adj));
+  ASSERT_TRUE(adj.inner_symmetric);
+  const auto inv = inv_degrees(adj);
+  Matrix dout(adj.n_dst, 16);
+  dout.randomize_gaussian(rng, 1.0f);
+  Matrix scattered(adj.n_dst, 16), gathered(adj.n_dst, 16);
+  nn::detail::mean_aggregate_backward_inner_scalar(adj, dout, inv, adj.n_dst,
+                                                   scattered);
+  if constexpr (kCheckedBuild) {
+    EXPECT_THROW(nn::mean_aggregate_backward_inner(adj, dout, inv, adj.n_dst,
+                                                   gathered),
+                 CheckError);
+  } else {
+    nn::mean_aggregate_backward_inner(adj, dout, inv, adj.n_dst, gathered);
+    EXPECT_GT(ops::max_abs_diff(gathered, scattered), 0.0f);
+  }
+}
+
+TEST(BackwardInnerGather, SymmetryCheckRejectsEachBrokenCondition) {
+  Rng rng(55);
+  const auto sym = random_symmetric_adj(rng, 40, 8);
+  ASSERT_TRUE(nn::inner_block_is_symmetric(sym));
+  // The first row with two inner entries other than itself, and the
+  // position of the first.
+  NodeId v = 0;
+  std::size_t first = 0;
+  for (;; ++v) {
+    std::vector<std::size_t> at;
+    for (auto e = static_cast<std::size_t>(sym.offsets[static_cast<std::size_t>(v)]);
+         e < static_cast<std::size_t>(sym.offsets[static_cast<std::size_t>(v) + 1]);
+         ++e)
+      if (sym.nbrs[e] < sym.n_dst && sym.nbrs[e] != v) at.push_back(e);
+    if (at.size() >= 2) {
+      first = at[0];
+      auto swapped = sym; // both inner entries present, out of order
+      std::swap(swapped.nbrs[at[0]], swapped.nbrs[at[1]]);
+      EXPECT_FALSE(nn::inner_block_is_symmetric(swapped));
+      break;
+    }
+  }
+  auto repeated = sym; // an inner entry listed twice in its row only
+  repeated.nbrs.insert(repeated.nbrs.begin() + static_cast<std::ptrdiff_t>(first),
+                       sym.nbrs[first]);
+  for (auto o = static_cast<std::size_t>(v) + 1; o < repeated.offsets.size();
+       ++o)
+    ++repeated.offsets[o];
+  repeated.validate();
+  EXPECT_FALSE(nn::inner_block_is_symmetric(repeated));
+  auto one_way = sym; // an inner arc with no reverse (a halo arc instead)
+  one_way.nbrs[first] = sym.n_dst;
+  EXPECT_FALSE(nn::inner_block_is_symmetric(one_way));
+  auto halo_moved = sym; // halo entries may sit anywhere in a row
+  for (NodeId u = 0; u < sym.n_dst; ++u) {
+    auto b = halo_moved.nbrs.begin() + halo_moved.offsets[static_cast<std::size_t>(u)];
+    auto e = halo_moved.nbrs.begin() + halo_moved.offsets[static_cast<std::size_t>(u) + 1];
+    std::stable_partition(b, e, [&](NodeId s) { return s >= sym.n_dst; });
+  }
+  EXPECT_TRUE(nn::inner_block_is_symmetric(halo_moved));
 }
 
 TEST(AggregateDispatch, MeanAggregateMatchesOnePassDefinition) {

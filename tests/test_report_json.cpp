@@ -65,7 +65,8 @@ api::ServeReport sample_serve_report() {
 }
 
 /// sample_report() and sample_serve_report() as written before non-finite
-/// numbers had tokens; every finite number must keep this text.
+/// numbers had tokens; every finite number must keep this text, except
+/// the logit -0.0f, which is written -0.0 (it was 0, losing the sign).
 constexpr const char* kSampleReportText =
     R"json({"method":"bns","dataset":"reddit-like \"scaled\"","train_loss":[1.5)json"
     R"json(1234567890123,0.75,0.33333333333333331],"curve":[{"epoch":2,"val":0.)json"
@@ -96,7 +97,8 @@ constexpr const char* kSampleServeReportText =
     R"json(:0.10000000000000001,"feature_bytes":2048,"control_bytes":9,"cache_h)json"
     R"json(it_rows":3,"cache_miss_rows":1,"bytes_saved":96}],"queries":[4,9,1,7)json"
     R"json(],"predictions":[1,0,0,1],"logits":[0.10000000149011612,-2.5,3,1.000)json"
-    R"json(0000116860974e-07,0,7,0.3333333432674408,-1.0000000150474662e+30],"d)json"
+    R"json(0000116860974e-07,-0.0,7,0.3333333432674408,-1.0000000150474662e+30],)json"
+    R"json("d)json"
     R"json(erived":{"total_queries":4,"p50_latency_s":0.125,"p99_latency_s":0.2)json"
     R"json(5,"qps":10.666666666666666,"cache_hit_rows":3,"cache_miss_rows":1,"c)json"
     R"json(ache_bytes_saved":96,"cache_hit_rate":0.75}})json";
@@ -193,6 +195,30 @@ TEST(ReportJson, NonFiniteNumbersRoundTrip) {
   EXPECT_EQ(sback.logits[3], -finf);
   EXPECT_EQ(sback.serve_wall_s, inf);
   EXPECT_EQ(sback.batches[0].comm_s, -inf);
+}
+
+TEST(ReportJson, NegativeZeroKeepsItsSign) {
+  // A -0.0 loss or logit comes back as -0.0, not +0.0: the two compare
+  // equal, so only the sign bit can tell them apart.
+  api::RunReport r = sample_report();
+  r.train_loss = {1.5, -0.0, 0.0};
+  r.final_val = -0.0;
+  const std::string text = api::to_json_string(r, -1);
+  EXPECT_NE(text.find("[1.5,-0.0,0]"), std::string::npos) << text;
+  const api::RunReport back = api::run_report_from_json_string(text);
+  ASSERT_EQ(back.train_loss.size(), 3u);
+  EXPECT_TRUE(std::signbit(back.train_loss[1]));
+  EXPECT_FALSE(std::signbit(back.train_loss[2]));
+  EXPECT_TRUE(std::signbit(back.final_val));
+
+  const api::ServeReport s = sample_serve_report();
+  ASSERT_TRUE(std::signbit(s.logits[4]));
+  const api::ServeReport sback =
+      api::serve_report_from_json_string(api::to_json_string(s));
+  ASSERT_EQ(sback.logits.size(), s.logits.size());
+  EXPECT_EQ(sback.logits[4], 0.0f);
+  EXPECT_TRUE(std::signbit(sback.logits[4]));
+  EXPECT_FALSE(std::signbit(sback.logits[5]));
 }
 
 TEST(ReportJson, RoundTripOfRealRun) {
