@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the kernels the trainer spends
-// its time in: GEMM, mean aggregation, GAT's attention combine, the
-// halo-cache directory, boundary sampling/compaction, and the METIS-like
-// partitioner.
+// its time in: GEMM, mean aggregation, GAT's attention scores and combine,
+// the halo-cache directory, boundary sampling/compaction, and the
+// METIS-like partitioner.
 
 #include <benchmark/benchmark.h>
 
@@ -99,6 +99,22 @@ void BM_GemmTNThreads(benchmark::State& state) {
 BENCHMARK(BM_GemmTNThreads)
     ->ArgsProduct({{8192}, {1, 2, 4, 8}})
     ->ArgNames({"n", "threads"});
+
+// Phase B3's weight gradient at layer 0 of the SAGE workloads: the
+// transpose of an 8192 x 128 block times 8192 x 64 output gradients.
+void BM_GemmTN(benchmark::State& state) {
+  const auto n = static_cast<std::int64_t>(state.range(0));
+  Rng rng(1);
+  Matrix a(n, 128), b(n, 64), c(128, 64);
+  a.randomize_gaussian(rng, 1.0f);
+  b.randomize_gaussian(rng, 1.0f);
+  for (auto _ : state) {
+    ops::gemm_tn(a, b, c);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * n * 128 * 64 * 2);
+}
+BENCHMARK(BM_GemmTN)->Arg(8192);
 
 // The chunked-stream F1 transform, two ways: the old staged path (copy each
 // row chunk to a scratch block, full gemm_nn on the block, copy the result
@@ -301,6 +317,33 @@ void BM_GatCombine(benchmark::State& state) {
                           static_cast<std::int64_t>(alpha.size()) * 64);
 }
 BENCHMARK(BM_GatCombine)->Arg(4096)->Arg(32768);
+
+// GAT's attention scores and softmax (F2c) for one head: per row, gather
+// its sources' scores, LeakyReLU, the max, the exps and their sum, and the
+// scale. With range(1) set it also stores the LeakyReLU slopes, as
+// training does; serving does not. Items are entries (arcs plus self).
+void BM_GatScores(benchmark::State& state) {
+  Rng rng(3);
+  const RmatAdjacency r(static_cast<NodeId>(state.range(0)), rng);
+  std::vector<float> s_src(static_cast<std::size_t>(r.adj.n_src));
+  std::vector<float> s_dst(static_cast<std::size_t>(r.adj.n_dst));
+  for (float& x : s_src) x = static_cast<float>(rng.next_gaussian());
+  for (float& x : s_dst) x = static_cast<float>(rng.next_gaussian());
+  const auto entries = static_cast<std::size_t>(r.adj.num_edges()) +
+                       static_cast<std::size_t>(r.adj.n_dst);
+  std::vector<float> alpha(entries);
+  std::vector<float> slopes(state.range(1) != 0 ? entries : 0);
+  for (auto _ : state) {
+    nn::gat_scores(r.adj, s_src, s_dst, 0.2f, alpha, slopes);
+    benchmark::DoNotOptimize(alpha.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(entries));
+}
+BENCHMARK(BM_GatScores)
+    ->ArgsProduct({{32768}, {0, 1}})
+    ->ArgNames({"n", "slopes"});
 
 // One halo-cache directory step at steady state. Each step requests a
 // random keep_pct% of `universe` positions (64 lists drawn ahead, cycled,

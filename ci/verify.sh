@@ -137,7 +137,9 @@ ctest --test-dir build --output-on-failure -R test_serve
 #             kernel bounds, the layer phase-protocol machine, comm framing
 #             and partition boundary audits all verify on real workloads.
 #             The layers, baselines and proxies suites drive the phase
-#             machine through the composed forward/backward.
+#             machine through the composed forward/backward; test_serve
+#             drives GAT's inference forward, whose finish checks that the
+#             folds wrote every halo row of wh exactly once.
 #   tsan    — the kernel thread pool and everything layered on it must be
 #             race-free, not just bit-exact (test_trainer runs 3 ranks × 4
 #             oversubscribed lanes — real interleaving on a one-core runner),
@@ -166,7 +168,7 @@ ctest --test-dir build --output-on-failure -R test_serve
 # bench smokes. Each sanitizer aborts nonzero on a report, so plain
 # invocation is the gate.
 INSTRUMENTED_LEGS=(
-  "checked|test_ops test_transport test_trainer test_schedule_fuzz test_layers test_baselines test_proxies bench_overlap|./build-checked/bench/bench_overlap --scale 0.2 --epochs 2 --json build-checked/overlap_smoke.json"
+  "checked|test_ops test_transport test_trainer test_serve test_schedule_fuzz test_layers test_baselines test_proxies bench_overlap|./build-checked/bench/bench_overlap --scale 0.2 --epochs 2 --json build-checked/overlap_smoke.json"
   "tsan|test_thread_pool test_ops test_fabric test_transport test_trainer test_schedule_fuzz|"
   "asan|test_ops test_fabric test_transport test_multiprocess test_trainer test_serve test_schedule_fuzz test_layers test_halo_cache bench_overlap|./build-asan/bench/bench_overlap --scale 0.2 --epochs 2 --json build-asan/overlap_smoke.json"
   "ubsan|test_ops test_transport test_multiprocess test_trainer test_serve test_schedule_fuzz test_layers test_halo_cache|"

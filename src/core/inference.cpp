@@ -161,10 +161,11 @@ class ServeWorker {
                            .inc = halo_inc_,
                            .training = false,
                            .compute_acc = untimed};
-    Matrix h = x_local_;
+    // Layer 0 reads x_local_ in place; each later layer overwrites h.
+    Matrix h;
     for (int l = 0; l < cfg_.num_layers; ++l)
       span_s += hx_->forward_layer(pass, *layers_[static_cast<std::size_t>(l)],
-                                   h, next_tag(), l, h)
+                                   l == 0 ? x_local_ : h, next_tag(), l, h)
                     .span_s;
     return h;
   }

@@ -289,12 +289,14 @@ class RankWorker {
                            .inc = halo_inc,
                            .training = true,
                            .compute_acc = compute_acc};
+    // h[l + 1] is layer l's output; layer 0 reads x_local_ in place, so
+    // h[0] stays empty.
     std::vector<Matrix> h(static_cast<std::size_t>(L) + 1);
-    h[0] = x_local_;
     for (int l = 0; l < L; ++l) {
       const auto i = static_cast<std::size_t>(l);
-      if (cfg_.simulate_host_swap) host_swap(h[i]);
-      totals.add(hx_->forward_layer(pass, *layers_[i], h[i], next_tag(), l,
+      const Matrix& in = l == 0 ? x_local_ : h[i];
+      if (cfg_.simulate_host_swap) host_swap(in);
+      totals.add(hx_->forward_layer(pass, *layers_[i], in, next_tag(), l,
                                     h[i + 1]));
       if (cfg_.simulate_host_swap) host_swap(h[i + 1]);
     }
@@ -440,10 +442,11 @@ class RankWorker {
                            .inc = full_inc_,
                            .training = false,
                            .compute_acc = untimed};
-    Matrix h = x_local_;
-    for (auto& layer : layers_)
-      (void)hx_->forward_layer(pass, *layer, h, next_tag(), /*channel=*/-1,
-                               h);
+    // Layer 0 reads x_local_ in place; each later layer overwrites h.
+    Matrix h;
+    for (std::size_t l = 0; l < layers_.size(); ++l)
+      (void)hx_->forward_layer(pass, *layers_[l], l == 0 ? x_local_ : h,
+                               next_tag(), /*channel=*/-1, h);
     if (ds_.multilabel) {
       const auto v = nn::f1_counts(h, targets_local_, val_rows_);
       const auto t = nn::f1_counts(h, targets_local_, test_rows_);

@@ -16,6 +16,8 @@
 //     fold F2a. Each arc is then one load, add and store of its target.
 //   * GAT's attention combine keeps one head's output tile in registers
 //     across the row's arcs and its self term, as F1 does.
+//   * GAT's scores pass runs a row's entries 16 at a time; only its exps
+//     and their sum stay scalar, in entry order.
 //
 // An unweighted F1 adds the source row as it is, where the scalar kernel
 // adds 1.0f * s: for every non-NaN s — ±0, ±Inf and subnormals included —
@@ -123,6 +125,79 @@ template <int V>
         combine_tile<kGatherVecs / 2>(nb, v, a, wh.data(), dh, c0, o + c0,
                                       ColMasks<kGatherVecs / 2>(width));
       }
+    }
+  }
+}
+
+/// The largest of x's 16 lanes, none of them a NaN. (The maskz forms
+/// here, as in simd::mul, keep GCC 12 from reading an undefined source.)
+[[gnu::target("avx512f")]] inline float reduce_max(__m512 x) {
+  constexpr __mmask16 kAll = 0xFFFF;
+  x = _mm512_maskz_max_ps(
+      kAll, x, _mm512_maskz_shuffle_f32x4(kAll, x, x, _MM_SHUFFLE(1, 0, 3, 2)));
+  x = _mm512_maskz_max_ps(
+      kAll, x, _mm512_maskz_shuffle_f32x4(kAll, x, x, _MM_SHUFFLE(2, 3, 0, 1)));
+  x = _mm512_maskz_max_ps(
+      kAll, x, _mm512_maskz_permute_ps(kAll, x, _MM_SHUFFLE(1, 0, 3, 2)));
+  x = _mm512_maskz_max_ps(
+      kAll, x, _mm512_maskz_permute_ps(kAll, x, _MM_SHUFFLE(2, 3, 0, 1)));
+  return _mm512_cvtss_f32(x);
+}
+
+/// GAT's scores and softmax over every destination row, its entries 16 at
+/// a time. Per chunk: gather s_src of the chunk's sources (the row's arcs,
+/// then v itself), add s_dst[v], and where e <= 0 select e * slope — the
+/// scalar branch as a select, the product rounded (simd::mul) and taken
+/// for every lane. The lanes' running maximum is max(e, mx), which returns
+/// mx when e is a NaN, so no NaN ever wins, as in std::max(mx, e). The
+/// lanes may reduce in any order: the maximum of non-NaN floats is one
+/// value, and only the sign of a zero maximum depends on the order, which
+/// e - (±0) hands to exp as the same value. The exps and their sum stay in
+/// entry order (gat_exp_sum); the scale by 1/sum runs 16 at a time.
+[[gnu::target("avx512f")]] void scores_rows(const BipartiteCsr& adj,
+                                            const float* s_src,
+                                            const float* s_dst,
+                                            float leaky_slope, float* alpha,
+                                            float* slopes) {
+  const __m512 zero = _mm512_setzero_ps();
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 slope = _mm512_set1_ps(leaky_slope);
+  for (NodeId v = 0; v < adj.n_dst; ++v) {
+    const auto nb = adj.neighbors(v);
+    const auto deg = static_cast<std::int64_t>(nb.size());
+    const std::int64_t cnt = deg + 1; // + self
+    const std::size_t base = gat_entry_offset(adj, v);
+    float* a = alpha + base;
+    const __m512 dst = _mm512_set1_ps(s_dst[v]);
+    __m512 mx = _mm512_set1_ps(-1e30f);
+    for (std::int64_t i0 = 0; i0 < cnt; i0 += 16) {
+      const std::int64_t arcs = deg - i0; // the self entry is lane `arcs`
+      const auto live = static_cast<__mmask16>(
+          cnt - i0 >= 16 ? 0xFFFFu : (1u << (cnt - i0)) - 1u);
+      __m512i idx = _mm512_maskz_loadu_epi32(
+          static_cast<__mmask16>(arcs >= 16 ? 0xFFFFu : (1u << arcs) - 1u),
+          nb.data() + i0);
+      if (arcs < 16)
+        idx = _mm512_mask_set1_epi32(idx, static_cast<__mmask16>(1u << arcs),
+                                     v);
+      __m512 e = _mm512_add_ps(
+          _mm512_mask_i32gather_ps(zero, live, idx, s_src, 4), dst);
+      const __mmask16 neg = _mm512_cmp_ps_mask(e, zero, _CMP_LE_OQ);
+      e = _mm512_mask_blend_ps(neg, e, mul(e, slope));
+      if (slopes != nullptr)
+        _mm512_mask_storeu_ps(slopes + base + i0, live,
+                              _mm512_mask_blend_ps(neg, one, slope));
+      _mm512_mask_storeu_ps(a + i0, live, e);
+      mx = _mm512_mask_max_ps(mx, live, e, mx);
+    }
+    const float inv = 1.0f / gat_exp_sum(a, static_cast<std::size_t>(cnt),
+                                         reduce_max(mx));
+    const __m512 invv = _mm512_set1_ps(inv);
+    for (std::int64_t i0 = 0; i0 < cnt; i0 += 16) {
+      const auto live = static_cast<__mmask16>(
+          cnt - i0 >= 16 ? 0xFFFFu : (1u << (cnt - i0)) - 1u);
+      _mm512_mask_storeu_ps(
+          a + i0, live, mul(_mm512_maskz_loadu_ps(live, a + i0), invv));
     }
   }
 }
@@ -261,6 +336,13 @@ void backward_scatter(const BipartiteCsr& adj, const Matrix& dout,
 void gat_combine_avx512(const BipartiteCsr& adj, std::span<const float> alpha,
                         const Matrix& wh, std::int64_t col0, Matrix& out) {
   combine_rows(adj, alpha.data(), wh, col0, out);
+}
+
+void gat_scores_avx512(const BipartiteCsr& adj, std::span<const float> s_src,
+                       std::span<const float> s_dst, float leaky_slope,
+                       std::span<float> alpha, std::span<float> slopes) {
+  scores_rows(adj, s_src.data(), s_dst.data(), leaky_slope, alpha.data(),
+              slopes.empty() ? nullptr : slopes.data());
 }
 
 void mean_aggregate_inner_rows_avx512(const BipartiteCsr& adj,

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 
@@ -11,10 +12,11 @@
 // the kernel tests: the two implementations behind
 // mean_aggregate_inner_rows (F1), mean_aggregate_halo_fold (F2a),
 // mean_aggregate_backward_halo (B1), mean_aggregate_backward_inner (B2)
-// and GAT's attention combine gat_combine (F2c). The public functions check
-// their arguments, then run the AVX-512F kernel when the host has it and
-// the scalar kernel otherwise. Both compute every output element with the same
-// sequence of single-precision operations, so they agree bit for bit
+// and GAT's attention scores and combine, gat_scores and gat_combine
+// (F2c). The public functions check their arguments, then run the
+// AVX-512F kernel when the host has it and the scalar kernel otherwise.
+// Both compute every output element with the same sequence of
+// single-precision operations, so they agree bit for bit
 // (docs/ARCHITECTURE.md §6, "ISA dispatch").
 namespace bnsgcn::nn::detail {
 
@@ -61,6 +63,24 @@ void mean_aggregate_backward_inner_scalar(const BipartiteCsr& adj,
 void gat_combine_scalar(const BipartiteCsr& adj, std::span<const float> alpha,
                         const Matrix& wh, std::int64_t col0, Matrix& out);
 
+/// GAT's attention scores and softmax, one head (gat_scores in
+/// nn/gat_layer.hpp). Defined in nn/gat_layer.cpp.
+void gat_scores_scalar(const BipartiteCsr& adj, std::span<const float> s_src,
+                       std::span<const float> s_dst, float leaky_slope,
+                       std::span<float> alpha, std::span<float> slopes);
+
+/// The softmax's exp pass over one row's `cnt` entries, shared by both
+/// gat_scores kernels: a[i] = exp(a[i] - mx) and their sum, both in entry
+/// order. Scalar in both: std::exp is the host's libm.
+inline float gat_exp_sum(float* a, std::size_t cnt, float mx) {
+  float sum = 0.0f;
+  for (std::size_t i = 0; i < cnt; ++i) {
+    a[i] = std::exp(a[i] - mx);
+    sum += a[i];
+  }
+  return sum;
+}
+
 void mean_aggregate_inner_rows_avx512(const BipartiteCsr& adj,
                                       const Matrix& inner_src, NodeId row0,
                                       NodeId row1, Matrix& out);
@@ -78,5 +98,8 @@ void mean_aggregate_backward_inner_avx512(const BipartiteCsr& adj,
                                           NodeId n_lo, Matrix& dinner);
 void gat_combine_avx512(const BipartiteCsr& adj, std::span<const float> alpha,
                         const Matrix& wh, std::int64_t col0, Matrix& out);
+void gat_scores_avx512(const BipartiteCsr& adj, std::span<const float> s_src,
+                       std::span<const float> s_dst, float leaky_slope,
+                       std::span<float> alpha, std::span<float> slopes);
 
 } // namespace bnsgcn::nn::detail

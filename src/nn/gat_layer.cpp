@@ -27,6 +27,33 @@ void gat_combine_scalar(const BipartiteCsr& adj, std::span<const float> alpha,
   }
 }
 
+void gat_scores_scalar(const BipartiteCsr& adj, std::span<const float> s_src,
+                       std::span<const float> s_dst, float leaky_slope,
+                       std::span<float> alpha, std::span<float> slopes) {
+  for (NodeId v = 0; v < adj.n_dst; ++v) {
+    const auto nb = adj.neighbors(v);
+    const std::size_t base = gat_entry_offset(adj, v);
+    const std::size_t cnt = nb.size() + 1; // + self
+    float* a = alpha.data() + base;
+    float mx = -1e30f;
+    for (std::size_t i = 0; i < cnt; ++i) {
+      const NodeId u = (i < nb.size()) ? nb[i] : v;
+      float e = s_src[static_cast<std::size_t>(u)] +
+                s_dst[static_cast<std::size_t>(v)];
+      float slope = 1.0f;
+      if (e <= 0.0f) {
+        e *= leaky_slope;
+        slope = leaky_slope;
+      }
+      if (!slopes.empty()) slopes[base + i] = slope;
+      a[i] = e;
+      mx = std::max(mx, e);
+    }
+    const float inv = 1.0f / gat_exp_sum(a, cnt, mx);
+    for (std::size_t i = 0; i < cnt; ++i) a[i] *= inv;
+  }
+}
+
 } // namespace detail
 
 void gat_combine(const BipartiteCsr& adj, std::span<const float> alpha,
@@ -40,6 +67,23 @@ void gat_combine(const BipartiteCsr& adj, std::span<const float> alpha,
     detail::gat_combine_avx512(adj, alpha, wh, col0, out);
   } else {
     detail::gat_combine_scalar(adj, alpha, wh, col0, out);
+  }
+}
+
+void gat_scores(const BipartiteCsr& adj, std::span<const float> s_src,
+                std::span<const float> s_dst, float leaky_slope,
+                std::span<float> alpha, std::span<float> slopes) {
+  const std::size_t n_entries = static_cast<std::size_t>(adj.num_edges()) +
+                                static_cast<std::size_t>(adj.n_dst);
+  BNSGCN_CHECK(alpha.size() == n_entries);
+  BNSGCN_CHECK(slopes.empty() || slopes.size() == n_entries);
+  BNSGCN_CHECK(s_src.size() == static_cast<std::size_t>(adj.n_src));
+  BNSGCN_CHECK(s_dst.size() == static_cast<std::size_t>(adj.n_dst));
+  BNSGCN_CHECK(adj.n_dst <= adj.n_src);
+  if (simd::host_has_avx512f()) {
+    detail::gat_scores_avx512(adj, s_src, s_dst, leaky_slope, alpha, slopes);
+  } else {
+    detail::gat_scores_scalar(adj, s_src, s_dst, leaky_slope, alpha, slopes);
   }
 }
 
@@ -115,35 +159,8 @@ Matrix GatLayer::attention_forward(const BipartiteCsr& adj, bool training) {
     // The LeakyReLU slopes feed only the attention backward; inference
     // skips the whole per-entry array.
     if (!inference_) h.slope.resize(n_entries);
-
-    for (NodeId v = 0; v < adj.n_dst; ++v) {
-      const auto nb = adj.neighbors(v);
-      const std::size_t base = detail::gat_entry_offset(adj, v);
-      const std::size_t cnt = nb.size() + 1; // + self
-      // scores
-      float mx = -1e30f;
-      for (std::size_t i = 0; i < cnt; ++i) {
-        const NodeId u = (i < nb.size()) ? nb[i] : v;
-        float e = h.s_src[static_cast<std::size_t>(u)] +
-                  h.s_dst[static_cast<std::size_t>(v)];
-        float slope = 1.0f;
-        if (e <= 0.0f) {
-          e *= opts_.leaky_slope;
-          slope = opts_.leaky_slope;
-        }
-        if (!inference_) h.slope[base + i] = slope;
-        h.alpha[base + i] = e;
-        mx = std::max(mx, e);
-      }
-      // softmax
-      float sum = 0.0f;
-      for (std::size_t i = 0; i < cnt; ++i) {
-        h.alpha[base + i] = std::exp(h.alpha[base + i] - mx);
-        sum += h.alpha[base + i];
-      }
-      const float inv = 1.0f / sum;
-      for (std::size_t i = 0; i < cnt; ++i) h.alpha[base + i] *= inv;
-    }
+    gat_scores(adj, h.s_src, h.s_dst, opts_.leaky_slope, h.alpha,
+               inference_ ? std::span<float>{} : std::span<float>(h.slope));
     // Weighted combine into this head's columns, once every row's
     // attention is known.
     gat_combine(adj, h.alpha, h.wh, static_cast<std::int64_t>(hi) * d_head_,
@@ -171,19 +188,28 @@ void GatLayer::forward_inner_begin(const BipartiteCsr& adj,
   BNSGCN_CHECK(inner_feats.cols() == d_in_);
   BNSGCN_CHECK(inner_feats.rows() == adj.n_dst);
   cached_training_ = training;
-  // Assemble the feats cache incrementally: inner block now, one peer slab
-  // per fold; backward_params runs one dW GEMM over the assembled matrix.
   // The per-row transform and score work runs in the chunks; inner chunks
-  // (rows < n_dst) and halo folds (rows >= n_dst) touch disjoint rows of
-  // wh/s_src, so folds may land at any point of the chunk loop.
-  feats_cache_.resize(adj.n_src, d_in_);
-  std::copy(inner_feats.data(), inner_feats.data() + inner_feats.size(),
-            feats_cache_.data());
-  for (auto& h : heads_) {
-    h.wh.resize(adj.n_src, d_head_);
-    h.s_src.assign(static_cast<std::size_t>(adj.n_src), 0.0f);
-    h.s_dst.assign(static_cast<std::size_t>(adj.n_dst), 0.0f);
+  // (rows < n_dst) and halo folds (rows >= n_dst) write disjoint rows of
+  // wh/s_src, so folds may land at any point of the chunk loop. Together
+  // they write every row, so nothing here fills: wh keeps its shape while
+  // the plan's n_src does. Inference multiplies the caller's inner block
+  // in place; training assembles the feats cache — inner block now, one
+  // peer's rows per fold — for backward_params' one dW GEMM.
+  if (inference_) {
+    inner_src_ = &inner_feats;
+  } else {
+    feats_cache_.resize(adj.n_src, d_in_);
+    std::copy(inner_feats.data(), inner_feats.data() + inner_feats.size(),
+              feats_cache_.data());
+    inner_src_ = &feats_cache_;
   }
+  for (auto& h : heads_) {
+    h.wh.ensure_shape(adj.n_src, d_head_);
+    h.s_src.resize(static_cast<std::size_t>(adj.n_src));
+    h.s_dst.resize(static_cast<std::size_t>(adj.n_dst));
+  }
+  if constexpr (kCheckedBuild)
+    halo_folds_.assign(static_cast<std::size_t>(adj.n_src - adj.n_dst), 0);
 }
 
 void GatLayer::forward_inner_chunk(const BipartiteCsr& adj, NodeId row0,
@@ -196,7 +222,7 @@ void GatLayer::forward_inner_chunk(const BipartiteCsr& adj, NodeId row0,
   // copy per chunk, and bit-identical to one whole-block transform for
   // every chunking (gemm_nn_rows keeps the fixed per-row k-loop order).
   for (auto& h : heads_) {
-    ops::gemm_nn_rows(feats_cache_, h.w, h.wh, row0, row1);
+    ops::gemm_nn_rows(*inner_src_, h.w, h.wh, row0, row1);
     score_src_rows(h, row0, cnt);
     score_dst_rows(h, row0, cnt);
   }
@@ -215,11 +241,12 @@ void GatLayer::forward_halo_fold(const BipartiteCsr& adj,
   phase_check_.on_halo_fold();
   BNSGCN_CHECK(rows.size() == slots.size() * static_cast<std::size_t>(d_in_));
   if (slots.empty()) return;
-  // Stage the slab once (contiguous rows), push it through each head's W
-  // — the halo share of the linear transform, done while later peers are
-  // still in flight — and scatter rows to their halo positions.
-  Matrix slab(static_cast<NodeId>(slots.size()), d_in_);
-  std::copy(rows.begin(), rows.end(), slab.data());
+  if constexpr (kCheckedBuild) {
+    for (const NodeId s : slots) {
+      BNSGCN_BOUNDS(s, adj.n_src - adj.n_dst);
+      ++halo_folds_[static_cast<std::size_t>(s)];
+    }
+  }
   // The halo rows of feats_cache_ exist only for backward_params' dW
   // GEMM; the forward reads wh/s_src instead, so inference skips the
   // scatter (the forward output is untouched).
@@ -232,16 +259,16 @@ void GatLayer::forward_halo_fold(const BipartiteCsr& adj,
                 feats_cache_.data() + static_cast<std::int64_t>(u) * d_in_);
     }
   }
+  // Each head's transform of the slab — the halo share of the linear
+  // transform, done while later peers are still in flight — multiplies
+  // the slab where it lies straight into wh's halo block, row t landing
+  // in halo row slots[t].
+  const auto n = static_cast<std::int64_t>(slots.size());
+  const ConstMatrixView slab(rows.data(), n, d_in_, d_in_);
   for (auto& h : heads_) {
-    Matrix tmp(slab.rows(), d_head_);
-    ops::gemm_nn(slab, h.w, tmp);
-    for (std::size_t t = 0; t < slots.size(); ++t) {
-      const NodeId u = adj.n_dst + slots[t];
-      std::copy(tmp.data() + static_cast<std::int64_t>(t) * d_head_,
-                tmp.data() + static_cast<std::int64_t>(t + 1) * d_head_,
-                h.wh.data() + static_cast<std::int64_t>(u) * d_head_);
-      score_src_rows(h, u, 1);
-    }
+    const MatrixView halo = MatrixView(h.wh).row_range(adj.n_dst, adj.n_src);
+    ops::gemm_nn_rows(slab, h.w, halo, 0, n, 0.0f, slots);
+    for (const NodeId s : slots) score_src_rows(h, adj.n_dst + s, 1);
   }
 }
 
@@ -249,6 +276,10 @@ Matrix GatLayer::forward_halo_finish(const BipartiteCsr& adj,
                                      std::span<const float> inv_deg) {
   phase_check_.on_halo_finish();
   (void)inv_deg; // attention renormalizes; see class comment
+  BNSGCN_REQUIRE(std::all_of(halo_folds_.begin(), halo_folds_.end(),
+                             [](int folds) { return folds == 1; }),
+                 "forward_halo_finish: a halo row of wh was not folded "
+                 "exactly once");
   return attention_forward(adj, cached_training_);
 }
 
@@ -261,6 +292,7 @@ void GatLayer::release_training_state() {
     h.slope.clear();
     h.slope.shrink_to_fit();
   }
+  feats_cache_.resize(0, 0); // inference multiplies the inner block in place
   relu_mask_.resize(0, 0);
   dropout_mask_.resize(0, 0);
 }
@@ -359,14 +391,10 @@ Matrix GatLayer::backward_halo(const BipartiteCsr& adj, const Matrix& dout,
   const NodeId n_halo = adj.n_src - adj.n_dst;
   Matrix dhalo(n_halo, d_in_);
   if (n_halo == 0) return dhalo;
-  for (auto& h : heads_) {
-    // The halo row range of dWh·Wᵀ, accumulated per head in order.
-    Matrix tmp(n_halo, d_head_);
-    std::copy(h.dwh.data() + static_cast<std::int64_t>(adj.n_dst) * d_head_,
-              h.dwh.data() + static_cast<std::int64_t>(adj.n_src) * d_head_,
-              tmp.data());
-    ops::gemm_nt(tmp, h.w, dhalo, 1.0f, 1.0f);
-  }
+  // The halo row range of dWh·Wᵀ, accumulated per head in order.
+  for (auto& h : heads_)
+    ops::gemm_nt(ConstMatrixView(h.dwh).row_range(adj.n_dst, adj.n_src), h.w,
+                 dhalo, 1.0f);
   return dhalo;
 }
 
@@ -375,13 +403,9 @@ Matrix GatLayer::backward_inner(const BipartiteCsr& adj,
   phase_check_.on_backward_inner();
   (void)inv_deg;
   Matrix dinner(adj.n_dst, d_in_);
-  for (auto& h : heads_) {
-    Matrix tmp(adj.n_dst, d_head_);
-    std::copy(h.dwh.data(),
-              h.dwh.data() + static_cast<std::int64_t>(adj.n_dst) * d_head_,
-              tmp.data());
-    ops::gemm_nt(tmp, h.w, dinner, 1.0f, 1.0f);
-  }
+  for (auto& h : heads_)
+    ops::gemm_nt(ConstMatrixView(h.dwh).row_range(0, adj.n_dst), h.w, dinner,
+                 1.0f);
   return dinner;
 }
 
@@ -392,7 +416,7 @@ void GatLayer::backward_params(const BipartiteCsr&) {
   // (feats_cache_ and dwh survive until the next forward; da_src/da_dst
   // were already accumulated in B0).
   for (auto& h : heads_)
-    ops::gemm_tn(feats_cache_, h.dwh, h.dw, 1.0f, 1.0f);
+    ops::gemm_tn(feats_cache_, h.dwh, h.dw, 1.0f);
 }
 
 } // namespace bnsgcn::nn

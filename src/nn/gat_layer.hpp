@@ -22,6 +22,20 @@ namespace bnsgcn::nn {
 void gat_combine(const BipartiteCsr& adj, std::span<const float> alpha,
                  const Matrix& wh, std::int64_t col0, Matrix& out);
 
+/// GAT's attention scores and softmax (phase F2c) for one head. For every
+/// destination v, over its entries i — its arcs in adjacency order, then v
+/// itself, at offsets[v] + v — with sources u_i:
+///   e_i = s_src[u_i] + s_dst[v], times leaky_slope where e_i <= 0;
+///   m = the largest of -1e30 and the e_i (a NaN e_i never is);
+///   alpha[i] = exp(e_i - m) · (1 / Σ_j exp(e_j - m)),
+/// the exps and their sum taken in entry order. A non-empty `slopes`
+/// receives each entry's LeakyReLU derivative, 1 or leaky_slope. Runs the
+/// AVX-512F kernel when the host has it, the scalar loop otherwise; both
+/// give the same bits (docs/ARCHITECTURE.md §6).
+void gat_scores(const BipartiteCsr& adj, std::span<const float> s_src,
+                std::span<const float> s_dst, float leaky_slope,
+                std::span<float> alpha, std::span<float> slopes);
+
 class GatLayer final : public Layer {
  public:
   struct Options {
@@ -112,7 +126,15 @@ class GatLayer final : public Layer {
   std::vector<Head> heads_;
   Rng dropout_rng_;
 
+  /// Training: the assembled (n_src, d_in) source block, inner rows then
+  /// each fold's halo rows, which B3 reads. Inference leaves it empty.
   Matrix feats_cache_;
+  /// What the F1 chunks multiply: feats_cache_ in training, the caller's
+  /// inner block in inference (Layer::forward_inner_begin's lifetime rule).
+  const Matrix* inner_src_ = nullptr;
+  /// Checked builds: how often each halo row of wh was folded this forward.
+  /// The finish requires exactly once each.
+  std::vector<int> halo_folds_;
   Matrix relu_mask_;
   Matrix dropout_mask_;
   bool cached_training_ = false;

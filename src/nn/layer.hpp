@@ -301,9 +301,12 @@ class Layer {
 
   /// Phase F1 setup: cache the locally-owned source block ((n_dst, d_in) —
   /// inner sources of the trainer layout) and size the partial state. No
-  /// per-row work happens here; the chunks do it. `inner_feats` must stay
-  /// valid until the last forward_inner_chunk returns (implementations
-  /// may keep a reference instead of copying).
+  /// per-row work happens here; the chunks do it. Lifetime rule: in
+  /// inference the caller keeps `inner_feats` alive and unchanged until
+  /// forward_halo_finish returns, because implementations may keep a
+  /// reference instead of copying (GAT's chunks multiply it in place).
+  /// core::HaloExchanger::forward_layer and Layer::forward do; a training
+  /// forward may drop it once this call returns.
   virtual void forward_inner_begin(const BipartiteCsr& adj,
                                    const Matrix& inner_feats,
                                    bool training) = 0;

@@ -77,7 +77,7 @@ Matrix SageLayer::forward_halo_finish(const BipartiteCsr& adj,
   mean_aggregate_finish(inv_deg, z_partial_);
 
   Matrix out = std::move(out_partial_);
-  ops::gemm_nn(z_partial_, w_neigh_, out, 1.0f, 1.0f);
+  ops::gemm_nn(z_partial_, w_neigh_, out, 1.0f);
 
   // Inference has no backward, so the ReLU mask is skipped — the output
   // values are untouched by the skip.
@@ -116,8 +116,10 @@ Matrix SageLayer::backward_halo(const BipartiteCsr& adj, const Matrix& dout,
   // activation backward and the halo-source scatter. Parameter gradients
   // wait for backward_params — they feed nothing until the epoch-end
   // allreduce. gemm_nt's element (i, j) reads only row j of its weight,
-  // so each block gives the bits of that half of g·Wᵀ.
-  dz_cache_.resize(adj.n_dst, d_in_);
+  // so each block gives the bits of that half of g·Wᵀ. With beta 0 it
+  // overwrites C, so dz_cache_ keeps its shape across backwards unfilled;
+  // dself_cache_ moved into the last B2's dinner and is allocated anew.
+  dz_cache_.ensure_shape(adj.n_dst, d_in_);
   dself_cache_.resize(adj.n_dst, d_in_);
   ops::gemm_nt(g_cache_, w_neigh_, dz_cache_);
   ops::gemm_nt(g_cache_, w_self_, dself_cache_);
@@ -144,8 +146,8 @@ void SageLayer::backward_params(const BipartiteCsr&) {
   // self rows and g_cache_ stay untouched until the next forward.
   // gemm_tn's element (kk, j) reads only column kk of its left operand, so
   // each block gives the bits of that half of [z | self]ᵀ·g.
-  ops::gemm_tn(z_partial_, g_cache_, dw_neigh_, 1.0f, 1.0f);
-  ops::gemm_tn(self_cache_, g_cache_, dw_self_, 1.0f, 1.0f);
+  ops::gemm_tn(z_partial_, g_cache_, dw_neigh_, 1.0f);
+  ops::gemm_tn(self_cache_, g_cache_, dw_self_, 1.0f);
   ops::col_sum(g_cache_, db_);
 }
 

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
+#include "common/types.hpp"
 #include "tensor/matrix.hpp"
 
 // Private to tensor/ops.cpp and the kernel tests: the two implementations
@@ -18,24 +20,30 @@ namespace bnsgcn::ops::detail {
 /// thread-lane decomposition does not depend on the ISA.
 constexpr std::int64_t kBlockM = 64;
 
-void gemm_nn_rows_scalar(const Matrix& a, const Matrix& b, Matrix& c,
-                         std::int64_t r0, std::int64_t r1, float alpha,
-                         float beta);
-void gemm_tn_scalar(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
+// Both kernel sets take the public functions' arguments: views of A, B and
+// C, beta, and for gemm_nn_rows the row range and the (possibly empty)
+// output row map.
+void gemm_nn_rows_scalar(ConstMatrixView a, ConstMatrixView b, MatrixView c,
+                         std::int64_t r0, std::int64_t r1, float beta,
+                         std::span<const NodeId> row_map);
+void gemm_tn_scalar(ConstMatrixView a, ConstMatrixView b, MatrixView c,
                     float beta);
-void gemm_nt_scalar(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
-                    float beta);
-
-void gemm_nn_rows_avx512(const Matrix& a, const Matrix& b, Matrix& c,
-                         std::int64_t r0, std::int64_t r1, float alpha,
-                         float beta);
-void gemm_tn_avx512(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
-                    float beta);
-void gemm_nt_avx512(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
+void gemm_nt_scalar(ConstMatrixView a, ConstMatrixView b, MatrixView c,
                     float beta);
 
-/// The beta pass every kernel runs on its block of C before accumulating:
-/// zero-fill when beta == 0, one multiply per element unless beta == 1.
+void gemm_nn_rows_avx512(ConstMatrixView a, ConstMatrixView b, MatrixView c,
+                         std::int64_t r0, std::int64_t r1, float beta,
+                         std::span<const NodeId> row_map);
+void gemm_tn_avx512(ConstMatrixView a, ConstMatrixView b, MatrixView c,
+                    float beta);
+void gemm_nt_avx512(ConstMatrixView a, ConstMatrixView b, MatrixView c,
+                    float beta);
+
+/// The beta pass over one row of C: zero-fill when beta == 0, one multiply
+/// per element unless beta == 1. The scalar kernels run it on every row
+/// they write before accumulating; the AVX-512F kernels run it only when
+/// beta is neither 0 (their tiles then start from +0.0f in registers,
+/// which is what the fill writes) nor 1.
 void scale_by_beta(float* first, float* last, float beta);
 
 } // namespace bnsgcn::ops::detail

@@ -34,13 +34,13 @@ void scale_by_beta(float* first, float* last, float beta) {
   }
 }
 
-void gemm_nn_rows_scalar(const Matrix& a, const Matrix& b, Matrix& c,
-                         std::int64_t r0, std::int64_t r1, float alpha,
-                         float beta) {
+void gemm_nn_rows_scalar(ConstMatrixView a, ConstMatrixView b, MatrixView c,
+                         std::int64_t r0, std::int64_t r1, float beta,
+                         std::span<const NodeId> row_map) {
   const std::int64_t k = a.cols(), n = b.cols();
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
+  const auto c_row = [&](std::int64_t i) {
+    return c.row(row_map.empty() ? i : row_map[static_cast<std::size_t>(i)]);
+  };
   // The k-accumulation order per row is fixed by the k0/kk loops alone, so
   // any [r0, r1) slicing produces bit-identical rows to the full call — and
   // the same argument makes the kBlockM row blocks thread-safe lanes: each
@@ -49,15 +49,17 @@ void gemm_nn_rows_scalar(const Matrix& a, const Matrix& b, Matrix& c,
   common::for_blocks(r1 - r0, kBlockM, [&](std::int64_t b0, std::int64_t b1) {
     const std::int64_t i0 = r0 + b0;
     const std::int64_t i1 = r0 + b1;
-    scale_by_beta(pc + i0 * n, pc + i1 * n, beta);
+    for (std::int64_t i = i0; i < i1; ++i)
+      scale_by_beta(c_row(i), c_row(i) + n, beta);
     for (std::int64_t k0 = 0; k0 < k; k0 += kBlockK) {
       const std::int64_t k1 = std::min(k0 + kBlockK, k);
       for (std::int64_t i = i0; i < i1; ++i) {
-        float* crow = pc + i * n;
+        const float* arow = a.row(i);
+        float* crow = c_row(i);
         for (std::int64_t kk = k0; kk < k1; ++kk) {
-          const float av = alpha * pa[i * k + kk];
+          const float av = arow[kk];
           if (av == 0.0f) continue;
-          const float* brow = pb + kk * n;
+          const float* brow = b.row(kk);
           for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
         }
       }
@@ -65,12 +67,9 @@ void gemm_nn_rows_scalar(const Matrix& a, const Matrix& b, Matrix& c,
   });
 }
 
-void gemm_tn_scalar(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
+void gemm_tn_scalar(ConstMatrixView a, ConstMatrixView b, MatrixView c,
                     float beta) {
   const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
   // C[kk,j] += A[i,kk] * B[i,j]: stream rows of A and B together. Lanes
   // split the kk axis (disjoint rows of C); the i loop stays outermost
   // inside each lane, so every C element still accumulates in ascending-i
@@ -78,39 +77,37 @@ void gemm_tn_scalar(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
   // (The skip must be preserved, not just cheap: adding a 0.0f term is not
   // bitwise-neutral when the accumulator holds -0.0f.)
   common::for_blocks(k, kBlockM, [&](std::int64_t kk0, std::int64_t kk1) {
-    scale_by_beta(pc + kk0 * n, pc + kk1 * n, beta);
+    for (std::int64_t kk = kk0; kk < kk1; ++kk)
+      scale_by_beta(c.row(kk), c.row(kk) + n, beta);
     for (std::int64_t i = 0; i < m; ++i) {
-      const float* arow = pa + i * k;
-      const float* brow = pb + i * n;
+      const float* arow = a.row(i);
+      const float* brow = b.row(i);
       for (std::int64_t kk = kk0; kk < kk1; ++kk) {
-        const float av = alpha * arow[kk];
+        const float av = arow[kk];
         if (av == 0.0f) continue;
-        float* crow = pc + kk * n;
+        float* crow = c.row(kk);
         for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
       }
     }
   });
 }
 
-void gemm_nt_scalar(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
+void gemm_nt_scalar(ConstMatrixView a, ConstMatrixView b, MatrixView c,
                     float beta) {
   const std::int64_t m = a.rows(), n = a.cols(), k = b.rows();
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
   // C[i,j] = dot(A.row(i), B.row(j)) — both walks are contiguous, and each
   // output row is an independent set of local dot products, so the row
   // split is trivially bit-stable.
   common::for_blocks(m, kBlockM, [&](std::int64_t i0, std::int64_t i1) {
-    scale_by_beta(pc + i0 * k, pc + i1 * k, beta);
     for (std::int64_t i = i0; i < i1; ++i) {
-      const float* arow = pa + i * n;
-      float* crow = pc + i * k;
+      const float* arow = a.row(i);
+      float* crow = c.row(i);
+      scale_by_beta(crow, crow + k, beta);
       for (std::int64_t j = 0; j < k; ++j) {
-        const float* brow = pb + j * n;
+        const float* brow = b.row(j);
         float acc = 0.0f;
         for (std::int64_t t = 0; t < n; ++t) acc += arow[t] * brow[t];
-        crow[j] += alpha * acc;
+        crow[j] += acc;
       }
     }
   });
@@ -118,43 +115,50 @@ void gemm_nt_scalar(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
 
 } // namespace detail
 
-void gemm_nn(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
-             float beta) {
+void gemm_nn(ConstMatrixView a, ConstMatrixView b, MatrixView c, float beta) {
   BNSGCN_CHECK(c.rows() == a.rows());
-  gemm_nn_rows(a, b, c, 0, a.rows(), alpha, beta);
+  gemm_nn_rows(a, b, c, 0, a.rows(), beta);
 }
 
-void gemm_nn_rows(const Matrix& a, const Matrix& b, Matrix& c,
-                  std::int64_t r0, std::int64_t r1, float alpha, float beta) {
+void gemm_nn_rows(ConstMatrixView a, ConstMatrixView b, MatrixView c,
+                  std::int64_t r0, std::int64_t r1, float beta,
+                  std::span<const NodeId> row_map) {
   BNSGCN_CHECK(b.rows() == a.cols());
   BNSGCN_CHECK(c.cols() == b.cols());
-  BNSGCN_CHECK(0 <= r0 && r0 <= r1 && r1 <= a.rows() && r1 <= c.rows());
-  if (simd::host_has_avx512f()) {
-    detail::gemm_nn_rows_avx512(a, b, c, r0, r1, alpha, beta);
+  BNSGCN_CHECK(0 <= r0 && r0 <= r1 && r1 <= a.rows());
+  if (row_map.empty()) {
+    BNSGCN_CHECK(r1 <= c.rows());
   } else {
-    detail::gemm_nn_rows_scalar(a, b, c, r0, r1, alpha, beta);
+    BNSGCN_CHECK(static_cast<std::int64_t>(row_map.size()) == a.rows());
+    for (std::int64_t i = r0; i < r1; ++i) {
+      const NodeId r = row_map[static_cast<std::size_t>(i)];
+      BNSGCN_CHECK(r >= 0 && r < c.rows());
+    }
+  }
+  if (simd::host_has_avx512f()) {
+    detail::gemm_nn_rows_avx512(a, b, c, r0, r1, beta, row_map);
+  } else {
+    detail::gemm_nn_rows_scalar(a, b, c, r0, r1, beta, row_map);
   }
 }
 
-void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
-             float beta) {
+void gemm_tn(ConstMatrixView a, ConstMatrixView b, MatrixView c, float beta) {
   BNSGCN_CHECK(b.rows() == a.rows());
   BNSGCN_CHECK(c.rows() == a.cols() && c.cols() == b.cols());
   if (simd::host_has_avx512f()) {
-    detail::gemm_tn_avx512(a, b, c, alpha, beta);
+    detail::gemm_tn_avx512(a, b, c, beta);
   } else {
-    detail::gemm_tn_scalar(a, b, c, alpha, beta);
+    detail::gemm_tn_scalar(a, b, c, beta);
   }
 }
 
-void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
-             float beta) {
+void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c, float beta) {
   BNSGCN_CHECK(b.cols() == a.cols());
   BNSGCN_CHECK(c.rows() == a.rows() && c.cols() == b.rows());
   if (simd::host_has_avx512f()) {
-    detail::gemm_nt_avx512(a, b, c, alpha, beta);
+    detail::gemm_nt_avx512(a, b, c, beta);
   } else {
-    detail::gemm_nt_scalar(a, b, c, alpha, beta);
+    detail::gemm_nt_scalar(a, b, c, beta);
   }
 }
 
@@ -214,8 +218,7 @@ void dropout_forward(Matrix& x, Matrix& mask, float p, Rng& rng) {
   BNSGCN_CHECK(p >= 0.0f && p < 1.0f);
   // Every element of the mask is written below: a mask of the right shape
   // (a layer's, from its previous step) is reused without zero-filling it.
-  if (mask.rows() != x.rows() || mask.cols() != x.cols())
-    mask.resize(x.rows(), x.cols());
+  mask.ensure_shape(x.rows(), x.cols());
   if (p == 0.0f) {
     mask.fill(1.0f);
     return;

@@ -10,38 +10,43 @@
 namespace bnsgcn::ops {
 
 // ---------------------------------------------------------------------------
-// GEMM family. All variants accumulate into a pre-shaped output:
-//   C = alpha * op(A) * op(B) + beta * C
-// Only the three shapes needed by the layers are provided. Each has two
-// kernels behind it (tensor/gemm_kernels.hpp): an AVX-512F one held in
-// 4-row x 64-column register tiles, picked once per process when the host
-// supports it, and the scalar one, a blocked loop for row-major operands.
+// GEMM family. Every variant accumulates into a pre-shaped output:
+//   C = op(A) * op(B) + beta * C
+// beta == 0 overwrites C without reading it (NaNs in it included); beta ==
+// 1 adds onto it. Operands and outputs are views (tensor/matrix.hpp), so
+// a row range of a larger matrix or a received slab goes in as it is, and
+// a Matrix converts to one. Only the three shapes the layers need are
+// provided. Each has two kernels behind it (tensor/gemm_kernels.hpp): an
+// AVX-512F one held in 4-row x 64-column register tiles, picked once per
+// process when the host supports it, and the scalar one, a blocked loop.
 // Both keep every output element's operation sequence — multiply, then a
-// separate add, over ascending k, with the same zero skips — so results
-// are bit-identical on any host (docs/ARCHITECTURE.md §6, "ISA dispatch").
+// separate add, over ascending k, with the same zero skips (gemm_nn and
+// gemm_tn skip the terms whose A entry is ±0) — so results are
+// bit-identical on any host (docs/ARCHITECTURE.md §6, "ISA dispatch").
 // ---------------------------------------------------------------------------
 
-/// C[m,n] = alpha * A[m,k] * B[k,n] + beta * C
-void gemm_nn(const Matrix& a, const Matrix& b, Matrix& c, float alpha = 1.0f,
+/// C[m,n] = A[m,k] * B[k,n] + beta * C
+void gemm_nn(ConstMatrixView a, ConstMatrixView b, MatrixView c,
              float beta = 0.0f);
 
-/// Row-range gemm_nn: C[r,:] = alpha * A[r,:] * B + beta * C[r,:] for rows
-/// r in [r0, r1) only; every other row of C is untouched. A and C may have
-/// more rows than r1 (the chunked-stream forward runs over the inner-row
-/// prefix of a [dst; halo]-shaped pair) — only the addressed range is read
-/// or written, so chunked callers need no staging copies. Per-row results
-/// are bit-identical to gemm_nn over the full shape: the k-accumulation
-/// order is independent of the row blocking.
-void gemm_nn_rows(const Matrix& a, const Matrix& b, Matrix& c,
-                  std::int64_t r0, std::int64_t r1, float alpha = 1.0f,
-                  float beta = 0.0f);
+/// Row-range gemm_nn: C[map(r),:] = A[r,:] * B + beta * C[map(r),:] for
+/// rows r in [r0, r1) only, where map(r) is row_map[r] when a map is given
+/// (it then has one entry per row of A, each a row of C) and r otherwise.
+/// Every other row of C is untouched, so chunked callers and scattered
+/// destinations need no staging copies. Map entries are range-checked;
+/// they must be distinct. Per-row results are bit-identical to gemm_nn
+/// over the full shape: the k-accumulation order is independent of the
+/// row blocking and of where a row lands.
+void gemm_nn_rows(ConstMatrixView a, ConstMatrixView b, MatrixView c,
+                  std::int64_t r0, std::int64_t r1, float beta = 0.0f,
+                  std::span<const NodeId> row_map = {});
 
-/// C[k,n] = alpha * A[m,k]^T * B[m,n] + beta * C   (weight gradients)
-void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c, float alpha = 1.0f,
+/// C[k,n] = A[m,k]^T * B[m,n] + beta * C   (weight gradients)
+void gemm_tn(ConstMatrixView a, ConstMatrixView b, MatrixView c,
              float beta = 0.0f);
 
-/// C[m,k] = alpha * A[m,n] * B[k,n]^T + beta * C   (input gradients)
-void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, float alpha = 1.0f,
+/// C[m,k] = A[m,n] * B[k,n]^T + beta * C   (input gradients)
+void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c,
              float beta = 0.0f);
 
 // ---------------------------------------------------------------------------

@@ -289,7 +289,7 @@ struct ConcatSage {
     Matrix out(n, d_out), relu_mask, drop_mask;
     ops::gemm_nn_rows(self, half(w, 1), out, 0, n);
     ops::add_row_bias_rows(out, b, 0, n);
-    ops::gemm_nn(z, half(w, 0), out, 1.0f, 1.0f);
+    ops::gemm_nn(z, half(w, 0), out, 1.0f);
     ops::relu_forward(out, relu_mask);
     ops::dropout_forward(out, drop_mask, dropout, dropout_rng);
 
@@ -315,7 +315,7 @@ struct ConcatSage {
         u.at(v, c) = z.at(v, c);
         u.at(v, d_in + c) = self.at(v, c);
       }
-    ops::gemm_tn(u, g, dw, 1.0f, 1.0f);
+    ops::gemm_tn(u, g, dw, 1.0f);
     ops::col_sum(g, db);
 
     Matrix dfeats(adj.n_src, d_in);
@@ -413,6 +413,103 @@ TEST(GatLayer, AttentionIsNormalized) {
   for (std::int64_t c = 0; c < 2; ++c) {
     EXPECT_NEAR(out.at(0, c), out.at(1, c), 1e-5f);
     EXPECT_NEAR(out.at(1, c), out.at(2, c), 1e-5f);
+  }
+}
+
+/// A destination block of 40 rows over 30 halo slots owned by three peers
+/// whose slots interleave (slot s belongs to peer s % 3), with arcs to
+/// inner and halo sources and some isolated rows.
+BipartiteCsr interleaved_halo_adj(Rng& rng) {
+  BipartiteCsr adj;
+  adj.n_dst = 40;
+  adj.n_src = 70;
+  adj.offsets.push_back(0);
+  for (NodeId v = 0; v < adj.n_dst; ++v) {
+    const auto deg = static_cast<NodeId>(rng.next_u64() % 13);
+    for (NodeId e = 0; e < deg; ++e)
+      adj.nbrs.push_back(static_cast<NodeId>(rng.next_u64() % 70));
+    adj.offsets.push_back(static_cast<EdgeId>(adj.nbrs.size()));
+  }
+  adj.validate();
+  return adj;
+}
+
+TEST(GatLayer, InterleavedPeerFoldsMatchOneContiguousSlab) {
+  // The phased forward folds each peer's slab straight into wh through its
+  // slot map, and in inference multiplies the caller's inner block in
+  // place. Its output — and, in training, its input and weight gradients —
+  // must be the bits of Layer::forward, which folds the halo as one
+  // contiguous slab of slots 0…n_halo−1. Inner chunks interleave with the
+  // folds; d_head = 70 runs full and tail column tiles.
+  Rng graph_rng(31);
+  const BipartiteCsr adj = interleaved_halo_adj(graph_rng);
+  const auto inv = full_inv_deg(adj);
+  const NodeId n_halo = adj.n_src - adj.n_dst;
+  Matrix feats(adj.n_src, 33), dout(adj.n_dst, 140);
+  feats.randomize_gaussian(graph_rng, 1.0f);
+  dout.randomize_gaussian(graph_rng, 1.0f);
+  std::vector<std::vector<NodeId>> peer_slots(3);
+  std::vector<std::vector<float>> peer_rows(3);
+  for (NodeId s = 0; s < n_halo; ++s) {
+    peer_slots[static_cast<std::size_t>(s % 3)].push_back(s);
+    const auto row = feats.row(adj.n_dst + s);
+    auto& rows = peer_rows[static_cast<std::size_t>(s % 3)];
+    rows.insert(rows.end(), row.begin(), row.end());
+  }
+  Matrix inner(adj.n_dst, feats.cols());
+  std::copy(feats.data(), feats.data() + inner.size(), inner.data());
+  nn::HaloIncidence inc;
+  inc.build(adj, adj.n_dst);
+  const nn::GatLayer::Options opts{.heads = 2, .relu = true, .dropout = 0.3f};
+
+  // Runs the phases with the first `peers` peers folded, in ascending
+  // order: peer 0 between the chunks, the others after them.
+  const auto phased_forward = [&](nn::GatLayer& layer, bool training,
+                                  int peers) {
+    layer.forward_inner_begin(adj, inner, training);
+    layer.forward_halo_begin(adj, inc);
+    layer.forward_inner_chunk(adj, 0, 17);
+    layer.forward_halo_fold(adj, peer_slots[0], peer_rows[0]);
+    layer.forward_inner_chunk(adj, 17, adj.n_dst);
+    for (int p = 1; p < peers; ++p)
+      layer.forward_halo_fold(adj, peer_slots[static_cast<std::size_t>(p)],
+                              peer_rows[static_cast<std::size_t>(p)]);
+    return layer.forward_halo_finish(adj, inv);
+  };
+
+  for (const bool training : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "training " << training);
+    Rng rng_ref(32), rng_phased(32);
+    nn::GatLayer ref(33, 140, opts, rng_ref);
+    nn::GatLayer phased(33, 140, opts, rng_phased);
+    ref.set_inference(!training);
+    phased.set_inference(!training);
+    // Twice, so the second forward runs on the first one's buffers.
+    for (int round = 0; round < 2; ++round) {
+      const Matrix want = ref.forward(adj, feats, inv, training);
+      const Matrix got = phased_forward(phased, training, 3);
+      expect_same_bits(got, want, "forward");
+      if (!training) continue;
+      ref.zero_grads();
+      phased.zero_grads();
+      expect_same_bits(phased.backward(adj, dout, inv),
+                       ref.backward(adj, dout, inv), "input gradients");
+      const auto want_g = ref.grads();
+      const auto got_g = phased.grads();
+      for (std::size_t i = 0; i < want_g.size(); ++i)
+        expect_same_bits(*got_g[i], *want_g[i], "weight gradients");
+    }
+  }
+
+  if constexpr (kCheckedBuild) {
+    // Peer 2's slots never fold: the finish must refuse to read their
+    // rows of wh, left from no fold.
+    for (const bool training : {false, true}) {
+      Rng rng(33);
+      nn::GatLayer layer(33, 140, opts, rng);
+      layer.set_inference(!training);
+      EXPECT_THROW((void)phased_forward(layer, training, 2), CheckError);
+    }
   }
 }
 

@@ -33,13 +33,13 @@ TEST(Ops, GemmNnSmall) {
   EXPECT_FLOAT_EQ(c.at(1, 1), 50.0f);
 }
 
-TEST(Ops, GemmNnAlphaBeta) {
+TEST(Ops, GemmNnBeta) {
   Matrix a{{1, 0}, {0, 1}};
   Matrix b{{2, 3}, {4, 5}};
   Matrix c{{1, 1}, {1, 1}};
-  ops::gemm_nn(a, b, c, 2.0f, 1.0f);
-  EXPECT_FLOAT_EQ(c.at(0, 0), 5.0f);  // 1 + 2*2
-  EXPECT_FLOAT_EQ(c.at(1, 1), 11.0f); // 1 + 2*5
+  ops::gemm_nn(a, b, c, 2.0f);
+  EXPECT_FLOAT_EQ(c.at(0, 0), 4.0f); // 2*1 + 2
+  EXPECT_FLOAT_EQ(c.at(1, 1), 7.0f); // 2*1 + 5
 }
 
 TEST(Ops, GemmNnRowsBitIdenticalToFullGemmForAnyChunking) {
@@ -460,10 +460,10 @@ TEST(OpsThreadsParity, GemmNn) {
     c.resize(201, 17);
     ops::gemm_nn(a, b, c);
   });
-  check_threads_parity("gemm_nn alpha/beta", [&](Matrix& c) {
+  check_threads_parity("gemm_nn beta", [&](Matrix& c) {
     c.resize(201, 17);
     c.fill(0.5f);
-    ops::gemm_nn(a, b, c, 0.7f, 2.0f);
+    ops::gemm_nn(a, b, c, 2.0f);
   });
 }
 
@@ -536,7 +536,7 @@ TEST(OpsThreadsParity, GemmTn) {
   check_threads_parity("gemm_tn beta=1 accumulate", [&](Matrix& c) {
     c.resize(150, 40);
     c.fill(0.25f);
-    ops::gemm_tn(a, b, c, 1.0f, 1.0f);
+    ops::gemm_tn(a, b, c, 1.0f);
   });
 }
 
@@ -547,7 +547,7 @@ TEST(OpsThreadsParity, GemmNt) {
   b.randomize_gaussian(rng, 1.0f);
   check_threads_parity("gemm_nt", [&](Matrix& c) {
     c.resize(201, 31);
-    ops::gemm_nt(a, b, c, 0.9f, 0.0f);
+    ops::gemm_nt(a, b, c);
   });
 }
 
@@ -642,8 +642,51 @@ struct Shapes {
   std::int64_t a_rows, a_cols, b_rows, b_cols, c_rows, c_cols;
 };
 
+/// A block embedded in a larger matrix: rows [1, rows + 1) of a matrix
+/// with cols + 5 columns, and with at least a 64-column tile's worth of
+/// rows after the block, whose other elements hold a NaN sentinel. The
+/// block's view has a row stride wider than its columns and is a row range
+/// of a taller matrix. A kernel that reads past a row's end sees the
+/// sentinel; one that writes there changes it.
+struct Embedded {
+  static constexpr std::uint32_t kSentinel = 0x7fc0dead;
+  std::int64_t rows, cols;
+  Matrix store;
+
+  explicit Embedded(const Matrix& m)
+      : rows(m.rows()), cols(m.cols()),
+        store(m.rows() + 2 + 64 / (m.cols() + 5), m.cols() + 5,
+              std::bit_cast<float>(kSentinel)) {
+    for (std::int64_t r = 0; r < rows; ++r)
+      std::copy(m.row(r).begin(), m.row(r).end(), store.row(r + 1).begin());
+  }
+  [[nodiscard]] MatrixView view() {
+    return {store.data() + store.cols(), rows, cols, store.cols()};
+  }
+  /// The block's contents; fails the test where the rest lost the
+  /// sentinel.
+  [[nodiscard]] Matrix block() const {
+    Matrix m(rows, cols);
+    for (std::int64_t r = 0; r < store.rows(); ++r) {
+      for (std::int64_t j = 0; j < store.cols(); ++j) {
+        const float x = store.at(r, j);
+        if (r >= 1 && r <= rows && j < cols) {
+          m.at(r - 1, j) = x;
+        } else {
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(x), kSentinel)
+              << "wrote outside the view at (" << r << ", " << j << ")";
+        }
+      }
+    }
+    return m;
+  }
+};
+
 /// Runs `scalar` at one lane and `dispatched` at 1 and 3 lanes on copies of
-/// one starting C, for every value mix, alpha and beta, and compares.
+/// one starting C, for every value mix and beta, and compares; the
+/// dispatched call runs once on plain matrices and once on Embedded views
+/// of A, B and C. With beta = 0 the starting C is NaN everywhere: neither
+/// kernel may read it.
 template <typename Scalar, typename Dispatched>
 void check_dispatch(const Shapes& s, Scalar&& scalar, Dispatched&& dispatched) {
   Rng rng(static_cast<std::uint64_t>(s.a_rows * 1000003 + s.a_cols * 1009 +
@@ -653,19 +696,27 @@ void check_dispatch(const Shapes& s, Scalar&& scalar, Dispatched&& dispatched) {
     fill(a, rng, mix);
     fill(b, rng, mix);
     const Matrix c0 = start_c(s.c_rows, s.c_cols, rng, mix);
-    for (const float alpha : {1.0f, 0.5f, -1.25f}) {
-      for (const float beta : {0.0f, 1.0f, 0.3f}) {
-        Matrix want = c0;
-        common::set_ops_threads(1);
-        scalar(a, b, want, alpha, beta);
-        for (const int lanes : {1, 3}) {
+    for (const float beta : {0.0f, 1.0f, 0.3f}) {
+      Matrix start = c0;
+      if (beta == 0.0f) start.fill(std::numeric_limits<float>::quiet_NaN());
+      Matrix want = start;
+      common::set_ops_threads(1);
+      scalar(a, b, want, beta);
+      for (const int lanes : {1, 3}) {
+        for (const bool embedded : {false, true}) {
           SCOPED_TRACE(::testing::Message()
                        << "A " << s.a_rows << "x" << s.a_cols << ", mix "
-                       << static_cast<int>(mix) << ", alpha " << alpha
-                       << ", beta " << beta << ", lanes " << lanes);
-          Matrix got = c0;
+                       << static_cast<int>(mix) << ", beta " << beta
+                       << ", lanes " << lanes << ", embedded " << embedded);
+          Matrix got = start;
           common::set_ops_threads(lanes);
-          dispatched(a, b, got, alpha, beta);
+          if (embedded) {
+            Embedded ea(a), eb(b), ec(start);
+            dispatched(ea.view(), eb.view(), ec.view(), beta);
+            got = ec.block();
+          } else {
+            dispatched(a, b, got, beta);
+          }
           common::set_ops_threads(1);
           expect_same_bits_or_both_nan(got, want);
         }
@@ -684,11 +735,11 @@ TEST(GemmDispatch, NnMatchesScalar) {
                         Shape{66, 7, 48}}) {
     check_dispatch(
         {s.m, s.k, s.k, s.n, s.m, s.n},
-        [&](const Matrix& a, const Matrix& b, Matrix& c, float al, float be) {
-          ops::detail::gemm_nn_rows_scalar(a, b, c, 0, s.m, al, be);
+        [&](ConstMatrixView a, ConstMatrixView b, MatrixView c, float be) {
+          ops::detail::gemm_nn_rows_scalar(a, b, c, 0, s.m, be, {});
         },
-        [](const Matrix& a, const Matrix& b, Matrix& c, float al, float be) {
-          ops::gemm_nn(a, b, c, al, be);
+        [](ConstMatrixView a, ConstMatrixView b, MatrixView c, float be) {
+          ops::gemm_nn(a, b, c, be);
         });
   }
 }
@@ -700,13 +751,126 @@ TEST(GemmDispatch, NnRowsRangesMatchScalar) {
     SCOPED_TRACE(::testing::Message() << "rows [" << r.r0 << ", " << r.r1 << ")");
     check_dispatch(
         {139, 21, 21, 70, 139, 70},
-        [&](const Matrix& a, const Matrix& b, Matrix& c, float al, float be) {
-          ops::detail::gemm_nn_rows_scalar(a, b, c, r.r0, r.r1, al, be);
+        [&](ConstMatrixView a, ConstMatrixView b, MatrixView c, float be) {
+          ops::detail::gemm_nn_rows_scalar(a, b, c, r.r0, r.r1, be, {});
         },
-        [&](const Matrix& a, const Matrix& b, Matrix& c, float al, float be) {
-          ops::gemm_nn_rows(a, b, c, r.r0, r.r1, al, be);
+        [&](ConstMatrixView a, ConstMatrixView b, MatrixView c, float be) {
+          ops::gemm_nn_rows(a, b, c, r.r0, r.r1, be);
         });
   }
+}
+
+/// gemm_nn_rows through a row map: row t of A lands in C row map[t]. The
+/// reference gathers the mapped rows of C, runs the scalar kernel without
+/// a map, and scatters them back, so it does not share the kernels' map
+/// handling. Rows the map does not name keep their bits.
+TEST(GemmDispatch, NnRowMapMatchesScalar) {
+  struct MapCase {
+    const char* what;
+    std::int64_t c_rows;
+    std::vector<std::vector<NodeId>> maps; // one call per map, in order
+    std::int64_t r0_skip, r1_skip;         // rows [r0_skip, m - r1_skip)
+  };
+  std::vector<MapCase> cases;
+  {  // three peers whose rows interleave, as GAT's halo slots do
+    MapCase c{"three peers", 3 * 23, {}, 0, 0};
+    for (NodeId p = 0; p < 3; ++p) {
+      std::vector<NodeId> map;
+      for (NodeId t = 0; t < 23; ++t) map.push_back(3 * t + (t + p) % 3);
+      c.maps.push_back(std::move(map));
+    }
+    cases.push_back(std::move(c));
+  }
+  {  // a permutation, over a row range that skips both ends
+    MapCase c{"permutation", 70, {}, 2, 3};
+    std::vector<NodeId> map(70);
+    for (NodeId t = 0; t < 70; ++t)
+      map[static_cast<std::size_t>(t)] = (t * 37 + 11) % 70;
+    c.maps.push_back(std::move(map));
+    cases.push_back(std::move(c));
+  }
+  {  // gaps: every other row of C, and the last ones, stay out of the map
+    MapCase c{"gaps", 2 * 66 + 5, {}, 0, 0};
+    std::vector<NodeId> map;
+    for (NodeId t = 0; t < 66; ++t) map.push_back(2 * t + 1);
+    c.maps.push_back(std::move(map));
+    cases.push_back(std::move(c));
+  }
+  Rng rng(77);
+  for (const MapCase& mc : cases) {
+    for (const std::int64_t n : {std::int64_t{17}, std::int64_t{64},
+                                 std::int64_t{70}}) {
+      for (const Mix mix : {Mix::kDense, Mix::kZeros, Mix::kSpecial}) {
+        const Matrix c0 = start_c(mc.c_rows, n, rng, mix);
+        std::vector<Matrix> as;
+        Matrix b(21, n);
+        fill(b, rng, mix);
+        for (const auto& map : mc.maps) {
+          as.emplace_back(static_cast<std::int64_t>(map.size()), 21);
+          fill(as.back(), rng, mix);
+        }
+        for (const float beta : {0.0f, 1.0f, 0.3f}) {
+          SCOPED_TRACE(::testing::Message()
+                       << mc.what << ", n " << n << ", mix "
+                       << static_cast<int>(mix) << ", beta " << beta);
+          Matrix start = c0;
+          if (beta == 0.0f) {
+            for (const auto& map : mc.maps)
+              for (const NodeId r : map)
+                std::fill(start.row(r).begin(), start.row(r).end(),
+                          std::numeric_limits<float>::quiet_NaN());
+          }
+          Matrix want = start, scalar = start;
+          common::set_ops_threads(1);
+          for (std::size_t p = 0; p < mc.maps.size(); ++p) {
+            const auto& map = mc.maps[p];
+            const auto m = static_cast<std::int64_t>(map.size());
+            const std::int64_t r0 = mc.r0_skip, r1 = m - mc.r1_skip;
+            Matrix rows(m, n);
+            for (std::int64_t t = r0; t < r1; ++t)
+              std::copy(want.row(map[static_cast<std::size_t>(t)]).begin(),
+                        want.row(map[static_cast<std::size_t>(t)]).end(),
+                        rows.row(t).begin());
+            ops::detail::gemm_nn_rows_scalar(as[p], b, rows, r0, r1, beta, {});
+            for (std::int64_t t = r0; t < r1; ++t)
+              std::copy(rows.row(t).begin(), rows.row(t).end(),
+                        want.row(map[static_cast<std::size_t>(t)]).begin());
+            ops::detail::gemm_nn_rows_scalar(as[p], b, scalar, r0, r1, beta,
+                                             map);
+          }
+          expect_same_bits_or_both_nan(scalar, want);
+          for (const int lanes : {1, 3}) {
+            SCOPED_TRACE(::testing::Message() << "lanes " << lanes);
+            Matrix got = start;
+            common::set_ops_threads(lanes);
+            for (std::size_t p = 0; p < mc.maps.size(); ++p) {
+              const auto m = static_cast<std::int64_t>(mc.maps[p].size());
+              ops::gemm_nn_rows(as[p], b, got, mc.r0_skip, m - mc.r1_skip,
+                                beta, mc.maps[p]);
+            }
+            common::set_ops_threads(1);
+            expect_same_bits_or_both_nan(got, want);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmDispatch, NnRowMapIsChecked) {
+  Matrix a(4, 3, 1.0f), b(3, 5, 1.0f), c(6, 5);
+  const std::vector<NodeId> ok = {5, 0, 2, 3};
+  ops::gemm_nn_rows(a, b, c, 0, 4, 0.0f, ok);
+  for (const std::vector<NodeId>& bad :
+       {std::vector<NodeId>{5, 0, 6, 3}, std::vector<NodeId>{5, -1, 2, 3},
+        std::vector<NodeId>{5, 0, 2}}) {
+    EXPECT_THROW(ops::gemm_nn_rows(a, b, c, 0, 4, 0.0f, bad), CheckError);
+  }
+  // Only the addressed rows' entries are read.
+  const std::vector<NodeId> bad_outside = {5, 0, 2, 99};
+  EXPECT_NO_THROW(ops::gemm_nn_rows(a, b, c, 0, 3, 0.0f, bad_outside));
+  EXPECT_THROW(ops::gemm_nn_rows(a, b, c, 0, 4, 0.0f, bad_outside),
+               CheckError);
 }
 
 TEST(GemmDispatch, TnMatchesScalar) {
@@ -718,11 +882,11 @@ TEST(GemmDispatch, TnMatchesScalar) {
                         Shape{2, 66, 48}}) {
     check_dispatch(
         {s.m, s.k, s.m, s.n, s.k, s.n},
-        [](const Matrix& a, const Matrix& b, Matrix& c, float al, float be) {
-          ops::detail::gemm_tn_scalar(a, b, c, al, be);
+        [](ConstMatrixView a, ConstMatrixView b, MatrixView c, float be) {
+          ops::detail::gemm_tn_scalar(a, b, c, be);
         },
-        [](const Matrix& a, const Matrix& b, Matrix& c, float al, float be) {
-          ops::gemm_tn(a, b, c, al, be);
+        [](ConstMatrixView a, ConstMatrixView b, MatrixView c, float be) {
+          ops::gemm_tn(a, b, c, be);
         });
   }
 }
@@ -735,11 +899,11 @@ TEST(GemmDispatch, NtMatchesScalar) {
                         Shape{66, 7, 48}}) {
     check_dispatch(
         {s.m, s.n, s.k, s.n, s.m, s.k},
-        [](const Matrix& a, const Matrix& b, Matrix& c, float al, float be) {
-          ops::detail::gemm_nt_scalar(a, b, c, al, be);
+        [](ConstMatrixView a, ConstMatrixView b, MatrixView c, float be) {
+          ops::detail::gemm_nt_scalar(a, b, c, be);
         },
-        [](const Matrix& a, const Matrix& b, Matrix& c, float al, float be) {
-          ops::gemm_nt(a, b, c, al, be);
+        [](ConstMatrixView a, ConstMatrixView b, MatrixView c, float be) {
+          ops::gemm_nt(a, b, c, be);
         });
   }
 }
@@ -760,19 +924,19 @@ TEST(GemmDispatch, DispatchedGemmsDoNotFuse) {
       ASSERT_EQ(std::bit_cast<std::uint32_t>(out.data()[i]), 0u)
           << what << " fused at flat index " << i << ": " << out.data()[i];
   };
-  {  // gemm_nn, beta = 1: C + (1 * a) * a
+  {  // gemm_nn, beta = 1: C + a * a
     const Matrix x(rows, 1, a), w(1, cols, a);
     Matrix out(rows, cols, c);
-    ops::gemm_nn(x, w, out, 1.0f, 1.0f);
+    ops::gemm_nn(x, w, out, 1.0f);
     expect_all_plus_zero(out, "gemm_nn");
   }
-  {  // gemm_tn, beta = 1: C + (1 * a) * a
+  {  // gemm_tn, beta = 1: C + a * a
     const Matrix x(1, rows, a), g(1, cols, a);
     Matrix out(rows, cols, c);
-    ops::gemm_tn(x, g, out, 1.0f, 1.0f);
+    ops::gemm_tn(x, g, out, 1.0f);
     expect_all_plus_zero(out, "gemm_tn");
   }
-  {  // gemm_nt's sum: (0 + c * 1) + a * a, then 0 + 1 * 0
+  {  // gemm_nt's sum: (0 + c * 1) + a * a, then 0 + 0
     Matrix x(rows, 2), w(cols, 2);
     for (std::int64_t i = 0; i < rows; ++i) {
       x.at(i, 0) = c;
@@ -783,14 +947,8 @@ TEST(GemmDispatch, DispatchedGemmsDoNotFuse) {
       w.at(j, 1) = a;
     }
     Matrix out(rows, cols);
-    ops::gemm_nt(x, w, out, 1.0f, 0.0f);
+    ops::gemm_nt(x, w, out);
     expect_all_plus_zero(out, "gemm_nt sum");
-  }
-  {  // gemm_nt's finish: C + alpha * acc with alpha = acc = a
-    const Matrix x(rows, 1, a), w(cols, 1, 1.0f);
-    Matrix out(rows, cols, c);
-    ops::gemm_nt(x, w, out, a, 1.0f);
-    expect_all_plus_zero(out, "gemm_nt finish");
   }
 }
 
@@ -1413,6 +1571,90 @@ TEST(GatDispatch, DoesNotFuse) {
     for (std::int64_t i = 0; i < out.size(); ++i)
       ASSERT_EQ(std::bit_cast<std::uint32_t>(out.data()[i]), 0u)
           << "fused at flat index " << i << ": " << out.data()[i];
+  }
+}
+
+/// The scores fixture: a destination of every degree 0…70 (tails of every
+/// length under the 16-wide chunks, whole chunks, and isolated rows),
+/// then rows whose sources are drawn from a few values so that their
+/// maximum is a zero of either sign, arcs in random order over 300
+/// sources.
+nn::BipartiteCsr scores_adj(Rng& rng) {
+  nn::BipartiteCsr adj;
+  adj.n_dst = 71 + 20;
+  adj.n_src = 300;
+  adj.offsets.push_back(0);
+  for (NodeId v = 0; v < adj.n_dst; ++v) {
+    const NodeId deg = v < 71 ? v : static_cast<NodeId>(rng.next_u64() % 40);
+    for (NodeId e = 0; e < deg; ++e)
+      adj.nbrs.push_back(static_cast<NodeId>(rng.next_u64() % 300));
+    adj.offsets.push_back(static_cast<EdgeId>(adj.nbrs.size()));
+  }
+  adj.validate();
+  return adj;
+}
+
+void expect_same_bits_or_both_nan(std::span<const float> got,
+                                  std::span<const float> want,
+                                  const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::isnan(want[i])) {
+      ASSERT_TRUE(std::isnan(got[i])) << what << " at entry " << i;
+    } else {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                std::bit_cast<std::uint32_t>(want[i]))
+          << what << " at entry " << i << ": " << got[i] << " vs " << want[i];
+    }
+  }
+}
+
+TEST(GatDispatch, ScoresMatchScalar) {
+  Rng rng(45);
+  const nn::BipartiteCsr adj = scores_adj(rng);
+  const auto n_entries =
+      static_cast<std::size_t>(adj.num_edges() + adj.n_dst);
+  // Specials: none, one value in 16 and one in 4 (then most rows hold a
+  // NaN or an infinity somewhere and come out all NaN).
+  for (const std::uint64_t every : {std::uint64_t{0}, std::uint64_t{16},
+                                    std::uint64_t{4}}) {
+    std::vector<float> s_src(static_cast<std::size_t>(adj.n_src));
+    std::vector<float> s_dst(static_cast<std::size_t>(adj.n_dst));
+    for (float& x : s_src) x = static_cast<float>(rng.next_gaussian());
+    for (float& x : s_dst) x = static_cast<float>(rng.next_gaussian());
+    if (every > 0) {
+      sprinkle_specials(s_src.data(), s_src.size(), rng, every);
+      sprinkle_specials(s_dst.data(), s_dst.size(), rng, every);
+    }
+    // Sources 0-3 hold +0, -0, -1 and -0: the last 20 rows, which draw
+    // from them when `every` is 0, score zeros of both signs and negatives,
+    // so their maximum is a zero whose sign depends on the order.
+    if (every == 0) {
+      s_src[0] = 0.0f;
+      s_src[1] = -0.0f;
+      s_src[2] = -1.0f;
+      s_src[3] = -0.0f;
+    }
+    nn::BipartiteCsr zeros = adj;
+    for (NodeId v = 71; v < adj.n_dst; ++v) {
+      s_dst[static_cast<std::size_t>(v)] = v % 2 == 0 ? 0.0f : -0.0f;
+      for (EdgeId e = adj.offsets[static_cast<std::size_t>(v)];
+           e < adj.offsets[static_cast<std::size_t>(v) + 1]; ++e)
+        zeros.nbrs[static_cast<std::size_t>(e)] =
+            static_cast<NodeId>(rng.next_u64() % 4);
+    }
+    for (const bool with_slopes : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "specials every " << every
+                                        << ", slopes " << with_slopes);
+      std::vector<float> want_a(n_entries), got_a(n_entries, -7.0f);
+      std::vector<float> want_s(with_slopes ? n_entries : 0);
+      std::vector<float> got_s(with_slopes ? n_entries : 0, -7.0f);
+      nn::detail::gat_scores_scalar(zeros, s_src, s_dst, 0.2f, want_a,
+                                    want_s);
+      nn::gat_scores(zeros, s_src, s_dst, 0.2f, got_a, got_s);
+      expect_same_bits_or_both_nan(got_a, want_a, "alpha");
+      expect_same_bits_or_both_nan(got_s, want_s, "slope");
+    }
   }
 }
 
