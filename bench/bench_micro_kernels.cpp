@@ -13,7 +13,6 @@
 #include "api/presets.hpp"
 #include "common/thread_pool.hpp"
 #include "core/boundary_sampler.hpp"
-#include "core/epoch_planner.hpp"
 #include "core/halo_cache.hpp"
 #include "core/local_graph.hpp"
 #include "graph/generators.hpp"
@@ -388,16 +387,16 @@ BENCHMARK(BM_HaloCacheDirStep)
     ->ArgNames({"universe", "capacity", "keep_pct"});
 
 void BM_EpochPlannerDraw(benchmark::State& state) {
-  // Strategy-only cost of one epoch's random draw (no compaction, no
-  // negotiation) for the BNS planner.
+  // Cost of one epoch's BNS draw alone (no compaction, no negotiation).
   Rng rng(5);
   const Csr g = gen::rmat(16384, 200000, rng);
   const auto part = random_partition(g.n, 2, rng);
   const auto lgs = core::build_local_graphs(g, part);
-  const core::BnsPlanner planner({.rate = 0.1f, .unbiased_scaling = true});
+  const core::BoundarySampler::Options opts{
+      .variant = core::SamplingVariant::kBns, .rate = 0.1f};
   Rng draw_rng(6);
   for (auto _ : state) {
-    auto draw = planner.draw(lgs[0], draw_rng);
+    auto draw = core::draw_epoch(lgs[0], opts, draw_rng);
     benchmark::DoNotOptimize(draw.halo_kept.data());
   }
 }

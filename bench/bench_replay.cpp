@@ -3,8 +3,10 @@
 // with a config; schema in docs/BENCHMARKS.md), and every run is a pure
 // function of its config — seeded RNG, deterministic partitioner, simulated
 // interconnect — so re-running the config must reproduce the recorded
-// deterministic metrics exactly. Measured wall/compute times are the only
-// fields allowed to differ.
+// deterministic metrics exactly. Which breakdown fields those are is each
+// field's ReplayRule in core::kEpochBreakdownFields: measured wall times
+// never compare, and on a measured (socket) recording neither do the
+// exchange and allreduce spans.
 //
 // Usage: bench_replay <artifact.json> [--rows <n>]
 //   <artifact.json>  a --json artifact from any bench
@@ -18,6 +20,8 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "api/run.hpp"
 #include "api/serialize.hpp"
@@ -27,11 +31,29 @@ namespace {
 
 using namespace bnsgcn;
 
+/// The key of the first field of `table` that differs between `want` and
+/// `got`, among those `compared(entry, recorded value)` selects; empty when
+/// they all match.
+template <class S, class Table, class Pick>
+std::string_view first_mismatch(const S& want, const S& got,
+                                const Table& table, Pick compared) {
+  std::string_view bad;
+  for_each_field(table, [&](const auto& f) {
+    if (bad.empty() && compared(f, want.*f.member) &&
+        got.*f.member != want.*f.member)
+      bad = f.key;
+  });
+  return bad;
+}
+
+const auto kEveryField = [](const auto&, const auto&) { return true; };
+
 /// Deterministic-field comparison between a recorded report and its
 /// replay. Returns true on match; prints the first divergence otherwise.
 bool matches(const api::RunReport& want, const api::RunReport& got) {
-  const auto fail = [](const char* what) {
-    std::printf("    mismatch: %s\n", what);
+  const auto fail = [](std::string_view what) {
+    std::printf("    mismatch: %.*s\n", static_cast<int>(what.size()),
+                what.data());
     return false;
   };
   if (got.method != want.method) return fail("method");
@@ -41,47 +63,36 @@ bool matches(const api::RunReport& want, const api::RunReport& got) {
   if (got.final_test != want.final_test) return fail("final_test");
   if (got.curve.size() != want.curve.size()) return fail("curve length");
   for (std::size_t i = 0; i < want.curve.size(); ++i) {
-    if (got.curve[i].epoch != want.curve[i].epoch ||
-        got.curve[i].val != want.curve[i].val ||
-        got.curve[i].test != want.curve[i].test)
-      return fail("curve point");
+    const auto bad = first_mismatch(want.curve[i], got.curve[i],
+                                    core::kEvalPointFields, kEveryField);
+    if (!bad.empty()) return fail("curve point " + std::string(bad));
   }
   if (got.epochs.size() != want.epochs.size()) return fail("epoch count");
   for (std::size_t i = 0; i < want.epochs.size(); ++i) {
-    // Byte counts and the simulated times derived from them are exact
-    // functions of the sampled exchange sets; measured compute_s (and the
-    // wall clock) are scheduling noise and deliberately not compared.
-    if (got.epochs[i].feature_bytes != want.epochs[i].feature_bytes)
-      return fail("feature_bytes");
-    if (got.epochs[i].grad_bytes != want.epochs[i].grad_bytes)
-      return fail("grad_bytes");
-    if (got.epochs[i].control_bytes != want.epochs[i].control_bytes)
-      return fail("control_bytes");
-    // Halo-cache counters are deterministic on every transport (the
-    // directories step at post time from position lists); old artifacts
-    // parse them as 0 and replay with the cache off, so they still match.
-    if (got.epochs[i].cache_hit_rows != want.epochs[i].cache_hit_rows)
-      return fail("cache_hit_rows");
-    if (got.epochs[i].cache_miss_rows != want.epochs[i].cache_miss_rows)
-      return fail("cache_miss_rows");
-    if (got.epochs[i].bytes_saved != want.epochs[i].bytes_saved)
-      return fail("bytes_saved");
-    // Measured recordings (socket fabrics: timing_source == "measured")
-    // carry wall-clock comm spans — scheduling noise, like compute_s — so
-    // only simulated (CostModel-derived) times are bit-compared.
-    if (want.epochs[i].timing == comm::TimingSource::kMeasured) continue;
-    if (got.epochs[i].comm_s != want.epochs[i].comm_s)
-      return fail("comm_s");
-    // comm_tail_s is deterministic too, but artifacts written before the
-    // field existed parse it as 0 — only compare when the recording has it.
-    if (want.epochs[i].comm_tail_s != 0.0 &&
-        got.epochs[i].comm_tail_s != want.epochs[i].comm_tail_s)
-      return fail("comm_tail_s");
-    if (got.epochs[i].reduce_s != want.epochs[i].reduce_s)
-      return fail("reduce_s");
+    // Each breakdown field replays by its ReplayRule (core/trainer.hpp).
+    const bool simulated =
+        want.epochs[i].timing == comm::TimingSource::kSimulated;
+    const auto bad = first_mismatch(
+        want.epochs[i], got.epochs[i], core::kEpochBreakdownFields,
+        [&](const auto& f, const auto& recorded) {
+          // Artifacts written before an optional field existed parse it
+          // as 0: compare it only when the recording carries it.
+          if (f.presence == Presence::kOptional && recorded == 0)
+            return false;
+          switch (f.rules.replay) {
+            case core::ReplayRule::kExact: return true;
+            case core::ReplayRule::kExactIfSimulated: return simulated;
+            case core::ReplayRule::kNever: return false;
+          }
+          return true;
+        });
+    if (!bad.empty()) return fail(bad);
   }
-  if (got.memory.full_bytes != want.memory.full_bytes)
-    return fail("memory.full_bytes");
+  // The Eq. 4 memory report is a pure function of the partition and the
+  // sampled halo counts.
+  const auto bad = first_mismatch(want.memory, got.memory,
+                                  core::kMemoryReportFields, kEveryField);
+  if (!bad.empty()) return fail("memory." + std::string(bad));
   return true;
 }
 

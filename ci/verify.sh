@@ -87,6 +87,11 @@ rm -f "$OVERLAP_ARTIFACT"
 # so the simulated overlap envelope is (correctly) not gated here.
 ./build/bench/bench_overlap --transport uds --parts 2 --scale 0.25 \
   --epochs 2 --json build/overlap_uds_smoke.json
+# Replaying its first row covers a measured recording: the byte and cache
+# counters, swap_s and the memory model must repeat bit for bit, while the
+# measured comm spans are not compared (the "exact on simulated recordings
+# only" replay rule of core::kEpochBreakdownFields).
+./build/bench/bench_replay build/overlap_uds_smoke.json --rows 1
 
 # Chunked-stream replay gate: the first four rows of the overlap artifact
 # are one config under all four schedules (chunked stream included);

@@ -8,20 +8,6 @@
 
 namespace bnsgcn::api {
 
-namespace {
-
-const char* kind_tag(PartitionSpec::Kind k) {
-  switch (k) {
-    case PartitionSpec::Kind::kMetis: return "metis";
-    case PartitionSpec::Kind::kRandom: return "random";
-    case PartitionSpec::Kind::kHash: return "hash";
-    case PartitionSpec::Kind::kBfs: return "bfs";
-  }
-  return "unknown";
-}
-
-} // namespace
-
 PartitionCache::PartitionCache(PartitionCacheConfig cfg)
     : cfg_(std::move(cfg)) {
   BNSGCN_CHECK_MSG(cfg_.capacity >= 1, "partition cache needs capacity >= 1");
@@ -33,7 +19,7 @@ std::string PartitionCache::key_string(const GraphFingerprint& fp,
       spec.kind == PartitionSpec::Kind::kHash ? 0 : spec.seed;
   char buf[96];
   std::snprintf(buf, sizeof(buf), "-v%u-%s-%d-%llu", kPartitionerVersion,
-                kind_tag(spec.kind), spec.nparts,
+                enum_names(spec.kind).name(spec.kind), spec.nparts,
                 static_cast<unsigned long long>(seed));
   return fp.hex() + buf;
 }

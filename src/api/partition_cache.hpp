@@ -48,6 +48,12 @@ struct PartitionCacheStats {
                          const PartitionCacheStats&) = default;
 };
 
+inline constexpr auto kPartitionCacheStatsFields =
+    std::tuple{field("hits", &PartitionCacheStats::hits),
+               field("disk_hits", &PartitionCacheStats::disk_hits),
+               field("misses", &PartitionCacheStats::misses),
+               field("evictions", &PartitionCacheStats::evictions)};
+
 /// Version of the partitioner algorithms' *output*: bump whenever any
 /// partitioner (metis_like, random, hash, bfs) changes what it produces
 /// for the same (graph, spec). It participates in the cache key, so a

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "common/fields.hpp"
 #include "common/types.hpp"
 #include "graph/csr.hpp"
 #include "partition/partitioning.hpp"
@@ -23,6 +24,18 @@ struct PartitionSpec {
   friend bool operator==(const PartitionSpec&,
                          const PartitionSpec&) = default;
 };
+
+constexpr auto enum_names(PartitionSpec::Kind) {
+  using enum PartitionSpec::Kind;
+  return EnumNames<PartitionSpec::Kind, 4>{
+      "partition kind",
+      {{kMetis, "metis"}, {kRandom, "random"}, {kHash, "hash"}, {kBfs, "bfs"}}};
+}
+
+inline constexpr auto kPartitionSpecFields =
+    std::tuple{field("kind", &PartitionSpec::kind),
+               field("nparts", &PartitionSpec::nparts),
+               field("seed", &PartitionSpec::seed)};
 
 /// Materialize a partitioning per the spec (always computes; the cached
 /// path is api::cached_partition in api/partition_cache.hpp).

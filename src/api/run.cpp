@@ -54,7 +54,8 @@ std::deque<MethodInfo>& mutable_registry() {
                    // The trainer (local graphs included) is built before
                    // any rank starts: a bad config fails here, and forked
                    // ranks inherit it copy-on-write. Rank 0 hands its
-                   // report back as JSON on every transport.
+                   // report back as JSON on every transport; finish()
+                   // names the method and dataset.
                    core::BnsTrainer trainer(ds, *part, cfg.trainer,
                                             cfg.comm);
                    return run_report_from_json_string(run_ranks_piped(
@@ -63,26 +64,22 @@ std::deque<MethodInfo>& mutable_registry() {
                          core::TrainResult result =
                              trainer.train_rank(fabric, r);
                          if (r != 0) return std::string();
-                         return to_json_string(RunReport::from_train_result(
-                             std::move(result), "bns", ds.name));
+                         return to_json_string(RunReport{std::move(result)});
                        }));
                  }});
     r.push_back({Method::kRocProxy, "roc-proxy", "ROC (swap proxy)",
                  /*needs_partition=*/true,
                  [](const Dataset& ds, const Partitioning* part,
                     const RunConfig& cfg) {
-                   return RunReport::from_train_result(
-                       core::run_roc_proxy(ds, *part, cfg.trainer, cfg.comm),
-                       "roc-proxy", ds.name);
+                   return RunReport{
+                       core::run_roc_proxy(ds, *part, cfg.trainer, cfg.comm)};
                  }});
     r.push_back({Method::kCagnetProxy, "cagnet-proxy", "CAGNET proxy",
                  /*needs_partition=*/true,
                  [](const Dataset& ds, const Partitioning* part,
                     const RunConfig& cfg) {
-                   return RunReport::from_train_result(
-                       core::run_cagnet_proxy(ds, *part, cfg.trainer,
-                                              cfg.cagnet_c),
-                       "cagnet-proxy", ds.name);
+                   return RunReport{core::run_cagnet_proxy(
+                       ds, *part, cfg.trainer, cfg.cagnet_c)};
                  }});
     r.push_back({Method::kFullGraph, "full-graph", "Full-graph (1 process)",
                  /*needs_partition=*/false,

@@ -42,9 +42,10 @@ struct CommSpec : core::ExchangeSpec {
   /// by a socket fabric (api/multiprocess.hpp): identical losses and byte
   /// counts — the schedule and fold orders are transport-invariant — but
   /// comm/overlap/tail/reduce become measured wall-clock
-  /// (RunReport::timing_source == "measured"). Only Method::kBns routes to
-  /// the multi-process runtime; JSON key "transport", values
-  /// "mailbox" / "uds" / "tcp".
+  /// (EpochBreakdown::timing is kMeasured, and the report's JSON carries
+  /// "timing_source": "measured"). Only Method::kBns routes to the
+  /// multi-process runtime; JSON key "transport", values "mailbox" /
+  /// "uds" / "tcp".
   comm::TransportKind transport = comm::TransportKind::kMailbox;
 };
 

@@ -12,14 +12,11 @@ namespace bnsgcn::api {
 /// Machine-readable form of a run. Field-complete: from_json(to_json(r))
 /// reproduces every stored field exactly (doubles are emitted with
 /// round-trip precision), which tests/test_report_json.cpp pins.
+/// Each struct's keys come from its field table (common/fields.hpp).
 [[nodiscard]] json::Value to_json(const core::EpochBreakdown& e);
-[[nodiscard]] json::Value to_json(const core::EvalPoint& p);
-[[nodiscard]] json::Value to_json(const core::MemoryReport& m);
 [[nodiscard]] json::Value to_json(const RunReport& r);
 
 [[nodiscard]] core::EpochBreakdown breakdown_from_json(const json::Value& v);
-[[nodiscard]] core::EvalPoint eval_point_from_json(const json::Value& v);
-[[nodiscard]] core::MemoryReport memory_from_json(const json::Value& v);
 [[nodiscard]] RunReport run_report_from_json(const json::Value& v);
 
 /// Machine-readable form of a RunConfig, so artifacts can record the exact

@@ -8,28 +8,6 @@
 
 namespace bnsgcn::api {
 
-namespace {
-
-/// Engine result -> report rows. method/dataset/train_wall_s are stamped
-/// by the caller (this runs on rank 0, which does not know the training
-/// provenance).
-ServeReport report_from_result(core::ServeResult&& res,
-                               const ServeConfig& scfg) {
-  ServeReport r;
-  r.batch_size = scfg.batch_size;
-  r.num_batches = scfg.num_batches;
-  r.num_classes = res.num_classes;
-  r.batches = std::move(res.batches);
-  r.queries = std::move(res.queries);
-  r.predictions = std::move(res.predictions);
-  r.logits = std::move(res.logits);
-  r.serve_wall_s = res.wall_time_s;
-  r.timing = res.timing;
-  return r;
-}
-
-} // namespace
-
 ServeReport serve(const Dataset& ds, const Partitioning& part,
                   const RunConfig& cfg, const ServeConfig& scfg) {
   const MethodInfo& info = resolve_method(cfg);
@@ -52,17 +30,19 @@ ServeReport serve(const Dataset& ds, const Partitioning& part,
   core::InferenceEngine engine(ds, part, tcfg, cfg.comm, snapshot);
 
   // The engine (weights, local graphs) is built before any rank starts;
-  // forked ranks inherit it copy-on-write. Rank 0 hands its report back as
-  // JSON on every transport.
+  // forked ranks inherit it copy-on-write. Rank 0 hands its result back as
+  // JSON on every transport; the provenance is stamped here.
   ServeReport report = serve_report_from_json_string(run_ranks_piped(
       cfg.comm.transport, part.nparts, tcfg.cost,
       [&](comm::Fabric& fabric, PartId rank) {
-        core::ServeResult res = engine.serve_rank(fabric, rank, scfg);
+        ServeReport res{engine.serve_rank(fabric, rank, scfg)};
         if (rank != 0) return std::string();
-        return to_json_string(report_from_result(std::move(res), scfg));
+        return to_json_string(res);
       }));
   report.method = info.name;
   report.dataset = ds.name;
+  report.batch_size = scfg.batch_size;
+  report.num_batches = scfg.num_batches;
   report.train_wall_s = tr.wall_time_s;
   return report;
 }

@@ -17,25 +17,17 @@ namespace bnsgcn::api {
 /// not serialized).
 using ServeConfig = core::ServeOptions;
 
-/// The result of api::serve: training provenance plus the per-batch
-/// latency/traffic rows and the answered queries. Mirrors RunReport's
+/// The result of api::serve: the engine's core::ServeResult — per-batch
+/// latency/traffic rows, the answered queries, the halo-cache totals — plus
+/// the training provenance and the request shape. Mirrors RunReport's
 /// conventions — stored fields round-trip the JSON artifact exactly, the
 /// headline numbers are derived accessors recomputed on read.
-struct ServeReport {
-  std::string method;   // always "bns" today
-  std::string dataset;
-
+struct ServeReport : core::ServeResult {
+  std::string method{};  // always "bns" today
+  std::string dataset{};
   int batch_size = 0;
   int num_batches = 0;
-  int num_classes = 0;
-  std::vector<core::ServeBatchStats> batches;
-  std::vector<NodeId> queries;     // global ids, flat across batches
-  std::vector<int> predictions;    // argmax class per query
-  std::vector<float> logits;       // queries × num_classes; empty unless
-                                   // ServeConfig::record_logits
   double train_wall_s = 0.0;  // wall time of the weight-producing training
-  double serve_wall_s = 0.0;  // wall time of the serve loop (rank 0)
-  comm::TimingSource timing = comm::TimingSource::kSimulated;
 
   [[nodiscard]] int total_queries() const {
     return static_cast<int>(queries.size());
@@ -67,28 +59,6 @@ struct ServeReport {
     double busy = 0.0;
     for (const auto& b : batches) busy += b.latency_s;
     return busy > 0.0 ? static_cast<double>(total_queries()) / busy : 0.0;
-  }
-  /// Halo-cache totals over the request stream (RunReport conventions).
-  [[nodiscard]] std::int64_t cache_hit_rows() const {
-    std::int64_t n = 0;
-    for (const auto& b : batches) n += b.cache_hit_rows;
-    return n;
-  }
-  [[nodiscard]] std::int64_t cache_miss_rows() const {
-    std::int64_t n = 0;
-    for (const auto& b : batches) n += b.cache_miss_rows;
-    return n;
-  }
-  [[nodiscard]] std::int64_t cache_bytes_saved() const {
-    std::int64_t n = 0;
-    for (const auto& b : batches) n += b.bytes_saved;
-    return n;
-  }
-  [[nodiscard]] double cache_hit_rate() const {
-    const std::int64_t total = cache_hit_rows() + cache_miss_rows();
-    return total > 0 ? static_cast<double>(cache_hit_rows()) /
-                           static_cast<double>(total)
-                     : 0.0;
   }
 };
 

@@ -29,6 +29,18 @@ struct MinibatchConfig {
   NodeId saint_budget = 2000;  // GraphSAINT node budget per subgraph
 };
 
+inline constexpr auto kMinibatchConfigFields = [] {
+  using M = MinibatchConfig;
+  return std::tuple{field("lr", &M::lr),
+                    field("batch_size", &M::batch_size),
+                    field("batches_per_epoch", &M::batches_per_epoch),
+                    field("fanout", &M::fanout),
+                    field("layer_budget", &M::layer_budget),
+                    field("num_clusters", &M::num_clusters),
+                    field("clusters_per_batch", &M::clusters_per_batch),
+                    field("saint_budget", &M::saint_budget)};
+}();
+
 /// Whole-graph adjacency in Layer form (n_dst == n_src == n, identity node
 /// order so "self features first" holds trivially).
 struct FullGraphContext {

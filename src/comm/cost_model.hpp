@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "common/fields.hpp"
+
 namespace bnsgcn::comm {
 
 /// Analytic interconnect model: time = latency + bytes / bandwidth.
@@ -55,5 +57,10 @@ struct CostModel {
   static CostModel scaled_pcie3();
   static CostModel scaled_multi_machine();
 };
+
+/// CostModel's field table (common/fields.hpp): TrainerConfig's "cost".
+inline constexpr auto kCostModelFields =
+    std::tuple{field("latency_s", &CostModel::latency_s),
+               field("bytes_per_s", &CostModel::bytes_per_s)};
 
 } // namespace bnsgcn::comm

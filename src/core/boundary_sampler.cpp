@@ -6,29 +6,50 @@ namespace bnsgcn::core {
 
 namespace {
 
-/// Range-check the rate *before* the delegating constructor hands it to
-/// make_planner: an out-of-range rate must never reach a planner (whose
-/// 1/rate scaling and Bernoulli draws assume [0, 1]).
-const BoundarySampler::Options& validated(const BoundarySampler::Options& o) {
-  BNSGCN_CHECK(o.rate >= 0.0f && o.rate <= 1.0f);
-  return o;
+float inv_rate_or_one(const BoundarySampler::Options& opts) {
+  return (opts.unbiased_scaling && opts.rate > 0.0f) ? 1.0f / opts.rate
+                                                     : 1.0f;
 }
 
 } // namespace
 
-BoundarySampler::BoundarySampler(const LocalGraph& lg, const Options& opts)
-    : BoundarySampler(
-          lg,
-          make_planner(validated(opts).variant,
-                       {.rate = opts.rate,
-                        .unbiased_scaling = opts.unbiased_scaling}),
-          opts) {}
+EpochDraw draw_epoch(const LocalGraph& lg,
+                     const BoundarySampler::Options& opts, Rng& rng) {
+  EpochDraw d;
+  if (opts.variant == SamplingVariant::kBns) {
+    // Algorithm 1 line 4: keep each boundary node with probability p.
+    d.halo_kept.resize(static_cast<std::size_t>(lg.n_halo()));
+    for (char& kept : d.halo_kept) kept = rng.next_bool(opts.rate) ? 1 : 0;
+    d.halo_scale = inv_rate_or_one(opts);
+    return d;
+  }
+  // The edge draws visit arcs in adjacency order, one Bernoulli per arc
+  // they may drop: boundary arcs only for BES (Section 4.3), every arc for
+  // DropEdge. A halo node survives iff one of its arcs does.
+  const bool inner_too = opts.variant == SamplingVariant::kDropEdge;
+  BNSGCN_CHECK(inner_too || opts.variant == SamplingVariant::kBoundaryEdge);
+  d.halo_kept.assign(static_cast<std::size_t>(lg.n_halo()), 0);
+  d.edge_kept.emplace(lg.adj.nbrs.size(), 1);
+  for (std::size_t e = 0; e < lg.adj.nbrs.size(); ++e) {
+    const NodeId u = lg.adj.nbrs[e];
+    const bool halo = u >= lg.n_inner();
+    if (!halo && !inner_too) continue; // BES leaves inner arcs untouched
+    if (!rng.next_bool(opts.rate)) {
+      (*d.edge_kept)[e] = 0;
+    } else if (halo) {
+      d.halo_kept[static_cast<std::size_t>(u - lg.n_inner())] = 1;
+    }
+  }
+  d.halo_edge_scale = inv_rate_or_one(opts);
+  if (inner_too) d.inner_edge_scale = d.halo_edge_scale;
+  return d;
+}
 
-BoundarySampler::BoundarySampler(const LocalGraph& lg,
-                                 std::unique_ptr<EpochPlanner> planner,
-                                 const Options& opts)
-    : lg_(lg), opts_(opts), planner_(std::move(planner)), rng_(opts.seed) {
-  BNSGCN_CHECK(planner_ != nullptr);
+BoundarySampler::BoundarySampler(const LocalGraph& lg, const Options& opts)
+    : lg_(lg), opts_(opts), rng_(opts.seed) {
+  // An out-of-range rate would break the draw's Bernoulli trials and its
+  // 1/rate scaling.
+  BNSGCN_CHECK(opts.rate >= 0.0f && opts.rate <= 1.0f);
 }
 
 EpochPlan BoundarySampler::plan_from_draw(const EpochDraw& draw) {
@@ -113,7 +134,7 @@ EpochPlan BoundarySampler::plan_from_draw(const EpochDraw& draw) {
 }
 
 EpochPlan BoundarySampler::sample_epoch(comm::Endpoint& ep, int tag) {
-  const EpochDraw draw = planner_->draw(lg_, rng_);
+  const EpochDraw draw = draw_epoch(lg_, opts_, rng_);
   EpochPlan plan = plan_from_draw(draw);
 
   // Algorithm 1 lines 6-7: tell each owner which of its rows we kept.

@@ -1,12 +1,43 @@
 #pragma once
 
-#include <memory>
+#include <optional>
+#include <vector>
 
 #include "comm/fabric.hpp"
-#include "core/epoch_planner.hpp"
+#include "common/fields.hpp"
 #include "core/local_graph.hpp"
 
 namespace bnsgcn::core {
+
+/// Which random subgraph is drawn each epoch (Section 3.2 / Section 4.3).
+enum class SamplingVariant {
+  kBns,          // the paper's method: drop boundary *nodes* w.p. 1-p
+  kBoundaryEdge, // BES ablation: drop boundary *edges* w.p. 1-q (Table 9)
+  kDropEdge,     // DropEdge ablation: drop *any* edge w.p. 1-q (Table 9)
+};
+
+constexpr auto enum_names(SamplingVariant) {
+  using enum SamplingVariant;
+  return EnumNames<SamplingVariant, 3>{
+      "sampling variant",
+      {{kBns, "bns"}, {kBoundaryEdge, "boundary-edge"},
+       {kDropEdge, "drop-edge"}}};
+}
+
+/// One epoch's random draw over a rank's local graph: which halo nodes (and
+/// optionally which arcs) survive, plus the unbiased-estimator scales the
+/// compaction must apply. The draw only — the exchange negotiation and CSR
+/// compaction live in BoundarySampler.
+struct EpochDraw {
+  std::vector<char> halo_kept;                // size n_halo, 0/1
+  /// Arc-level keep mask over the local adjacency (same indexing as
+  /// LocalGraph::adj.nbrs). Disengaged for the node-level draw (kBns),
+  /// which also lets the compaction skip building a per-edge scale vector.
+  std::optional<std::vector<char>> edge_kept;
+  float halo_scale = 1.0f;       // applied to received halo feature rows
+  float halo_edge_scale = 1.0f;  // edge_scale of surviving halo arcs
+  float inner_edge_scale = 1.0f; // edge_scale of surviving inner arcs
+};
 
 /// One epoch's sampled exchange plan (Algorithm 1 lines 4-7 materialized):
 /// the compacted local adjacency plus, per peer, which inner rows to send
@@ -35,12 +66,11 @@ struct EpochPlan {
   EdgeId dropped_edges = 0;
 };
 
-/// Per-rank boundary sampler. The per-epoch random draw is delegated to a
-/// pluggable EpochPlanner strategy; this class owns what every strategy
-/// shares — CSR compaction and the cross-rank index negotiation.
-/// `sample_epoch` is a collective: every rank must call it in the same
-/// epoch order because the kept-index lists are exchanged through the
-/// fabric (Algorithm 1 line 6).
+/// Per-rank boundary sampler: each epoch's random draw (draw_epoch), its
+/// CSR compaction and the cross-rank index negotiation. `sample_epoch` is
+/// a collective: every rank must call it in the same epoch order because
+/// the kept-index lists are exchanged through the fabric (Algorithm 1
+/// line 6).
 class BoundarySampler {
  public:
   struct Options {
@@ -50,14 +80,8 @@ class BoundarySampler {
     std::uint64_t seed = 1;      // split per rank by the caller
   };
 
-  /// Built-in strategies, selected by `opts.variant`.
+  /// Throws CheckError unless opts.rate lies in [0, 1].
   BoundarySampler(const LocalGraph& lg, const Options& opts);
-
-  /// Custom strategy injection: any EpochPlanner, including ones defined
-  /// outside this library. `opts.variant`/`rate`/`unbiased_scaling` are
-  /// ignored (the planner owns them); `opts.seed` still seeds the draw.
-  BoundarySampler(const LocalGraph& lg, std::unique_ptr<EpochPlanner> planner,
-                  const Options& opts);
 
   /// Draw this epoch's plan and negotiate send/recv lists with all peers.
   /// `tag` must be identical across ranks for the same epoch and unique
@@ -73,15 +97,25 @@ class BoundarySampler {
   [[nodiscard]] EpochPlan empty_plan();
 
   [[nodiscard]] const Options& options() const { return opts_; }
-  [[nodiscard]] const EpochPlanner& planner() const { return *planner_; }
 
  private:
   [[nodiscard]] EpochPlan plan_from_draw(const EpochDraw& draw);
 
   const LocalGraph& lg_;
   Options opts_;
-  std::unique_ptr<EpochPlanner> planner_;
   Rng rng_;
 };
+
+/// One epoch's draw for `opts.variant` at rate `opts.rate` (`opts.seed` is
+/// unused: `rng` carries the stream). A pure function of (lg, rng) that
+/// never touches the fabric:
+///  - kBns keeps each halo node w.p. p, and scales received rows by 1/p;
+///  - kBoundaryEdge keeps each boundary arc w.p. q, and a halo node iff
+///    one of its arcs survives; surviving halo arcs scale by 1/q;
+///  - kDropEdge keeps every arc, inner ones too, w.p. q, scaled by 1/q.
+/// The scales apply only with opts.unbiased_scaling.
+[[nodiscard]] EpochDraw draw_epoch(const LocalGraph& lg,
+                                   const BoundarySampler::Options& opts,
+                                   Rng& rng);
 
 } // namespace bnsgcn::core

@@ -26,6 +26,13 @@ namespace bnsgcn::core {
 /// Ordered by how much wire time each can hide.
 enum class OverlapMode : int { kBlocking = 0, kBulk = 1, kStream = 2 };
 
+constexpr auto enum_names(OverlapMode) {
+  using enum OverlapMode;
+  return EnumNames<OverlapMode, 3>{
+      "overlap mode",
+      {{kBlocking, "blocking"}, {kBulk, "bulk"}, {kStream, "stream"}}};
+}
+
 /// The boundary-exchange knobs: when and whether the sampled boundary rows
 /// cross the wire. Which rows each rank exchanges is the sampler's
 /// decision (Algorithm 1); none of these changes a value (the cache only
@@ -62,6 +69,14 @@ struct ExchangeSpec {
   /// to JSON when either cache knob is nonzero.
   int cache_staleness = 0;
 };
+
+/// ExchangeSpec's field table. The reader walks it; the writer
+/// (api/serialize.cpp) adds the cache knobs' own write rule above.
+inline constexpr auto kExchangeSpecFields =
+    std::tuple{field("overlap", &ExchangeSpec::overlap),
+               field("inner_chunk_rows", &ExchangeSpec::inner_chunk_rows),
+               field("cache_mb", &ExchangeSpec::cache_mb),
+               field("cache_staleness", &ExchangeSpec::cache_staleness)};
 
 /// Throws CheckError naming the first field no engine can run: a negative
 /// inner_chunk_rows, cache_mb or cache_staleness, or a cache_mb whose byte

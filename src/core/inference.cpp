@@ -143,7 +143,7 @@ class ServeWorker {
         result.batches.push_back(stats);
       }
     }
-    result.wall_time_s = wall.elapsed_s();
+    result.serve_wall_s = wall.elapsed_s();
     return result;
   }
 

@@ -32,6 +32,12 @@ struct ServeOptions {
   int fail_rank = -1;
 };
 
+inline constexpr auto kServeOptionsFields =
+    std::tuple{field("batch_size", &ServeOptions::batch_size),
+               field("num_batches", &ServeOptions::num_batches),
+               field("seed", &ServeOptions::seed),
+               field("record_logits", &ServeOptions::record_logits)};
+
 /// Per-request-batch accounting. latency_s is measured wall time on rank 0
 /// from the batch's entry barrier to the assembled predictions. comm_s is
 /// the batch's exchange time by the training rule — summed measured
@@ -50,17 +56,39 @@ struct ServeBatchStats {
   std::int64_t bytes_saved = 0;
 };
 
+/// ServeBatchStats' field table: the cache counters follow the
+/// EpochBreakdown rule (written only when a cache ran).
+inline constexpr auto kServeBatchStatsFields = [] {
+  using enum Presence;
+  using B = ServeBatchStats;
+  return std::tuple{field("latency_s", &B::latency_s),
+                    field("comm_s", &B::comm_s),
+                    field("feature_bytes", &B::feature_bytes),
+                    field("control_bytes", &B::control_bytes),
+                    field("cache_hit_rows", &B::cache_hit_rows, kCache),
+                    field("cache_miss_rows", &B::cache_miss_rows, kCache),
+                    field("bytes_saved", &B::bytes_saved, kCache)};
+}();
+static_assert(member_count<ServeBatchStats>() ==
+                  std::tuple_size_v<decltype(kServeBatchStatsFields)>,
+              "every ServeBatchStats member needs an entry in "
+              "kServeBatchStatsFields");
+
 /// Rank 0's view of a completed serve run (other ranks participated in the
 /// collectives but hold empty curves, exactly like TrainResult).
-struct ServeResult {
+struct ServeResult : HaloCacheTotals<ServeResult> {
   std::vector<NodeId> queries;     // global ids, flat across batches
   std::vector<int> predictions;    // argmax class per query
   std::vector<float> logits;       // queries × num_classes, row-major;
                                    // empty unless ServeOptions::record_logits
   std::vector<ServeBatchStats> batches;
   int num_classes = 0;
-  double wall_time_s = 0.0;
+  double serve_wall_s = 0.0;       // wall time of the serve loop
   comm::TimingSource timing = comm::TimingSource::kSimulated;
+
+  [[nodiscard]] const std::vector<ServeBatchStats>& cache_rows() const {
+    return batches;
+  }
 };
 
 /// Forward-only serving over the partitioned graph (docs/ARCHITECTURE.md

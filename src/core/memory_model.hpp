@@ -4,6 +4,7 @@
 #include <span>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "common/types.hpp"
 
 namespace bnsgcn::core {
@@ -47,5 +48,9 @@ struct MemoryReport {
   /// Fig. 6 quantity: 1 - max_p(mem) / max_p(mem at p=1).
   [[nodiscard]] double reduction_vs_full() const;
 };
+
+inline constexpr auto kMemoryReportFields =
+    std::tuple{field("model_bytes", &MemoryReport::model_bytes),
+               field("full_bytes", &MemoryReport::full_bytes)};
 
 } // namespace bnsgcn::core

@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
@@ -505,59 +506,51 @@ class RankWorker {
 
 } // namespace
 
-namespace {
-
-// EpochBreakdown's fields by cross-rank reduction rule (overlap_s, the one
-// min, is named in place). reduce_breakdown and mean_breakdown walk these
-// tables, so a new field joins exactly one list.
-constexpr double EpochBreakdown::*kMaxTimes[] = {
-    &EpochBreakdown::compute_s, &EpochBreakdown::comm_s,
-    &EpochBreakdown::reduce_s,  &EpochBreakdown::sample_s,
-    &EpochBreakdown::swap_s,    &EpochBreakdown::comm_tail_s};
-constexpr std::int64_t EpochBreakdown::*kSummedCounts[] = {
-    &EpochBreakdown::feature_bytes,  &EpochBreakdown::grad_bytes,
-    &EpochBreakdown::control_bytes,  &EpochBreakdown::cache_hit_rows,
-    &EpochBreakdown::cache_miss_rows, &EpochBreakdown::bytes_saved};
-
-} // namespace
-
 EpochBreakdown reduce_breakdown(comm::Endpoint& ep,
                                 const EpochBreakdown& local) {
   // The reduction rides an (unaccounted) allgather instead of shared-memory
   // scratch, so it works across OS processes. Counts travel as doubles:
   // per-epoch volumes are integers far below 2^53, so the round trip is
   // exact.
-  std::vector<double> mine{local.overlap_s};
-  for (const auto f : kMaxTimes) mine.push_back(local.*f);
-  for (const auto f : kSummedCounts)
-    mine.push_back(static_cast<double>(local.*f));
+  std::vector<double> mine;
+  for_each_field(kEpochBreakdownFields, [&](const auto& f) {
+    mine.push_back(static_cast<double>(local.*f.member));
+  });
   const auto ranks = ep.allgather_doubles(std::move(mine));
   EpochBreakdown out;
   out.timing = local.timing;
-  out.overlap_s = ranks.front().front();
-  for (const auto& vals : ranks) {
-    auto v = vals.begin();
-    out.overlap_s = std::min(out.overlap_s, *v++);
-    for (const auto f : kMaxTimes) out.*f = std::max(out.*f, *v++);
-    for (const auto f : kSummedCounts)
-      out.*f += static_cast<std::int64_t>(*v++);
-  }
+  std::size_t i = 0;
+  for_each_field(kEpochBreakdownFields, [&](const auto& f) {
+    auto& o = out.*f.member;
+    using M = std::remove_reference_t<decltype(o)>;
+    // A max starts from the field's zero and a min from rank 0's value;
+    // each then folds the ranks in order, so NaN and -0.0 reduce by
+    // std::max / std::min's argument order.
+    if (f.rules.rank == RankRule::kMin) o = static_cast<M>(ranks.front()[i]);
+    for (const auto& vals : ranks) {
+      const auto v = static_cast<M>(vals[i]);
+      switch (f.rules.rank) {
+        case RankRule::kMax: o = std::max(o, v); break;
+        case RankRule::kMin: o = std::min(o, v); break;
+        case RankRule::kSum: o += v; break;
+      }
+    }
+    ++i;
+  });
   return out;
 }
 
 EpochBreakdown mean_breakdown(std::span<const EpochBreakdown> epochs) {
   EpochBreakdown mean;
   if (epochs.empty()) return mean;
-  for (const auto& e : epochs) {
-    mean.overlap_s += e.overlap_s;
-    for (const auto f : kMaxTimes) mean.*f += e.*f;
-    for (const auto f : kSummedCounts) mean.*f += e.*f;
-  }
   const auto n = static_cast<double>(epochs.size());
-  mean.overlap_s /= n;
-  for (const auto f : kMaxTimes) mean.*f /= n;
-  for (const auto f : kSummedCounts)
-    mean.*f = static_cast<std::int64_t>(static_cast<double>(mean.*f) / n);
+  for_each_field(kEpochBreakdownFields, [&](const auto& f) {
+    auto& m = mean.*f.member;
+    for (const auto& e : epochs) m += e.*f.member;
+    // Counters truncate to an integer mean.
+    m = static_cast<std::remove_reference_t<decltype(m)>>(
+        static_cast<double>(m) / n);
+  });
   return mean;
 }
 

@@ -3,9 +3,11 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "comm/fabric.hpp"
+#include "common/fields.hpp"
 #include "core/boundary_sampler.hpp"
 #include "core/halo_exchange.hpp"
 #include "core/local_graph.hpp"
@@ -16,11 +18,18 @@ namespace bnsgcn::core {
 
 enum class ModelKind { kSage, kGat };
 
-/// Per-epoch timing/traffic breakdown (Fig. 5 / Table 6 quantities).
-/// Times are bulk-synchronous: max over ranks per phase. `compute_s` is
-/// measured wall time of the local math; comm/overlap/tail/reduce are
-/// simulated from exact byte counts via the CostModel on the mailbox and
-/// measured on socket fabrics (`timing`; docs/ARCHITECTURE.md §1).
+constexpr auto enum_names(ModelKind) {
+  return EnumNames<ModelKind, 2>{
+      "model kind", {{ModelKind::kSage, "sage"}, {ModelKind::kGat, "gat"}}};
+}
+
+/// Per-epoch timing/traffic breakdown (Fig. 5 / Table 6 quantities). Each
+/// field's cross-rank rule — max for the times but overlap_s, min for
+/// overlap_s, sum for the counters — is its entry in kEpochBreakdownFields
+/// below. `compute_s` and `sample_s` are measured wall time of the local
+/// work; comm/overlap/tail/reduce are simulated from exact byte counts via
+/// the CostModel on the mailbox and measured on socket fabrics (`timing`;
+/// docs/ARCHITECTURE.md §1).
 struct EpochBreakdown {
   double compute_s = 0.0;
   double comm_s = 0.0;    // boundary feature/gradient exchange
@@ -41,12 +50,14 @@ struct EpochBreakdown {
   /// which the trainer executes while that exchange is in flight. Always
   /// 0 in blocking mode, and never exceeds comm_s.
   double overlap_s = 0.0;
-  /// Per-peer straggler metric: each exchange's slowest single peer
-  /// message (simulated transfer time), summed over the epoch's exchanges,
-  /// max over ranks. Deterministic (a pure function of the sampled
-  /// exchange sets), unlike overlap_s. This is the long tail the stream
-  /// schedule exists to hide: a bulk wait_all cannot release any fold
-  /// until the comm_tail_s straggler lands.
+  /// Per-peer straggler metric, simulated: each exchange's slowest single
+  /// peer message (simulated transfer time), summed over the epoch's
+  /// exchanges, max over ranks. Deterministic (a pure function of the
+  /// sampled exchange sets), unlike overlap_s. This is the long tail the
+  /// stream schedule exists to hide: a bulk wait_all cannot release any
+  /// fold until the comm_tail_s straggler lands. Measured recordings hold
+  /// no per-peer completion times yet: there it is a copy of comm_s's
+  /// exchange span.
   double comm_tail_s = 0.0;
   std::int64_t feature_bytes = 0; // global rx over all ranks
   std::int64_t grad_bytes = 0;
@@ -73,12 +84,69 @@ struct EpochBreakdown {
   }
 };
 
+/// How every rank's value of a breakdown field combines (reduce_breakdown):
+/// the slowest rank gates the step (max), overlap claims only what every
+/// rank hid (min), traffic and cache counters add up (sum).
+enum class RankRule { kMax, kMin, kSum };
+
+/// What replaying a recorded run (bench_replay) requires of a breakdown
+/// field. A field older artifacts may lack (Presence::kOptional) is
+/// compared only when the recording carries a nonzero value.
+enum class ReplayRule {
+  kExact,            // bit-equal on every recording
+  kExactIfSimulated, // bit-equal on simulated recordings only: on socket
+                     // fabrics it is a measured span
+  kNever,            // measured wall time, never compared
+};
+
+struct BreakdownRules {
+  RankRule rank;
+  ReplayRule replay;
+};
+
+/// EpochBreakdown's field table (common/fields.hpp), in JSON key order: the
+/// seven times, the three byte counters, the three cache counters. The JSON
+/// codec, reduce_breakdown, mean_breakdown and bench_replay walk it;
+/// `timing` travels beside it as "timing_source".
+inline constexpr auto kEpochBreakdownFields = [] {
+  using enum Presence;
+  using enum RankRule;
+  using enum ReplayRule;
+  using E = EpochBreakdown;
+  using R = BreakdownRules;
+  return std::tuple{
+      field("compute_s", &E::compute_s, kRequired, R{kMax, kNever}),
+      field("comm_s", &E::comm_s, kRequired, R{kMax, kExactIfSimulated}),
+      field("reduce_s", &E::reduce_s, kRequired, R{kMax, kExactIfSimulated}),
+      field("sample_s", &E::sample_s, kRequired, R{kMax, kNever}),
+      field("swap_s", &E::swap_s, kRequired, R{kMax, kExact}),
+      field("overlap_s", &E::overlap_s, kOptional, R{kMin, kNever}),
+      field("comm_tail_s", &E::comm_tail_s, kOptional,
+            R{kMax, kExactIfSimulated}),
+      field("feature_bytes", &E::feature_bytes, kRequired, R{kSum, kExact}),
+      field("grad_bytes", &E::grad_bytes, kRequired, R{kSum, kExact}),
+      field("control_bytes", &E::control_bytes, kRequired, R{kSum, kExact}),
+      field("cache_hit_rows", &E::cache_hit_rows, kCache, R{kSum, kExact}),
+      field("cache_miss_rows", &E::cache_miss_rows, kCache, R{kSum, kExact}),
+      field("bytes_saved", &E::bytes_saved, kCache, R{kSum, kExact})};
+}();
+static_assert(member_count<EpochBreakdown>() ==
+                  std::tuple_size_v<decltype(kEpochBreakdownFields)> + 1,
+              "every EpochBreakdown member but `timing` needs an entry in "
+              "kEpochBreakdownFields");
+
 struct EvalPoint {
   int epoch = 0;
   double val = 0.0;  // accuracy or micro-F1 (dataset-dependent)
   double test = 0.0;
   double train_loss = 0.0;
 };
+
+inline constexpr auto kEvalPointFields =
+    std::tuple{field("epoch", &EvalPoint::epoch),
+               field("val", &EvalPoint::val),
+               field("test", &EvalPoint::test),
+               field("train_loss", &EvalPoint::train_loss)};
 
 /// Streamed to the configured observer after every finished epoch, so
 /// callers (the api layer, benches) can emit rows live instead of
@@ -96,14 +164,14 @@ using EpochObserver = std::function<void(const EpochSnapshot&)>;
 
 /// The one cross-rank reduction of a breakdown: every rank of `ep` enters
 /// it (an unaccounted allgather) with its own values, and every rank gets
-/// the result — max over ranks for times (the slowest rank gates the
-/// step), min for overlap_s (claim only what every rank hid), sum for the
-/// byte and cache counters. `timing` is kept from `local`.
+/// the result, each field combined by its RankRule in
+/// kEpochBreakdownFields. `timing` is kept from `local`.
 [[nodiscard]] EpochBreakdown reduce_breakdown(comm::Endpoint& ep,
                                               const EpochBreakdown& local);
 
 /// Derived run metrics, shared by every result type (core::TrainResult and
-/// api::RunReport) so the definitions exist exactly once.
+/// api::RunReport) so the definitions exist exactly once. The mean is per
+/// field over the epochs; counters truncate to an integer.
 [[nodiscard]] EpochBreakdown mean_breakdown(
     std::span<const EpochBreakdown> epochs);
 /// Table 12 quantity: mean sampler time / mean total epoch time.
@@ -185,15 +253,76 @@ struct TrainerConfig {
   WeightSnapshot* capture_weights = nullptr;
 };
 
-struct TrainResult {
+/// TrainerConfig's field table: every member but observer,
+/// capture_weights, threads_oversubscribe and fail_rank, which do not
+/// serialize.
+inline constexpr auto kTrainerConfigFields = [] {
+  using T = TrainerConfig;
+  return std::tuple{field("num_layers", &T::num_layers),
+                    field("hidden", &T::hidden),
+                    field("model", &T::model),
+                    field("gat_heads", &T::gat_heads),
+                    field("dropout", &T::dropout),
+                    field("lr", &T::lr),
+                    field("epochs", &T::epochs),
+                    field("sample_rate", &T::sample_rate),
+                    field("variant", &T::variant),
+                    field("unbiased_scaling", &T::unbiased_scaling),
+                    field("eval_every", &T::eval_every),
+                    field("seed", &T::seed),
+                    field("cost", &T::cost),
+                    field("simulate_host_swap", &T::simulate_host_swap),
+                    field("threads", &T::threads)};
+}();
+
+/// The halo-cache totals of a run (docs/ARCHITECTURE.md §9), summed over
+/// its rows (`Run::cache_rows()`: the training epochs or the serve batches)
+/// and ranks: boundary rows served from the receiver-side cache, rows
+/// shipped over the wire, and the gross feature bytes the cache kept off
+/// it (the index-list overhead of delta frames is already inside
+/// feature_bytes). All zero with the cache off.
+template <class Run>
+struct HaloCacheTotals {
+  [[nodiscard]] std::int64_t cache_hit_rows() const {
+    return total([](const auto& row) { return row.cache_hit_rows; });
+  }
+  [[nodiscard]] std::int64_t cache_miss_rows() const {
+    return total([](const auto& row) { return row.cache_miss_rows; });
+  }
+  [[nodiscard]] std::int64_t cache_bytes_saved() const {
+    return total([](const auto& row) { return row.bytes_saved; });
+  }
+  /// hits / (hits + misses) over the whole run; 0 with the cache off.
+  [[nodiscard]] double cache_hit_rate() const {
+    const std::int64_t all = cache_hit_rows() + cache_miss_rows();
+    return all > 0 ? static_cast<double>(cache_hit_rows()) /
+                         static_cast<double>(all)
+                   : 0.0;
+  }
+
+ private:
+  template <class Count>
+  [[nodiscard]] std::int64_t total(Count count) const {
+    std::int64_t n = 0;
+    for (const auto& row : static_cast<const Run&>(*this).cache_rows())
+      n += count(row);
+    return n;
+  }
+};
+
+struct TrainResult : HaloCacheTotals<TrainResult> {
   std::vector<double> train_loss;          // one per epoch (global mean)
   std::vector<EvalPoint> curve;            // eval_every snapshots
   double final_val = 0.0;
   double final_test = 0.0;
   std::vector<EpochBreakdown> epochs;
-  MemoryReport memory;
-  double wall_time_s = 0.0;
+  MemoryReport memory;                     // empty for minibatch methods
+  double wall_time_s = 0.0;                // measured end-to-end wall time
+                                           // (rank 0's, for bns)
 
+  [[nodiscard]] const std::vector<EpochBreakdown>& cache_rows() const {
+    return epochs;
+  }
   [[nodiscard]] EpochBreakdown mean_epoch() const {
     return mean_breakdown(epochs);
   }

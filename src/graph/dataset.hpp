@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "common/rng.hpp"
 #include "graph/csr.hpp"
 #include "tensor/matrix.hpp"
@@ -57,6 +58,26 @@ struct SyntheticSpec {
   double train_frac = 0.66, val_frac = 0.10; // rest is test
   std::uint64_t seed = 1;
 };
+
+inline constexpr auto kSyntheticSpecFields = [] {
+  using S = SyntheticSpec;
+  return std::tuple{field("name", &S::name),
+                    field("n", &S::n),
+                    field("m", &S::m),
+                    field("communities", &S::communities),
+                    field("num_classes", &S::num_classes),
+                    field("feat_dim", &S::feat_dim),
+                    field("p_intra", &S::p_intra),
+                    field("degree_skew", &S::degree_skew),
+                    field("feature_noise", &S::feature_noise),
+                    field("feature_signal", &S::feature_signal),
+                    field("label_noise", &S::label_noise),
+                    field("multilabel", &S::multilabel),
+                    field("labels_per_node", &S::labels_per_node),
+                    field("train_frac", &S::train_frac),
+                    field("val_frac", &S::val_frac),
+                    field("seed", &S::seed)};
+}();
 
 /// Build a dataset from the degree-corrected planted-partition generator:
 /// community structure drives both edges and labels; features are

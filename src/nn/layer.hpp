@@ -304,7 +304,8 @@ class Layer {
   /// per-row work happens here; the chunks do it. Lifetime rule: in
   /// inference the caller keeps `inner_feats` alive and unchanged until
   /// forward_halo_finish returns, because implementations may keep a
-  /// reference instead of copying (GAT's chunks multiply it in place).
+  /// reference instead of copying (SAGE's and GAT's chunks read it in
+  /// place).
   /// core::HaloExchanger::forward_layer and Layer::forward do; a training
   /// forward may drop it once this call returns.
   virtual void forward_inner_begin(const BipartiteCsr& adj,

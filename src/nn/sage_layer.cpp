@@ -28,8 +28,15 @@ void SageLayer::forward_inner_begin(const BipartiteCsr& adj,
   cached_training_ = training;
   // Setup only: the halo-independent work — inner-source partial
   // aggregation AND the self transform self·W_self — runs in the row
-  // chunks, so RequestSet polls (and peer folds) can interleave.
-  self_cache_ = inner_feats;
+  // chunks, so RequestSet polls (and peer folds) can interleave. Inference
+  // reads the caller's inner block in place; training copies it for
+  // backward_params' dW_self GEMM.
+  if (inference_) {
+    inner_src_ = &inner_feats;
+  } else {
+    self_cache_ = inner_feats;
+    inner_src_ = &self_cache_;
+  }
   z_partial_.resize(adj.n_dst, d_in_); // resize zero-fills
   out_partial_.resize(adj.n_dst, d_out_);
 }
@@ -37,12 +44,12 @@ void SageLayer::forward_inner_begin(const BipartiteCsr& adj,
 void SageLayer::forward_inner_chunk(const BipartiteCsr& adj, NodeId row0,
                                     NodeId row1) {
   phase_check_.on_forward_chunk(row0, row1);
-  mean_aggregate_inner_rows(adj, self_cache_, row0, row1, z_partial_);
+  mean_aggregate_inner_rows(adj, *inner_src_, row0, row1, z_partial_);
   // Row-range self transform, straight into the output rows: gemm_nn_rows
   // computes each row independently with the fixed k-loop order, so any
   // chunking is bit-identical to one whole-block GEMM — and no chunk
   // stages through heap copies.
-  ops::gemm_nn_rows(self_cache_, w_self_, out_partial_, row0, row1);
+  ops::gemm_nn_rows(*inner_src_, w_self_, out_partial_, row0, row1);
   ops::add_row_bias_rows(out_partial_, b_, row0, row1);
 }
 
@@ -160,6 +167,7 @@ void SageLayer::release_training_state() {
   dz_cache_.resize(0, 0);
   dself_cache_.resize(0, 0);
   g_cache_.resize(0, 0);
+  self_cache_.resize(0, 0); // inference reads the inner block in place
 }
 
 } // namespace bnsgcn::nn

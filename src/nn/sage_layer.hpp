@@ -87,7 +87,11 @@ class SageLayer final : public Layer {
                          // perturbing the per-row order; combined at finish
   const HaloIncidence* halo_inc_ = nullptr; // caller-owned, set by
                                             // forward_halo_begin
-  Matrix self_cache_;    // forward: the inner feature block (B3 reads it)
+  Matrix self_cache_;    // forward, training: the inner feature block
+                         // (B3 reads it)
+  /// What the F1 chunks read: self_cache_ in training, the caller's inner
+  /// block in inference (the lifetime rule of Layer::forward_inner_begin).
+  const Matrix* inner_src_ = nullptr;
   Matrix out_partial_;   // forward: self·W_self + b, built in phase F1
   Matrix dz_cache_;      // backward: gradient of z, g·W_neighᵀ
   Matrix dself_cache_;   // backward: gradient of the self rows, g·W_selfᵀ

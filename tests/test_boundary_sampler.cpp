@@ -89,10 +89,10 @@ TEST(BoundarySampler, PlansKeepInnerSymmetryOnlyWhenEveryArcSurvives) {
 }
 
 TEST(BoundarySampler, OutOfRangeRateIsRejectedBeforePlannerConstruction) {
-  // Regression: the delegating constructor used to build the planner from
-  // opts.rate *before* the range check ran, so an invalid rate reached
-  // make_planner (whose 1/rate scaling assumes [0, 1]). The check must
-  // fire first — construction throws and no planner ever sees the value.
+  // Regression: an earlier constructor handed opts.rate to the draw
+  // *before* the range check ran, so an invalid rate reached the 1/rate
+  // scaling and the Bernoulli draws, which assume [0, 1]. Construction
+  // must throw before any draw sees the value.
   const auto lgs = two_part_graph(200, 1200, 9, nullptr);
   using Options = BoundarySampler::Options;
   EXPECT_THROW(

@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "core/boundary_sampler.hpp"
-#include "core/epoch_planner.hpp"
 #include "graph/generators.hpp"
 #include "nn/layer.hpp"
 
@@ -13,8 +10,6 @@ namespace {
 using core::BoundarySampler;
 using core::build_local_graphs;
 using core::EpochDraw;
-using core::EpochPlan;
-using core::EpochPlanner;
 using core::SamplingVariant;
 
 std::vector<core::LocalGraph> two_part_graph(NodeId n, EdgeId m,
@@ -25,78 +20,17 @@ std::vector<core::LocalGraph> two_part_graph(NodeId n, EdgeId m,
   return build_local_graphs(g, part);
 }
 
-/// Run one sampler per rank concurrently; returns each rank's plan.
-std::vector<EpochPlan> sample_together(
-    std::vector<BoundarySampler>& samplers, comm::Fabric& fabric, int tag) {
-  std::vector<EpochPlan> plans(samplers.size());
-  std::vector<std::thread> threads;
-  for (std::size_t r = 0; r < samplers.size(); ++r) {
-    threads.emplace_back([&, r] {
-      plans[r] = samplers[r].sample_epoch(
-          fabric.endpoint(static_cast<PartId>(r)), tag);
-    });
-  }
-  for (auto& t : threads) t.join();
-  return plans;
+BoundarySampler::Options draw_options(SamplingVariant variant, float rate,
+                                      bool unbiased_scaling = true) {
+  return {.variant = variant, .rate = rate,
+          .unbiased_scaling = unbiased_scaling};
 }
-
-void expect_plans_equal(const EpochPlan& a, const EpochPlan& b) {
-  EXPECT_EQ(a.n_kept_halo, b.n_kept_halo);
-  EXPECT_EQ(a.kept_halo_idx, b.kept_halo_idx);
-  EXPECT_EQ(a.adj.offsets, b.adj.offsets);
-  EXPECT_EQ(a.adj.nbrs, b.adj.nbrs);
-  EXPECT_EQ(a.adj.edge_scale, b.adj.edge_scale);
-  EXPECT_EQ(a.send_rows, b.send_rows);
-  EXPECT_EQ(a.recv_slots, b.recv_slots);
-  EXPECT_EQ(a.dropped_edges, b.dropped_edges);
-  EXPECT_FLOAT_EQ(a.halo_scale, b.halo_scale);
-}
-
-/// The legacy enum path and explicit planner injection must produce
-/// bit-identical plans for the same seeds: the enum now only names the
-/// planner the factory builds.
-class PlannerEquivalence
-    : public ::testing::TestWithParam<SamplingVariant> {};
-
-TEST_P(PlannerEquivalence, VariantMatchesInjectedPlanner) {
-  const SamplingVariant variant = GetParam();
-  const auto lgs = two_part_graph(600, 6000, 5);
-  const float rate = 0.4f;
-
-  comm::Fabric fabric_enum(2), fabric_planner(2);
-  std::vector<BoundarySampler> via_enum, via_planner;
-  for (PartId r = 0; r < 2; ++r) {
-    const auto s = static_cast<std::size_t>(r);
-    BoundarySampler::Options opts;
-    opts.variant = variant;
-    opts.rate = rate;
-    opts.seed = 100 + static_cast<std::uint64_t>(r);
-    via_enum.emplace_back(lgs[s], opts);
-    via_planner.emplace_back(
-        lgs[s],
-        core::make_planner(variant,
-                           {.rate = rate, .unbiased_scaling = true}),
-        opts);
-  }
-  for (int epoch = 0; epoch < 4; ++epoch) {
-    const auto plans_enum = sample_together(via_enum, fabric_enum, epoch);
-    const auto plans_injected =
-        sample_together(via_planner, fabric_planner, epoch);
-    for (std::size_t r = 0; r < 2; ++r)
-      expect_plans_equal(plans_enum[r], plans_injected[r]);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllVariants, PlannerEquivalence,
-                         ::testing::Values(SamplingVariant::kBns,
-                                           SamplingVariant::kBoundaryEdge,
-                                           SamplingVariant::kDropEdge));
 
 TEST(EpochPlanner, BnsDrawSemantics) {
   const auto lgs = two_part_graph(800, 8000, 7);
-  const core::BnsPlanner planner({.rate = 0.5f, .unbiased_scaling = true});
   Rng rng(9);
-  const EpochDraw draw = planner.draw(lgs[0], rng);
+  const EpochDraw draw =
+      core::draw_epoch(lgs[0], draw_options(SamplingVariant::kBns, 0.5f), rng);
   EXPECT_EQ(draw.halo_kept.size(),
             static_cast<std::size_t>(lgs[0].n_halo()));
   EXPECT_FALSE(draw.edge_kept.has_value());  // node-level strategy
@@ -107,17 +41,19 @@ TEST(EpochPlanner, BnsDrawSemantics) {
 
 TEST(EpochPlanner, BnsUnscaledDrawHasUnitHaloScale) {
   const auto lgs = two_part_graph(400, 3000, 8);
-  const core::BnsPlanner planner({.rate = 0.5f, .unbiased_scaling = false});
   Rng rng(10);
-  EXPECT_FLOAT_EQ(planner.draw(lgs[0], rng).halo_scale, 1.0f);
+  EXPECT_FLOAT_EQ(
+      core::draw_epoch(lgs[0], draw_options(SamplingVariant::kBns, 0.5f, false),
+                       rng)
+          .halo_scale,
+      1.0f);
 }
 
 TEST(EpochPlanner, BoundaryEdgeKeepsHaloNodeIffAnArcSurvives) {
   const auto lgs = two_part_graph(800, 8000, 11);
-  const core::BoundaryEdgePlanner planner(
-      {.rate = 0.3f, .unbiased_scaling = true});
   Rng rng(12);
-  const EpochDraw draw = planner.draw(lgs[0], rng);
+  const EpochDraw draw = core::draw_epoch(
+      lgs[0], draw_options(SamplingVariant::kBoundaryEdge, 0.3f), rng);
   ASSERT_TRUE(draw.edge_kept.has_value());
   EXPECT_FLOAT_EQ(draw.halo_scale, 1.0f);  // edge strategies scale arcs
   EXPECT_FLOAT_EQ(draw.inner_edge_scale, 1.0f);
@@ -138,10 +74,9 @@ TEST(EpochPlanner, BoundaryEdgeKeepsHaloNodeIffAnArcSurvives) {
 
 TEST(EpochPlanner, DropEdgeScalesInnerArcsToo) {
   const auto lgs = two_part_graph(800, 8000, 13);
-  const core::DropEdgePlanner planner(
-      {.rate = 0.5f, .unbiased_scaling = true});
   Rng rng(14);
-  const EpochDraw draw = planner.draw(lgs[0], rng);
+  const EpochDraw draw = core::draw_epoch(
+      lgs[0], draw_options(SamplingVariant::kDropEdge, 0.5f), rng);
   ASSERT_TRUE(draw.edge_kept.has_value());
   EXPECT_FLOAT_EQ(draw.inner_edge_scale, 2.0f);
   EXPECT_FLOAT_EQ(draw.halo_edge_scale, 2.0f);
@@ -151,43 +86,6 @@ TEST(EpochPlanner, DropEdgeScalesInnerArcsToo) {
     if (lgs[0].adj.nbrs[e] < lgs[0].n_inner() && !(*draw.edge_kept)[e])
       ++dropped_inner;
   EXPECT_GT(dropped_inner, 0u);
-}
-
-/// A custom strategy plugs into BoundarySampler without touching the
-/// library: keep exactly the even halo indices.
-class EvenHaloPlanner final : public EpochPlanner {
- public:
-  [[nodiscard]] const char* name() const override { return "even-halo"; }
-  [[nodiscard]] EpochDraw draw(const core::LocalGraph& lg,
-                               Rng&) const override {
-    EpochDraw d;
-    d.halo_kept.resize(static_cast<std::size_t>(lg.n_halo()));
-    for (NodeId h = 0; h < lg.n_halo(); ++h)
-      d.halo_kept[static_cast<std::size_t>(h)] = (h % 2 == 0) ? 1 : 0;
-    return d;
-  }
-};
-
-TEST(EpochPlanner, CustomPlannerInjection) {
-  const auto lgs = two_part_graph(600, 6000, 15);
-  comm::Fabric fabric(2);
-  std::vector<BoundarySampler> samplers;
-  for (PartId r = 0; r < 2; ++r) {
-    BoundarySampler::Options opts;
-    opts.seed = 30 + static_cast<std::uint64_t>(r);
-    samplers.emplace_back(lgs[static_cast<std::size_t>(r)],
-                          std::make_unique<EvenHaloPlanner>(), opts);
-  }
-  const auto plans = sample_together(samplers, fabric, 0);
-  for (std::size_t r = 0; r < 2; ++r) {
-    const auto& lg = lgs[r];
-    EXPECT_EQ(plans[r].n_kept_halo, (lg.n_halo() + 1) / 2);
-    for (const NodeId h : plans[r].kept_halo_idx) EXPECT_EQ(h % 2, 0);
-    EXPECT_EQ(samplers[r].planner().name(), std::string("even-halo"));
-  }
-  // Deterministic draw → the negotiated exchange stays consistent.
-  EXPECT_EQ(plans[0].send_rows[1].size(), plans[1].recv_slots[0].size());
-  EXPECT_EQ(plans[1].send_rows[0].size(), plans[0].recv_slots[1].size());
 }
 
 } // namespace

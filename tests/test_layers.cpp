@@ -434,38 +434,44 @@ BipartiteCsr interleaved_halo_adj(Rng& rng) {
   return adj;
 }
 
-TEST(GatLayer, InterleavedPeerFoldsMatchOneContiguousSlab) {
-  // The phased forward folds each peer's slab straight into wh through its
-  // slot map, and in inference multiplies the caller's inner block in
-  // place. Its output — and, in training, its input and weight gradients —
-  // must be the bits of Layer::forward, which folds the halo as one
-  // contiguous slab of slots 0…n_halo−1. Inner chunks interleave with the
-  // folds; d_head = 70 runs full and tail column tiles.
-  Rng graph_rng(31);
-  const BipartiteCsr adj = interleaved_halo_adj(graph_rng);
-  const auto inv = full_inv_deg(adj);
-  const NodeId n_halo = adj.n_src - adj.n_dst;
-  Matrix feats(adj.n_src, 33), dout(adj.n_dst, 140);
-  feats.randomize_gaussian(graph_rng, 1.0f);
-  dout.randomize_gaussian(graph_rng, 1.0f);
-  std::vector<std::vector<NodeId>> peer_slots(3);
-  std::vector<std::vector<float>> peer_rows(3);
-  for (NodeId s = 0; s < n_halo; ++s) {
-    peer_slots[static_cast<std::size_t>(s % 3)].push_back(s);
-    const auto row = feats.row(adj.n_dst + s);
-    auto& rows = peer_rows[static_cast<std::size_t>(s % 3)];
-    rows.insert(rows.end(), row.begin(), row.end());
-  }
-  Matrix inner(adj.n_dst, feats.cols());
-  std::copy(feats.data(), feats.data() + inner.size(), inner.data());
+/// A 140-wide layer's inputs, and its phases run with the first `peers` of
+/// three peers folded in ascending order: peer 0 between two inner chunks,
+/// the others after them. Inner rows come from `inner`; halo slot s comes
+/// from peer s % 3 when `interleaved`, else from the peer whose third of
+/// the slots holds s.
+struct PeerFolds {
+  BipartiteCsr adj;
+  std::vector<float> inv;
+  Matrix feats, inner, dout;
   nn::HaloIncidence inc;
-  inc.build(adj, adj.n_dst);
-  const nn::GatLayer::Options opts{.heads = 2, .relu = true, .dropout = 0.3f};
+  std::vector<std::vector<NodeId>> peer_slots;
+  std::vector<std::vector<float>> peer_rows;
 
-  // Runs the phases with the first `peers` peers folded, in ascending
-  // order: peer 0 between the chunks, the others after them.
-  const auto phased_forward = [&](nn::GatLayer& layer, bool training,
-                                  int peers) {
+  explicit PeerFolds(bool interleaved) {
+    Rng graph_rng(31);
+    adj = interleaved_halo_adj(graph_rng);
+    inv = full_inv_deg(adj);
+    feats = Matrix(adj.n_src, 33);
+    dout = Matrix(adj.n_dst, 140);
+    feats.randomize_gaussian(graph_rng, 1.0f);
+    dout.randomize_gaussian(graph_rng, 1.0f);
+    peer_slots.resize(3);
+    peer_rows.resize(3);
+    const NodeId n_halo = adj.n_src - adj.n_dst;
+    for (NodeId s = 0; s < n_halo; ++s) {
+      const auto peer =
+          static_cast<std::size_t>(interleaved ? s % 3 : 3 * s / n_halo);
+      peer_slots[peer].push_back(s);
+      const auto row = feats.row(adj.n_dst + s);
+      auto& rows = peer_rows[peer];
+      rows.insert(rows.end(), row.begin(), row.end());
+    }
+    inner = Matrix(adj.n_dst, feats.cols());
+    std::copy(feats.data(), feats.data() + inner.size(), inner.data());
+    inc.build(adj, adj.n_dst);
+  }
+
+  Matrix phased_forward(nn::Layer& layer, bool training, int peers) const {
     layer.forward_inner_begin(adj, inner, training);
     layer.forward_halo_begin(adj, inc);
     layer.forward_inner_chunk(adj, 0, 17);
@@ -475,40 +481,69 @@ TEST(GatLayer, InterleavedPeerFoldsMatchOneContiguousSlab) {
       layer.forward_halo_fold(adj, peer_slots[static_cast<std::size_t>(p)],
                               peer_rows[static_cast<std::size_t>(p)]);
     return layer.forward_halo_finish(adj, inv);
-  };
+  }
+};
 
+/// The phased forward with peer folds between and after the inner chunks —
+/// in inference reading the caller's inner block in place — must give the
+/// bits of Layer::forward, which folds the halo as one contiguous slab of
+/// slots 0…n_halo−1; in training so must the input and weight gradients.
+/// Two rounds, so the second runs on the first one's buffers.
+template <class LayerT>
+void expect_peer_folds_match_one_slab(const typename LayerT::Options& opts,
+                                      bool interleaved) {
+  const PeerFolds t(interleaved);
   for (const bool training : {false, true}) {
     SCOPED_TRACE(::testing::Message() << "training " << training);
     Rng rng_ref(32), rng_phased(32);
-    nn::GatLayer ref(33, 140, opts, rng_ref);
-    nn::GatLayer phased(33, 140, opts, rng_phased);
+    LayerT ref(33, 140, opts, rng_ref);
+    LayerT phased(33, 140, opts, rng_phased);
     ref.set_inference(!training);
     phased.set_inference(!training);
-    // Twice, so the second forward runs on the first one's buffers.
     for (int round = 0; round < 2; ++round) {
-      const Matrix want = ref.forward(adj, feats, inv, training);
-      const Matrix got = phased_forward(phased, training, 3);
+      const Matrix want = ref.forward(t.adj, t.feats, t.inv, training);
+      const Matrix got = t.phased_forward(phased, training, 3);
       expect_same_bits(got, want, "forward");
       if (!training) continue;
       ref.zero_grads();
       phased.zero_grads();
-      expect_same_bits(phased.backward(adj, dout, inv),
-                       ref.backward(adj, dout, inv), "input gradients");
+      expect_same_bits(phased.backward(t.adj, t.dout, t.inv),
+                       ref.backward(t.adj, t.dout, t.inv), "input gradients");
       const auto want_g = ref.grads();
       const auto got_g = phased.grads();
       for (std::size_t i = 0; i < want_g.size(); ++i)
         expect_same_bits(*got_g[i], *want_g[i], "weight gradients");
     }
   }
+}
+
+TEST(GatLayer, InterleavedPeerFoldsMatchOneContiguousSlab) {
+  // GAT folds each peer's slab straight into wh through its slot map, so
+  // the peers' slots may interleave; d_head = 70 runs full and tail column
+  // tiles. SAGE sums a destination's halo terms in fold order, so only a
+  // split of the slots into ascending thirds gives the one-slab bits (every
+  // schedule folds in the same peer order, so the trainer's parity holds
+  // for any split).
+  const nn::GatLayer::Options gat{.heads = 2, .relu = true, .dropout = 0.3f};
+  {
+    SCOPED_TRACE("GAT");
+    expect_peer_folds_match_one_slab<nn::GatLayer>(gat, /*interleaved=*/true);
+  }
+  {
+    SCOPED_TRACE("SAGE");
+    expect_peer_folds_match_one_slab<nn::SageLayer>(
+        {.relu = true, .dropout = 0.3f}, /*interleaved=*/false);
+  }
 
   if constexpr (kCheckedBuild) {
-    // Peer 2's slots never fold: the finish must refuse to read their
+    // Peer 2's slots never fold: GAT's finish must refuse to read their
     // rows of wh, left from no fold.
+    const PeerFolds t(/*interleaved=*/true);
     for (const bool training : {false, true}) {
       Rng rng(33);
-      nn::GatLayer layer(33, 140, opts, rng);
+      nn::GatLayer layer(33, 140, gat, rng);
       layer.set_inference(!training);
-      EXPECT_THROW((void)phased_forward(layer, training, 2), CheckError);
+      EXPECT_THROW((void)t.phased_forward(layer, training, 2), CheckError);
     }
   }
 }

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <type_traits>
+#include <utility>
 
 #include "api/run.hpp"
 #include "api/serialize.hpp"
@@ -103,34 +108,30 @@ constexpr const char* kSampleServeReportText =
     R"json(5,"qps":10.666666666666666,"cache_hit_rows":3,"cache_miss_rows":1,"c)json"
     R"json(ache_bytes_saved":96,"cache_hit_rate":0.75}})json";
 
+/// EXPECT_EQ on every field of `table`, named by its key.
+template <class S, class Table>
+void expect_fields_equal(const S& a, const S& b, const Table& table) {
+  for_each_field(table, [&](const auto& f) {
+    EXPECT_EQ(a.*f.member, b.*f.member) << f.key;
+  });
+}
+
 void expect_reports_equal(const api::RunReport& a, const api::RunReport& b) {
   EXPECT_EQ(a.method, b.method);
   EXPECT_EQ(a.dataset, b.dataset);
   EXPECT_EQ(a.train_loss, b.train_loss);
   ASSERT_EQ(a.curve.size(), b.curve.size());
-  for (std::size_t i = 0; i < a.curve.size(); ++i) {
-    EXPECT_EQ(a.curve[i].epoch, b.curve[i].epoch);
-    EXPECT_EQ(a.curve[i].val, b.curve[i].val);
-    EXPECT_EQ(a.curve[i].test, b.curve[i].test);
-    EXPECT_EQ(a.curve[i].train_loss, b.curve[i].train_loss);
-  }
+  for (std::size_t i = 0; i < a.curve.size(); ++i)
+    expect_fields_equal(a.curve[i], b.curve[i], core::kEvalPointFields);
   EXPECT_EQ(a.final_val, b.final_val);
   EXPECT_EQ(a.final_test, b.final_test);
   ASSERT_EQ(a.epochs.size(), b.epochs.size());
   for (std::size_t i = 0; i < a.epochs.size(); ++i) {
-    EXPECT_EQ(a.epochs[i].compute_s, b.epochs[i].compute_s);
-    EXPECT_EQ(a.epochs[i].comm_s, b.epochs[i].comm_s);
-    EXPECT_EQ(a.epochs[i].reduce_s, b.epochs[i].reduce_s);
-    EXPECT_EQ(a.epochs[i].sample_s, b.epochs[i].sample_s);
-    EXPECT_EQ(a.epochs[i].swap_s, b.epochs[i].swap_s);
-    EXPECT_EQ(a.epochs[i].overlap_s, b.epochs[i].overlap_s);
-    EXPECT_EQ(a.epochs[i].comm_tail_s, b.epochs[i].comm_tail_s);
-    EXPECT_EQ(a.epochs[i].feature_bytes, b.epochs[i].feature_bytes);
-    EXPECT_EQ(a.epochs[i].grad_bytes, b.epochs[i].grad_bytes);
-    EXPECT_EQ(a.epochs[i].control_bytes, b.epochs[i].control_bytes);
+    expect_fields_equal(a.epochs[i], b.epochs[i],
+                        core::kEpochBreakdownFields);
+    EXPECT_EQ(a.epochs[i].timing, b.epochs[i].timing);
   }
-  EXPECT_EQ(a.memory.model_bytes, b.memory.model_bytes);
-  EXPECT_EQ(a.memory.full_bytes, b.memory.full_bytes);
+  expect_fields_equal(a.memory, b.memory, core::kMemoryReportFields);
   EXPECT_EQ(a.wall_time_s, b.wall_time_s);
   EXPECT_EQ(a.partition_cache, b.partition_cache);
 }
@@ -258,6 +259,89 @@ TEST(ReportJson, DerivedBlockPresent) {
   ASSERT_NE(derived, nullptr);
   EXPECT_GT(derived->at("throughput_eps").as_double(), 0.0);
   EXPECT_GT(derived->at("total_train_s").as_double(), 0.0);
+}
+
+/// Same value, bit for bit: -0.0 is not 0.0, and any NaN matches a NaN.
+template <class T>
+bool same_value(T a, T b) {
+  if constexpr (std::is_floating_point_v<T>) {
+    if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+    return std::signbit(a) == std::signbit(b) && a == b;
+  } else {
+    return a == b;
+  }
+}
+
+TEST(ReportJson, EveryBreakdownFieldRoundTripsReducesAndAverages) {
+  // Three mailbox ranks hold distinct values in every field. The times
+  // include NaN and -0.0, whose max / min depend on the argument order, and
+  // the counters exceed 2^32 and do not divide by 3.
+  constexpr int kRanks = 3;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::array<core::EpochBreakdown, kRanks> local;
+  for (int r = 0; r < kRanks; ++r) {
+    int j = 0;
+    for_each_field(core::kEpochBreakdownFields, [&](const auto& f) {
+      auto& x = local[static_cast<std::size_t>(r)].*f.member;
+      using M = std::remove_reference_t<decltype(x)>;
+      if constexpr (std::is_floating_point_v<M>) {
+        const int mix = (j + r) % 4;
+        x = mix == 1 ? nan : mix == 2 ? -0.0 : 0.125 * (j + 1) - 0.25 * r;
+      } else {
+        x = (M{1} << 40) + 1000 * (j + 1) + 7 * r;
+      }
+      ++j;
+    });
+  }
+  local[1].timing = comm::TimingSource::kMeasured;
+
+  comm::Fabric fabric(kRanks);
+  std::array<core::EpochBreakdown, kRanks> reduced;
+  comm::run_ranks(fabric, [&](PartId r) {
+    const auto i = static_cast<std::size_t>(r);
+    reduced[i] = core::reduce_breakdown(fabric.endpoint(r), local[i]);
+  });
+  const core::EpochBreakdown mean = core::mean_breakdown(local);
+
+  for_each_field(core::kEpochBreakdownFields, [&](const auto& f) {
+    SCOPED_TRACE(std::string(f.key));
+    using M = std::remove_cvref_t<decltype(local[0].*f.member)>;
+    // The rules: overlap_s takes the min, the other times the max, the
+    // counters the sum.
+    const core::RankRule rule =
+        f.key == "overlap_s" ? core::RankRule::kMin
+        : std::is_floating_point_v<M> ? core::RankRule::kMax
+                                      : core::RankRule::kSum;
+    EXPECT_EQ(f.rules.rank, rule);
+    // Each rule folds the ranks in order: a max from zero, a min from rank
+    // 0's value, a sum from zero.
+    M want = rule == core::RankRule::kMin ? local[0].*f.member : M{};
+    M sum{};
+    for (const auto& l : local) {
+      const M v = l.*f.member;
+      if (rule == core::RankRule::kMax) want = std::max(want, v);
+      if (rule == core::RankRule::kMin) want = std::min(want, v);
+      if (rule == core::RankRule::kSum) want += v;
+      sum += v;
+    }
+    for (const auto& got : reduced)
+      EXPECT_TRUE(same_value(got.*f.member, want));
+    // The mean: the epochs summed in order, then divided; counters
+    // truncate to an integer.
+    EXPECT_TRUE(same_value(
+        mean.*f.member, static_cast<M>(static_cast<double>(sum) / kRanks)));
+    // Every value crosses the JSON codec unchanged.
+    for (const auto& l : local) {
+      const core::EpochBreakdown back =
+          api::breakdown_from_json(json::Value::parse(api::to_json(l).dump()));
+      EXPECT_TRUE(same_value(back.*f.member, l.*f.member));
+      EXPECT_EQ(back.timing, l.timing);
+    }
+  });
+  // Each rank keeps its own timing source.
+  for (int r = 0; r < kRanks; ++r)
+    EXPECT_EQ(reduced[static_cast<std::size_t>(r)].timing,
+              local[static_cast<std::size_t>(r)].timing);
 }
 
 TEST(ReportJson, PreOverlapArtifactsStillParse) {
@@ -528,6 +612,35 @@ TEST(ConfigJson, OverlapModeStringsParse) {
   EXPECT_THROW((void)api::run_config_from_json_string(
                    R"({"comm": {"overlap": "warp"}})"),
                CheckError);
+}
+
+TEST(ConfigJson, EnumNamesWalkBothWaysAndNameTheEnumOnError) {
+  const auto both_ways = [](const auto& list) {
+    for (const auto& [value, spelling] : list.names) {
+      EXPECT_STREQ(list.name(value), spelling);
+      EXPECT_EQ(list.parse(spelling), value) << spelling;
+    }
+  };
+  both_ways(enum_names(core::ModelKind{}));
+  both_ways(enum_names(core::SamplingVariant{}));
+  both_ways(enum_names(core::OverlapMode{}));
+  both_ways(enum_names(api::PartitionSpec::Kind{}));
+  const std::pair<const char*, const char*> bad[] = {
+      {R"({"trainer": {"model": "gcn"}})", "unknown model kind: gcn"},
+      {R"({"trainer": {"variant": "node"}})",
+       "unknown sampling variant: node"},
+      {R"({"comm": {"overlap": "warp"}})", "unknown overlap mode: warp"},
+      {R"({"partition": {"kind": "spectral"}})",
+       "unknown partition kind: spectral"}};
+  for (const auto& [doc, message] : bad) {
+    try {
+      (void)api::run_config_from_json_string(doc);
+      ADD_FAILURE() << doc << " parsed";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ConfigJson, LegacyTrainerExchangeKeysFoldAsTheEngineDid) {
