@@ -211,17 +211,13 @@ int main(int argc, char** argv) {
   std::printf("\nbit-identity matrix (m=4, staleness 0):\n");
   {
     base.partition.nparts = 4;
-    const struct {
-      core::OverlapMode mode;
-      NodeId chunk;
-      const char* name;
-    } kModes[] = {{core::OverlapMode::kBlocking, 0, "blocking"},
-                  {core::OverlapMode::kBulk, 0, "bulk"},
-                  {core::OverlapMode::kStream, 0, "stream"},
-                  {core::OverlapMode::kStream, 96, "chunked"}};
+    const bench::Schedule kModes[] = {{core::OverlapMode::kBlocking, 0},
+                                      {core::OverlapMode::kBulk, 0},
+                                      {core::OverlapMode::kStream, 0},
+                                      {core::OverlapMode::kStream, 96}};
     for (const core::ModelKind model :
          {core::ModelKind::kSage, core::ModelKind::kGat}) {
-      const char* mname = model == core::ModelKind::kGat ? "gat" : "sage";
+      const char* mname = enum_names(model).name(model);
       for (const auto& md : kModes) {
         auto cfg = base;
         cfg.trainer.model = model;
@@ -230,14 +226,14 @@ int main(int argc, char** argv) {
         cfg.comm.inner_chunk_rows = md.chunk;
         cfg.comm.cache_mb = 0;
         const api::RunReport off = sink.run_streamed(
-            bench::label("id m=4 %s %s uncached", mname, md.name), ds, cfg);
+            bench::label("id m=4 %s %s uncached", mname, md.name()), ds, cfg);
         cfg.comm.cache_mb = 4;
         const api::RunReport on = sink.run_streamed(
-            bench::label("id m=4 %s %s cached", mname, md.name), ds, cfg);
+            bench::label("id m=4 %s %s cached", mname, md.name()), ds, cfg);
         const bool ok = bits_equal(off.train_loss, on.train_loss) &&
                         std::bit_cast<std::uint64_t>(off.final_val) ==
                             std::bit_cast<std::uint64_t>(on.final_val);
-        std::printf("  %-5s %-9s %s\n", mname, md.name,
+        std::printf("  %-5s %-9s %s\n", mname, md.name(),
                     ok ? "bit-identical" : "DIVERGED");
         require(ok, "cached run diverged in the mode/model matrix");
         require(on.cache_hit_rows() > 0,

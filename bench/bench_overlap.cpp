@@ -86,14 +86,10 @@ void run_dataset(const char* title, const char* preset, double scale,
   // The chunked column streams with F1 cut into 128-row chunks — small
   // enough that several polls land inside one layer at these scales, large
   // enough that the per-chunk staging stays amortized.
-  const struct {
-    core::OverlapMode mode;
-    NodeId chunk;
-    const char* name;
-  } kModes[] = {{core::OverlapMode::kBlocking, 0, "blocking"},
-                {core::OverlapMode::kBulk, 0, "bulk"},
-                {core::OverlapMode::kStream, 0, "stream"},
-                {core::OverlapMode::kStream, 128, "chunked"}};
+  const bench::Schedule kModes[] = {{core::OverlapMode::kBlocking, 0},
+                                    {core::OverlapMode::kBulk, 0},
+                                    {core::OverlapMode::kStream, 0},
+                                    {core::OverlapMode::kStream, 128}};
 
   for (const PartId m : parts) {
     base.partition.nparts = m; // partitioned once, cached for all 8 runs
@@ -106,7 +102,7 @@ void run_dataset(const char* title, const char* preset, double scale,
         cfg.comm.overlap = kModes[k].mode;
         cfg.comm.inner_chunk_rows = kModes[k].chunk;
         rows[k].report = sink.run_streamed(
-            bench::label("%s m=%d p=%.2f %s", preset, m, p, kModes[k].name),
+            bench::label("%s m=%d p=%.2f %s", preset, m, p, kModes[k].name()),
             ds, cfg);
         rows[k].overlap_s = rows[k].report.overlap_saved_s();
         // Every mode after the first must be a cache hit on the same
@@ -141,7 +137,7 @@ void run_dataset(const char* title, const char* preset, double scale,
         if (!bits_equal(rows[0].report.train_loss,
                         rows[k].report.train_loss)) {
           std::printf("  !! losses diverge: %s vs blocking\n",
-                      kModes[k].name);
+                      kModes[k].name());
           ++g_shape_failures;
         }
       }

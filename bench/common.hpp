@@ -38,6 +38,18 @@ inline void print_banner(const char* artifact, const char* description) {
   std::printf("================================================================\n");
 }
 
+/// One exchange schedule of the mode benches: an overlap mode and F1's
+/// chunk size (0 = one chunk). Its row label is the mode's name, or
+/// "chunked" for a stream cut into chunks.
+struct Schedule {
+  core::OverlapMode mode;
+  NodeId chunk = 0;
+
+  [[nodiscard]] const char* name() const {
+    return chunk > 0 ? "chunked" : enum_names(mode).name(mode);
+  }
+};
+
 inline double mb(std::int64_t bytes) {
   return static_cast<double>(bytes) / (1024.0 * 1024.0);
 }

@@ -4,7 +4,9 @@
 # blocks (``` ... ```) and inline code spans. External links
 # (http/https/mailto) are out of scope — CI must not depend on the network.
 # Then fail on any `*.md` name cited in the code trees (comments, printed
-# banners) that exists neither at the repo root nor in docs/.
+# banners) that exists neither at the repo root nor in docs/, and on any
+# qualified name quoted as inline code in those docs (`a::b`, `A::b()`)
+# whose last component no longer occurs as a word in the code trees.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -46,6 +48,29 @@ while IFS= read -r name; do
     fail=1
   fi
 done <<< "$cited"
+
+# Stale names: a doc that quotes `core::Foo` or `Foo::bar()` outside a
+# fenced block must name something the code still has, so a deleted or
+# renamed type, function or member fails here instead of lingering in
+# prose.
+name_dirs=("${code_dirs[@]}" perfbench)
+quoted=$(for md in README.md docs/*.md; do
+           [ -e "$md" ] || continue
+           awk '/^[[:space:]]*```/ { fence = !fence; next } !fence' "$md" |
+             grep -oE '`[^`]+`' |
+             grep -oE '[A-Za-z_][A-Za-z0-9_]*(::~?[A-Za-z_][A-Za-z0-9_]*)+' ||
+             true
+         done | sort -u)
+while IFS= read -r name; do
+  [ -z "$name" ] && continue
+  last="${name##*::}"
+  last="${last#\~}"
+  if ! grep -rqw -- "$last" "${name_dirs[@]}"; then
+    where=$(grep -lF -- "$name" README.md docs/*.md | tr '\n' ' ')
+    echo "stale name in docs: $name (in: $where)" >&2
+    fail=1
+  fi
+done <<< "$quoted"
 
 if [ "$fail" -ne 0 ]; then
   echo "docs link check FAILED" >&2

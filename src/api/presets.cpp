@@ -57,8 +57,10 @@ core::TrainerConfig papers_trainer() {
   return cfg;
 }
 
-std::deque<DatasetPreset>& mutable_registry() {
-  static std::deque<DatasetPreset> registry = {
+} // namespace
+
+const std::vector<DatasetPreset>& dataset_registry() {
+  static const std::vector<DatasetPreset> presets = {
       {"reddit", "Reddit-like: dense power-law graph, 41 communities",
        &reddit_like, reddit_trainer()},
       {"products", "ogbn-products-like: sparse co-purchase graph, 47 classes",
@@ -68,26 +70,13 @@ std::deque<DatasetPreset>& mutable_registry() {
       {"papers", "ogbn-papers100M-like: the large-graph preset, 172 classes",
        &papers_like, papers_trainer()},
   };
-  return registry;
-}
-
-} // namespace
-
-const std::deque<DatasetPreset>& dataset_registry() {
-  return mutable_registry();
+  return presets;
 }
 
 const DatasetPreset* find_dataset(std::string_view name) {
-  for (const auto& preset : mutable_registry())
+  for (const auto& preset : dataset_registry())
     if (preset.name == name) return &preset;
   return nullptr;
-}
-
-void register_dataset(DatasetPreset preset) {
-  BNSGCN_CHECK_MSG(!preset.name.empty(), "dataset preset needs a name");
-  BNSGCN_CHECK_MSG(find_dataset(preset.name) == nullptr,
-                   "dataset preset already registered: " + preset.name);
-  mutable_registry().push_back(std::move(preset));
 }
 
 core::TrainerConfig preset_trainer_config(std::string_view name) {

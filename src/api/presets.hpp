@@ -1,6 +1,5 @@
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -22,12 +21,10 @@ struct DatasetPreset {
   core::TrainerConfig trainer;  // per-dataset model/optimizer config
 };
 
-/// Built-in presets plus anything added via register_dataset. A deque so
-/// registration never invalidates references returned by find_dataset.
-[[nodiscard]] const std::deque<DatasetPreset>& dataset_registry();
+/// The fixed preset table.
+[[nodiscard]] const std::vector<DatasetPreset>& dataset_registry();
+/// The preset named `name`, or nullptr.
 [[nodiscard]] const DatasetPreset* find_dataset(std::string_view name);
-/// Additive extension point (e.g. a new workload in a bench).
-void register_dataset(DatasetPreset preset);
 
 /// The registered per-dataset TrainerConfig (throws on unknown name).
 [[nodiscard]] core::TrainerConfig preset_trainer_config(std::string_view name);

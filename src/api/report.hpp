@@ -34,11 +34,9 @@ struct RunReport : core::TrainResult {
   /// without a partition and for the explicit-Partitioning run overload.
   PartitionCacheStats partition_cache{};
 
-  /// Trained epoch count. Falls back to the breakdown count for custom
-  /// methods that don't track losses.
+  /// Trained epoch count: every method records one loss per epoch.
   [[nodiscard]] int num_epochs() const {
-    return static_cast<int>(train_loss.empty() ? epochs.size()
-                                               : train_loss.size());
+    return static_cast<int>(train_loss.size());
   }
   /// Mean per-epoch time under each method's own clock (simulated total
   /// for partition-parallel methods, measured wall for minibatch ones) —

@@ -45,9 +45,11 @@ RunReport finish(RunReport report, const MethodInfo& info,
   return report;
 }
 
-std::deque<MethodInfo>& mutable_registry() {
-  static std::deque<MethodInfo> registry = [] {
-    std::deque<MethodInfo> r;
+} // namespace
+
+const std::vector<MethodInfo>& method_registry() {
+  static const std::vector<MethodInfo> methods = [] {
+    std::vector<MethodInfo> r;
     r.push_back({Method::kBns, "bns", "BNS-GCN", /*needs_partition=*/true,
                  [](const Dataset& ds, const Partitioning* part,
                     const RunConfig& cfg) {
@@ -124,58 +126,34 @@ std::deque<MethodInfo>& mutable_registry() {
                  }});
     return r;
   }();
-  return registry;
+  return methods;
 }
-
-} // namespace
 
 core::TrainerConfig engine_config(const RunConfig& cfg) {
   return cfg.trainer;
 }
 
-const std::deque<MethodInfo>& method_registry() {
-  return mutable_registry();
-}
-
 const MethodInfo& method_info(Method method) {
-  BNSGCN_CHECK_MSG(method != Method::kCustom,
-                   "kCustom resolves by name; use find_method");
-  for (const auto& info : mutable_registry())
+  for (const auto& info : method_registry())
     if (info.method == method) return info;
-  BNSGCN_CHECK_MSG(false, "method not registered");
-  return mutable_registry().front();
+  BNSGCN_CHECK_MSG(false, "method not in the table");
+  return method_registry().front();
 }
 
 const MethodInfo* find_method(std::string_view name) {
-  for (const auto& info : mutable_registry())
+  for (const auto& info : method_registry())
     if (info.name == name) return &info;
   return nullptr;
 }
 
-void register_method(MethodInfo info) {
-  BNSGCN_CHECK_MSG(!info.name.empty(), "method needs a name");
-  BNSGCN_CHECK_MSG(info.runner != nullptr, "method needs a runner");
-  BNSGCN_CHECK_MSG(find_method(info.name) == nullptr,
-                   "method already registered: " + info.name);
-  mutable_registry().push_back(std::move(info));
-}
-
-const MethodInfo& resolve_method(const RunConfig& cfg) {
-  if (cfg.method != Method::kCustom) return method_info(cfg.method);
-  const MethodInfo* info = find_method(cfg.custom_method);
-  BNSGCN_CHECK_MSG(info != nullptr,
-                   "unknown method: " + cfg.custom_method);
-  return *info;
-}
-
 RunReport run(const Dataset& ds, const Partitioning& part,
               const RunConfig& cfg) {
-  const MethodInfo& info = resolve_method(cfg);
+  const MethodInfo& info = method_info(cfg.method);
   return finish(info.runner(ds, &part, cfg), info, ds);
 }
 
 RunReport run(const Dataset& ds, const RunConfig& cfg) {
-  const MethodInfo& info = resolve_method(cfg);
+  const MethodInfo& info = method_info(cfg.method);
   if (!info.needs_partition)
     return finish(info.runner(ds, nullptr, cfg), info, ds);
   PartitionCacheStats lookup;

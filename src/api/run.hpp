@@ -1,9 +1,9 @@
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "api/partition_spec.hpp"
 #include "api/presets.hpp"
@@ -16,8 +16,7 @@ namespace bnsgcn::api {
 
 /// Built-in training methods: the paper's method, the partition-parallel
 /// proxies it is compared against (Fig. 4), and the five sampling-based
-/// baselines (Tables 4/5/11/12). `kCustom` selects a runtime-registered
-/// method by name (RunConfig::custom_method).
+/// baselines (Tables 4/5/11/12).
 enum class Method {
   kBns,               // BNS-GCN (Algorithm 1); p=1 → vanilla partition par.
   kRocProxy,          // ROC-style host-swap training (Fig. 1b proxy)
@@ -28,13 +27,12 @@ enum class Method {
   kLadies,            // layer sampling, neighbor-restricted pool
   kClusterGcn,        // subgraph sampling via METIS clusters
   kGraphSaint,        // subgraph sampling via degree-weighted node budget
-  kCustom,
 };
 
 /// Communication knobs of the partition-parallel methods: the exchange
-/// schedule and halo cache (core::ExchangeSpec, handed unchanged to BNS,
-/// the ROC proxy and the serving engine; the CAGNET proxy and the minibatch
-/// baselines have no halo exchange) plus the fabric backend.
+/// schedule and halo cache (core::ExchangeSpec, handed unchanged to BNS —
+/// training and serving — and the ROC proxy; the CAGNET proxy and the
+/// minibatch baselines have no halo exchange) plus the fabric backend.
 struct CommSpec : core::ExchangeSpec {
   /// Fabric backend. kMailbox (default) trains every rank as a thread over
   /// the in-process deterministic fabric, with comm/overlap times simulated
@@ -54,7 +52,6 @@ struct CommSpec : core::ExchangeSpec {
 /// point for every bench, example and test.
 struct RunConfig {
   Method method = Method::kBns;
-  std::string custom_method;  // registry name when method == kCustom
 
   DatasetSpec dataset;        // used by run(cfg); ignored by the overloads
                               // that take a prebuilt Dataset
@@ -78,7 +75,7 @@ struct RunConfig {
 /// A runnable method. `runner` receives the dataset, the partitioning
 /// (nullptr for methods with needs_partition == false) and the full config.
 struct MethodInfo {
-  Method method = Method::kCustom;
+  Method method = Method::kBns;
   std::string name;     // canonical id, e.g. "bns", "graph-saint"
   std::string display;  // human label, e.g. "BNS-GCN"
   bool needs_partition = false;
@@ -87,18 +84,11 @@ struct MethodInfo {
       runner;
 };
 
-/// Built-in methods plus anything added via register_method. A deque so
-/// registration never reallocates: references returned by method_info /
-/// find_method stay valid for the process lifetime.
-[[nodiscard]] const std::deque<MethodInfo>& method_registry();
+/// The fixed method table, one entry per Method value.
+[[nodiscard]] const std::vector<MethodInfo>& method_registry();
 [[nodiscard]] const MethodInfo& method_info(Method method);
+/// The method named `name`, or nullptr.
 [[nodiscard]] const MethodInfo* find_method(std::string_view name);
-/// Additive extension point: new methods plug in without touching the
-/// dispatch (name must be unique; method should be kCustom).
-void register_method(MethodInfo info);
-
-/// The method resolved from `cfg` (built-in or custom).
-[[nodiscard]] const MethodInfo& resolve_method(const RunConfig& cfg);
 
 /// The engine-level trainer config of a run: cfg.trainer itself. Nothing in
 /// the library calls it; perfbench/runner.cpp still does.

@@ -273,11 +273,8 @@ void fold_legacy_exchange(const json::Value& trainer,
 
 json::Value to_json(const RunConfig& cfg) {
   json::Value v = json::Value::object();
-  // Methods travel by registry name (stable across enum reordering);
-  // custom methods already are names and need not be registered to
-  // serialize.
-  v.set("method", cfg.method == Method::kCustom ? cfg.custom_method
-                                                : method_info(cfg.method).name);
+  // Methods travel by table name (stable across enum reordering).
+  v.set("method", method_info(cfg.method).name);
 
   json::Value ds = json::Value::object();
   ds.set("preset", cfg.dataset.preset);
@@ -314,13 +311,8 @@ RunConfig run_config_from_json(const json::Value& v) {
   if (const auto* m = v.get("method")) {
     const std::string name = m->as_string();
     const MethodInfo* info = find_method(name);
-    if (info != nullptr && info->method != Method::kCustom) {
-      cfg.method = info->method;
-    } else {
-      // Custom (or not-yet-registered) method: resolved by name at run().
-      cfg.method = Method::kCustom;
-      cfg.custom_method = name;
-    }
+    BNSGCN_CHECK_MSG(info != nullptr, "unknown method: " + name);
+    cfg.method = info->method;
   }
   if (const auto* ds = v.get("dataset")) {
     if (const auto* p = ds->get("preset")) decode(*p, cfg.dataset.preset);

@@ -10,30 +10,22 @@ namespace bnsgcn::api {
 
 ServeReport serve(const Dataset& ds, const Partitioning& part,
                   const RunConfig& cfg, const ServeConfig& scfg) {
-  const MethodInfo& info = resolve_method(cfg);
+  const MethodInfo& info = method_info(cfg.method);
   BNSGCN_CHECK_MSG(info.method == Method::kBns,
                    "api::serve rides the partition-parallel engine: method "
                    "must be bns, got " + info.name);
 
+  // One engine trains and serves, so the local graphs are built once.
   // Train on the in-process mailbox regardless of the serving transport:
   // trained weights are bit-identical across transports (the tier-1 parity
-  // suites pin this), and the in-process run is what lets the snapshot be
-  // captured without a serialization path.
-  core::TrainerConfig tcfg = cfg.trainer;
-  core::WeightSnapshot snapshot;
-  tcfg.capture_weights = &snapshot;
-  core::TrainResult tr = core::BnsTrainer(ds, part, tcfg, cfg.comm).train();
-  BNSGCN_CHECK_MSG(!snapshot.empty(), "training produced no weight snapshot");
-  tcfg.capture_weights = nullptr;
-  tcfg.observer = nullptr;  // per-epoch callback is a training-only hook
-
-  core::InferenceEngine engine(ds, part, tcfg, cfg.comm, snapshot);
-
-  // The engine (weights, local graphs) is built before any rank starts;
-  // forked ranks inherit it copy-on-write. Rank 0 hands its result back as
-  // JSON on every transport; the provenance is stamped here.
+  // suites pin this), and the in-process run leaves rank 0's parameters on
+  // this process's engine, which every serve rank loads. Forked ranks
+  // inherit the trained engine copy-on-write. Rank 0 hands its result back
+  // as JSON on every transport; the provenance is stamped here.
+  core::BnsTrainer engine(ds, part, cfg.trainer, cfg.comm);
+  const core::TrainResult tr = engine.train();
   ServeReport report = serve_report_from_json_string(run_ranks_piped(
-      cfg.comm.transport, part.nparts, tcfg.cost,
+      cfg.comm.transport, part.nparts, cfg.trainer.cost,
       [&](comm::Fabric& fabric, PartId rank) {
         ServeReport res{engine.serve_rank(fabric, rank, scfg)};
         if (rank != 0) return std::string();

@@ -62,14 +62,14 @@ struct ServeReport : core::ServeResult {
   }
 };
 
-/// Train cfg end to end (always on the in-process mailbox — trained
-/// weights are bit-identical across transports, so the snapshot serves on
-/// any fabric), snapshot the weights, then answer scfg's query batches
-/// over the live partitioned graph with the forward-only engine
-/// (core::InferenceEngine). The ranks serve through the one rank runtime
-/// (api::run_ranks_piped): threads over the mailbox, or one OS process per
-/// rank over uds/tcp, as cfg.comm.transport says. Only Method::kBns
-/// serves.
+/// Train cfg end to end, then answer scfg's query batches over the live
+/// partitioned graph with the same engine (core::BnsTrainer: train(), then
+/// serve_rank on every rank), so each rank's local graph is built once.
+/// Training always runs on the in-process mailbox — trained weights are
+/// bit-identical across transports, so they serve on any fabric — and the
+/// ranks serve through the one rank runtime (api::run_ranks_piped):
+/// threads over the mailbox, or one OS process per rank over uds/tcp, as
+/// cfg.comm.transport says. Only Method::kBns serves.
 [[nodiscard]] ServeReport serve(const RunConfig& cfg, const ServeConfig& scfg);
 
 /// Same, over a prebuilt dataset (partition built per cfg.partition through

@@ -36,9 +36,9 @@ constexpr auto enum_names(OverlapMode) {
 /// The boundary-exchange knobs: when and whether the sampled boundary rows
 /// cross the wire. Which rows each rank exchanges is the sampler's
 /// decision (Algorithm 1); none of these changes a value (the cache only
-/// at cache_staleness == 0). BnsTrainer, the ROC proxy and
-/// InferenceEngine take one; api::CommSpec extends it with the transport,
-/// and JSON carries it in the "comm" object under the field names.
+/// at cache_staleness == 0). BnsTrainer (training and serving) and the ROC
+/// proxy take one; api::CommSpec extends it with the transport, and JSON
+/// carries it in the "comm" object under the field names.
 struct ExchangeSpec {
   /// Exchange schedule (docs/ARCHITECTURE.md §4; see OverlapMode). Moves
   /// only the waits, so the effect is EpochBreakdown::overlap_s lowering
@@ -80,8 +80,8 @@ inline constexpr auto kExchangeSpecFields =
 
 /// Throws CheckError naming the first field no engine can run: a negative
 /// inner_chunk_rows, cache_mb or cache_staleness, or a cache_mb whose byte
-/// count overflows int64. BnsTrainer and InferenceEngine call it in their
-/// constructors, before any rank starts.
+/// count overflows int64. BnsTrainer's constructor calls it, before any
+/// rank starts.
 void validate_exchange_spec(const ExchangeSpec& xs);
 
 // ---- Pipelined (split-phase) exchange -------------------------------------
@@ -278,7 +278,7 @@ class HaloExchanger {
   HaloExchanger(comm::Endpoint& ep, const Options& opts);
 
   /// Halo-cache epoch context: the directories age entries by epoch index
-  /// (the serving engine passes the request-batch index), and the per-epoch
+  /// (a serve rank passes the request-batch index), and the per-epoch
   /// hit/miss/bytes-saved counters reset here.
   void begin_epoch(int epoch);
   [[nodiscard]] std::int64_t cache_hits() const { return ep_cache_hits_; }

@@ -1,13 +1,14 @@
 #include "core/inference.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/stopwatch.hpp"
-#include "common/thread_pool.hpp"
-#include "core/boundary_sampler.hpp"
+#include "core/rank_model.hpp"
 
 namespace bnsgcn::core {
 
@@ -15,60 +16,49 @@ namespace {
 
 using comm::TrafficClass;
 
-/// Per-rank serving state and loop: the forward-only mirror of the
-/// trainer's RankWorker. One instance per rank — a thread on the mailbox
-/// fabric, a whole OS process on a socket fabric.
-class ServeWorker {
- public:
-  ServeWorker(const Dataset& ds, const TrainerConfig& cfg, ExchangeSpec xs,
-              const WeightSnapshot& weights, const LocalGraph& lg,
-              comm::Endpoint& ep)
-      : ds_(ds), cfg_(cfg), lg_(lg), ep_(ep) {
-    common::set_ops_threads(
-        cfg_.threads_oversubscribe
-            ? cfg_.threads
-            : common::clamp_rank_threads(cfg_.threads, ep_.nranks()));
-    x_local_ = slice_rows(ds.features, lg_.inner_global);
+/// The exchange schedule a serve rank runs: `xs` with cache_staleness
+/// clamped to 0. Staleness is a training-only knob (bounded drift on
+/// *changing* activations); weights are frozen here, so served bits stay
+/// unconditionally identical to the cache-off forward — layer-0 rows, the
+/// batch-invariant bulk, still cache and hit.
+ExchangeSpec serve_exchange(ExchangeSpec xs) {
+  xs.cache_staleness = 0;
+  return xs;
+}
 
-    layers_ = build_model(cfg_, ds.feat_dim(), ds.num_classes, ep_.rank());
-    // Load the snapshot: parameters travel flattened in params() order —
-    // the same order the allreduce and Adam traverse, so the stack built
-    // here holds bit-for-bit the trained weights.
-    std::vector<Matrix*> params;
-    for (auto& l : layers_)
-      for (Matrix* p : l->params()) params.push_back(p);
-    BNSGCN_CHECK_MSG(weights.params.size() == params.size(),
-                     "weight snapshot does not match the configured stack: " +
-                         std::to_string(weights.params.size()) + " tensors vs " +
-                         std::to_string(params.size()));
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      BNSGCN_CHECK_MSG(weights.params[i].rows() == params[i]->rows() &&
-                           weights.params[i].cols() == params[i]->cols(),
-                       "weight snapshot tensor " + std::to_string(i) +
-                           " has mismatched shape");
-      *params[i] = weights.params[i];
-    }
+/// Copy every ServeBatchStats field with an EpochBreakdown twin (the same
+/// key; inference.hpp asserts that every key but latency_s has one) from
+/// the reduced breakdown.
+void take_breakdown(const EpochBreakdown& all, ServeBatchStats& stats) {
+  for_each_field(kServeBatchStatsFields, [&](const auto& s) {
+    for_each_field(kEpochBreakdownFields, [&](const auto& e) {
+      using S = std::remove_cvref_t<decltype(stats.*s.member)>;
+      using E = std::remove_cvref_t<decltype(all.*e.member)>;
+      if constexpr (std::is_same_v<S, E>)
+        if (s.key == e.key) stats.*s.member = all.*e.member;
+    });
+  });
+}
+
+/// Per-rank serving state and loop: the rank's model loaded with the
+/// trained parameters, in inference mode, answering query batches.
+class ServeWorker : public RankModel {
+ public:
+  ServeWorker(const Dataset& ds, const TrainerConfig& cfg,
+              const ExchangeSpec& xs, std::span<const Matrix> trained,
+              const LocalGraph& lg, comm::Endpoint& ep)
+      : RankModel(ds, cfg, serve_exchange(xs), lg, ep) {
+    // The trained parameters travel in params() order, so the stack built
+    // here holds bit for bit the trained weights.
+    const std::vector<Matrix*> dst = params();
+    BNSGCN_CHECK_MSG(trained.size() == dst.size(),
+                     "trained parameters do not match the configured stack: " +
+                         std::to_string(trained.size()) + " tensors vs " +
+                         std::to_string(dst.size()));
+    for (std::size_t i = 0; i < dst.size(); ++i) *dst[i] = trained[i];
     // Inference mode: maskless activations (identical values), backward
     // caches and gradient buffers freed.
     for (auto& l : layers_) l->set_inference(true);
-
-    // Serving always exchanges the full boundary set (the unsampled plan —
-    // queries are answered over the exact graph).
-    BoundarySampler::Options so;
-    so.seed = cfg_.seed;
-    sampler_.emplace(lg_, so);
-    full_plan_ = sampler_->full_plan();
-
-    // Staleness is a training-only knob (bounded drift on *changing*
-    // activations); weights are frozen here, so clamp it to 0 and keep
-    // served bits unconditionally identical to the cache-off forward —
-    // layer-0 rows, the batch-invariant bulk, still cache and hit.
-    xs.cache_staleness = 0;
-    hx_.emplace(ep_, HaloExchanger::Options{.cost = cfg_.cost,
-                                            .exchange = xs,
-                                            .num_layers = cfg_.num_layers,
-                                            .feat_dim = ds.feat_dim(),
-                                            .hidden = cfg_.hidden});
   }
 
   [[nodiscard]] ServeResult run(const ServeOptions& opts) {
@@ -107,8 +97,8 @@ class ServeWorker {
       const comm::RankStats before = ep_.stats();
       Stopwatch latency;
 
-      double span_s = 0.0;
-      const Matrix logits = forward_full_graph(span_s);
+      Matrix logits;
+      const double span_s = forward_full(/*cached=*/true, logits);
       gather_batch(queries, logits, result);
       ServeBatchStats stats;
       if (ep_.rank() == 0) stats.latency_s = latency.elapsed_s();
@@ -134,12 +124,7 @@ class ServeWorker {
       local.bytes_saved = hx_->bytes_saved();
       const EpochBreakdown all = reduce_breakdown(ep_, local);
       if (ep_.rank() == 0) {
-        stats.comm_s = all.comm_s;
-        stats.feature_bytes = all.feature_bytes;
-        stats.control_bytes = all.control_bytes;
-        stats.cache_hit_rows = all.cache_hit_rows;
-        stats.cache_miss_rows = all.cache_miss_rows;
-        stats.bytes_saved = all.bytes_saved;
+        take_breakdown(all, stats);
         result.batches.push_back(stats);
       }
     }
@@ -148,28 +133,6 @@ class ServeWorker {
   }
 
  private:
-  int next_tag() { return tag_seq_++; }
-
-  /// One full-graph forward over the inner block through the training
-  /// forward's own routine (HaloExchanger::forward_layer) — which is what
-  /// makes the output bit-identical to a training-path forward of the same
-  /// weights. `span_s` receives the summed measured exchange spans.
-  [[nodiscard]] Matrix forward_full_graph(double& span_s) {
-    Accumulator untimed;
-    const ForwardPass pass{.plan = full_plan_,
-                           .inv_deg = lg_.inv_full_degree,
-                           .inc = halo_inc_,
-                           .training = false,
-                           .compute_acc = untimed};
-    // Layer 0 reads x_local_ in place; each later layer overwrites h.
-    Matrix h;
-    for (int l = 0; l < cfg_.num_layers; ++l)
-      span_s += hx_->forward_layer(pass, *layers_[static_cast<std::size_t>(l)],
-                                   l == 0 ? x_local_ : h, next_tag(), l, h)
-                    .span_s;
-    return h;
-  }
-
   /// Route the batch's logits rows to rank 0 and assemble them in query
   /// order. Every rank knows the full query list (shared stream), so each
   /// owner ships (position, row) pairs over kControl and rank 0 folds the
@@ -238,40 +201,19 @@ class ServeWorker {
     }
   }
 
-  const Dataset& ds_;
-  const TrainerConfig& cfg_;
-  const LocalGraph& lg_;
-  comm::Endpoint& ep_;
-
-  Matrix x_local_;
-  std::vector<std::unique_ptr<nn::Layer>> layers_;
-  std::optional<BoundarySampler> sampler_;
-  EpochPlan full_plan_;
-  std::optional<HaloExchanger> hx_;
-  nn::HaloIncidence halo_inc_; // full plan's, built in the first forward
   bool record_logits_ = false;
-  int tag_seq_ = 0;
 };
 
 } // namespace
 
-InferenceEngine::InferenceEngine(const Dataset& ds, const Partitioning& part,
-                                 TrainerConfig cfg, ExchangeSpec xs,
-                                 const WeightSnapshot& weights)
-    : ds_(ds), cfg_(std::move(cfg)), xs_(xs), part_(part), weights_(weights) {
-  BNSGCN_CHECK(cfg_.num_layers >= 1);
-  validate_exchange_spec(xs_);
-  BNSGCN_CHECK_MSG(!weights_.empty(),
-                   "api::serve needs a trained weight snapshot "
-                   "(TrainerConfig::capture_weights)");
-  local_graphs_ = build_local_graphs(ds.graph, part_);
-}
-
-ServeResult InferenceEngine::serve_rank(comm::Fabric& fabric, PartId rank,
-                                        const ServeOptions& opts) {
+ServeResult BnsTrainer::serve_rank(comm::Fabric& fabric, PartId rank,
+                                   const ServeOptions& opts) const {
+  BNSGCN_CHECK_MSG(!params_.empty(),
+                   "BnsTrainer::serve_rank needs trained parameters: call "
+                   "train() first");
   BNSGCN_CHECK(rank >= 0 && rank < part_.nparts &&
                fabric.nranks() == part_.nparts);
-  ServeWorker worker(ds_, cfg_, xs_, weights_,
+  ServeWorker worker(ds_, cfg_, xs_, params_,
                      local_graphs_[static_cast<std::size_t>(rank)],
                      fabric.endpoint(rank));
   return worker.run(opts);

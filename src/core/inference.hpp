@@ -1,11 +1,12 @@
 #pragma once
 
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "comm/fabric.hpp"
-#include "core/local_graph.hpp"
 #include "core/trainer.hpp"
-#include "graph/dataset.hpp"
 
 namespace bnsgcn::core {
 
@@ -74,6 +75,31 @@ static_assert(member_count<ServeBatchStats>() ==
               "every ServeBatchStats member needs an entry in "
               "kServeBatchStatsFields");
 
+/// Whether kEpochBreakdownFields has an entry keyed `key` whose member is
+/// an M: a batch row takes its value from the reduced breakdown there.
+template <class M>
+constexpr bool has_breakdown_twin(std::string_view key) {
+  bool found = false;
+  for_each_field(kEpochBreakdownFields, [&](const auto& f) {
+    using T = std::remove_cvref_t<
+        decltype(std::declval<EpochBreakdown&>().*f.member)>;
+    found = found || (f.key == key && std::is_same_v<T, M>);
+  });
+  return found;
+}
+static_assert(
+    [] {
+      bool all = true;
+      for_each_field(kServeBatchStatsFields, [&](const auto& f) {
+        using M = std::remove_cvref_t<
+            decltype(std::declval<ServeBatchStats&>().*f.member)>;
+        all = all && (f.key == "latency_s" || has_breakdown_twin<M>(f.key));
+      });
+      return all;
+    }(),
+    "every ServeBatchStats key but latency_s needs an EpochBreakdown twin "
+    "of the same type");
+
 /// Rank 0's view of a completed serve run (other ranks participated in the
 /// collectives but hold empty curves, exactly like TrainResult).
 struct ServeResult : HaloCacheTotals<ServeResult> {
@@ -89,44 +115,6 @@ struct ServeResult : HaloCacheTotals<ServeResult> {
   [[nodiscard]] const std::vector<ServeBatchStats>& cache_rows() const {
     return batches;
   }
-};
-
-/// Forward-only serving over the partitioned graph (docs/ARCHITECTURE.md
-/// §10): load a WeightSnapshot captured by training, put every layer in
-/// inference mode (backward buffers freed), and answer query batches with
-/// the trainer's own phased layer forward (HaloExchanger::forward_layer)
-/// — so served logits are bit-identical to a training-path forward of the
-/// same weights, across transports, overlap modes and batch sizes.
-///
-/// Reuses TrainerConfig for the model knobs (num_layers, hidden, model,
-/// threads, cost); training-only fields (lr, epochs, dropout, sampling)
-/// are ignored — serving always exchanges the full boundary set. The
-/// ExchangeSpec schedules the exchanges as in training, except that
-/// cache_staleness is clamped to 0: weights are frozen, so served bits
-/// stay identical to the cache-off forward.
-class InferenceEngine {
- public:
-  /// `weights` must hold the stack's parameters flattened in params()
-  /// order (what TrainerConfig::capture_weights produces); shapes are
-  /// checked on load. ds/part/weights are borrowed for the engine's
-  /// lifetime. `xs` is validated here, before any rank starts.
-  InferenceEngine(const Dataset& ds, const Partitioning& part,
-                  TrainerConfig cfg, ExchangeSpec xs,
-                  const WeightSnapshot& weights);
-
-  /// One rank of the serve loop against an externally constructed fabric;
-  /// api::serve runs it on every rank through the rank runtime
-  /// (api::run_ranks_piped), on any transport.
-  [[nodiscard]] ServeResult serve_rank(comm::Fabric& fabric, PartId rank,
-                                       const ServeOptions& opts);
-
- private:
-  const Dataset& ds_;
-  TrainerConfig cfg_;
-  ExchangeSpec xs_;
-  Partitioning part_;
-  const WeightSnapshot& weights_;
-  std::vector<LocalGraph> local_graphs_;
 };
 
 } // namespace bnsgcn::core

@@ -8,6 +8,7 @@
 
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
+#include "core/rank_model.hpp"
 #include "nn/adam.hpp"
 #include "nn/gat_layer.hpp"
 #include "nn/loss.hpp"
@@ -69,6 +70,51 @@ std::vector<std::unique_ptr<nn::Layer>> build_model(const TrainerConfig& cfg,
   return layers;
 }
 
+RankModel::RankModel(const Dataset& ds, const TrainerConfig& cfg,
+                     const ExchangeSpec& xs, const LocalGraph& lg,
+                     comm::Endpoint& ep)
+    : ds_(ds), cfg_(cfg), ep_(ep), lg_(lg) {
+  common::set_ops_threads(
+      cfg.threads_oversubscribe
+          ? cfg.threads
+          : common::clamp_rank_threads(cfg.threads, ep_.nranks()));
+  x_local_ = slice_rows(ds.features, lg_.inner_global);
+  layers_ = build_model(cfg, ds.feat_dim(), ds.num_classes, ep_.rank());
+  // The full plan needs no sampler state: default options draw nothing.
+  full_plan_ = BoundarySampler(lg_, {}).full_plan();
+  // The boundary-exchange engine (the phased layer forward, fold driver,
+  // halo cache) — see core/halo_exchange.hpp.
+  hx_.emplace(ep_, HaloExchanger::Options{.cost = cfg.cost,
+                                          .exchange = xs,
+                                          .num_layers = cfg.num_layers,
+                                          .feat_dim = ds.feat_dim(),
+                                          .hidden = cfg.hidden});
+}
+
+double RankModel::forward_full(bool cached, Matrix& out) {
+  Accumulator untimed;
+  const ForwardPass pass{.plan = full_plan_,
+                         .inv_deg = lg_.inv_full_degree,
+                         .inc = full_inc_,
+                         .training = false,
+                         .compute_acc = untimed};
+  // Layer 0 reads x_local_ in place; each later layer overwrites `out`.
+  double span_s = 0.0;
+  for (std::size_t l = 0; l < layers_.size(); ++l)
+    span_s += hx_->forward_layer(pass, *layers_[l], l == 0 ? x_local_ : out,
+                                 next_tag(), cached ? static_cast<int>(l) : -1,
+                                 out)
+                  .span_s;
+  return span_s;
+}
+
+std::vector<Matrix*> RankModel::params() {
+  std::vector<Matrix*> out;
+  for (auto& l : layers_)
+    for (Matrix* p : l->params()) out.push_back(p);
+  return out;
+}
+
 namespace {
 
 /// An epoch's exchange records, summed into the simulated and the
@@ -89,26 +135,18 @@ struct ExchangeTotals {
   }
 };
 
-/// Per-rank training state and logic. One instance per rank — a thread on
-/// the mailbox fabric, a whole OS process on a socket fabric. Cross-rank
-/// reductions all go through the endpoint's collectives (no shared
-/// memory), so the same code runs unchanged in both runtimes.
-class RankWorker {
+/// Per-rank training state and logic: the rank's model plus its labels,
+/// row subsets, optimizer, sampler and swap staging. Cross-rank reductions
+/// all go through the endpoint's collectives (no shared memory), so the
+/// same code runs unchanged in the threaded and forked runtimes.
+class RankWorker : public RankModel {
  public:
   RankWorker(const Dataset& ds, const TrainerConfig& cfg,
              const ExchangeSpec& xs, const LocalGraph& lg, comm::Endpoint& ep,
              TrainResult& result)
-      : ds_(ds), cfg_(cfg), xs_(xs), lg_(lg), ep_(ep), result_(result),
+      : RankModel(ds, cfg, xs, lg, ep), xs_(xs), result_(result),
         measured_(ep.timing() == comm::TimingSource::kMeasured) {
-    // The constructor runs on the rank's own thread (a std::thread under
-    // train(), the forked process's main thread under train_rank), so the
-    // thread-local kernel budget set here covers every op this rank runs.
-    common::set_ops_threads(
-        cfg_.threads_oversubscribe
-            ? cfg_.threads
-            : common::clamp_rank_threads(cfg_.threads, ep_.nranks()));
     const NodeId n_in = lg_.n_inner();
-    x_local_ = slice_rows(ds.features, lg_.inner_global);
     if (ds.multilabel) {
       targets_local_ = slice_rows(ds.multilabels, lg_.inner_global);
     } else {
@@ -122,13 +160,10 @@ class RankWorker {
     val_rows_ = local_rows_of(lg_, ds.val_nodes);
     test_rows_ = local_rows_of(lg_, ds.test_nodes);
 
-    layers_ = build_model(cfg_, ds.feat_dim(), ds.num_classes, ep_.rank());
-    std::vector<Matrix*> params, grads;
-    for (auto& l : layers_) {
-      for (Matrix* p : l->params()) params.push_back(p);
+    std::vector<Matrix*> grads;
+    for (auto& l : layers_)
       for (Matrix* g : l->grads()) grads.push_back(g);
-    }
-    adam_.emplace(std::move(params), std::move(grads),
+    adam_.emplace(params(), std::move(grads),
                   nn::Adam::Options{.lr = cfg_.lr});
 
     BoundarySampler::Options so;
@@ -141,16 +176,6 @@ class RankWorker {
                   .split(static_cast<std::uint64_t>(ep_.rank()))
                   .next_u64();
     sampler_.emplace(lg_, so);
-    full_plan_ = sampler_->full_plan();
-
-    // The boundary-exchange engine (the phased layer forward, fold driver,
-    // halo cache) is shared verbatim with the serving path — see
-    // core/halo_exchange.hpp.
-    hx_.emplace(ep_, HaloExchanger::Options{.cost = cfg_.cost,
-                                            .exchange = xs_,
-                                            .num_layers = cfg_.num_layers,
-                                            .feat_dim = ds.feat_dim(),
-                                            .hidden = cfg_.hidden});
 
     const float n_train_global = static_cast<float>(ds.train_nodes.size());
     inv_total_ = ds.multilabel
@@ -204,24 +229,9 @@ class RankWorker {
         cfg_.observer(snap);
       }
     }
-
-    // Serving hook (api::serve): rank 0 snapshots the trained parameters
-    // after the last epoch. Weights are replicated and kept in sync by the
-    // gradient allreduce, so one rank's copy is every rank's copy — and
-    // they are bit-identical across transports and overlap modes, so a
-    // snapshot trained on the mailbox serves on any fabric.
-    if (ep_.rank() == 0 && cfg_.capture_weights) {
-      cfg_.capture_weights->params.clear();
-      for (auto& l : layers_)
-        for (Matrix* p : l->params())
-          cfg_.capture_weights->params.push_back(*p);
-    }
   }
 
  private:
-  int next_tag() { return tag_seq_++; }
-
-
   /// ROC proxy: stage a layer activation block through the host, paying
   /// PCIe-class traffic in both directions.
   void host_swap(const Matrix& block) {
@@ -434,34 +444,17 @@ class RankWorker {
     return loss_total;
   }
 
-  /// Full-exchange, no-dropout forward through the training forward's
-  /// routine (full plan, cache bypassed); distributed metric reduction.
+  /// Full-plan forward with the cache bypassed; distributed metric
+  /// reduction.
   std::pair<double, double> evaluate() {
-    Accumulator untimed;
-    const ForwardPass pass{.plan = full_plan_,
-                           .inv_deg = lg_.inv_full_degree,
-                           .inc = full_inc_,
-                           .training = false,
-                           .compute_acc = untimed};
-    // Layer 0 reads x_local_ in place; each later layer overwrites h.
     Matrix h;
-    for (std::size_t l = 0; l < layers_.size(); ++l)
-      (void)hx_->forward_layer(pass, *layers_[l], l == 0 ? x_local_ : h,
-                               next_tag(), /*channel=*/-1, h);
+    (void)forward_full(/*cached=*/false, h);
     if (ds_.multilabel) {
-      const auto v = nn::f1_counts(h, targets_local_, val_rows_);
-      const auto t = nn::f1_counts(h, targets_local_, test_rows_);
-      const double vtp = ep_.allreduce_sum_scalar(static_cast<double>(v.tp));
-      const double vfp = ep_.allreduce_sum_scalar(static_cast<double>(v.fp));
-      const double vfn = ep_.allreduce_sum_scalar(static_cast<double>(v.fn));
-      const double ttp = ep_.allreduce_sum_scalar(static_cast<double>(t.tp));
-      const double tfp = ep_.allreduce_sum_scalar(static_cast<double>(t.fp));
-      const double tfn = ep_.allreduce_sum_scalar(static_cast<double>(t.fn));
-      const auto f1 = [](double tp, double fp, double fn) {
-        const double denom = 2 * tp + fp + fn;
-        return denom == 0.0 ? 0.0 : 2.0 * tp / denom;
-      };
-      return {f1(vtp, vfp, vfn), f1(ttp, tfp, tfn)};
+      const nn::F1Counts v =
+          allreduce_counts(nn::f1_counts(h, targets_local_, val_rows_));
+      const nn::F1Counts t =
+          allreduce_counts(nn::f1_counts(h, targets_local_, test_rows_));
+      return {v.micro_f1(), t.micro_f1()};
     }
     const auto [vc, vt] = nn::accuracy_counts(h, labels_local_, val_rows_);
     const auto [tc, tt] = nn::accuracy_counts(h, labels_local_, test_rows_);
@@ -473,27 +466,31 @@ class RankWorker {
             test_total > 0 ? test_correct / test_total : 0.0};
   }
 
-  const Dataset& ds_;
-  const TrainerConfig& cfg_;
+  /// Sum every rank's counts, in tp, fp, fn order. They travel as doubles:
+  /// integers far below 2^53, so the round trip is exact.
+  nn::F1Counts allreduce_counts(const nn::F1Counts& local) {
+    const auto sum = [&](std::int64_t n) {
+      return static_cast<std::int64_t>(
+          ep_.allreduce_sum_scalar(static_cast<double>(n)));
+    };
+    nn::F1Counts all;
+    all.tp = sum(local.tp);
+    all.fp = sum(local.fp);
+    all.fn = sum(local.fn);
+    return all;
+  }
+
   const ExchangeSpec& xs_;
-  const LocalGraph& lg_;
-  comm::Endpoint& ep_;
   TrainResult& result_;
   bool measured_; // ep_.timing() == kMeasured (socket fabrics)
 
-  Matrix x_local_;
   std::vector<int> labels_local_;
   Matrix targets_local_;
   std::vector<NodeId> train_rows_, val_rows_, test_rows_;
-  std::vector<std::unique_ptr<nn::Layer>> layers_;
   std::optional<nn::Adam> adam_;
   std::optional<BoundarySampler> sampler_;
-  EpochPlan full_plan_;
-  std::optional<HaloExchanger> hx_; // shared boundary-exchange engine
-  nn::HaloIncidence full_inc_;      // evaluation's, built on first use
   Matrix swap_staging_;
   float inv_total_ = 1.0f;
-  int tag_seq_ = 0;
   double kept_halo_accum_ = 0.0;
   int epochs_run_ = 0;
   comm::RankStats snap_;
@@ -608,6 +605,14 @@ TrainResult BnsTrainer::train_rank(comm::Fabric& fabric, PartId rank) {
                     local_graphs_[static_cast<std::size_t>(rank)],
                     fabric.endpoint(rank), result);
   worker.run();
+  // Weights are replicated and kept in sync by the gradient allreduce, so
+  // rank 0's copy is every rank's — and bit-identical across transports
+  // and overlap modes, so parameters trained on the mailbox serve on any
+  // fabric (serve_rank).
+  if (rank == 0) {
+    params_.clear();
+    for (const Matrix* p : worker.params()) params_.push_back(*p);
+  }
   finalize_rank(fabric.endpoint(rank), worker.mean_kept_halo(), result);
   result.wall_time_s = wall.elapsed_s();
   return result;

@@ -179,17 +179,6 @@ using EpochObserver = std::function<void(const EpochSnapshot&)>;
 /// Fig. 4 quantity under the cost model: epochs per simulated second.
 [[nodiscard]] double throughput_eps(std::span<const EpochBreakdown> epochs);
 
-/// Trained parameters of a layer stack, flattened in params() order (the
-/// order build_model constructs and Adam/allreduce traverse). Captured by
-/// TrainerConfig::capture_weights at the end of training and loaded back by
-/// the serving engine (core/inference.hpp) — weights are replicated and
-/// allreduce-synced, so one rank's snapshot is the whole model.
-struct WeightSnapshot {
-  std::vector<Matrix> params;
-
-  [[nodiscard]] bool empty() const { return params.empty(); }
-};
-
 /// Configuration of a partition-parallel training run (Algorithm 1).
 struct TrainerConfig {
   int num_layers = 2;
@@ -246,16 +235,10 @@ struct TrainerConfig {
 
   /// Optional per-epoch callback (see EpochSnapshot).
   EpochObserver observer;
-
-  /// When set, rank 0 copies the trained parameters here after the last
-  /// epoch (see WeightSnapshot) — the handoff from api::run to api::serve.
-  /// Not serialized.
-  WeightSnapshot* capture_weights = nullptr;
 };
 
 /// TrainerConfig's field table: every member but observer,
-/// capture_weights, threads_oversubscribe and fail_rank, which do not
-/// serialize.
+/// threads_oversubscribe and fail_rank, which do not serialize.
 inline constexpr auto kTrainerConfigFields = [] {
   using T = TrainerConfig;
   return std::tuple{field("num_layers", &T::num_layers),
@@ -341,26 +324,46 @@ struct TrainResult : HaloCacheTotals<TrainResult> {
     const TrainerConfig& cfg, std::int64_t feat_dim, int num_classes,
     PartId rank);
 
+struct ServeOptions;  // core/inference.hpp
+struct ServeResult;
+
 /// BNS-GCN: partition-parallel full-graph training with random boundary-node
-/// sampling (the paper's core contribution, Algorithm 1). Runs one thread
-/// per partition over an in-process Fabric. `xs` schedules the boundary
-/// exchanges (validated here, before any rank starts).
+/// sampling (the paper's core contribution, Algorithm 1), and the
+/// forward-only serving of what it trained (docs/ARCHITECTURE.md §10): the
+/// one engine over a partitioned graph. The constructor builds every
+/// rank's local graph once; training keeps rank 0's final parameters on
+/// the engine, and serve_rank answers query batches with them. A training
+/// rank and a serving rank stand on one per-rank model, whose full-plan
+/// forward runs both evaluation and every serve batch. `xs` schedules the
+/// boundary exchanges (validated here, before any rank starts).
 class BnsTrainer {
  public:
   BnsTrainer(const Dataset& ds, const Partitioning& part, TrainerConfig cfg,
              ExchangeSpec xs = {});
 
+  /// All ranks as threads over an in-process mailbox fabric, each calling
+  /// train_rank.
   [[nodiscard]] TrainResult train();
 
   /// Run exactly one rank of the training loop against an externally
   /// constructed fabric — the rank runtime's entry point (api::run runs it
-  /// on every rank through api::run_ranks_piped, on any transport). The
-  /// in-process train() is a thin wrapper: a mailbox fabric plus one
-  /// thread per rank calling this. Only rank 0's result carries the
-  /// aggregated curves and breakdowns (the loop's collectives reduce onto
-  /// rank 0); other ranks return a result that participated in those
-  /// collectives but holds only their local view.
+  /// on every rank through api::run_ranks_piped, on any transport). Only
+  /// rank 0's result carries the aggregated curves and breakdowns (the
+  /// loop's collectives reduce onto rank 0); other ranks return a result
+  /// that participated in those collectives but holds only their local
+  /// view. Rank 0 keeps its final parameters on the engine.
   [[nodiscard]] TrainResult train_rank(comm::Fabric& fabric, PartId rank);
+
+  /// One rank of the serve loop (core/inference.hpp) against an externally
+  /// constructed fabric; api::serve runs it on every rank through the rank
+  /// runtime (api::run_ranks_piped), on any transport. Every layer is put
+  /// in inference mode, and the exchanges run as `xs` schedules them with
+  /// cache_staleness clamped to 0: weights are frozen, so served bits stay
+  /// identical to the cache-off forward. Throws CheckError while the
+  /// engine holds no trained parameters in this process: before train(),
+  /// or when rank 0 trained in another, forked process.
+  [[nodiscard]] ServeResult serve_rank(comm::Fabric& fabric, PartId rank,
+                                       const ServeOptions& opts) const;
 
  private:
   /// Post-loop collective bookkeeping for one rank: allgather the kept-halo
@@ -373,6 +376,9 @@ class BnsTrainer {
   ExchangeSpec xs_;
   Partitioning part_;
   std::vector<LocalGraph> local_graphs_;
+  /// Rank 0's trained parameters in params() order (RankModel::params);
+  /// empty before training.
+  std::vector<Matrix> params_;
 };
 
 } // namespace bnsgcn::core

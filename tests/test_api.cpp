@@ -121,35 +121,6 @@ TEST(ApiRun, EveryBuiltinMethodRunsEndToEnd) {
   }
 }
 
-TEST(ApiRun, CustomMethodRegistration) {
-  api::MethodInfo info;
-  info.name = "test-constant";
-  info.display = "constant report (test)";
-  info.runner = [](const Dataset& ds, const Partitioning*,
-                   const api::RunConfig&) {
-    api::RunReport r;
-    r.dataset = ds.name;
-    r.final_test = 0.42;
-    return r;
-  };
-  api::register_method(info);
-  api::RunConfig cfg;
-  cfg.method = api::Method::kCustom;
-  cfg.custom_method = "test-constant";
-  const api::RunReport r = api::run(easy_dataset(17), cfg);
-  EXPECT_EQ(r.final_test, 0.42);
-  EXPECT_EQ(r.method, "test-constant");
-  // Duplicate registration is rejected.
-  EXPECT_THROW(api::register_method(info), CheckError);
-}
-
-TEST(ApiRun, UnknownCustomMethodThrows) {
-  api::RunConfig cfg;
-  cfg.method = api::Method::kCustom;
-  cfg.custom_method = "does-not-exist";
-  EXPECT_THROW((void)api::run(easy_dataset(19), cfg), CheckError);
-}
-
 TEST(ApiRun, ObserverStreamsBnsEpochs) {
   const Dataset ds = easy_dataset(23);
   api::RunConfig cfg;

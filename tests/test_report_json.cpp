@@ -435,7 +435,6 @@ api::RunConfig sample_config() {
 
 void expect_configs_equal(const api::RunConfig& a, const api::RunConfig& b) {
   EXPECT_EQ(a.method, b.method);
-  EXPECT_EQ(a.custom_method, b.custom_method);
   EXPECT_EQ(a.dataset.preset, b.dataset.preset);
   EXPECT_EQ(a.dataset.scale, b.dataset.scale);
   ASSERT_EQ(a.dataset.custom.has_value(), b.dataset.custom.has_value());
@@ -526,12 +525,19 @@ TEST(ConfigJson, MinimalDocumentKeepsDefaults) {
   EXPECT_EQ(cfg.comm.overlap, defaults.comm.overlap);
 }
 
-TEST(ConfigJson, UnregisteredMethodNameBecomesCustom) {
-  const api::RunConfig cfg = api::run_config_from_json_string(
-      R"({"method": "my-experimental-method"})");
-  EXPECT_EQ(cfg.method, api::Method::kCustom);
-  EXPECT_EQ(cfg.custom_method, "my-experimental-method");
-  EXPECT_THROW((void)api::resolve_method(cfg), CheckError);
+TEST(ConfigJson, UnknownMethodNameIsRejectedAtRead) {
+  // The method table is fixed: a name outside it fails the read itself,
+  // and the error names the method.
+  try {
+    (void)api::run_config_from_json_string(
+        R"({"method": "my-experimental-method"})");
+    FAIL() << "unknown method name parsed";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "unknown method: my-experimental-method"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ConfigJson, OverlapModeRoundTripsEveryValue) {

@@ -13,6 +13,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "api/serve.hpp"
 #include "partition/metis_like.hpp"
@@ -59,7 +60,7 @@ api::ServeConfig serve_config(int batch_size, int num_batches) {
   return scfg;
 }
 
-void expect_same_bits(const api::ServeReport& a, const api::ServeReport& b,
+void expect_same_bits(const core::ServeResult& a, const core::ServeResult& b,
                       const char* what) {
   SCOPED_TRACE(what);
   EXPECT_EQ(a.queries, b.queries);
@@ -168,6 +169,53 @@ TEST(Serve, HaloCacheInvariantBitwiseAndWarm) {
         << "batch " << b;
   }
   EXPECT_EQ(stale.queries, cached.queries);
+}
+
+TEST(Serve, OneEngineServesItsTrainingRepeatably) {
+  // One engine trains once and then serves twice, each time on a fresh
+  // mailbox fabric: the serve ranks only read the engine (the trained
+  // parameters, the local graphs), so both serves are bit-identical — and
+  // identical to api::serve of the same config, which builds, trains and
+  // serves one engine of its own. The cache is on so that every serve also
+  // starts from cold halo-cache directories.
+  const Dataset ds = small_dataset(87);
+  const auto part = metis_like(ds.graph, 3);
+  for (const auto model : {core::ModelKind::kSage, core::ModelKind::kGat}) {
+    SCOPED_TRACE(model == core::ModelKind::kGat ? "gat" : "sage");
+    auto cfg = base_config(model);
+    cfg.comm.cache_mb = 4;
+    const auto scfg = serve_config(4, 3);
+    core::BnsTrainer engine(ds, part, cfg.trainer, cfg.comm);
+    (void)engine.train();
+    const auto serve_once = [&] {
+      comm::Fabric fabric(part.nparts, cfg.trainer.cost);
+      core::ServeResult result;
+      comm::run_ranks(fabric, [&](PartId r) {
+        core::ServeResult local = engine.serve_rank(fabric, r, scfg);
+        if (r == 0) result = std::move(local);
+      });
+      return result;
+    };
+    const core::ServeResult first = serve_once();
+    const core::ServeResult second = serve_once();
+    ASSERT_EQ(first.queries.size(), 12u);
+    expect_same_bits(second, first, "second serve vs first");
+    expect_same_bits(api::serve(ds, part, cfg, scfg), first,
+                     "api::serve vs serve_rank");
+    EXPECT_GT(first.cache_hit_rows(), 0);
+  }
+}
+
+TEST(Serve, ServeRankBeforeTrainingThrows) {
+  // The engine serves only parameters it trained: before train() there
+  // are none, and serve_rank says so before it touches the fabric.
+  const Dataset ds = small_dataset(91);
+  const auto part = metis_like(ds.graph, 2);
+  const auto cfg = base_config(core::ModelKind::kSage);
+  const core::BnsTrainer engine(ds, part, cfg.trainer, cfg.comm);
+  comm::Fabric fabric(part.nparts, cfg.trainer.cost);
+  EXPECT_THROW((void)engine.serve_rank(fabric, 0, serve_config(4, 1)),
+               CheckError);
 }
 
 TEST(Serve, PredictionsAreLearned) {
